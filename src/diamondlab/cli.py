@@ -211,7 +211,7 @@ def _cmd_verify(args) -> int:
         args.transcript, space, landmarks, budget=args.budget_points)
     report = verify_transcript(space, doc.transcript)
     if args.out:
-        dio.write_transcript(args.out, doc.with_report(report))
+        dio.write_transcript(args.out, doc.with_report(report), doc.spec)
     if not report.passed:
         for bad in report.failures():
             print(f"fail {bad.path} {bad.condition}: {bad.detail}",

@@ -11,6 +11,13 @@ distances given by the shorter pole detour.
 Every point carries a canonical address.  Identified poles resolve to the
 outermost name, so addresses are unique; the point order (poles, midpoints,
 then copies in ``(side, branch)`` order) is part of the format contract.
+
+All construction distances are dyadic.  Each stage is therefore built as
+an int64 numerator matrix over a power-of-two denominator and handed to
+:meth:`MetricSpace.from_scaled`.  A successor stage doubles its
+predecessor's denominator, so the copies keep the predecessor's
+numerators; the rest of its matrix is block-broadcast pole detours.  A
+limit stage rescales its summands to the largest summand denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .metric import MetricSpace
+from .metric import MetricSpace, fraction_rows
 from .ordinal import (OrdinalNotation, ZERO, ONE, format_ordinal,
                       fundamental_sequence, parse_ordinal)
 
@@ -43,11 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 100_000
-
-_TWO = Fraction(2)
-_ONE_F = Fraction(1)
-_HALF = Fraction(1, 2)
-
 
 # ---------------------------------------------------------------------------
 # specs and addresses
@@ -85,21 +87,17 @@ class PointAddress:
     path: tuple[tuple, ...] = ()
     terminal: tuple = ("top",)
 
-    def prefixed(self, segment: tuple) -> "PointAddress":
-        return PointAddress((segment,) + self.path, self.terminal)
-
     def __str__(self) -> str:
-        parts = []
-        for seg in self.path:
-            if seg[0] == "+":
-                parts.append(f"+({seg[1]})")
-            elif seg[0] == "-":
-                parts.append(f"-({seg[1]})")
-            else:
-                parts.append(f"sum({format_ordinal(seg[1])})")
+        parts = [_segment_text(seg) for seg in self.path]
         t = self.terminal
         parts.append(t[0] if t[0] in ("top", "bottom") else f"mid({t[1]})")
         return "/".join(parts)
+
+
+def _segment_text(seg: tuple) -> str:
+    if seg[0] == "sum":
+        return f"sum({format_ordinal(seg[1])})"
+    return f"{seg[0]}({seg[1]})"
 
 
 _SEG_RE = re.compile(r"^([+-])\((\d+)\)$")
@@ -191,6 +189,14 @@ def estimate_points(spec: DiamondSpec) -> int:
 # construction
 
 
+def _check_budget(spec: DiamondSpec, budget: int) -> None:
+    estimate = estimate_points(spec)
+    if estimate > budget:
+        raise BudgetExceededError(
+            f"spec needs {estimate} points, budget is {budget}",
+            estimate=estimate, budget=budget)
+
+
 def build(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
           ) -> tuple[MetricSpace, DiamondLandmarks]:
     """Build the truncation described by ``spec``.
@@ -198,11 +204,7 @@ def build(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
     Raises :class:`BudgetExceededError` before allocating anything when the
     exact point count would exceed ``budget``.
     """
-    estimate = estimate_points(spec)
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"spec needs {estimate} points, budget is {budget}",
-            estimate=estimate, budget=budget)
+    _check_budget(spec, budget)
     return _build(spec)
 
 
@@ -217,27 +219,12 @@ def build_cached(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
     over between commands and checks.  The budget guard applies even on
     a cache hit, so behaviour does not depend on cache warmth.
     """
-    estimate = estimate_points(spec)
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"spec needs {estimate} points, budget is {budget}",
-            estimate=estimate, budget=budget)
+    _check_budget(spec, budget)
     hit = _build_cache.get(spec)
     if hit is None:
         hit = _build(spec)
         _build_cache[spec] = hit
     return hit
-
-
-def _outer_dist(u: int, v: int) -> Fraction:
-    # Outer vertices: 0 = top, 1 = bottom, >= 2 midpoints.
-    if u == v:
-        return Fraction(0)
-    if (u, v) in ((0, 1), (1, 0)):
-        return _TWO
-    if u < 2 or v < 2:
-        return _ONE_F
-    return _TWO
 
 
 def _build(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
@@ -248,18 +235,24 @@ def _build(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     return _build_limit(spec)
 
 
+def _outer_labels(n: int) -> list[str]:
+    return ["top", "bottom"] + [f"mid({i})" for i in range(1, n + 1)]
+
+
+def _outer_numerators(n: int) -> np.ndarray:
+    """Base-stage distances: poles 2 apart, each midpoint 1 from both
+    poles and 2 from every other midpoint."""
+    out = np.full((n + 2, n + 2), 2, dtype=np.int64)
+    out[:2, 2:] = out[2:, :2] = 1
+    np.fill_diagonal(out, 0)
+    return out
+
+
 def _build_base(n: int) -> tuple[MetricSpace, DiamondLandmarks]:
-    labels = [str(PointAddress((), ("top",))),
-              str(PointAddress((), ("bottom",)))]
-    labels += [str(PointAddress((), ("mid", i))) for i in range(1, n + 1)]
-    size = n + 2
-    dist = [[Fraction(0)] * size for _ in range(size)]
-    for u in range(size):
-        for v in range(u + 1, size):
-            dist[u][v] = dist[v][u] = _outer_dist(u, v)
     landmarks = DiamondLandmarks(
         top=0, bottom=1, ell=2, mids=tuple(range(2, n + 2)))
-    return MetricSpace(labels, dist, base_point=2), landmarks
+    return (MetricSpace.from_scaled(_outer_labels(n), _outer_numerators(n),
+                                    1, base_point=2), landmarks)
 
 
 def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
@@ -268,81 +261,60 @@ def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     pred_space, pred_lm = _build(pred_spec)
     p_top, p_bot = pred_lm.top, pred_lm.bottom
     interior = [p for p in range(len(pred_space)) if p not in (p_top, p_bot)]
+    pred_mat, pred_scale = pred_space.integer_scaled()
 
+    # Copy (side, branch) replaces the outer edge between its two ends;
+    # outer vertices are 0 = top, 1 = bottom and 1 + i = mid(i).
     copies = [("+", j) for j in range(1, n + 1)]
     copies += [("-", i) for i in range(1, n + 1)]
-
-    def ends(copy: tuple) -> tuple[int, int]:
-        side, br = copy
-        return (0, 1 + br) if side == "+" else (1 + br, 1)
-
-    labels = [str(PointAddress((), ("top",))),
-              str(PointAddress((), ("bottom",)))]
-    labels += [str(PointAddress((), ("mid", i))) for i in range(1, n + 1)]
-
-    injections: dict[tuple, list[int]] = {}
-    owner: list[tuple] = []          # copy owning each interior ambient point
-    inner: list[int] = []            # its predecessor index
-    next_idx = n + 2
-    pred_addr = [pred_space.label(p) for p in range(len(pred_space))]
-    for copy in copies:
-        te, be = ends(copy)
-        inj = [0] * len(pred_space)
-        inj[p_top], inj[p_bot] = te, be
-        for p in interior:
-            inj[p] = next_idx
-            labels.append(str(parse_address(pred_addr[p]).prefixed(copy)))
-            owner.append(copy)
-            inner.append(p)
-            next_idx += 1
-        injections[copy] = inj
-
-    size = next_idx
-    # Distances from each predecessor interior point to the copy poles, at
-    # the half scale of the embedded copies.  Shared across all 2n copies.
-    dt = {p: pred_space.distance(p, p_top) * _HALF for p in interior}
-    db = {p: pred_space.distance(p, p_bot) * _HALF for p in interior}
-
-    dist = [[Fraction(0)] * size for _ in range(size)]
-
-    def put(u: int, v: int, value: Fraction) -> None:
-        dist[u][v] = value
-        dist[v][u] = value
+    ends = [(0, 1 + br) if side == "+" else (1 + br, 1)
+            for side, br in copies]
 
     n_outer = n + 2
-    for u in range(n_outer):
-        for v in range(u + 1, n_outer):
-            put(u, v, _outer_dist(u, v))
+    m = len(interior)
+    size = n_outer + len(copies) * m
+    labels = _outer_labels(n)
+    pred_labels = [pred_space.label(p) for p in interior]
+    injections: dict[tuple, tuple[int, ...]] = {}
+    for k, copy in enumerate(copies):
+        prefix = _segment_text(copy) + "/"
+        labels += [prefix + lab for lab in pred_labels]
+        inj = [0] * len(pred_space)
+        inj[p_top], inj[p_bot] = ends[k]
+        for offset, p in enumerate(interior):
+            inj[p] = n_outer + k * m + offset
+        injections[copy] = tuple(inj)
 
-    copy_of = {c: k for k, c in enumerate(copies)}
-    end_pairs = {c: ends(c) for c in copies}
-
-    for a in range(n_outer, size):
-        ca, pa = owner[a - n_outer], inner[a - n_outer]
-        ta, ba = end_pairs[ca]
-        da_t, da_b = dt[pa], db[pa]
-        for w in range(n_outer):
-            put(a, w, min(da_t + _outer_dist(ta, w), da_b + _outer_dist(ba, w)))
-        for b in range(n_outer, a):
-            cb, pb = owner[b - n_outer], inner[b - n_outer]
-            if ca is cb or copy_of[ca] == copy_of[cb]:
-                put(a, b, pred_space.distance(pa, pb) * _HALF)
-                continue
-            tb, bb = end_pairs[cb]
-            db_t, db_b = dt[pb], db[pb]
-            best = da_t + _outer_dist(ta, tb) + db_t
-            for left, e1 in ((da_t, ta), (da_b, ba)):
-                for right, e2 in ((db_t, tb), (db_b, bb)):
-                    cand = left + _outer_dist(e1, e2) + right
-                    if cand < best:
-                        best = cand
-            put(a, b, best)
+    # Numerators over 2 * pred_scale: copies keep the predecessor's
+    # numerators, which halves their distances; outer distances double.
+    ix = np.array(interior, dtype=np.intp)
+    inner = pred_mat[np.ix_(ix, ix)]
+    dt = pred_mat[ix, p_top]
+    db = pred_mat[ix, p_bot]
+    dist = np.empty((size, size), dtype=np.int64)
+    dist[:n_outer, :n_outer] = _outer_numerators(n) * (2 * pred_scale)
+    # Outer vertex to a copy point: through the nearer copy pole.
+    for k, (te, be) in enumerate(ends):
+        block = slice(n_outer + k * m, n_outer + (k + 1) * m)
+        dist[:n_outer, block] = np.minimum(
+            dist[:n_outer, te, None] + dt, dist[:n_outer, be, None] + db)
+    dist[n_outer:, :n_outer] = dist[:n_outer, n_outer:].T
+    # A copy point leaves its copy through one of its poles, so its row is
+    # the better of the two pole rows; that is the minimum of the four
+    # pole-detour terms on every other copy.  Its own copy is the
+    # predecessor's interior block.
+    for k, (te, be) in enumerate(ends):
+        block = slice(n_outer + k * m, n_outer + (k + 1) * m)
+        rows = dist[block, n_outer:]
+        np.minimum(dt[:, None] + dist[te, n_outer:],
+                   db[:, None] + dist[be, n_outer:], out=rows)
+        rows[:, k * m:(k + 1) * m] = inner
 
     landmarks = DiamondLandmarks(
         top=0, bottom=1, ell=2, mids=tuple(range(2, n + 2)),
-        subcopies={c: tuple(injections[c]) for c in copies},
-        predecessor=(pred_space, pred_lm))
-    return MetricSpace(labels, dist, base_point=2), landmarks
+        subcopies=injections, predecessor=(pred_space, pred_lm))
+    return (MetricSpace.from_scaled(labels, dist, 2 * pred_scale,
+                                    base_point=2), landmarks)
 
 
 def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
@@ -350,61 +322,55 @@ def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
              for m in range(1, spec.limit_width + 1)]
     builds = [_build(DiamondSpec(beta, spec.branches, spec.limit_width))
               for beta in betas]
+    # Summand denominators are powers of two, so the largest is common.
+    scale = max(bspace.integer_scaled()[1] for bspace, _ in builds)
 
-    labels = [str(PointAddress((), ("top",))),
-              str(PointAddress((), ("bottom",)))]
-    injections: list[list[int]] = []
-    owner: list[int] = []
-    dtop: list[Fraction] = []
-    dbot: list[Fraction] = []
-    inner: list[int] = []
+    labels = ["top", "bottom"]
+    injections: list[tuple[int, ...]] = []
+    blocks: list[np.ndarray] = []
     next_idx = 2
-    for m, ((bspace, blm), beta) in enumerate(zip(builds, betas)):
-        seg = ("sum", beta)
+    for (bspace, blm), beta in zip(builds, betas):
+        inner = [p for p in range(len(bspace))
+                 if p not in (blm.top, blm.bottom)]
+        prefix = _segment_text(("sum", beta)) + "/"
+        labels += [prefix + bspace.label(p) for p in inner]
         inj = [0] * len(bspace)
         inj[blm.top], inj[blm.bottom] = 0, 1
-        for p in range(len(bspace)):
-            if p in (blm.top, blm.bottom):
-                continue
+        for p in inner:
             inj[p] = next_idx
-            labels.append(str(parse_address(bspace.label(p)).prefixed(seg)))
-            owner.append(m)
-            inner.append(p)
-            dtop.append(bspace.distance(p, blm.top))
-            dbot.append(bspace.distance(p, blm.bottom))
             next_idx += 1
-        injections.append(inj)
+        injections.append(tuple(inj))
+        bmat, bscale = bspace.integer_scaled()
+        ix = np.array([blm.top, blm.bottom] + inner, dtype=np.intp)
+        blocks.append(bmat[np.ix_(ix, ix)] * (scale // bscale))
 
     size = next_idx
-    dist = [[Fraction(0)] * size for _ in range(size)]
+    dtop = np.concatenate([b[2:, 0] for b in blocks])
+    dbot = np.concatenate([b[2:, 1] for b in blocks])
+    dist = np.empty((size, size), dtype=np.int64)
+    dist[:2, :2] = [[0, 2 * scale], [2 * scale, 0]]
+    dist[2:, 0] = dist[0, 2:] = dtop
+    dist[2:, 1] = dist[1, 2:] = dbot
+    # Summands share only the poles, so a cross-summand pair takes the
+    # shorter pole detour; within a summand its own distances hold.
+    np.minimum(dtop[:, None] + dtop, dbot[:, None] + dbot, out=dist[2:, 2:])
+    start = 2
+    for b in blocks:
+        stop = start + len(b) - 2
+        dist[start:stop, start:stop] = b[2:, 2:]
+        start = stop
 
-    def put(u: int, v: int, value: Fraction) -> None:
-        dist[u][v] = value
-        dist[v][u] = value
-
-    put(0, 1, _TWO)
-    for a in range(2, size):
-        ma, pa = owner[a - 2], inner[a - 2]
-        put(a, 0, dtop[a - 2])
-        put(a, 1, dbot[a - 2])
-        for b in range(2, a):
-            mb, pb = owner[b - 2], inner[b - 2]
-            if ma == mb:
-                put(a, b, builds[ma][0].distance(pa, pb))
-            else:
-                put(a, b, min(dtop[a - 2] + dtop[b - 2],
-                              dbot[a - 2] + dbot[b - 2]))
-
-    first_space, first_lm = builds[0]
+    first_lm = builds[0][1]
     inj0 = injections[0]
     landmarks = DiamondLandmarks(
         top=0, bottom=1,
         ell=inj0[first_lm.ell],
         mids=tuple(inj0[p] for p in first_lm.mids),
         summands=tuple(
-            SummandInfo(beta, tuple(inj), bspace, blm)
+            SummandInfo(beta, inj, bspace, blm)
             for beta, inj, (bspace, blm) in zip(betas, injections, builds)))
-    return MetricSpace(labels, dist, base_point=landmarks.ell), landmarks
+    return (MetricSpace.from_scaled(labels, dist, scale,
+                                    base_point=landmarks.ell), landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -469,5 +435,4 @@ def shortest_path_closure(space: MetricSpace,
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     if (d >= inf).any():
         raise ValueError("edge set does not connect the space")
-    return [[Fraction(int(d[i, j]), scale) for j in range(n)]
-            for i in range(n)]
+    return fraction_rows(d, scale)

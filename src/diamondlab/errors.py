@@ -21,16 +21,13 @@ class InsufficientBranchingError(RuntimeError):
     """No qualifying branch pair exists at the current truncation width.
 
     ``branches`` is the width that was searched, ``retry_hint`` the smallest
-    width worth rebuilding with, ``level`` the recursion level (0 = root)
-    at which the search failed.
+    width worth rebuilding with.
     """
 
-    def __init__(self, message: str, branches: int, retry_hint: int,
-                 level: int = 0):
+    def __init__(self, message: str, branches: int, retry_hint: int):
         super().__init__(message)
         self.branches = branches
         self.retry_hint = retry_hint
-        self.level = level
 
 
 class CertificateError(ValueError):

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .derivation import (AdversaryConfig, GameNode, GameTranscript, Move,
                          VerificationReport, WeakNeighborhood)
 from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
@@ -132,22 +134,35 @@ def _spec_line(spec: Optional[DiamondSpec]) -> str:
             f"branches={spec.branches} limit-width={spec.limit_width}")
 
 
-def _parse_spec_tokens(rd: _Reader,
-                       tokens: list[str]) -> Optional[DiamondSpec]:
-    if tokens[1:] == ["none"]:
-        return None
+def _fields(rd: _Reader, tokens: list[str],
+            required: tuple[str, ...] = ()) -> dict[str, str]:
+    """``key=value`` tokens as a dict, with every required key present."""
     fields = {}
-    for tok in tokens[1:]:
+    for tok in tokens:
         if "=" not in tok:
-            raise rd.error(f"malformed spec field {tok!r}")
+            raise rd.error(f"malformed field {tok!r}")
         key, val = tok.split("=", 1)
         fields[key] = val
+    for key in required:
+        if key not in fields:
+            raise rd.error(f"missing field {key!r}")
+    return fields
+
+
+def _spec_from_fields(rd: _Reader, fields: dict[str, str]) -> DiamondSpec:
     try:
         return DiamondSpec(parse_ordinal(fields["alpha"]),
                            int(fields["branches"]),
                            int(fields["limit-width"]))
     except (KeyError, ValueError) as exc:
         raise rd.error(f"bad spec echo: {exc}")
+
+
+def _parse_spec_tokens(rd: _Reader,
+                       tokens: list[str]) -> Optional[DiamondSpec]:
+    if tokens[1:] == ["none"]:
+        return None
+    return _spec_from_fields(rd, _fields(rd, tokens[1:]))
 
 
 def _space_line(space: MetricSpace, spec: Optional[DiamondSpec]) -> str:
@@ -194,10 +209,12 @@ def write_space(path: str, space: MetricSpace,
         lines.append(f"landmark ell {space.label(landmarks.ell)}")
         for k, m in enumerate(landmarks.mids, start=1):
             lines.append(f"landmark mid {k} {space.label(m)}")
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            lines.append(f"dist {i} {j} "
-                         f"{format_fraction(space.distance(i, j))}")
+    mat, scale = space.integer_scaled()
+    rows, cols = np.triu_indices(len(space), 1)
+    values, inverse = np.unique(mat[rows, cols], return_inverse=True)
+    texts = [format_fraction(Fraction(v, scale)) for v in values.tolist()]
+    lines += [f"dist {i} {j} {texts[k]}" for i, j, k
+              in zip(rows.tolist(), cols.tolist(), inverse.tolist())]
     lines.append("end")
     _write(path, lines)
 
@@ -224,27 +241,48 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
         labels.append(tokens[2])
     while rd.take("landmark"):
         pass
-    dist = [[Fraction(0)] * count for _ in range(count)]
+    # Each distinct distance text is parsed once; codes[k] indexes the
+    # value of the k-th dist line in ``values``.
+    parsed: dict[str, int] = {}
+    values: list[Fraction] = []
+    codes = []
     for i in range(count):
         for j in range(i + 1, count):
             tokens = rd.expect("dist")
+            if len(tokens) != 4:
+                raise rd.error("malformed dist line")
             if int(tokens[1]) != i or int(tokens[2]) != j:
                 raise rd.error("dist lines out of order")
-            dist[i][j] = dist[j][i] = parse_fraction(tokens[3])
+            code = parsed.get(tokens[3])
+            if code is None:
+                values.append(parse_fraction(tokens[3]))
+                code = parsed[tokens[3]] = len(values) - 1
+            codes.append(code)
     rd.expect("end")
     if base_label not in labels:
         raise rd.error(f"base label {base_label!r} is not a point")
     base = labels.index(base_label)
+    rows, cols = np.triu_indices(count, 1)
     if spec is None:
+        dist = [[Fraction(0)] * count for _ in range(count)]
+        for i, j, k in zip(rows.tolist(), cols.tolist(), codes):
+            dist[i][j] = dist[j][i] = values[k]
         return MetricSpace(labels, dist, base), None, None
     space, landmarks = build_cached(spec, budget)
     if list(space.labels) != labels or space.base_point != base:
         raise rd.error("stored points do not match the spec echo")
-    for i in range(count):
-        for j in range(i + 1, count):
-            if space.distance(i, j) != dist[i][j]:
-                raise rd.error(f"stored distance ({i},{j}) does not match "
-                               f"the spec echo")
+    mat, scale = space.integer_scaled()
+    # A stored value that is not a multiple of 1/scale, or too large to
+    # scale, becomes -1, which no distance of the built space equals.
+    scaled = np.full(len(values), -1, dtype=np.int64)
+    for k, v in enumerate(values):
+        if scale % v.denominator == 0 and abs(v) * scale < 1 << 62:
+            scaled[k] = int(v * scale)
+    mismatch = np.flatnonzero(scaled[codes] != mat[rows, cols])
+    if mismatch.size:
+        k = mismatch[0]
+        raise rd.error(f"stored distance ({rows[k]},{cols[k]}) does not "
+                       f"match the spec echo")
     return space, landmarks, spec
 
 
@@ -388,17 +426,19 @@ class TranscriptDocument:
 
     ``statuses`` maps node paths to (status, condition) with status one
     of pass, fail or none; nodes missing from the map are written as
-    none.  Built from a fresh game, or from a verification report via
-    :meth:`with_report`.
+    none.  ``spec`` is the construction echo a file was read with, so a
+    rewritten file can carry it on.  Built from a fresh game, or from a
+    verification report via :meth:`with_report`.
     """
 
     transcript: GameTranscript
     statuses: dict[str, tuple[str, str]] = field(default_factory=dict)
+    spec: Optional[DiamondSpec] = None
 
     def with_report(self, report: VerificationReport) -> "TranscriptDocument":
         statuses = {e.path: ("pass" if e.ok else "fail", e.condition)
                     for e in report.entries}
-        return TranscriptDocument(self.transcript, statuses)
+        return TranscriptDocument(self.transcript, statuses, self.spec)
 
 
 def _walk_nodes(node: GameNode, path: str):
@@ -455,6 +495,11 @@ def write_transcript(path: str, doc: TranscriptDocument,
     _write(path, lines)
 
 
+# Least token count of each node-section record of a transcript.
+_TRANSCRIPT_ARITY = {"node": 2, "tentry": 4, "status": 3, "move": 3,
+                     "rentry": 5}
+
+
 def read_transcript(path: str, space: Optional[MetricSpace] = None,
                     landmarks: Optional[DiamondLandmarks] = None,
                     budget: int = DEFAULT_BUDGET
@@ -469,13 +514,11 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
     _check_header(rd, "transcript")
     tokens = rd.expect("space")
     fields = dict(tok.split("=", 1) for tok in tokens[1:] if "=" in tok)
+    spec = _spec_from_fields(rd, fields) if "alpha" in fields else None
     if space is None:
-        if "alpha" not in fields:
+        if spec is None:
             raise rd.error("transcript has no construction echo; a space "
                            "must be supplied")
-        spec = DiamondSpec(parse_ordinal(fields["alpha"]),
-                           int(fields["branches"]),
-                           int(fields["limit-width"]))
         space, landmarks = build_cached(spec, budget)
     if "points" in fields and int(fields["points"]) != len(space):
         raise rd.error("transcript was written for a different space")
@@ -485,7 +528,7 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
     tokens = rd.expect("adversary")
     adversary = None
     if tokens[1:] != ["none"]:
-        adv = dict(tok.split("=", 1) for tok in tokens[1:])
+        adv = _fields(rd, tokens[1:], ("kind", "count", "eta", "seed"))
         adversary = AdversaryConfig(adv["kind"], int(adv["count"]),
                                     parse_fraction(adv["eta"]),
                                     int(adv["seed"]))
@@ -502,38 +545,51 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
             if int(tokens[1]) != fid:
                 rd.pos -= 1
                 break
+            if len(tokens) != 5 or not 0 <= int(tokens[2]) < size:
+                raise rd.error("malformed fvalue record")
             values[int(tokens[2])].append(
                 (_index_of(rd, space, tokens[3]), parse_fraction(tokens[4])))
         families.append(tuple(LipschitzFunction(space, vals)
                               for vals in values))
 
     nodes: dict[str, dict] = {}
-    order: list[str] = []
     statuses: dict[str, tuple[str, str]] = {}
+
+    def declared(node_path: str) -> dict:
+        rec = nodes.get(node_path)
+        if rec is None:
+            raise rd.error(f"record for undeclared node {node_path!r}")
+        return rec
+
     while (tokens := rd.peek()) is not None and tokens[0] != "end":
         tokens = rd.next()
         kind = tokens[0]
+        if len(tokens) < _TRANSCRIPT_ARITY.get(kind, 1):
+            raise rd.error(f"truncated {kind!r} record")
         if kind == "node":
-            node_path = tokens[1]
-            fields = dict(tok.split("=", 1) for tok in tokens[2:])
-            nodes[node_path] = {"depth": int(fields["depth"]),
+            fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
+            nodes[tokens[1]] = {"depth": int(fields["depth"]),
                                 "epsilon": parse_fraction(fields["epsilon"]),
                                 "target": [], "moves": {}}
-            order.append(node_path)
         elif kind == "tentry":
-            nodes[tokens[1]]["target"].append(
+            declared(tokens[1])["target"].append(
                 (_index_of(rd, space, tokens[2]), parse_fraction(tokens[3])))
         elif kind == "status":
             statuses[tokens[1]] = (tokens[2],
                                    tokens[3] if len(tokens) > 3 else "")
         elif kind == "move":
-            fields = dict(tok.split("=", 1) for tok in tokens[3:])
-            nodes[tokens[1]]["moves"][int(tokens[2])] = {
+            fields = _fields(rd, tokens[3:], ("family", "eta"))
+            declared(tokens[1])["moves"][int(tokens[2])] = {
                 "family": int(fields["family"]),
                 "eta": parse_fraction(fields["eta"]),
                 "response": []}
         elif kind == "rentry":
-            nodes[tokens[1]]["moves"][int(tokens[2])]["response"].append(
+            moves = declared(tokens[1])["moves"]
+            k = int(tokens[2])
+            if k not in moves:
+                raise rd.error(f"response for undeclared move {k} of "
+                               f"{tokens[1]!r}")
+            moves[k]["response"].append(
                 (_index_of(rd, space, tokens[3]), parse_fraction(tokens[4])))
         else:
             raise rd.error(f"unexpected record {kind!r}")
@@ -542,7 +598,9 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
         raise rd.error("transcript has no root node")
 
     def assemble(node_path: str) -> GameNode:
-        rec = nodes[node_path]
+        rec = nodes.get(node_path)
+        if rec is None:
+            raise rd.error(f"missing node {node_path!r}")
         target = FreeVector(space, rec["target"])
         moves = []
         for k in sorted(rec["moves"]):
@@ -560,7 +618,7 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
         return GameNode(target, rec["depth"], rec["epsilon"], tuple(moves))
 
     transcript = GameTranscript(space, assemble("root"), adversary)
-    doc = TranscriptDocument(transcript, statuses)
+    doc = TranscriptDocument(transcript, statuses, spec)
     for node_path, _ in _walk_nodes(transcript.root, "root"):
         statuses.setdefault(node_path, ("none", ""))
     return doc, space, landmarks

@@ -1,10 +1,21 @@
 """Finite metric spaces with exact rational distances.
 
 Points are indexed 0..n-1 and carry string labels (canonical addresses for
-diamond constructions, arbitrary names otherwise).  Distances live in a
-dense symmetric matrix of ``Fraction`` values; no floating point is used
-anywhere.  The heavy validation passes run on an integer-scaled copy of
-the matrix so they can be vectorized without losing exactness.
+diamond constructions, arbitrary names otherwise).  Distances are exact:
+no floating point is used anywhere.  A space has two views of its matrix:
+
+* ``integer_scaled()``: int64 numerators over one common denominator,
+  reduced so that no factor is shared by every entry and the
+  denominator.  The vectorized passes (validation, edges, closures) run
+  on it.
+* ``dist_matrix``: a dense symmetric table of ``Fraction`` values for the
+  API and the file formats.
+
+:meth:`MetricSpace.from_scaled` builds a space from the integer view and
+derives the ``Fraction`` table with one object per distinct value; the
+diamond builder and :meth:`MetricSpace.restrict` construct spaces this
+way.  The plain constructor takes ``Fraction`` rows and derives the
+integer view on first use.
 """
 
 from __future__ import annotations
@@ -31,19 +42,55 @@ class MetricSpace:
 
     def __init__(self, labels: Sequence[str],
                  dist: Sequence[Sequence[Fraction]], base_point: int):
-        self._labels = tuple(str(x) for x in labels)
-        n = len(self._labels)
-        if len(set(self._labels)) != n:
-            raise ValueError("point labels must be distinct")
+        n = self._set_labels(labels)
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance matrix shape does not match points")
         self._dist = tuple(
             tuple(Fraction(v) for v in row) for row in dist)
-        if not 0 <= base_point < n:
+        self._set_base(base_point)
+        self._scaled: Optional[tuple[np.ndarray, int]] = None
+
+    @classmethod
+    def from_scaled(cls, labels: Sequence[str], numerators,
+                    denominator: int, base_point: int) -> "MetricSpace":
+        """Space with distances ``numerators[i][j] / denominator``.
+
+        The greatest common divisor of every entry and the denominator is
+        divided out, so the stored pair is exactly what
+        :meth:`integer_scaled` derives from the ``Fraction`` values.
+        Raises ``OverflowError`` when a reduced entry needs 60 bits or
+        more.
+        """
+        space = cls.__new__(cls)
+        n = space._set_labels(labels)
+        mat = np.array(numerators, dtype=np.int64)
+        if mat.shape != (n, n):
+            raise ValueError("distance matrix shape does not match points")
+        space._set_base(base_point)
+        if denominator < 1:
+            raise ValueError("denominator must be positive")
+        common = math.gcd(denominator, int(np.gcd.reduce(mat.ravel())))
+        if common > 1:
+            mat //= common
+            denominator //= common
+        if int(mat.max()) >= _INT64_SAFE:
+            raise OverflowError("scaled distances exceed the int64 range")
+        space._dist = tuple(map(tuple, fraction_rows(mat, denominator)))
+        space._scaled = (mat, denominator)
+        return space
+
+    def _set_labels(self, labels: Sequence[str]) -> int:
+        self._labels = tuple(str(x) for x in labels)
+        n = len(self._labels)
+        if len(set(self._labels)) != n:
+            raise ValueError("point labels must be distinct")
+        self._index = {lab: i for i, lab in enumerate(self._labels)}
+        return n
+
+    def _set_base(self, base_point: int) -> None:
+        if not 0 <= base_point < len(self._labels):
             raise ValueError("base point index out of range")
         self._base = base_point
-        self._index = {lab: i for i, lab in enumerate(self._labels)}
-        self._scaled: Optional[tuple[np.ndarray, int]] = None
 
     # -- basic access ----------------------------------------------------
 
@@ -100,8 +147,9 @@ class MetricSpace:
         if base not in idx:
             raise ValueError("base must belong to the restriction")
         labels = [self._labels[i] for i in idx]
-        dist = [[self._dist[i][j] for j in idx] for i in idx]
-        sub = MetricSpace(labels, dist, idx.index(base))
+        mat, scale = self.integer_scaled()
+        sub = MetricSpace.from_scaled(labels, mat[np.ix_(idx, idx)], scale,
+                                      idx.index(base))
         return sub, idx
 
     def integer_scaled(self) -> tuple[np.ndarray, int]:
@@ -166,3 +214,16 @@ class MetricSpace:
     def __repr__(self) -> str:
         return (f"MetricSpace({len(self)} points, "
                 f"base={self._labels[self._base]!r})")
+
+
+def fraction_rows(numerators: np.ndarray, denominator: int
+                  ) -> list[list[Fraction]]:
+    """Rows of ``numerators / denominator`` as ``Fraction`` lists.
+
+    One ``Fraction`` is made per distinct value and shared by every entry
+    that holds it.
+    """
+    values, inverse = np.unique(numerators.ravel(), return_inverse=True)
+    table = np.empty(len(values), dtype=object)
+    table[:] = [Fraction(int(v), denominator) for v in values.tolist()]
+    return table[inverse].reshape(numerators.shape).tolist()

@@ -59,11 +59,6 @@ class Sampler:
             out.append(pool.pop(self.below(len(pool))))
         return out
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def fraction(self, max_abs_num: int = 8, max_den_pow: int = 3) -> Fraction:
         """Dyadic rational p / 2^k with p in [-max_abs_num, max_abs_num]."""
         p = self.integer(-max_abs_num, max_abs_num)

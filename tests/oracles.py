@@ -2,15 +2,19 @@
 
 Deliberately naive implementations: transport by enumerating spanning
 trees of the bipartite support graph, shortest paths by heap Dijkstra
-over Fractions.  Slow, obviously correct, and sharing no code with the
-solvers under test.
+over Fractions, diamond stages as graphs grown by edge substitution.
+Slow, obviously correct, and sharing no code with the solvers and
+builders under test.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
+
+from diamondlab.ordinal import ONE, format_ordinal, fundamental_sequence
 
 
 def split_parts(vec):
@@ -99,6 +103,20 @@ def free_norm_oracle(space, vec):
     return transport_cost(space, pos, neg)
 
 
+def _dijkstra(adjacency, source):
+    dist = {}
+    heap = [(Fraction(0), source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = d
+        for v, w in adjacency[u]:
+            if v not in dist:
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
 def dijkstra_closure(space, edges):
     """All-pairs shortest paths over the edge list with Fraction weights."""
     n = len(space)
@@ -109,15 +127,64 @@ def dijkstra_closure(space, edges):
         adjacency[j].append((i, w))
     out = []
     for source in range(n):
-        dist = [None] * n
-        heap = [(Fraction(0), source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if dist[u] is not None:
-                continue
-            dist[u] = d
-            for v, w in adjacency[u]:
-                if dist[v] is None:
-                    heapq.heappush(heap, (d + w, v))
-        out.append(dist)
+        dist = _dijkstra(adjacency, source)
+        out.append([dist.get(v) for v in range(n)])
     return out
+
+
+def diamond_graph(alpha, branches, limit_width=3):
+    """Weighted edges of a diamond stage, generated by edge substitution.
+
+    Stage 1 is ``top - mid(i) - bottom`` for every branch, all edges of
+    length 1.  A successor stage replaces each of its ``2n`` outer edges,
+    ``top - mid(j)`` (copy ``+(j)``) and ``mid(i) - bottom`` (copy
+    ``-(i)``), by a half-length copy of the predecessor graph whose poles
+    are the edge's ends.  A limit stage glues the graphs of the first
+    ``limit_width`` entries of its fundamental sequence at their poles.
+    Vertices are named by their canonical address labels; the result is
+    a list of ``(label, label, length)``.
+    """
+    def rename(edges, prefix, ends):
+        return [(ends.get(u, prefix + u), ends.get(v, prefix + v), w)
+                for u, v, w in edges]
+
+    if alpha == ONE:
+        return [(pole, f"mid({i})", Fraction(1))
+                for i in range(1, branches + 1)
+                for pole in ("top", "bottom")]
+    if alpha.is_successor:
+        pred = [(u, v, w / 2) for u, v, w in
+                diamond_graph(alpha.predecessor(), branches, limit_width)]
+        edges = []
+        for j in range(1, branches + 1):
+            edges += rename(pred, f"+({j})/",
+                            {"top": "top", "bottom": f"mid({j})"})
+        for i in range(1, branches + 1):
+            edges += rename(pred, f"-({i})/",
+                            {"top": f"mid({i})", "bottom": "bottom"})
+        return edges
+    edges = []
+    for m in range(1, limit_width + 1):
+        beta = fundamental_sequence(alpha, m)
+        edges += rename(diamond_graph(beta, branches, limit_width),
+                        f"sum({format_ordinal(beta)})/",
+                        {"top": "top", "bottom": "bottom"})
+    return edges
+
+
+def graph_closure(edges, sources=None):
+    """Shortest-path distances ``{source: {label: Fraction}}``."""
+    adjacency = {}
+    for u, v, w in edges:
+        adjacency.setdefault(u, []).append((v, w))
+        adjacency.setdefault(v, []).append((u, w))
+    return {s: _dijkstra(adjacency, s)
+            for s in (adjacency if sources is None else sources)}
+
+
+def scaled_from_fractions(space):
+    """``(numerators, denominator)`` recomputed from the Fraction table."""
+    rows = space.dist_matrix
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    return [[v.numerator * (scale // v.denominator) for v in row]
+            for row in rows], scale

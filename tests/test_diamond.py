@@ -7,6 +7,10 @@ Core claims checked here:
   * hand-computed cross-copy distances are hit exactly,
   * finest-edge closure reproduces the metric (against a Fraction
     Dijkstra oracle, independent of the int64 min-plus path),
+  * every stage equals the shortest-path metric of the graph grown by
+    edge substitution, a generator sharing no code with the builder,
+  * the integer matrix a stage is built with is the one its Fraction
+    distances scale to,
   * budgets reject oversized specs before building anything.
 """
 
@@ -22,12 +26,15 @@ from diamondlab import (
     build_cached,
     estimate_points,
     finest_edges,
+    format_ordinal,
     parse_address,
+    parse_ordinal,
     shortest_path_closure,
     subcopy_map,
 )
 
-from oracles import dijkstra_closure
+from oracles import (diamond_graph, dijkstra_closure, graph_closure,
+                     scaled_from_fractions)
 
 HALF = Fraction(1, 2)
 
@@ -253,3 +260,41 @@ def test_closure_rejects_disconnected(d13):
 def test_metric_axioms_hold(d24, dw33):
     for space, _ in (d24, dw33):
         space.validate_metric()
+
+
+# -- Independent graph oracle ------------------------------------------------------
+
+STAGES = [DiamondSpec(parse_ordinal(alpha), branches)
+          for alpha in ("1", "2", "3", "w", "w+1") for branches in (2, 3)]
+
+
+def _stage_id(spec):
+    return f"{format_ordinal(spec.alpha)},{spec.branches}"
+
+
+@pytest.mark.parametrize("spec", STAGES, ids=_stage_id)
+def test_build_matches_substitution_graph(spec):
+    space, _ = build(spec)
+    edges = diamond_graph(spec.alpha, spec.branches, spec.limit_width)
+    vertices = {u for u, _, _ in edges} | {v for _, v, _ in edges}
+    assert vertices == set(space.labels)
+    # Dijkstra from all 923 points of w+1, n=3 takes seconds; every
+    # ninth source still meets every copy and summand.
+    sources = space.labels if len(space) <= 400 else space.labels[::9]
+    for source, row in graph_closure(edges, sources).items():
+        x = space.index_of(source)
+        assert len(row) == len(space)
+        for label, d in row.items():
+            assert space.distance(x, space.index_of(label)) == d, \
+                (source, label)
+
+
+@pytest.mark.parametrize("spec", STAGES, ids=_stage_id)
+def test_cached_integer_scaled_matches_fractions(spec):
+    space, lm = build(spec)
+    sub, _ = space.restrict(range(0, len(space), 2), lm.ell)
+    for s in (space, sub):
+        mat, scale = s.integer_scaled()
+        expected, expected_scale = scaled_from_fractions(s)
+        assert scale == expected_scale
+        assert mat.tolist() == expected

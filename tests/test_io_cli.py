@@ -6,6 +6,8 @@ Core claims checked here:
   * every writer is byte-deterministic and every reader inverts it,
   * spec echoes rebind files to the shared cached construction and
     mismatches are refused with located errors,
+  * truncated records and references to undeclared transcript nodes or
+    moves are refused with FormatError, never a KeyError or IndexError,
   * the command-line entry point implements the documented commands and
     exit codes (0 ok, 1 failed check, 2 usage, 3 budget).
 """
@@ -126,9 +128,12 @@ def test_space_reader_rejects_tampered_distance(tmp_path, d13):
     write_space(str(path), space, lm, DiamondSpec(1, 3))
     text = path.read_text()
     assert "dist 0 1 2/1" in text
-    path.write_text(text.replace("dist 0 1 2/1", "dist 0 1 3/1"))
-    with pytest.raises(FormatError, match="does not match the spec echo"):
-        read_space(str(path))
+    # Wrong, off the space's scale, negative, and past the int64 range.
+    for stored in ("3/1", "5/2", "1/3", "-2/1", f"{1 << 70}/1"):
+        path.write_text(text.replace("dist 0 1 2/1", f"dist 0 1 {stored}"))
+        with pytest.raises(FormatError,
+                           match="does not match the spec echo"):
+            read_space(str(path))
 
 
 def test_reader_rejects_wrong_header(tmp_path):
@@ -268,6 +273,88 @@ def test_transcript_needs_echo_or_space(tmp_path, d23):
     assert loaded_doc.transcript.root == transcript.root
 
 
+def _transcript_text(tmp_path, d23):
+    path = tmp_path / "game.txt"
+    write_transcript(str(path), TranscriptDocument(_transcript(d23)),
+                     DiamondSpec(2, 3))
+    return path, path.read_text()
+
+
+def _retarget(text, kind, node_path):
+    """Point the first ``kind`` line at ``node_path``."""
+    line = next(l for l in text.splitlines() if l.startswith(kind + " "))
+    tokens = line.split()
+    tokens[1] = node_path
+    return text.replace(line, " ".join(tokens), 1)
+
+
+@pytest.mark.parametrize("kind", ["tentry", "move", "rentry"])
+def test_transcript_reader_rejects_undeclared_node(tmp_path, d23, kind):
+    path, text = _transcript_text(tmp_path, d23)
+    path.write_text(_retarget(text, kind, "root.m7.r"))
+    with pytest.raises(FormatError, match="undeclared node 'root.m7.r'"):
+        read_transcript(str(path))
+
+
+def test_transcript_reader_rejects_response_of_undeclared_move(tmp_path, d23):
+    path, text = _transcript_text(tmp_path, d23)
+    line = next(l for l in text.splitlines() if l.startswith("rentry "))
+    tokens = line.split()
+    tokens[2] = "5"
+    path.write_text(text.replace(line, " ".join(tokens), 1))
+    with pytest.raises(FormatError, match="undeclared move 5"):
+        read_transcript(str(path))
+
+
+def test_transcript_reader_rejects_missing_child_node(tmp_path, d23):
+    path, text = _transcript_text(tmp_path, d23)
+    kept = [l for l in text.splitlines()
+            if l.split()[1:2] != ["root.m0.t"]]
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(FormatError, match="missing node 'root.m0.t'"):
+        read_transcript(str(path))
+
+
+@pytest.mark.parametrize("field", ["kind", "count", "eta", "seed"])
+def test_transcript_reader_rejects_adversary_missing_field(tmp_path, d23,
+                                                           field):
+    path, text = _transcript_text(tmp_path, d23)
+    line = next(l for l in text.splitlines() if l.startswith("adversary "))
+    tokens = [t for t in line.split() if not t.startswith(field + "=")]
+    path.write_text(text.replace(line, " ".join(tokens), 1))
+    with pytest.raises(FormatError, match=f"missing field {field!r}"):
+        read_transcript(str(path))
+
+
+@pytest.mark.parametrize("kind", ["tentry", "rentry", "fvalue"])
+def test_transcript_reader_rejects_truncated_records(tmp_path, d23, kind):
+    path, text = _transcript_text(tmp_path, d23)
+    line = next(l for l in text.splitlines() if l.startswith(kind + " "))
+    path.write_text(text.replace(line, " ".join(line.split()[:-1]), 1))
+    with pytest.raises(FormatError, match=kind):
+        read_transcript(str(path))
+
+
+def test_space_reader_rejects_truncated_distance(tmp_path, d13):
+    space, lm = d13
+    path = tmp_path / "d13.txt"
+    write_space(str(path), space, lm, DiamondSpec(1, 3))
+    text = path.read_text()
+    line = next(l for l in text.splitlines() if l.startswith("dist "))
+    path.write_text(text.replace(line, " ".join(line.split()[:-1]), 1))
+    with pytest.raises(FormatError, match="malformed dist line"):
+        read_space(str(path))
+
+
+def test_cli_verify_missing_node_exits_2(tmp_path, d23, capsys):
+    path, text = _transcript_text(tmp_path, d23)
+    line = next(l for l in text.splitlines()
+                if l.startswith("node root.m0.t "))
+    path.write_text(text.replace(line + "\n", ""))
+    assert cli.main(["verify", "--transcript", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- DOT output --------------------------------------------------------------------
 
 def test_dot_output(tmp_path, d13):
@@ -387,6 +474,20 @@ def test_cli_game_and_verify(tmp_path, capsys):
     assert cli.main(["verify", "--transcript", game_file]) == 1
     captured = capsys.readouterr()
     assert "fail root" in captured.err
+
+
+def test_cli_verify_out_keeps_the_echo(tmp_path, capsys):
+    game_file = str(tmp_path / "game.txt")
+    rewritten = str(tmp_path / "verified.txt")
+    assert cli.main(["game", "--alpha", "2", "--branches", "3",
+                     "--depth", "2", "--adversary", "distance_functions",
+                     "--out", game_file]) == 0
+    assert cli.main(["verify", "--transcript", game_file,
+                     "--out", rewritten]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--transcript", rewritten]) == 0
+    assert "pass: 7 nodes verified" in capsys.readouterr().out
+    assert open(rewritten).read() == open(game_file).read()
 
 
 def test_cli_insufficient_branching_advice(tmp_path, capsys):

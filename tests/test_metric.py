@@ -3,7 +3,9 @@
 Core claims checked here:
   * axiom validation accepts true metrics and pinpoints each violation,
   * restriction preserves distances, labels and the chosen base,
-  * integer scaling is exact and random closure matrices validate.
+  * integer scaling is exact and random closure matrices validate,
+  * a space built from integer numerators equals the one built from
+    the same Fractions, with the same reduced integer matrix.
 """
 
 from fractions import Fraction
@@ -148,6 +150,59 @@ def test_integer_scaled_exact():
         for j in range(3):
             assert Fraction(int(mat[i, j]), scale) == space.distance(i, j)
     assert space.integer_scaled() is space.integer_scaled()
+
+
+def test_from_scaled_matches_fraction_constructor():
+    sampler = Sampler(5)
+    for trial in range(5):
+        rows = _random_metric(sampler, 6)
+        plain = _space(rows)
+        nums = [[int(v * 8) for v in row] for row in rows]
+        scaled = MetricSpace.from_scaled(plain.labels, nums, 8, 0)
+        assert scaled.dist_matrix == plain.dist_matrix
+        mat, scale = scaled.integer_scaled()
+        plain_mat, plain_scale = plain.integer_scaled()
+        assert scale == plain_scale
+        assert mat.tolist() == plain_mat.tolist()
+
+
+def test_from_scaled_reduces_and_shares_values():
+    space = MetricSpace.from_scaled(["a", "b", "c"],
+                                    [[0, 4, 8], [4, 0, 4], [8, 4, 0]], 8, 1)
+    mat, scale = space.integer_scaled()
+    assert scale == 2
+    assert mat.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert space.distance(0, 1) == Fraction(1, 2)
+    assert space.distance(0, 1) is space.distance(2, 1)
+    assert space.base_point == 1
+
+
+def test_from_scaled_rejections():
+    with pytest.raises(ValueError, match="distinct"):
+        MetricSpace.from_scaled(["a", "a"], [[0, 1], [1, 0]], 1, 0)
+    with pytest.raises(ValueError, match="shape"):
+        MetricSpace.from_scaled(["a", "b"], [[0]], 1, 0)
+    with pytest.raises(ValueError, match="base point"):
+        MetricSpace.from_scaled(["a", "b"], [[0, 1], [1, 0]], 1, 2)
+    with pytest.raises(ValueError, match="denominator"):
+        MetricSpace.from_scaled(["a", "b"], [[0, 1], [1, 0]], 0, 0)
+    big = 1 << 60
+    with pytest.raises(OverflowError):
+        MetricSpace.from_scaled(["a", "b"], [[0, big], [big, 0]], 1, 0)
+    # The range check applies after the common factor is divided out.
+    space = MetricSpace.from_scaled(["a", "b"], [[0, big], [big, 0]], 4, 0)
+    assert space.distance(0, 1) == big // 4
+
+
+def test_restrict_keeps_the_integer_matrix():
+    space = _space([[0, Fraction(1, 6), Fraction(3, 4)],
+                    [Fraction(1, 6), 0, Fraction(2, 3)],
+                    [Fraction(3, 4), Fraction(2, 3), 0]])
+    sub, _ = space.restrict([2, 1], base=1)
+    mat, scale = sub.integer_scaled()
+    assert scale == 3
+    assert mat.tolist() == [[0, 2], [2, 0]]
+    assert sub.distance(0, 1) == Fraction(2, 3)
 
 
 def test_dijkstra_oracle_on_random_metrics():
