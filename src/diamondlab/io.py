@@ -94,18 +94,27 @@ class _Reader:
         self.pos += 1
         return tokens
 
-    def expect(self, keyword: str) -> list[str]:
+    def expect(self, keyword: str, size: int = 1) -> list[str]:
+        """The next line, which must start with ``keyword`` and carry at
+        least ``size`` tokens, keyword included."""
         tokens = self.next()
         if tokens[0] != keyword:
             raise self.error(f"expected {keyword!r}, found {tokens[0]!r}")
-        return tokens
+        return self._sized(tokens, size)
 
-    def take(self, keyword: str) -> Optional[list[str]]:
+    def take(self, keyword: str, size: int = 1) -> Optional[list[str]]:
+        """Like :meth:`expect`, but None when the next line is not a
+        ``keyword`` line."""
         tokens = self.peek()
         if tokens and tokens[0] == keyword:
             self.pos += 1
-            return tokens
+            return self._sized(tokens, size)
         return None
+
+    def _sized(self, tokens: list[str], size: int) -> list[str]:
+        if len(tokens) < size:
+            raise self.error(f"truncated {tokens[0]!r} line")
+        return tokens
 
 
 def _write(path: str, lines: list[str]) -> None:
@@ -231,11 +240,11 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
     rd = _Reader(path)
     _check_header(rd, "space")
     spec = _parse_spec_tokens(rd, rd.expect("spec"))
-    count = int(rd.expect("points")[1])
-    base_label = rd.expect("base")[1]
+    count = int(rd.expect("points", 2)[1])
+    base_label = rd.expect("base", 2)[1]
     labels = []
     for i in range(count):
-        tokens = rd.expect("point")
+        tokens = rd.expect("point", 3)
         if int(tokens[1]) != i:
             raise rd.error("point lines out of order")
         labels.append(tokens[2])
@@ -306,7 +315,7 @@ def read_vector(path: str, space: MetricSpace) -> FreeVector:
     _check_header(rd, "vector")
     _check_space_line(rd, space)
     entries = []
-    while (tokens := rd.take("entry")) is not None:
+    while (tokens := rd.take("entry", 3)) is not None:
         entries.append((_index_of(rd, space, tokens[1]),
                         parse_fraction(tokens[2])))
     rd.expect("end")
@@ -329,11 +338,11 @@ def read_function(path: str, space: MetricSpace) -> LipschitzFunction:
     rd = _Reader(path)
     _check_header(rd, "function")
     _check_space_line(rd, space)
-    marker = rd.expect("domain")[1]
+    marker = rd.expect("domain", 2)[1]
     if marker not in ("total", "partial"):
         raise rd.error(f"unknown domain marker {marker!r}")
     values = []
-    while (tokens := rd.take("value")) is not None:
+    while (tokens := rd.take("value", 3)) is not None:
         values.append((_index_of(rd, space, tokens[1]),
                        parse_fraction(tokens[2])))
     rd.expect("end")
@@ -365,17 +374,17 @@ def read_certificate(path: str, space: MetricSpace) -> TransportCertificate:
     _check_header(rd, "certificate")
     _check_space_line(rd, space)
     entries = []
-    while (tokens := rd.take("entry")) is not None:
+    while (tokens := rd.take("entry", 3)) is not None:
         entries.append((_index_of(rd, space, tokens[1]),
                         parse_fraction(tokens[2])))
-    value = parse_fraction(rd.expect("value")[1])
+    value = parse_fraction(rd.expect("value", 2)[1])
     plan = []
-    while (tokens := rd.take("plan")) is not None:
+    while (tokens := rd.take("plan", 4)) is not None:
         plan.append((_index_of(rd, space, tokens[1]),
                      _index_of(rd, space, tokens[2]),
                      parse_fraction(tokens[3])))
     potential = []
-    while (tokens := rd.take("potential")) is not None:
+    while (tokens := rd.take("potential", 3)) is not None:
         potential.append((_index_of(rd, space, tokens[1]),
                           parse_fraction(tokens[2])))
     rd.expect("end")
@@ -405,9 +414,9 @@ def read_partition(path: str, space: MetricSpace) -> SummandPartition:
     rd = _Reader(path)
     _check_header(rd, "partition")
     _check_space_line(rd, space)
-    base = _index_of(rd, space, rd.expect("base")[1])
+    base = _index_of(rd, space, rd.expect("base", 2)[1])
     summands = []
-    while (tokens := rd.take("summand")) is not None:
+    while (tokens := rd.take("summand", 2)) is not None:
         if int(tokens[1]) != len(summands):
             raise rd.error("summand lines out of order")
         summands.append(tuple(_index_of(rd, space, lab)
@@ -533,15 +542,15 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                                     parse_fraction(adv["eta"]),
                                     int(adv["seed"]))
 
-    family_count = int(rd.expect("families")[1])
+    family_count = int(rd.expect("families", 2)[1])
     families: list[tuple[LipschitzFunction, ...]] = []
     for fid in range(family_count):
-        tokens = rd.expect("family")
+        tokens = rd.expect("family", 4)
         if int(tokens[1]) != fid:
             raise rd.error("family lines out of order")
         size = int(tokens[3])
         values: list[list[tuple[int, Fraction]]] = [[] for _ in range(size)]
-        while (tokens := rd.take("fvalue")) is not None:
+        while (tokens := rd.take("fvalue", 2)) is not None:
             if int(tokens[1]) != fid:
                 rd.pos -= 1
                 break

@@ -1,15 +1,27 @@
 """Exact-rational Lipschitz functions on finite metric spaces.
 
-Functions may be partial; :func:`mcshane_extend` produces the smallest
+Functions may be partial; :func:`mcshane_extend` produces the largest
 total extension with the same Lipschitz constant.  All values and
 constants are :class:`~fractions.Fraction`, so constants like "exactly 1"
 are meaningful statements, not tolerance checks.
+
+The kernels (:func:`lip_constant`, :func:`is_lipschitz_at_most`,
+:func:`mcshane_extend`) run on integers: the space's distance numerators
+``mat`` over its denominator ``S`` (``integer_scaled()``) and the
+function's value numerators over their common denominator ``Q``.  Pairs
+are visited in blocks of 32 rows.  Arrays are int64 when a bound
+computed up front proves that no product can overflow, and Python-int
+object arrays otherwise; no floating point is used.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
+from weakref import WeakKeyDictionary
+
+import numpy as np
 
 from .metric import MetricSpace
 
@@ -24,6 +36,12 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
+
+# Rows per vectorized pass: temporaries stay at _BLOCK x n entries.
+_BLOCK = 32
+# Every int64 operand stays below this, so one sum of two cannot overflow.
+_INT64_BOUND = 1 << 62
 
 
 class LipschitzFunction:
@@ -71,8 +89,10 @@ class LipschitzFunction:
 
     def shift(self, offset: Fraction) -> "LipschitzFunction":
         off = Fraction(offset)
-        return LipschitzFunction(
+        out = LipschitzFunction(
             self._space, [(i, v + off) for i, v in self._entries])
+        out._lip = self._lip
+        return out
 
     def shifted_to_vanish(self, idx: int) -> "LipschitzFunction":
         """Subtract the value at ``idx`` so the result vanishes there."""
@@ -80,8 +100,11 @@ class LipschitzFunction:
 
     def scale(self, factor: Fraction) -> "LipschitzFunction":
         fac = Fraction(factor)
-        return LipschitzFunction(
+        out = LipschitzFunction(
             self._space, [(i, v * fac) for i, v in self._entries])
+        if self._lip is not None:
+            out._lip = self._lip * abs(fac)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LipschitzFunction):
@@ -96,36 +119,134 @@ class LipschitzFunction:
                 f"{len(self._space)} points)")
 
 
+# ---------------------------------------------------------------------------
+# integer kernels
+
+
+_peaks: "WeakKeyDictionary[MetricSpace, int]" = WeakKeyDictionary()
+
+
+def _scaled_metric(space: MetricSpace) -> tuple[np.ndarray, int, int]:
+    """Distance numerators, their denominator S and their largest entry.
+
+    The largest entry is reported as at least 1, so a bound built from it
+    also covers the factor it multiplies.
+    """
+    mat, scale = space.integer_scaled()
+    peak = _peaks.get(space)
+    if peak is None:
+        peak = _peaks[space] = int(mat.max(initial=1))
+    return mat, scale, peak
+
+
+def _scaled_values(func: LipschitzFunction
+                   ) -> tuple[np.ndarray, list[int], int, int]:
+    """Domain indices, value numerators over their common denominator Q,
+    Q, and the largest numerator magnitude (at least 1, as above)."""
+    den = math.lcm(*(v.denominator for _, v in func.entries))
+    nums = [v.numerator * (den // v.denominator) for _, v in func.entries]
+    idx = np.array(func.domain, dtype=np.intp)
+    return idx, nums, den, max([1, *map(abs, nums)])
+
+
+def _dtype(*bounds: int):
+    """int64 when every bound is safely inside it, else Python ints."""
+    return np.int64 if max(bounds) < _INT64_BOUND else object
+
+
+def _pair_blocks(mat: np.ndarray, idx: np.ndarray):
+    """Row blocks covering every pair of domain points.
+
+    Yields ``(start, stop, dist)``: ``dist`` holds the distance numerators
+    from domain rows ``start:stop`` to domain columns ``start:``.  Each
+    unordered pair appears at least once; the diagonal has distance 0.
+    """
+    for start in range(0, len(idx), _BLOCK):
+        stop = start + _BLOCK
+        yield start, stop, mat[np.ix_(idx[start:stop], idx[start:])]
+
+
+def _max_by_distance(dist: np.ndarray, gap: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct distances and the largest gap found at each."""
+    order = np.argsort(dist)
+    dist = dist[order]
+    first = np.flatnonzero(np.concatenate(([True], dist[1:] != dist[:-1])))
+    return dist[first], np.maximum.reduceat(gap[order], first)
+
+
+def _inf_convolution(func: LipschitzFunction,
+                     lip: Fraction) -> LipschitzFunction:
+    """min over the domain of f(s) + lip * d(x, s), at every point x.
+
+    With lip = p/q the minimum is taken over the integers
+    n_s * q * S + p * Q * mat[x, s], all over the denominator Q * q * S.
+    """
+    space = func.space
+    if not func.entries:
+        return LipschitzFunction(space, [(i, _ZERO)
+                                         for i in range(len(space))])
+    idx, nums, den, peak = _scaled_values(func)
+    mat, scale, top = _scaled_metric(space)
+    value_factor = lip.denominator * scale
+    dist_factor = lip.numerator * den
+    dtype = _dtype(peak * value_factor, dist_factor * top)
+    vals = np.array(nums, dtype=dtype) * value_factor
+    denominator = den * value_factor
+    outside = np.setdiff1d(np.arange(len(space)), idx)
+    values = dict(func.entries)
+    for start in range(0, len(outside), _BLOCK):
+        rows = outside[start:start + _BLOCK]
+        dist = mat[np.ix_(rows, idx)].astype(dtype, copy=False)
+        reach = (vals[None, :] + dist_factor * dist).min(axis=1)
+        for x, num in zip(rows.tolist(), reach.tolist()):
+            values[x] = Fraction(num, denominator)
+    return LipschitzFunction(space, values)
+
+
 def lip_constant(func: LipschitzFunction) -> Fraction:
-    """Exact Lipschitz constant over the function's domain."""
+    """Exact Lipschitz constant over the function's domain.
+
+    For each distinct distance the largest value gap is found in
+    integers; only those few ratios become ``Fraction`` values.
+    """
     if func._lip is not None:
         return func._lip
-    best = Fraction(0)
-    entries = func.entries
-    space = func.space
-    for a in range(len(entries)):
-        ia, va = entries[a]
-        row = space.dist_matrix[ia]
-        for b in range(a + 1, len(entries)):
-            ib, vb = entries[b]
-            ratio = abs(va - vb) / row[ib]
-            if ratio > best:
-                best = ratio
+    idx, nums, den, peak = _scaled_values(func)
+    mat, scale, _ = _scaled_metric(func.space)
+    vals = np.array(nums, dtype=_dtype(2 * peak))
+    dists, gaps = [], []
+    for start, stop, dist in _pair_blocks(mat, idx):
+        gap = np.abs(vals[start:stop, None] - vals[None, start:])
+        d, g = _max_by_distance(dist.ravel(), gap.ravel())
+        dists.append(d)
+        gaps.append(g)
+    best = _ZERO
+    if dists:
+        d, g = _max_by_distance(np.concatenate(dists), np.concatenate(gaps))
+        best = max((Fraction(gi * scale, den * di)
+                    for di, gi in zip(d.tolist(), g.tolist()) if di),
+                   default=_ZERO)
     func._lip = best
     return best
 
 
 def is_lipschitz_at_most(func: LipschitzFunction, bound: Fraction) -> bool:
-    """Check lip(func) <= bound without forming quotients."""
-    entries = func.entries
-    space = func.space
-    for a in range(len(entries)):
-        ia, va = entries[a]
-        row = space.dist_matrix[ia]
-        for b in range(a + 1, len(entries)):
-            ib, vb = entries[b]
-            if abs(va - vb) > bound * row[ib]:
-                return False
+    """Check lip(func) <= bound without forming quotients.
+
+    With bound p/q, every pair must satisfy |dn| * q * S <= p * Q * mat.
+    """
+    bound = Fraction(bound)
+    idx, nums, den, peak = _scaled_values(func)
+    mat, scale, top = _scaled_metric(func.space)
+    gap_factor = bound.denominator * scale
+    dist_factor = bound.numerator * den
+    dtype = _dtype(2 * peak * gap_factor, abs(dist_factor) * top)
+    vals = np.array(nums, dtype=dtype) * gap_factor
+    for start, stop, dist in _pair_blocks(mat, idx):
+        gap = np.abs(vals[start:stop, None] - vals[None, start:])
+        if (gap > dist_factor * dist.astype(dtype, copy=False)).any():
+            return False
     return True
 
 
@@ -137,25 +258,16 @@ def mcshane_extend(func: LipschitzFunction,
     f(s) + L * d(x, s).  With ``constant`` given, that value is used as L
     after checking it dominates the actual constant.
     """
-    space = func.space
-    if not func.entries:
-        return LipschitzFunction(space, [(i, Fraction(0))
-                                         for i in range(len(space))])
-    lip = lip_constant(func)
-    if constant is not None:
-        constant = Fraction(constant)
-        if constant < lip:
-            raise ValueError("requested constant is below the actual one")
-        lip = constant
-    values = []
-    dom = func.entries
-    for x in range(len(space)):
-        if func.defined_at(x):
-            values.append((x, func.value(x)))
-            continue
-        row = space.dist_matrix[x]
-        values.append((x, min(v + lip * row[s] for s, v in dom)))
-    return LipschitzFunction(space, values)
+    if constant is None:
+        return _inf_convolution(func, lip_constant(func))
+    lip = Fraction(constant)
+    if func._lip is not None:
+        below = lip < func._lip
+    else:
+        below = lip < 0 or not is_lipschitz_at_most(func, lip)
+    if below:
+        raise ValueError("requested constant is below the actual one")
+    return _inf_convolution(func, lip)
 
 
 def distance_functional(space: MetricSpace, anchor: int,
@@ -245,4 +357,4 @@ def glue_poles(space: MetricSpace, landmarks, plus_branch: int,
     if not is_lipschitz_at_most(joined, Fraction(1)):
         raise ValueError("joined partial function exceeds constant 1 "
                          "across the copies")
-    return mcshane_extend(joined, Fraction(1))
+    return _inf_convolution(joined, Fraction(1))

@@ -1,8 +1,10 @@
 """Independent brute-force oracles the library must agree with.
 
 Deliberately naive implementations: transport by enumerating spanning
-trees of the bipartite support graph, shortest paths by heap Dijkstra
-over Fractions, diamond stages as graphs grown by edge substitution.
+trees of the bipartite support graph, Lipschitz constants, bound checks
+and McShane extensions by pairwise Fraction loops, shortest paths by
+heap Dijkstra over Fractions, diamond stages as graphs grown by edge
+substitution.
 Slow, obviously correct, and sharing no code with the solvers and
 builders under test.
 """
@@ -101,6 +103,31 @@ def transport_cost(space, pos, neg):
 def free_norm_oracle(space, vec):
     pos, neg = split_parts(vec)
     return transport_cost(space, pos, neg)
+
+
+def lip_constant_oracle(space, entries):
+    """Largest |f(a) - f(b)| / d(a, b) over all domain pairs."""
+    return max((abs(va - vb) / space.distance(a, b)
+                for (a, va), (b, vb) in itertools.combinations(entries, 2)),
+               default=Fraction(0))
+
+
+def is_lipschitz_oracle(space, entries, bound):
+    """|f(a) - f(b)| <= bound * d(a, b) for every domain pair."""
+    return all(abs(va - vb) <= bound * space.distance(a, b)
+               for (a, va), (b, vb) in itertools.combinations(entries, 2))
+
+
+def mcshane_oracle(space, entries, lip):
+    """Values of min over s of f(s) + lip * d(x, s), point by point.
+
+    An empty domain extends to the zero function.
+    """
+    known = dict(entries)
+    return [known[x] if x in known
+            else min((v + lip * space.distance(x, s) for s, v in entries),
+                     default=Fraction(0))
+            for x in range(len(space))]
 
 
 def _dijkstra(adjacency, source):

@@ -17,6 +17,7 @@ import pytest
 from diamondlab import (
     CertificateError,
     FreeVector,
+    LipschitzFunction,
     Sampler,
     TransportCertificate,
     free_norm,
@@ -180,6 +181,24 @@ def test_tampered_potential_rejected(d23):
                                   cert.potential.scale(2))
     with pytest.raises(CertificateError):
         verify_certificate(scaled)
+
+
+@pytest.mark.parametrize("k", [0, 20, 61])
+def test_nudged_potential_is_not_one_lipschitz(d23, k):
+    # The plan pair (top, bottom) is tight, so raising the potential at
+    # top by any positive amount, however small, breaks the 1-Lipschitz
+    # bound; at k = 61 the check runs on Python integers.
+    space, lm = d23
+    _, cert = free_norm(molecule(space, lm.top, lm.bottom))
+    assert verify_certificate(cert)
+    nudge = Fraction(1, 3 * 2 ** k)
+    potential = LipschitzFunction(
+        space, [(i, v + nudge if i == lm.top else v)
+                for i, v in cert.potential.entries])
+    nudged = TransportCertificate(cert.vector, cert.value, cert.plan,
+                                  potential)
+    with pytest.raises(CertificateError, match="not 1-Lipschitz"):
+        verify_certificate(nudged)
 
 
 def test_certificate_error_is_value_error():

@@ -56,6 +56,7 @@ from diamondlab.io import (
 )
 
 ETA = Fraction(1, 10)
+ONE = Fraction(1)
 
 
 # -- Helpers ----------------------------------------------------------------
@@ -344,6 +345,79 @@ def test_space_reader_rejects_truncated_distance(tmp_path, d13):
     path.write_text(text.replace(line, " ".join(line.split()[:-1]), 1))
     with pytest.raises(FormatError, match="malformed dist line"):
         read_space(str(path))
+
+
+def _written(tmp_path, kind, d13, d23):
+    """A file of ``kind`` as its writer emits it, and its reader."""
+    space, lm = d13
+    path = tmp_path / f"{kind}.txt"
+    if kind == "space":
+        write_space(str(path), space, lm, DiamondSpec(1, 3))
+        return path, read_space
+    if kind == "vector":
+        write_vector(str(path), molecule(space, 0, 1))
+        return path, lambda p: read_vector(p, space)
+    if kind == "function":
+        write_function(str(path), LipschitzFunction(space, {0: ONE}))
+        return path, lambda p: read_function(p, space)
+    if kind == "certificate":
+        write_certificate(str(path), free_norm(molecule(space, 0, 1))[1])
+        return path, lambda p: read_certificate(p, space)
+    if kind == "partition":
+        rest = tuple(p for p in range(len(space)) if p != space.base_point)
+        write_partition(str(path), space,
+                        SummandPartition(space.base_point, (rest,)))
+        return path, lambda p: read_partition(p, space)
+    path, _ = _transcript_text(tmp_path, d23)
+    return path, read_transcript
+
+
+@pytest.mark.parametrize("kind, keyword", [
+    ("space", "points"), ("space", "base"), ("space", "point"),
+    ("vector", "entry"), ("function", "domain"), ("function", "value"),
+    ("certificate", "entry"), ("certificate", "value"),
+    ("certificate", "plan"), ("certificate", "potential"),
+    ("partition", "base"), ("partition", "summand"),
+    ("transcript", "families"), ("transcript", "family"),
+    ("transcript", "fvalue"),
+])
+def test_readers_reject_keyword_only_lines(tmp_path, d13, d23, kind,
+                                           keyword):
+    path, reader = _written(tmp_path, kind, d13, d23)
+    text = path.read_text()
+    line = next(l for l in text.splitlines()
+                if l.startswith(keyword + " "))
+    path.write_text(text.replace(line, keyword, 1))
+    with pytest.raises(FormatError, match=f"truncated {keyword!r} line"):
+        reader(str(path))
+
+
+def test_cli_dist_truncated_point_line_exits_2(tmp_path, capsys):
+    space_file = tmp_path / "d13.txt"
+    cli.main(["gen", "--alpha", "1", "--branches", "3",
+              "--out", str(space_file)])
+    capsys.readouterr()
+    text = space_file.read_text()
+    line = next(l for l in text.splitlines() if l.startswith("point 0 "))
+    space_file.write_text(text.replace(line, "point 0", 1))
+    assert cli.main(["dist", "--space", str(space_file),
+                     "--x", "top", "--y", "bottom"]) == 2
+    assert "truncated 'point' line" in capsys.readouterr().err
+
+
+def test_cli_norm_truncated_vector_entry_exits_2(tmp_path, capsys):
+    space_file = tmp_path / "d13.txt"
+    cli.main(["gen", "--alpha", "1", "--branches", "3",
+              "--out", str(space_file)])
+    capsys.readouterr()
+    space, _, _ = read_space(str(space_file))
+    vec_file = tmp_path / "vec.txt"
+    write_vector(str(vec_file), point_mass(space, space.index_of("top")))
+    text = vec_file.read_text()
+    vec_file.write_text(text.replace("entry top 1/1", "entry top", 1))
+    assert cli.main(["norm", "--space", str(space_file),
+                     "--vector", str(vec_file)]) == 2
+    assert "truncated 'entry' line" in capsys.readouterr().err
 
 
 def test_cli_verify_missing_node_exits_2(tmp_path, d23, capsys):
