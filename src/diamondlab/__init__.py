@@ -24,9 +24,10 @@ from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
                       subcopy_map)
 from .errors import (BudgetExceededError, CertificateError, FormatError,
                      InsufficientBranchingError)
-from .freespace import (FreeVector, TransportCertificate, free_norm,
-                        molecule, norm_statistics, norm_value, point_mass,
-                        reset_norm_statistics, verify_certificate)
+from .freespace import (FreeVector, TransportCertificate, clear_norm_caches,
+                        free_norm, molecule, norm_statistics, norm_value,
+                        point_mass, reset_norm_statistics,
+                        verify_certificate)
 from .lipschitz import (LipschitzFunction, distance_functional, glue_poles,
                         is_lipschitz_at_most, lip_constant, mcshane_extend,
                         pull_to_copy)

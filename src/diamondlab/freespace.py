@@ -7,17 +7,25 @@ part, with any imbalance routed through the base point.  Every norm
 computation also builds a feasible dual potential and checks that the
 primal and dual values agree exactly; a failed check raises instead of
 returning a wrong answer.
+
+The solver and the dual run on integers: the space's distance numerators
+over its denominator (``integer_scaled()``) and the vector's mass
+numerators over their common denominator.  ``Fraction`` values are
+formed only for the value, the plan masses and the potential.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 from weakref import WeakKeyDictionary
 
+import numpy as np
+
 from .errors import CertificateError
-from .lipschitz import (LipschitzFunction, is_lipschitz_at_most,
+from .lipschitz import (LipschitzFunction, _dtype, is_lipschitz_at_most,
                         mcshane_extend)
 from .metric import MetricSpace
 
@@ -31,6 +39,7 @@ __all__ = [
     "verify_certificate",
     "norm_statistics",
     "reset_norm_statistics",
+    "clear_norm_caches",
 ]
 
 _ZERO = Fraction(0)
@@ -179,14 +188,8 @@ def point_mass(space: MetricSpace, x: int, coeff=1) -> FreeVector:
 # exact minimum-cost transport
 
 
-class _Edge:
-    __slots__ = ("to", "cap", "cost", "rev")
-
-    def __init__(self, to: int, cap: Fraction, cost: Fraction, rev: int):
-        self.to = to
-        self.cap = cap
-        self.cost = cost
-        self.rev = rev
+def _mass_numerators(parts: list[tuple[int, Fraction]], den: int) -> list[int]:
+    return [m.numerator * (den // m.denominator) for _, m in parts]
 
 
 def _min_cost_transport(space: MetricSpace,
@@ -195,75 +198,90 @@ def _min_cost_transport(space: MetricSpace,
                         ) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
     """Cheapest coupling of two equal-mass distributions.
 
-    Successive shortest augmenting paths on the bipartite flow network;
-    exact rational arithmetic throughout.
+    Successive shortest augmenting paths, found by Bellman-Ford, on the
+    bipartite flow network.  Costs are the space's distance numerators
+    over ``S`` (``integer_scaled()``) and capacities are mass numerators
+    over ``M``, the least common denominator of the masses; both are
+    Python integers.  Scaling by positive constants keeps every
+    comparison, so the augmenting paths and the plan are those of the
+    same solver run on ``Fraction`` values.  Only the returned value
+    ``total / (M * S)`` and the plan masses ``m / M`` are ``Fraction``.
     """
+    mat, scale = space.integer_scaled()
+    den = math.lcm(*(m.denominator for _, m in pos + neg))
     np_, nn = len(pos), len(neg)
     count = np_ + nn + 2
     src, dst = count - 2, count - 1
-    graph: list[list[_Edge]] = [[] for _ in range(count)]
+    # Arc ``e`` runs to ``head[e]``; its reverse arc is ``e ^ 1``.
+    graph: list[list[int]] = [[] for _ in range(count)]
+    head: list[int] = []
+    cap: list[int] = []
+    cost: list[int] = []
 
-    def link(u: int, v: int, cap: Fraction, cost: Fraction) -> None:
-        graph[u].append(_Edge(v, cap, cost, len(graph[v])))
-        graph[v].append(_Edge(u, _ZERO, -cost, len(graph[u]) - 1))
+    def link(u: int, v: int, capacity: int, weight: int) -> None:
+        graph[u].append(len(head))
+        graph[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((capacity, 0))
+        cost.extend((weight, -weight))
 
-    supply = sum((m for _, m in pos), _ZERO)
-    for a, (_, m) in enumerate(pos):
-        link(src, a, m, _ZERO)
-    for b, (_, m) in enumerate(neg):
-        link(np_ + b, dst, m, _ZERO)
+    supplies = _mass_numerators(pos, den)
+    supply = sum(supplies)
+    for a, m in enumerate(supplies):
+        link(src, a, m, 0)
+    for b, m in enumerate(_mass_numerators(neg, den)):
+        link(np_ + b, dst, m, 0)
+    rows = mat[np.ix_([i for i, _ in pos], [j for j, _ in neg])].tolist()
     cross = []
     for a, (i, _) in enumerate(pos):
-        row = space.dist_matrix[i]
         for b, (j, _) in enumerate(neg):
-            link(a, np_ + b, supply, row[j])
-            cross.append((i, j, graph[np_ + b][-1]))
+            cross.append((i, j, len(head) + 1))
+            link(a, np_ + b, supply, rows[a][b])
 
-    total_cost = _ZERO
-    pushed = _ZERO
+    total_cost = 0
+    pushed = 0
     while True:
-        dist: list[Optional[Fraction]] = [None] * count
-        dist[src] = _ZERO
-        prev: list[Optional[tuple[int, _Edge]]] = [None] * count
+        dist: list[Optional[int]] = [None] * count
+        dist[src] = 0
+        prev: list[int] = [-1] * count
         for _ in range(count):
             changed = False
             for u in range(count):
                 du = dist[u]
                 if du is None:
                     continue
-                for edge in graph[u]:
-                    if edge.cap <= 0:
+                for e in graph[u]:
+                    if cap[e] <= 0:
                         continue
-                    cand = du + edge.cost
-                    v = edge.to
-                    if dist[v] is None or cand < dist[v]:
+                    cand = du + cost[e]
+                    v = head[e]
+                    dv = dist[v]
+                    if dv is None or cand < dv:
                         dist[v] = cand
-                        prev[v] = (u, edge)
+                        prev[v] = e
                         changed = True
             if not changed:
                 break
         if dist[dst] is None:
             break
-        bottleneck = None
+        path = []
         node = dst
         while node != src:
-            u, edge = prev[node]
-            if bottleneck is None or edge.cap < bottleneck:
-                bottleneck = edge.cap
-            node = u
-        node = dst
-        while node != src:
-            u, edge = prev[node]
-            edge.cap -= bottleneck
-            graph[edge.to][edge.rev].cap += bottleneck
-            node = u
+            e = prev[node]
+            path.append(e)
+            node = head[e ^ 1]
+        bottleneck = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= bottleneck
+            cap[e ^ 1] += bottleneck
         total_cost += bottleneck * dist[dst]
         pushed += bottleneck
 
     if pushed != supply:
         raise CertificateError("transport network failed to route all mass")
-    plan = sorted((i, j, back.cap) for i, j, back in cross if back.cap > 0)
-    return total_cost, plan
+    plan = sorted((i, j, Fraction(cap[back], den))
+                  for i, j, back in cross if cap[back] > 0)
+    return Fraction(total_cost, den * scale), plan
 
 
 def _dual_potential(space: MetricSpace, vec: FreeVector,
@@ -271,43 +289,39 @@ def _dual_potential(space: MetricSpace, vec: FreeVector,
                     ) -> dict[int, Fraction]:
     """Feasible potential tight on every plan pair, zero at the base.
 
-    Shortest paths in the difference-constraint graph: distance edges both
-    ways between the relevant points, and a negative-weight edge per plan
-    pair forcing tightness.  A relaxation surviving all rounds would mean
-    the plan was not optimal, so it raises.
+    Shortest distances from the base in the difference-constraint graph
+    on the base and the support: distance arcs both ways between every
+    two points, and a negative-weight arc ``-d(x, y)`` per plan pair
+    forcing tightness.  The result is the pointwise-largest optimal
+    dual.  Rounds of Bellman-Ford relax every arc at once on the
+    distance numerators; values still changing after ``size`` rounds
+    past the first mean a negative cycle, so the plan was not optimal
+    and this raises.
     """
     base = space.base_point
     nodes = sorted({base, *vec.support,
                     *(x for x, _, _ in plan), *(y for _, y, _ in plan)})
     pos_of = {v: k for k, v in enumerate(nodes)}
-    arcs: list[tuple[int, int, Fraction]] = []
-    for u in nodes:
-        row = space.dist_matrix[u]
-        for v in nodes:
-            if u != v:
-                arcs.append((pos_of[u], pos_of[v], row[v]))
-    for x, y, _ in plan:
-        arcs.append((pos_of[x], pos_of[y], -space.distance(x, y)))
-
+    mat, scale = space.integer_scaled()
+    block = mat[np.ix_(nodes, nodes)]
     size = len(nodes)
-    dist: list[Optional[Fraction]] = [None] * size
-    dist[pos_of[base]] = _ZERO
-    for round_no in range(size):
-        changed = False
-        for u, v, w in arcs:
-            du = dist[u]
-            if du is None:
-                continue
-            cand = du + w
-            if dist[v] is None or cand < dist[v]:
-                if round_no == size - 1:
-                    raise CertificateError(
-                        "transport plan failed the optimality re-check")
-                dist[v] = cand
-                changed = True
-        if not changed:
+    # A round lowers a value by at most the largest distance, so no sum
+    # below reaches (size + 2) times it.
+    dtype = _dtype((size + 2) * int(block.max(initial=1)))
+    weight = block.astype(dtype)
+    for x, y, _ in plan:
+        weight[pos_of[x], pos_of[y]] *= -1
+    dist = weight[pos_of[base]].copy()
+    dist[pos_of[base]] = 0
+    for _ in range(size):
+        relaxed = np.minimum(dist, (dist[:, None] + weight).min(axis=0))
+        if np.array_equal(relaxed, dist):
             break
-    return {node: dist[pos_of[node]] for node in nodes}
+        dist = relaxed
+    else:
+        raise CertificateError("transport plan failed the optimality re-check")
+    return {node: Fraction(d, scale)
+            for node, d in zip(nodes, dist.tolist())}
 
 
 @dataclass
@@ -352,6 +366,25 @@ _value_cache: "WeakKeyDictionary[MetricSpace, dict]" = WeakKeyDictionary()
 _cert_cache: "WeakKeyDictionary[MetricSpace, dict]" = WeakKeyDictionary()
 
 
+def clear_norm_caches(space: MetricSpace) -> None:
+    """Forget the cached norms and certificates of vectors over ``space``."""
+    _value_cache.pop(space, None)
+    _cert_cache.pop(space, None)
+
+
+def _solve(vec: FreeVector
+           ) -> tuple[Fraction, list[tuple[int, int, Fraction]],
+                      dict[int, Fraction]]:
+    """Value, optimal plan and dual potential on the support plus base,
+    after the exact primal-dual comparison."""
+    pos, neg = _split_parts(vec)
+    value, plan = _min_cost_transport(vec.space, pos, neg)
+    fvals = _dual_potential(vec.space, vec, plan)
+    _gap_check(vec, value, fvals)
+    _stats["norms"] += 1
+    return value, plan, fvals
+
+
 def norm_value(vec: FreeVector) -> Fraction:
     """The norm alone, skipping the total-potential certificate.
 
@@ -362,28 +395,23 @@ def norm_value(vec: FreeVector) -> Fraction:
     hit = cache.get(vec.entries)
     if hit is not None:
         return hit
-    pos, neg = _split_parts(vec)
-    value, plan = _min_cost_transport(vec.space, pos, neg)
-    fvals = _dual_potential(vec.space, vec, plan)
-    _gap_check(vec, value, fvals)
-    _stats["norms"] += 1
+    value, _, _ = _solve(vec)
     cache[vec.entries] = value
     return value
 
 
 def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
-    """The norm together with a verifiable optimality certificate."""
+    """The norm together with a verifiable optimality certificate.
+
+    The certificate potential is the McShane extension of the dual
+    potential on the support plus base.
+    """
     cache = _cert_cache.setdefault(vec.space, {})
     hit = cache.get(vec.entries)
     if hit is not None:
         return hit.value, hit
-    pos, neg = _split_parts(vec)
-    value, plan = _min_cost_transport(vec.space, pos, neg)
-    fvals = _dual_potential(vec.space, vec, plan)
-    _gap_check(vec, value, fvals)
-    _stats["norms"] += 1
-    partial = LipschitzFunction(vec.space, fvals)
-    potential = mcshane_extend(partial)
+    value, plan, fvals = _solve(vec)
+    potential = mcshane_extend(LipschitzFunction(vec.space, fvals))
     cert = TransportCertificate(vec, value, tuple(plan), potential)
     cache[vec.entries] = cert
     _value_cache.setdefault(vec.space, {})[vec.entries] = value

@@ -65,6 +65,20 @@ class LipschitzFunction:
         self._by_index = dict(entries)
         self._lip: Optional[Fraction] = None
 
+    @classmethod
+    def _from_sorted(cls, space: MetricSpace,
+                     entries: Iterable[tuple[int, Fraction]],
+                     lip: Optional[Fraction] = None) -> "LipschitzFunction":
+        """Trusted constructor for results the kernels have already
+        formed: ``(index, Fraction)`` pairs sorted by distinct in-range
+        indices, taken without checks, and a known constant or None."""
+        func = cls.__new__(cls)
+        func._space = space
+        func._entries = tuple(entries)
+        func._by_index = dict(func._entries)
+        func._lip = lip
+        return func
+
     @property
     def space(self) -> MetricSpace:
         return self._space
@@ -89,10 +103,8 @@ class LipschitzFunction:
 
     def shift(self, offset: Fraction) -> "LipschitzFunction":
         off = Fraction(offset)
-        out = LipschitzFunction(
-            self._space, [(i, v + off) for i, v in self._entries])
-        out._lip = self._lip
-        return out
+        return LipschitzFunction._from_sorted(
+            self._space, [(i, v + off) for i, v in self._entries], self._lip)
 
     def shifted_to_vanish(self, idx: int) -> "LipschitzFunction":
         """Subtract the value at ``idx`` so the result vanishes there."""
@@ -100,11 +112,9 @@ class LipschitzFunction:
 
     def scale(self, factor: Fraction) -> "LipschitzFunction":
         fac = Fraction(factor)
-        out = LipschitzFunction(
-            self._space, [(i, v * fac) for i, v in self._entries])
-        if self._lip is not None:
-            out._lip = self._lip * abs(fac)
-        return out
+        lip = None if self._lip is None else self._lip * abs(fac)
+        return LipschitzFunction._from_sorted(
+            self._space, [(i, v * fac) for i, v in self._entries], lip)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LipschitzFunction):
@@ -184,8 +194,8 @@ def _inf_convolution(func: LipschitzFunction,
     """
     space = func.space
     if not func.entries:
-        return LipschitzFunction(space, [(i, _ZERO)
-                                         for i in range(len(space))])
+        return LipschitzFunction._from_sorted(
+            space, [(i, _ZERO) for i in range(len(space))])
     idx, nums, den, peak = _scaled_values(func)
     mat, scale, top = _scaled_metric(space)
     value_factor = lip.denominator * scale
@@ -193,15 +203,19 @@ def _inf_convolution(func: LipschitzFunction,
     dtype = _dtype(peak * value_factor, dist_factor * top)
     vals = np.array(nums, dtype=dtype) * value_factor
     denominator = den * value_factor
-    outside = np.setdiff1d(np.arange(len(space)), idx)
-    values = dict(func.entries)
+    outside_mask = np.ones(len(space), dtype=bool)
+    outside_mask[idx] = False
+    outside = np.flatnonzero(outside_mask)
+    values: list[Optional[Fraction]] = [None] * len(space)
+    for i, v in func.entries:
+        values[i] = v
     for start in range(0, len(outside), _BLOCK):
         rows = outside[start:start + _BLOCK]
         dist = mat[np.ix_(rows, idx)].astype(dtype, copy=False)
         reach = (vals[None, :] + dist_factor * dist).min(axis=1)
         for x, num in zip(rows.tolist(), reach.tolist()):
             values[x] = Fraction(num, denominator)
-    return LipschitzFunction(space, values)
+    return LipschitzFunction._from_sorted(space, enumerate(values))
 
 
 def lip_constant(func: LipschitzFunction) -> Fraction:

@@ -7,8 +7,9 @@ no floating point is used anywhere.  A space has two views of its matrix:
 * ``integer_scaled()``: int64 numerators over one common denominator,
   reduced so that no factor is shared by every entry and the
   denominator.  The vectorized passes run on it: validation, edges,
-  closures, restriction, space files, and the Lipschitz kernels
-  (constant, bound check, McShane extension).
+  closures, restriction, space files, the Lipschitz kernels (constant,
+  bound check, McShane extension), and the transport solver with its
+  dual potential.
 * ``dist_matrix``: a dense symmetric table of ``Fraction`` values for the
   API and the file formats.
 

@@ -215,3 +215,24 @@ def scaled_from_fractions(space):
     scale = math.lcm(*{v.denominator for row in rows for v in row})
     return [[v.numerator * (scale // v.denominator) for v in row]
             for row in rows], scale
+
+
+def largest_potential_oracle(space, nodes, base, plan):
+    """Largest f on ``nodes`` with f(base) = 0, f(v) - f(u) <= d(u, v)
+    for every two nodes and f(x) - f(y) >= d(x, y) on each plan pair.
+
+    Floyd-Warshall over Fractions on the difference constraints; None
+    when they are infeasible (a negative cycle).
+    """
+    tight = {(x, y) for x, y, _ in plan}
+    dist = {(u, v): -space.distance(u, v) if (u, v) in tight
+            else space.distance(u, v) for u in nodes for v in nodes}
+    for k in nodes:
+        for u in nodes:
+            for v in nodes:
+                through = dist[u, k] + dist[k, v]
+                if through < dist[u, v]:
+                    dist[u, v] = through
+    if any(dist[u, u] < 0 for u in nodes):
+        return None
+    return {v: dist[base, v] for v in nodes}

@@ -1,0 +1,185 @@
+"""The integer transport solver and dual potential.
+
+Core claims checked here:
+  * norms agree exactly with the spanning-tree oracle on diamond stages,
+    a restricted subspace, a summing metric and a stage scaled so its
+    distance numerators sit just below 2^60, for dyadic, non-dyadic and
+    huge (near 3^40) coefficient denominators,
+  * the dual is the largest potential that is tight on the plan, so the
+    certificate potential is its McShane extension and verifies,
+  * a feasible but non-optimal plan fails the optimality re-check,
+  * certificate files for fixed vectors are byte-identical to the ones
+    the Fraction solver wrote,
+  * the suite's duality-gap check counts only its own solves and fails
+    when a solve skips the primal-dual comparison.
+"""
+
+from fractions import Fraction
+from functools import cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diamondlab import (
+    OMEGA,
+    CertificateError,
+    DiamondSpec,
+    FreeVector,
+    LipschitzFunction,
+    MetricSpace,
+    build_cached,
+    build_cover,
+    cover_partition,
+    free_norm,
+    mcshane_extend,
+    norm_value,
+    run_check,
+    summing_metric,
+    verify_certificate,
+)
+from diamondlab import freespace
+from diamondlab import io as dio
+from diamondlab.suite import SuiteConfig
+from oracles import free_norm_oracle, largest_potential_oracle
+
+BIG = 3 ** 40  # above 2^63, so masses leave int64
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@cache
+def _spaces():
+    d23, _ = build_cached(DiamondSpec(2, 3))
+    d33, _ = build_cached(DiamondSpec(3, 3))
+    dw, lm = build_cached(DiamondSpec(OMEGA, 3, limit_width=3))
+    keep = sorted({*range(0, len(d33), 3), d33.base_point})
+    sub, _ = d33.restrict(keep, d33.base_point)
+    half, _, partition = cover_partition(dw, lm, build_cover(dw, lm)
+                                         .bottom_half, lm.bottom)
+    # d23 times the non-dyadic factor K*S/(K*S + 1): the dual's sums of
+    # distance numerators no longer provably fit in int64.
+    mat, scale = d23.integer_scaled()
+    factor = (1 << 60) // (int(mat.max()) + 1)
+    huge = MetricSpace.from_scaled(d23.labels, mat.astype(object) * factor,
+                                   scale * factor + 1, d23.base_point)
+    return {"d23": d23, "restricted": sub,
+            "summing": summing_metric(half, partition), "huge": huge}
+
+
+def _coefficients(kind):
+    if kind == "dyadic":
+        return st.builds(Fraction, st.integers(1, 64),
+                         st.integers(0, 6).map(lambda k: 1 << k))
+    if kind == "thirds":
+        return st.builds(Fraction, st.integers(1, 90),
+                         st.sampled_from([3, 6, 9, 5, 7, 15]))
+    return st.builds(Fraction, st.integers(1, 2 * BIG),
+                     st.integers(-4, 4).map(lambda j: BIG + j))
+
+
+@st.composite
+def vectors(draw):
+    """A vector with up to 3 positive and 3 negative coefficients."""
+    space = _spaces()[draw(st.sampled_from(sorted(_spaces())))]
+    points = draw(st.lists(st.integers(0, len(space) - 1), min_size=1,
+                           max_size=6, unique=True))
+    split = draw(st.integers(0, min(3, len(points))))
+    if len(points) - split > 3:
+        points = points[:split + 3]
+    kind = draw(st.sampled_from(["dyadic", "thirds", "huge"]))
+    mags = draw(st.lists(_coefficients(kind), min_size=len(points),
+                         max_size=len(points)))
+    return FreeVector(space, [(p, m if k < split else -m)
+                              for k, (p, m) in enumerate(zip(points, mags))])
+
+
+@settings(max_examples=50, deadline=None)
+@given(vectors())
+def test_solver_matches_tree_oracle(vec):
+    space = vec.space
+    value, cert = free_norm(vec)
+    assert value == free_norm_oracle(space, vec)
+    assert verify_certificate(cert)
+    nodes = sorted({space.base_point, *vec.support})
+    largest = largest_potential_oracle(space, nodes, space.base_point,
+                                       cert.plan)
+    partial = LipschitzFunction(space, largest)
+    assert cert.potential == mcshane_extend(partial)
+
+
+def test_huge_space_runs_the_dual_on_python_ints():
+    space = _spaces()["huge"]
+    mat, _ = space.integer_scaled()
+    # Four dual nodes: (4 + 2) * peak passes the int64 bound.
+    assert 6 * int(mat.max()) >= 1 << 62
+    d23 = _spaces()["d23"]
+    entries = [(1, Fraction(1, 3)), (7, Fraction(-5, 2)), (19, Fraction(2))]
+    ratio = space.distance(0, 1) / d23.distance(0, 1)
+    assert norm_value(FreeVector(space, entries)) \
+        == ratio * norm_value(FreeVector(d23, entries))
+
+
+def test_optimality_recheck_rejects_a_non_optimal_plan(d23):
+    # Crossing the two pairings is feasible but costs more: the tight
+    # arcs then close a negative cycle.
+    space, lm = d23
+    near_top = space.index_of("+(2)/mid(2)")
+    near_bottom = space.index_of("-(2)/mid(2)")
+    vec = FreeVector(space, [(lm.top, 1), (lm.bottom, 1),
+                             (near_top, -1), (near_bottom, -1)])
+    one = Fraction(1)
+    crossed = [(lm.top, near_bottom, one), (lm.bottom, near_top, one)]
+    straight = [(lm.top, near_top, one), (lm.bottom, near_bottom, one)]
+    assert norm_value(vec) == sum(space.distance(x, y)
+                                  for x, y, _ in straight)
+    assert freespace._dual_potential(space, vec, straight)
+    with pytest.raises(CertificateError, match="optimality re-check"):
+        freespace._dual_potential(space, vec, crossed)
+
+
+FROZEN = [
+    [("top", Fraction(3, 2)), ("bottom", Fraction(-1, 3))],
+    [("+(1)/mid(1)", Fraction(2, 7)), ("-(2)/mid(3)", Fraction(-5, 8)),
+     ("mid(2)", Fraction(1)), ("top", Fraction(-1, 3))],
+    [("+(3)/mid(2)", Fraction(1, 3 ** 20)), ("-(1)/mid(1)", Fraction(-7, 2)),
+     ("+(2)/mid(3)", Fraction(5, 9)), ("-(3)/mid(2)", Fraction(-1, 6)),
+     ("bottom", Fraction(11, 4))],
+]
+
+
+@pytest.mark.parametrize("k", range(len(FROZEN)))
+def test_certificate_files_are_frozen(d23, tmp_path, k):
+    space, _ = d23
+    vec = FreeVector(space, [(space.index_of(label), c)
+                             for label, c in FROZEN[k]])
+    freespace.clear_norm_caches(space)
+    _, cert = free_norm(vec)
+    path = tmp_path / "cert.txt"
+    dio.write_certificate(str(path), cert, DiamondSpec(2, 3))
+    assert (path.read_bytes()
+            == (GOLDEN / f"certificate_d23_{k}.txt").read_bytes())
+
+
+def test_duality_gap_check_counts_its_own_solves(monkeypatch):
+    cfg = SuiteConfig()
+    first = run_check("duality-gap", cfg)
+    again = run_check("duality-gap", cfg)
+    assert first.status == again.status == "pass"
+    assert first.details == again.details
+    monkeypatch.setattr(freespace, "_gap_check", lambda *args: None)
+    skipped = run_check("duality-gap", cfg)
+    assert skipped.status == "fail"
+    assert "only 0 primal-dual comparisons" in skipped.details
+
+
+def test_trusted_results_equal_checked_ones(d23):
+    space, _ = d23
+    f = LipschitzFunction(space, {0: Fraction(0), 5: Fraction(7, 3),
+                                  9: Fraction(-1, 2)})
+    for g in (mcshane_extend(f), f.shift(Fraction(5, 9)),
+              f.scale(Fraction(-3, 2)), mcshane_extend(
+                  LipschitzFunction(space, {}))):
+        checked = LipschitzFunction(space, dict(g.entries))
+        assert g == checked
+        assert all(g.value(i) == v for i, v in checked.entries)
