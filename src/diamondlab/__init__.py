@@ -7,10 +7,11 @@ decomposition checks, all behind deterministic seeds and byte-stable
 file formats.
 """
 
-from .decomposition import (Cover, SummandPartition, build_cover,
-                            check_partition, cover_partition,
-                            ell1_additivity_check, equivalence_constants,
-                            projection_identity_check, summing_metric)
+from .decomposition import (Cover, LimitDecomposition, SummandPartition,
+                            build_cover, check_partition, cover_partition,
+                            decompose_limit, ell1_additivity_check,
+                            equivalence_constants, projection_identity_check,
+                            summing_metric)
 from .derivation import (ADVERSARY_KINDS, MUTATION_KINDS, AdversaryConfig,
                          GameNode, GameTranscript, Move, WeakNeighborhood,
                          adversary_family, collect_vectors, in_neighborhood,

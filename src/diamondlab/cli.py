@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import io as dio
-from .decomposition import (build_cover, cover_partition,
-                            ell1_additivity_check, equivalence_constants,
-                            projection_identity_check, summing_metric)
+from .decomposition import (decompose_limit, ell1_additivity_check,
+                            projection_identity_check)
 from .derivation import (ADVERSARY_KINDS, AdversaryConfig, prover_certify,
                          verify_transcript)
 from .diamond import DEFAULT_BUDGET, DiamondSpec, build_cached
@@ -226,29 +225,21 @@ def _cmd_decomp(args) -> int:
     space, landmarks = build_cached(spec, args.budget_points)
     rows = []
 
-    cover = build_cover(space, landmarks)
-    covered = set(cover.bottom_half) | set(cover.top_half)
-    minimum = cover.minimum
-    cover_ok = (covered == set(range(len(space))) and minimum is not None
-                and minimum >= Fraction(1, 2))
+    dec = decompose_limit(space, landmarks)
+    cover, minimum, eq = dec.cover, dec.cover.minimum, dec.constants
     rows.append(CheckResult(
         "decomp-cover", "pole cover is complete with separation >= 1/2",
-        "pass" if cover_ok else "fail",
+        "pass" if dec.complete and dec.separated else "fail",
         f"{len(cover.bottom_half)}+{len(cover.top_half)} points, "
         f"minimum separation "
         f"{dio.format_fraction(minimum) if minimum is not None else 'inf'}"))
-
-    sub, _, partition = cover_partition(space, landmarks, cover.bottom_half,
-                                        landmarks.bottom)
-    summing = summing_metric(sub, partition)
-    eq = equivalence_constants(sub, summing)
-    eq_ok = eq.c_low >= Fraction(1, 3) and eq.c_high <= 1
     rows.append(CheckResult(
         "decomp-constants", "metric equivalence constants lie in [1/3, 1]",
-        "pass" if eq_ok else "fail",
+        "pass" if dec.bounded else "fail",
         f"c_low {dio.format_fraction(eq.c_low)}, "
         f"c_high {dio.format_fraction(eq.c_high)}"))
 
+    summing, partition = dec.summing, dec.partition
     sampler = Sampler(args.seed)
     bad_add = bad_proj = 0
     for _ in range(args.count):
@@ -274,7 +265,7 @@ def _cmd_decomp(args) -> int:
         f"{args.count} vectors, {bad_proj} failures"))
 
     if args.out:
-        dio.write_partition(args.out, sub, partition)
+        dio.write_partition(args.out, dec.sub, partition)
     report = SuiteReport(TOOL_VERSION, args.seed, args.budget_points,
                          tuple(rows))
     if args.report:

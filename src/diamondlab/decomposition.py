@@ -6,7 +6,8 @@ gives the summing metric; the free space over it is the exact l1-sum of
 the per-slice free spaces.  This module builds that metric, measures how
 far it sits from the original one, constructs the two-sided pole cover
 with its separation function, and checks the sum identities exactly on
-concrete vectors.
+concrete vectors.  The metric passes run on integer numerators, with a
+``Fraction`` only for each reported constant and separation margin.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .diamond import DiamondLandmarks
 from .freespace import FreeVector, norm_value
@@ -28,13 +31,16 @@ __all__ = [
     "Cover",
     "build_cover",
     "cover_partition",
+    "LimitDecomposition",
+    "decompose_limit",
     "AdditivityReport",
     "ell1_additivity_check",
     "ProjectionReport",
     "projection_identity_check",
 ]
 
-_THREE_HALVES = Fraction(3, 2)
+_HALF = Fraction(1, 2)
+_THIRD = Fraction(1, 3)
 
 
 @dataclass(frozen=True)
@@ -83,21 +89,16 @@ def summing_metric(space: MetricSpace,
     checked against the metric axioms before being returned.
     """
     check_partition(space, partition)
-    n = len(space)
-    owner = [None] * n
-    for m, members in enumerate(partition.summands):
-        for idx in members:
-            owner[idx] = m
     base = partition.base
-    dist = [list(row) for row in space.dist_matrix]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i == base or j == base or owner[i] == owner[j]:
-                continue
-            d1 = space.distance(i, base) + space.distance(base, j)
-            dist[i][j] = d1
-            dist[j][i] = d1
-    result = MetricSpace(space.labels, dist, base)
+    owner = np.full(len(space), -1)
+    for m, members in enumerate(partition.summands):
+        owner[list(members)] = m
+    # The base owns no summand, but its pairs keep their distance anyway:
+    # d(x, base) + d(base, base) = d(x, base).
+    cross = owner[:, None] != owner[None, :]
+    mat, scale = space.integer_scaled()
+    rerouted = np.where(cross, mat[:, base, None] + mat[None, base, :], mat)
+    result = MetricSpace.from_scaled(space.labels, rerouted, scale, base)
     try:
         result.validate_metric()
     except MetricAxiomError as exc:
@@ -128,18 +129,35 @@ def equivalence_constants(original: MetricSpace,
     """
     if original.labels != summing.labels:
         raise ValueError("the two metrics must carry the same point set")
-    c_low = c_high = None
-    low_pair = high_pair = None
-    for i in range(len(original)):
-        for j in range(i + 1, len(original)):
-            ratio = original.distance(i, j) / summing.distance(i, j)
-            if c_low is None or ratio < c_low:
-                c_low, low_pair = ratio, (i, j)
-            if c_high is None or ratio > c_high:
-                c_high, high_pair = ratio, (i, j)
-    if c_low is None:
+    n = len(original)
+    if n < 2:
         return EquivalenceReport(Fraction(1), Fraction(1), None, None)
-    return EquivalenceReport(c_low, c_high, low_pair, high_pair)
+    rows, cols = np.triu_indices(n, 1)
+    top, top_scale = original.integer_scaled()
+    bottom, bottom_scale = summing.integer_scaled()
+    a, b = top[rows, cols], bottom[rows, cols]
+    if b.min() <= 0:
+        raise ValueError("the summing metric has a non-positive distance")
+    # Pair k has ratio (a[k] / b[k]) * bottom_scale / top_scale.  In lowest
+    # terms, equal ratios are equal pairs, so each distinct ratio is
+    # compared once, by cross-multiplication, and keeps its first pair in
+    # row order as its witness.
+    g = np.gcd(a, b)
+    ratios, first = np.unique(np.stack([a // g, b // g], axis=1), axis=0,
+                              return_index=True)
+    ratios = ratios.tolist()
+    low = high = 0
+    for m, (x, y) in enumerate(ratios):
+        if x * ratios[low][1] < ratios[low][0] * y:
+            low = m
+        if x * ratios[high][1] > ratios[high][0] * y:
+            high = m
+    (lx, ly), (hx, hy) = ratios[low], ratios[high]
+    return EquivalenceReport(
+        Fraction(lx * bottom_scale, ly * top_scale),
+        Fraction(hx * bottom_scale, hy * top_scale),
+        (int(rows[first[low]]), int(cols[first[low]])),
+        (int(rows[first[high]]), int(cols[first[high]])))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +184,6 @@ class Cover:
         return min(finite) if finite else None
 
 
-def _dist_to_set(space: MetricSpace, z: int,
-                 targets: Sequence[int]) -> Optional[Fraction]:
-    if not targets:
-        return None
-    return min(space.distance(z, t) for t in targets)
-
-
 def build_cover(space: MetricSpace, landmarks: DiamondLandmarks) -> Cover:
     """Open 3/2-balls around the poles, with exact separation margins.
 
@@ -182,19 +193,19 @@ def build_cover(space: MetricSpace, landmarks: DiamondLandmarks) -> Cover:
     """
     if not landmarks.summands:
         raise ValueError("the pole cover is defined for limit stages only")
-    bottom, top = landmarks.bottom, landmarks.top
-    a_half = tuple(z for z in range(len(space))
-                   if space.distance(z, bottom) < _THREE_HALVES)
-    b_half = tuple(z for z in range(len(space))
-                   if space.distance(z, top) < _THREE_HALVES)
-    a_comp = [z for z in range(len(space)) if z not in set(a_half)]
-    b_comp = [z for z in range(len(space)) if z not in set(b_half)]
-    separation: dict[int, Optional[Fraction]] = {}
-    for z in range(len(space)):
-        da = _dist_to_set(space, z, a_comp)
-        db = _dist_to_set(space, z, b_comp)
-        separation[z] = None if da is None or db is None else da + db
-    return Cover(a_half, b_half, separation)
+    mat, scale = space.integer_scaled()
+    # d < 3/2 is 2 * numerator < 3 * scale.
+    halves = [2 * mat[:, pole] < 3 * scale
+              for pole in (landmarks.bottom, landmarks.top)]
+    if any(inside.all() for inside in halves):
+        separation = dict.fromkeys(range(len(space)))
+    else:
+        # Distance from each point to each half's complement, summed.
+        margin = sum(mat[:, ~inside].min(axis=1) for inside in halves)
+        separation = {z: Fraction(v, scale)
+                      for z, v in enumerate(margin.tolist())}
+    return Cover(*(tuple(np.flatnonzero(inside).tolist())
+                   for inside in halves), separation)
 
 
 def cover_partition(space: MetricSpace, landmarks: DiamondLandmarks,
@@ -230,6 +241,38 @@ def cover_partition(space: MetricSpace, landmarks: DiamondLandmarks,
                                  tuple(tuple(s) for s in slices))
     check_partition(sub, partition)
     return sub, kept, partition
+
+
+@dataclass(frozen=True)
+class LimitDecomposition:
+    """A limit stage's pole cover, its bottom half ``sub`` based at the
+    bottom pole with the slice partition and summing metric, the
+    constants, and the thresholds: every point lies in a half, the
+    separation minimum is at least 1/2, the constants lie in [1/3, 1]."""
+
+    cover: Cover
+    sub: MetricSpace
+    partition: SummandPartition
+    summing: MetricSpace
+    constants: EquivalenceReport
+    complete: bool
+    separated: bool
+    bounded: bool
+
+
+def decompose_limit(space: MetricSpace,
+                    landmarks: DiamondLandmarks) -> LimitDecomposition:
+    """Cover, bottom-half summing metric and constants of a limit stage."""
+    cover = build_cover(space, landmarks)
+    sub, _, partition = cover_partition(space, landmarks, cover.bottom_half,
+                                        landmarks.bottom)
+    summing = summing_metric(sub, partition)
+    eq, minimum = equivalence_constants(sub, summing), cover.minimum
+    return LimitDecomposition(
+        cover, sub, partition, summing, eq,
+        set(cover.bottom_half) | set(cover.top_half) == set(range(len(space))),
+        minimum is not None and minimum >= _HALF,
+        eq.c_low >= _THIRD and eq.c_high <= 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ limit stage rescales its summands to the largest summand denominator.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,11 +46,16 @@ __all__ = [
     "subcopy_map",
     "finest_edges",
     "build_cached",
+    "closure_numerators",
     "shortest_path_closure",
     "parse_address",
 ]
 
-DEFAULT_BUDGET = 100_000
+# The default budget admits an int64 matrix of at most _MATRIX_BYTES
+# (16,384 points).  A build peaks at about twice its matrix (measured at
+# 4,667 points), so the largest admitted build stays well under 8 GB.
+_MATRIX_BYTES = 2 << 30
+DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
 
 # ---------------------------------------------------------------------------
 # specs and addresses
@@ -410,16 +416,12 @@ def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def shortest_path_closure(space: MetricSpace,
-                          edges: Sequence[tuple[int, int]]
-                          ) -> list[list[Fraction]]:
-    """All-pairs shortest paths over ``edges`` with exact results.
-
-    Weights are the space distances of the edge pairs.  Runs min-plus
-    iterations on integer-scaled values; raises when the edges do not
-    connect the space.
-    """
-    mat, scale = space.integer_scaled()
+def closure_numerators(space: MetricSpace,
+                       edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """All-pairs shortest paths over ``edges``, weighted by the space's
+    distances, as numerators over its denominator.  Raises when the edges
+    do not connect the space."""
+    mat, _ = space.integer_scaled()
     n = len(space)
     inf = (int(mat.max()) + 1) * (n + 1)
     if inf >= 1 << 60:
@@ -435,4 +437,12 @@ def shortest_path_closure(space: MetricSpace,
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     if (d >= inf).any():
         raise ValueError("edge set does not connect the space")
-    return fraction_rows(d, scale)
+    return d
+
+
+def shortest_path_closure(space: MetricSpace,
+                          edges: Sequence[tuple[int, int]]
+                          ) -> list[list[Fraction]]:
+    """:func:`closure_numerators` as exact ``Fraction`` rows."""
+    return fraction_rows(closure_numerators(space, edges),
+                         space.integer_scaled()[1])

@@ -9,6 +9,7 @@ Readers accept exactly what writers produce and raise
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -273,10 +274,13 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
     base = labels.index(base_label)
     rows, cols = np.triu_indices(count, 1)
     if spec is None:
-        dist = [[Fraction(0)] * count for _ in range(count)]
-        for i, j, k in zip(rows.tolist(), cols.tolist(), codes):
-            dist[i][j] = dist[j][i] = values[k]
-        return MetricSpace(labels, dist, base), None, None
+        scale = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (scale // v.denominator) for v in values]
+        if any(abs(x) >= 1 << 60 for x in nums):
+            raise rd.error("a stored distance exceeds the int64 scale")
+        mat = np.zeros((count, count), dtype=np.int64)
+        mat[rows, cols] = mat[cols, rows] = np.array(nums, np.int64)[codes]
+        return MetricSpace.from_scaled(labels, mat, scale, base), None, None
     space, landmarks = build_cached(spec, budget)
     if list(space.labels) != labels or space.base_point != base:
         raise rd.error("stored points do not match the spec echo")

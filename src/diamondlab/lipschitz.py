@@ -23,7 +23,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .metric import MetricSpace
+from .metric import MetricSpace, fraction_rows
 
 __all__ = [
     "LipschitzFunction",
@@ -294,10 +294,10 @@ def distance_functional(space: MetricSpace, anchor: int,
     """
     if vanish_at is None:
         vanish_at = space.base_point
-    row = space.dist_matrix[anchor]
-    off = row[vanish_at]
-    return LipschitzFunction(
-        space, [(i, row[i] - off) for i in range(len(space))])
+    mat, scale = space.integer_scaled()
+    row = mat[anchor] - mat[anchor, vanish_at]
+    return LipschitzFunction._from_sorted(
+        space, enumerate(fraction_rows(row, scale)))
 
 
 def pull_to_copy(space: MetricSpace, landmarks, side: str, branch: int,

@@ -2,22 +2,22 @@
 
 Points are indexed 0..n-1 and carry string labels (canonical addresses for
 diamond constructions, arbitrary names otherwise).  Distances are exact:
-no floating point is used anywhere.  A space has two views of its matrix:
+no floating point is used anywhere.
 
-* ``integer_scaled()``: int64 numerators over one common denominator,
-  reduced so that no factor is shared by every entry and the
-  denominator.  The vectorized passes run on it: validation, edges,
-  closures, restriction, space files, the Lipschitz kernels (constant,
-  bound check, McShane extension), and the transport solver with its
-  dual potential.
-* ``dist_matrix``: a dense symmetric table of ``Fraction`` values for the
-  API and the file formats.
+A space stores its distances once, as ``integer_scaled()``: int64
+numerators over one common denominator, reduced so that no factor is
+shared by every entry and the denominator.  Every pass runs on it:
+validation, edges, closures, restriction, summing metrics and cover
+margins, space files, the Lipschitz kernels (constant, bound check,
+McShane extension), and the transport solver with its dual potential.
+``distance(x, y)`` forms one ``Fraction`` on demand, and ``dist_matrix``
+is a read-only ``Fraction`` table for the API boundary, built on first
+access with one object per distinct value and then kept.
 
-:meth:`MetricSpace.from_scaled` builds a space from the integer view and
-derives the ``Fraction`` table with one object per distinct value; the
+:meth:`MetricSpace.from_scaled` builds a space from numerators; the
 diamond builder and :meth:`MetricSpace.restrict` construct spaces this
-way.  The plain constructor takes ``Fraction`` rows and derives the
-integer view on first use.
+way.  The plain constructor takes ``Fraction`` rows and converts them
+once, over the least common multiple of their denominators.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ class MetricSpace:
 
     def __init__(self, labels: Sequence[str],
                  dist: Sequence[Sequence[Fraction]], base_point: int):
-        n = self._set_labels(labels)
+        n = len(labels)
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance matrix shape does not match points")
-        self._dist = tuple(
-            tuple(Fraction(v) for v in row) for row in dist)
-        self._set_base(base_point)
-        self._scaled: Optional[tuple[np.ndarray, int]] = None
+        rows = [[Fraction(v) for v in row] for row in dist]
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
+        self._store(labels, [[v.numerator * (scale // v.denominator)
+                              for v in row] for row in rows],
+                    scale, base_point)
 
     @classmethod
     def from_scaled(cls, labels: Sequence[str], numerators,
@@ -58,17 +59,27 @@ class MetricSpace:
         """Space with distances ``numerators[i][j] / denominator``.
 
         The greatest common divisor of every entry and the denominator is
-        divided out, so the stored pair is exactly what
-        :meth:`integer_scaled` derives from the ``Fraction`` values.
-        Raises ``OverflowError`` when a reduced entry needs 60 bits or
-        more.
+        divided out, so equal distances give an equal stored pair however
+        they were scaled.  Raises ``OverflowError`` when a reduced entry
+        needs 60 bits or more.
         """
         space = cls.__new__(cls)
-        n = space._set_labels(labels)
+        space._store(labels, numerators, denominator, base_point)
+        return space
+
+    def _store(self, labels: Sequence[str], numerators, denominator: int,
+               base_point: int) -> None:
+        self._labels = tuple(str(x) for x in labels)
+        n = len(self._labels)
+        if len(set(self._labels)) != n:
+            raise ValueError("point labels must be distinct")
+        self._index = {lab: i for i, lab in enumerate(self._labels)}
         mat = np.array(numerators, dtype=np.int64)
         if mat.shape != (n, n):
             raise ValueError("distance matrix shape does not match points")
-        space._set_base(base_point)
+        if not 0 <= base_point < n:
+            raise ValueError("base point index out of range")
+        self._base = base_point
         if denominator < 1:
             raise ValueError("denominator must be positive")
         common = math.gcd(denominator, int(np.gcd.reduce(mat.ravel())))
@@ -77,22 +88,8 @@ class MetricSpace:
             denominator //= common
         if int(mat.max()) >= _INT64_SAFE:
             raise OverflowError("scaled distances exceed the int64 range")
-        space._dist = tuple(map(tuple, fraction_rows(mat, denominator)))
-        space._scaled = (mat, denominator)
-        return space
-
-    def _set_labels(self, labels: Sequence[str]) -> int:
-        self._labels = tuple(str(x) for x in labels)
-        n = len(self._labels)
-        if len(set(self._labels)) != n:
-            raise ValueError("point labels must be distinct")
-        self._index = {lab: i for i, lab in enumerate(self._labels)}
-        return n
-
-    def _set_base(self, base_point: int) -> None:
-        if not 0 <= base_point < len(self._labels):
-            raise ValueError("base point index out of range")
-        self._base = base_point
+        self._scaled = (mat, denominator)
+        self._view: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     # -- basic access ----------------------------------------------------
 
@@ -106,7 +103,10 @@ class MetricSpace:
 
     @property
     def dist_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._dist
+        """All distances as ``Fraction`` rows, built once on first use."""
+        if self._view is None:
+            self._view = tuple(map(tuple, fraction_rows(*self._scaled)))
+        return self._view
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -114,7 +114,8 @@ class MetricSpace:
     def distance(self, x: int, y: int) -> Fraction:
         if not (0 <= x < len(self._labels) and 0 <= y < len(self._labels)):
             raise IndexError("point index out of range")
-        return self._dist[x][y]
+        mat, scale = self._scaled
+        return Fraction(mat.item(x, y), scale)
 
     def index_of(self, label: str) -> int:
         try:
@@ -127,12 +128,7 @@ class MetricSpace:
 
     def set_distance(self, x: int, subset: Iterable[int]) -> Optional[Fraction]:
         """min distance from x to a point set; None when the set is empty."""
-        best: Optional[Fraction] = None
-        for y in subset:
-            d = self.distance(x, y)
-            if best is None or d < best:
-                best = d
-        return best
+        return min((self.distance(x, y) for y in subset), default=None)
 
     # -- derived structures ------------------------------------------------
 
@@ -149,7 +145,7 @@ class MetricSpace:
         if base not in idx:
             raise ValueError("base must belong to the restriction")
         labels = [self._labels[i] for i in idx]
-        mat, scale = self.integer_scaled()
+        mat, scale = self._scaled
         sub = MetricSpace.from_scaled(labels, mat[np.ix_(idx, idx)], scale,
                                       idx.index(base))
         return sub, idx
@@ -157,18 +153,8 @@ class MetricSpace:
     def integer_scaled(self) -> tuple[np.ndarray, int]:
         """Distance matrix as int64 numerators over a common denominator.
 
-        Cached; raises if the scaled entries would not fit in 60 bits.
+        Every entry is below 2^60, so a sum of a few entries fits int64.
         """
-        if self._scaled is None:
-            denoms = {v.denominator for row in self._dist for v in row}
-            scale = math.lcm(*denoms) if denoms else 1
-            peak = max((v for row in self._dist for v in row), default=Fraction(0))
-            if peak * scale >= _INT64_SAFE:
-                raise OverflowError("scaled distances exceed the int64 range")
-            mat = np.array(
-                [[int(v * scale) for v in row] for row in self._dist],
-                dtype=np.int64)
-            self._scaled = (mat, scale)
         return self._scaled
 
     # -- validation --------------------------------------------------------
@@ -184,14 +170,15 @@ class MetricSpace:
         triples beyond that.
         """
         n = len(self)
-        mat, _ = self.integer_scaled()
+        mat, _ = self._scaled
+        d = self.distance
         if np.diagonal(mat).any():
             i = int(np.flatnonzero(np.diagonal(mat))[0])
             raise MetricAxiomError(f"d({i},{i}) != 0")
         if not np.array_equal(mat, mat.T):
             i, j = map(int, np.argwhere(mat != mat.T)[0])
             raise MetricAxiomError(
-                f"asymmetry at ({i},{j}): {self._dist[i][j]} vs {self._dist[j][i]}")
+                f"asymmetry at ({i},{j}): {d(i, j)} vs {d(j, i)}")
         off = mat + np.eye(n, dtype=np.int64)
         if (off <= 0).any():
             i, j = map(int, np.argwhere(off <= 0)[0])
@@ -202,14 +189,13 @@ class MetricSpace:
                 if bad.any():
                     i, j = map(int, np.argwhere(bad)[0])
                     raise MetricAxiomError(
-                        f"triangle violation: d({i},{j}) = {self._dist[i][j]}"
-                        f" > d({i},{k}) + d({k},{j}) = "
-                        f"{self._dist[i][k] + self._dist[k][j]}")
+                        f"triangle violation: d({i},{j}) = {d(i, j)}"
+                        f" > d({i},{k}) + d({k},{j}) = {d(i, k) + d(k, j)}")
         else:
             rng = sampler or Sampler(0)
             for _ in range(samples):
                 i, j, k = (rng.below(n) for _ in range(3))
-                if self._dist[i][j] > self._dist[i][k] + self._dist[k][j]:
+                if mat[i, j] > mat[i, k] + mat[k, j]:
                     raise MetricAxiomError(
                         f"triangle violation at sampled triple ({i},{j},{k})")
 

@@ -19,17 +19,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from . import io as dio
-from .decomposition import (build_cover, cover_partition,
-                            ell1_additivity_check, equivalence_constants,
-                            projection_identity_check, summing_metric)
+from .decomposition import (decompose_limit, ell1_additivity_check,
+                            projection_identity_check)
 from .derivation import (ADVERSARY_KINDS, MUTATION_KINDS, AdversaryConfig,
                          WeakNeighborhood, adversary_family, collect_vectors,
                          in_neighborhood, midpoint_lift, mutate_transcript,
                          prover_certify, prover_escape,
                          relative_derivation_oracle, verify_transcript)
-from .diamond import (DEFAULT_BUDGET, DiamondSpec, build_cached, finest_edges,
-                      shortest_path_closure)
+from .diamond import (DEFAULT_BUDGET, DiamondSpec, build_cached,
+                      closure_numerators, finest_edges)
 from .errors import BudgetExceededError, FormatError
 from .freespace import (FreeVector, clear_norm_caches, free_norm, molecule,
                         norm_statistics, norm_value, point_mass)
@@ -134,14 +135,15 @@ def check_metric_oracle(cfg: SuiteConfig) -> tuple[str, str]:
     for spec in specs:
         space, _ = build_cached(spec, cfg.budget)
         space.validate_metric()
-        closure = shortest_path_closure(space, finest_edges(space))
-        for i in range(len(space)):
-            for j in range(i + 1, len(space)):
-                if closure[i][j] != space.distance(i, j):
-                    return ("fail", f"distance ({i},{j}) of "
-                            f"{space.label(i)},{space.label(j)} disagrees "
-                            f"with the edge closure")
-                pairs += 1
+        closure = closure_numerators(space, finest_edges(space))
+        mat, _ = space.integer_scaled()
+        wrong = np.argwhere(np.triu(closure != mat, 1))
+        if wrong.size:
+            i, j = map(int, wrong[0])
+            return ("fail", f"distance ({i},{j}) of "
+                    f"{space.label(i)},{space.label(j)} disagrees "
+                    f"with the edge closure")
+        pairs += len(space) * (len(space) - 1) // 2
     elapsed = time.monotonic() - start
     if elapsed >= 60:
         return "fail", f"runtime {elapsed:.1f}s exceeded the 60s budget"
@@ -366,23 +368,18 @@ def check_pole_gluing(cfg: SuiteConfig) -> tuple[str, str]:
 
 def check_summing_constants(cfg: SuiteConfig) -> tuple[str, str]:
     space, lm = build_cached(DiamondSpec(OMEGA, 3, 3), cfg.budget)
-    cover = build_cover(space, lm)
-    if set(cover.bottom_half) | set(cover.top_half) != set(range(len(space))):
+    dec = decompose_limit(space, lm)
+    minimum, eq = dec.cover.minimum, dec.constants
+    if not dec.complete:
         return "fail", "the two half-covers miss a point"
-    minimum = cover.minimum
-    if minimum is None or minimum < _HALF:
+    if not dec.separated:
         return "fail", f"separation minimum {minimum} is below 1/2"
-    sub, _, partition = cover_partition(space, lm, cover.bottom_half,
-                                        lm.bottom)
-    summing = summing_metric(sub, partition)
-    for i in range(len(sub)):
-        for j in range(i + 1, len(sub)):
-            if sub.distance(i, j) > summing.distance(i, j):
-                return "fail", "summing metric fails to dominate"
-    eq = equivalence_constants(sub, summing)
-    if eq.c_low < Fraction(1, 3) or eq.c_high > 1:
+    if eq.c_high > 1:
+        return "fail", "summing metric fails to dominate"
+    if not dec.bounded:
         return ("fail", f"equivalence constants ({eq.c_low}, {eq.c_high}) "
                 f"leave [1/3, 1]")
+    summing, partition = dec.summing, dec.partition
     sampler = Sampler(cfg.seed)
     for trial in range(30):
         vec = _random_vector(sampler, summing, 8)
@@ -456,11 +453,9 @@ def check_determinism_roundtrip(cfg: SuiteConfig) -> tuple[str, str]:
 
     limit_spec = DiamondSpec(OMEGA, 3, 3)
     limit_space, limit_lm = build_cached(limit_spec, cfg.budget)
-    cover = build_cover(limit_space, limit_lm)
-    sub, _, partition = cover_partition(limit_space, limit_lm,
-                                        cover.bottom_half, limit_lm.bottom)
-    dio.write_partition(path("part.txt"), sub, partition)
-    if dio.read_partition(path("part.txt"), sub) != partition:
+    dec = decompose_limit(limit_space, limit_lm)
+    dio.write_partition(path("part.txt"), dec.sub, dec.partition)
+    if dio.read_partition(path("part.txt"), dec.sub) != dec.partition:
         return "fail", "partition file did not round-trip"
 
     loaded_doc, _, _ = dio.read_transcript(path("t1.txt"), space, lm)

@@ -4,7 +4,8 @@ Deliberately naive implementations: transport by enumerating spanning
 trees of the bipartite support graph, Lipschitz constants, bound checks
 and McShane extensions by pairwise Fraction loops, shortest paths by
 heap Dijkstra over Fractions, diamond stages as graphs grown by edge
-substitution.
+substitution, and the summing metric, equivalence constants and pole
+cover by pair-by-pair Fraction loops.
 Slow, obviously correct, and sharing no code with the solvers and
 builders under test.
 """
@@ -236,3 +237,44 @@ def largest_potential_oracle(space, nodes, base, plan):
     if any(dist[u, u] < 0 for u in nodes):
         return None
     return {v: dist[base, v] for v in nodes}
+
+
+def summing_metric_oracle(space, partition):
+    """Fraction rows of the summing metric: a pair in distinct summands
+    detours through the base, every other pair keeps its distance."""
+    owner = {i: m for m, members in enumerate(partition.summands)
+             for i in members}
+    base, n = partition.base, len(space)
+    return [[space.distance(i, j) if base in (i, j) or owner[i] == owner[j]
+             else space.distance(i, base) + space.distance(base, j)
+             for j in range(n)] for i in range(n)]
+
+
+def equivalence_constants_oracle(original, summing):
+    """``(c_low, c_high, low_pair, high_pair)`` over all pairs i < j; the
+    first pair in row order witnesses each extreme."""
+    low = high = None
+    for i, j in itertools.combinations(range(len(original)), 2):
+        ratio = original.distance(i, j) / summing.distance(i, j)
+        if low is None or ratio < low[0]:
+            low = (ratio, (i, j))
+        if high is None or ratio > high[0]:
+            high = (ratio, (i, j))
+    if low is None:
+        return Fraction(1), Fraction(1), None, None
+    return low[0], high[0], low[1], high[1]
+
+
+def cover_oracle(space, bottom, top):
+    """``(bottom_half, top_half, separation)``: the points closer than 3/2
+    to each pole, and each point's distance to the bottom half's
+    complement plus that to the top half's (None when one is empty)."""
+    n = len(space)
+    halves = [tuple(z for z in range(n)
+                    if space.distance(z, pole) < Fraction(3, 2))
+              for pole in (bottom, top)]
+    comps = [[z for z in range(n) if z not in half] for half in halves]
+    separation = {z: sum(min(space.distance(z, t) for t in comp)
+                         for comp in comps) if all(comps) else None
+                  for z in range(n)}
+    return halves[0], halves[1], separation

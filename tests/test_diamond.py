@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from diamondlab import (
+    DEFAULT_BUDGET,
     OMEGA,
     BudgetExceededError,
     DiamondSpec,
@@ -78,6 +79,19 @@ def test_budget_guard():
     build_cached(DiamondSpec(1, 3))
     with pytest.raises(BudgetExceededError):
         build_cached(DiamondSpec(1, 3), budget=3)
+
+
+def test_default_budget_refuses_from_the_estimate():
+    # The default budget caps the int64 matrix at 2 GiB (16,384 points).
+    # Checked first, so a larger default never starts the 18,726-point
+    # build below.
+    spec = DiamondSpec(5, 4)
+    assert DEFAULT_BUDGET == 16_384 < estimate_points(spec) == 18_726
+    for builder in (build, build_cached):
+        with pytest.raises(BudgetExceededError) as info:
+            builder(spec)
+        assert info.value.estimate == 18_726
+        assert info.value.budget == DEFAULT_BUDGET
 
 
 def test_build_cached_shares_objects():

@@ -1,0 +1,221 @@
+"""The integer matrix as the only distance store.
+
+Core claims checked here:
+  * the Fraction constructor and ``from_scaled`` store the same reduced
+    integer matrix and give the same distances and ``Fraction`` view, on
+    thirds and on numerators just below 2^60,
+  * the ``Fraction`` view is built once and kept,
+  * the summing metric, the equivalence constants (with the first pair
+    in row order as each witness) and the pole cover equal pair-by-pair
+    ``Fraction`` oracles, on random partitions of small stages, the
+    omega stage's bottom half, non-dyadic scaled copies and random
+    metrics,
+  * the suite's metric-oracle check names the first pair whose distance
+    disagrees with the edge closure.
+"""
+
+from fractions import Fraction
+from functools import cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diamondlab import (
+    OMEGA,
+    DiamondSpec,
+    MetricSpace,
+    SuiteConfig,
+    SummandPartition,
+    build_cached,
+    build_cover,
+    cover_partition,
+    equivalence_constants,
+    finest_edges,
+    run_check,
+    summing_metric,
+)
+from diamondlab import suite
+from oracles import (cover_oracle, equivalence_constants_oracle,
+                     summing_metric_oracle)
+
+
+# -- Helpers ----------------------------------------------------------------
+
+def _scaled_copy(space, num, den):
+    """``space`` with every distance multiplied by ``num / den``."""
+    mat, scale = space.integer_scaled()
+    return MetricSpace.from_scaled(space.labels, mat.astype(object) * num,
+                                   scale * den, space.base_point)
+
+
+@cache
+def _spaces():
+    d13, _ = build_cached(DiamondSpec(1, 3))
+    d23, _ = build_cached(DiamondSpec(2, 3))
+    d33, _ = build_cached(DiamondSpec(3, 3))
+    dw, lm = build_cached(DiamondSpec(OMEGA, 3, limit_width=3))
+    half, _, _ = cover_partition(dw, lm, build_cover(dw, lm).bottom_half,
+                                 lm.bottom)
+    keep = sorted({*range(0, len(d33), 4), d33.base_point})
+    sub, _ = d33.restrict(keep, d33.base_point)
+    # A non-dyadic factor just below 1 that puts numerators near 2^56, so
+    # a detour sum still fits the 60-bit store.
+    mat, scale = d23.integer_scaled()
+    k = (1 << 56) // (int(mat.max()) * scale)
+    return {"d13": d13, "d23": d23, "restricted": sub, "omega-half": half,
+            "non-dyadic": _scaled_copy(d23, k * scale, k * scale + 1)}
+
+
+@st.composite
+def partitioned(draw):
+    """A space, a base point and a random partition of the other points
+    into up to four summands (some possibly empty)."""
+    space = _spaces()[draw(st.sampled_from(sorted(_spaces())))]
+    base = draw(st.integers(0, len(space) - 1))
+    width = draw(st.integers(1, 4))
+    owners = draw(st.lists(st.integers(0, width - 1),
+                           min_size=len(space), max_size=len(space)))
+    summands = tuple(tuple(i for i in range(len(space))
+                           if i != base and owners[i] == m)
+                     for m in range(width))
+    return space, SummandPartition(base, summands)
+
+
+# -- One store, two constructors ----------------------------------------------
+
+@pytest.mark.parametrize("numerators, denominator", [
+    ([[0, 1, 2, 4], [1, 0, 3, 5], [2, 3, 0, 2], [4, 5, 2, 0]], 3),
+    ([[0, 6, 9], [6, 0, 3], [9, 3, 0]], 9),
+    ([[0, (1 << 60) - 1, (1 << 60) - 3], [(1 << 60) - 1, 0, 2],
+      [(1 << 60) - 3, 2, 0]], 7),
+])
+def test_constructors_store_the_same_matrix(numerators, denominator):
+    labels = [f"p{i}" for i in range(len(numerators))]
+    rows = [[Fraction(v, denominator) for v in row] for row in numerators]
+    plain = MetricSpace(labels, rows, 1)
+    scaled = MetricSpace.from_scaled(labels, numerators, denominator, 1)
+    (mat, scale), (smat, sscale) = (plain.integer_scaled(),
+                                    scaled.integer_scaled())
+    assert scale == sscale and mat.tolist() == smat.tolist()
+    assert plain.dist_matrix == scaled.dist_matrix == tuple(map(tuple, rows))
+    for i in range(len(labels)):
+        for j in range(len(labels)):
+            assert plain.distance(i, j) == scaled.distance(i, j) == rows[i][j]
+
+
+def test_both_constructors_refuse_60_bit_numerators():
+    big = Fraction(1 << 60, 3)
+    with pytest.raises(OverflowError):
+        MetricSpace(["a", "b"], [[0, big], [big, 0]], 0)
+    with pytest.raises(OverflowError):
+        MetricSpace.from_scaled(["a", "b"], [[0, 1 << 60], [1 << 60, 0]],
+                                3, 0)
+
+
+def test_fraction_view_is_built_once(d23):
+    space, _ = d23
+    sub, _ = space.restrict(range(5), 0)
+    assert sub.dist_matrix is sub.dist_matrix
+    assert sub.dist_matrix[1][2] is sub.dist_matrix[2][1]
+
+
+# -- Integer ports against Fraction oracles -------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(partitioned())
+def test_summing_metric_matches_oracle(case):
+    space, partition = case
+    summing = summing_metric(space, partition)
+    assert [list(row) for row in summing.dist_matrix] \
+        == summing_metric_oracle(space, partition)
+
+
+@settings(max_examples=40, deadline=None)
+@given(partitioned())
+def test_equivalence_constants_match_oracle(case):
+    space, partition = case
+    summing = summing_metric(space, partition)
+    report = equivalence_constants(space, summing)
+    assert (report.c_low, report.c_high, report.low_pair,
+            report.high_pair) == equivalence_constants_oracle(space, summing)
+
+
+def test_equivalence_witness_is_the_first_pair_in_row_order():
+    # Ratios by pair: (0,1) 1/2, (0,2) 1, (0,3) 1, (1,2) 1/2 as 2/4,
+    # (1,3) 1/2, (2,3) 1.  Each extreme is tied, across scales too.
+    original = MetricSpace("abcd", [[0, 1, 2, 2], [1, 0, 2, 1],
+                                    [2, 2, 0, 2], [2, 1, 2, 0]], 0)
+    other = MetricSpace("abcd", [[0, 2, 2, 2], [2, 0, 4, 2],
+                                 [2, 4, 0, 2], [2, 2, 2, 0]], 0)
+    report = equivalence_constants(original, other)
+    assert (report.c_low, report.low_pair) == (Fraction(1, 2), (0, 1))
+    assert (report.c_high, report.high_pair) == (1, (0, 2))
+    scaled = _scaled_copy(other, 1, 3)
+    report = equivalence_constants(original, scaled)
+    assert (report.c_low, report.low_pair) == (Fraction(3, 2), (0, 1))
+    assert (report.c_high, report.high_pair) == (3, (0, 2))
+    assert equivalence_constants_oracle(original, scaled) == (
+        report.c_low, report.c_high, report.low_pair, report.high_pair)
+
+
+def test_equivalence_constants_refuse_a_zero_distance():
+    original = MetricSpace("ab", [[0, 1], [1, 0]], 0)
+    flat = MetricSpace("ab", [[0, 0], [0, 0]], 0)
+    with pytest.raises(ValueError, match="non-positive"):
+        equivalence_constants(original, flat)
+
+
+_LIMITS = [DiamondSpec(OMEGA, 2, 1), DiamondSpec(OMEGA, 2, 2),
+           DiamondSpec(OMEGA, 3, 2), DiamondSpec(OMEGA, 3, 3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_LIMITS), st.integers(1, 60), st.integers(1, 60))
+def test_build_cover_matches_oracle(spec, num, den):
+    space, lm = build_cached(spec)
+    # Scaling moves points across the 3/2 thresholds; at small factors a
+    # half's complement is empty and every separation is None.
+    copy = _scaled_copy(space, num, den)
+    cover = build_cover(copy, lm)
+    assert (cover.bottom_half, cover.top_half, cover.separation) \
+        == cover_oracle(copy, lm.bottom, lm.top)
+
+
+@st.composite
+def random_metrics(draw):
+    """The shortest-path closure of random positive weights k/den on a
+    complete graph of 2 to 8 points."""
+    n = draw(st.integers(2, 8))
+    den = draw(st.integers(1, 6))
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = draw(st.integers(1, 12))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                mat[i][j] = min(mat[i][j], mat[i][k] + mat[k][j])
+    return MetricSpace.from_scaled([f"p{i}" for i in range(n)], mat, den, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_metrics())
+def test_build_cover_matches_oracle_on_random_metrics(space):
+    # The cover reads only the poles (top 0, bottom 1) from the landmarks,
+    # so any metric can stand in; unlike a diamond stage, one half's
+    # complement can be empty while the other's is not.
+    _, lm = build_cached(DiamondSpec(OMEGA, 2, 1))
+    cover = build_cover(space, lm)
+    assert (cover.bottom_half, cover.top_half, cover.separation) \
+        == cover_oracle(space, lm.bottom, lm.top)
+
+
+def test_metric_oracle_names_the_disagreeing_pair(monkeypatch):
+    # Without the finest edge top - mid(1) of the first stage checked,
+    # its closure distance is 3, not 1.
+    monkeypatch.setattr(suite, "finest_edges",
+                        lambda space: finest_edges(space)[1:])
+    result = run_check("metric-oracle", SuiteConfig(seed=0))
+    assert result.status == "fail"
+    assert result.details == ("distance (0,2) of top,mid(1) disagrees with "
+                              "the edge closure")

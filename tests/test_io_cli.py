@@ -405,6 +405,24 @@ def test_cli_dist_truncated_point_line_exits_2(tmp_path, capsys):
     assert "truncated 'point' line" in capsys.readouterr().err
 
 
+def test_cli_dist_out_of_range_distance_exits_2(tmp_path, capsys, d13):
+    # Without a spec echo the file's values are stored as int64 numerators
+    # over the lcm of their denominators, which must stay below 2^60.
+    space, _ = d13
+    space_file = tmp_path / "plain.txt"
+    write_space(str(space_file), space)
+    text = space_file.read_text()
+    assert "dist 0 1 2/1" in text
+    # 2^59 passes alone, but a third elsewhere puts the scale at 3.
+    for stored in (f"{1 << 70}/1", f"{1 << 59}/1"):
+        tampered = text.replace("dist 0 1 2/1", f"dist 0 1 {stored}")
+        space_file.write_text(tampered.replace("dist 0 2 1/1",
+                                               "dist 0 2 1/3"))
+        assert cli.main(["dist", "--space", str(space_file),
+                         "--x", "top", "--y", "bottom"]) == 2
+        assert "exceeds the int64 scale" in capsys.readouterr().err
+
+
 def test_cli_norm_truncated_vector_entry_exits_2(tmp_path, capsys):
     space_file = tmp_path / "d13.txt"
     cli.main(["gen", "--alpha", "1", "--branches", "3",

@@ -173,7 +173,7 @@ def test_from_scaled_reduces_and_shares_values():
     assert scale == 2
     assert mat.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     assert space.distance(0, 1) == Fraction(1, 2)
-    assert space.distance(0, 1) is space.distance(2, 1)
+    assert space.distance(0, 1) == space.distance(2, 1)
     assert space.base_point == 1
 
 
