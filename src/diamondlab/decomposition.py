@@ -223,20 +223,22 @@ def cover_partition(space: MetricSpace, landmarks: DiamondLandmarks,
         raise ValueError("the pole must belong to the chosen half")
     order = sorted(members)
     sub, kept = space.restrict(order, pole)
+    # A point shared by several summand interiors goes to the first.
+    poles = {landmarks.top, landmarks.bottom}
+    slice_of: dict[int, int] = {}
+    for m, info in enumerate(landmarks.summands):
+        for p in info.injection:
+            if p not in poles:
+                slice_of.setdefault(p, m)
     slices: list[list[int]] = [[] for _ in landmarks.summands]
     for new_idx, old_idx in enumerate(kept):
         if old_idx == pole:
             continue
-        placed = False
-        for m, info in enumerate(landmarks.summands):
-            interior = set(info.injection) - {landmarks.top, landmarks.bottom}
-            if old_idx in interior:
-                slices[m].append(new_idx)
-                placed = True
-                break
-        if not placed:
+        m = slice_of.get(old_idx)
+        if m is None:
             raise ValueError(f"point {space.label(old_idx)} belongs to no "
                              f"summand slice")
+        slices[m].append(new_idx)
     partition = SummandPartition(sub.base_point,
                                  tuple(tuple(s) for s in slices))
     check_partition(sub, partition)

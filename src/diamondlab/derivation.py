@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InsufficientBranchingError
@@ -69,7 +70,7 @@ class WeakNeighborhood:
     whole free space.
     """
 
-    __slots__ = ("_functionals", "_center", "_eta")
+    __slots__ = ("_functionals", "_center", "_eta", "_center_pairs")
 
     def __init__(self, functionals: Sequence[LipschitzFunction],
                  center: FreeVector, eta: Fraction):
@@ -92,6 +93,7 @@ class WeakNeighborhood:
         self._functionals = functionals
         self._center = center
         self._eta = eta
+        self._center_pairs: Optional[tuple[Fraction, ...]] = None
 
     @property
     def functionals(self) -> tuple[LipschitzFunction, ...]:
@@ -110,10 +112,15 @@ class WeakNeighborhood:
         return self._center.space
 
     def contains(self, vec: FreeVector) -> bool:
+        # Pairing is linear, so pair(f, vec - center) is the difference of
+        # the two pairings; the center's are formed on first use.
         if vec.space is not self.space:
             raise ValueError("vector lives over a different space")
-        diff = vec - self._center
-        return all(abs(diff.pair(f)) <= self._eta for f in self._functionals)
+        if self._center_pairs is None:
+            self._center_pairs = tuple(self._center.pair(f)
+                                       for f in self._functionals)
+        return all(abs(vec.pair(f) - p) <= self._eta
+                   for f, p in zip(self._functionals, self._center_pairs))
 
     def recentered(self, center: FreeVector) -> "WeakNeighborhood":
         return WeakNeighborhood(self._functionals, center, self._eta)
@@ -319,7 +326,7 @@ def _pullback(pred_space: MetricSpace, injection: tuple[int, ...],
     # pairings with coefficient-doubled vectors match exactly.
     vals = [2 * func.value(injection[p]) for p in range(len(pred_space))]
     off = vals[pred_space.base_point]
-    return LipschitzFunction(
+    return LipschitzFunction._from_sorted(
         pred_space, [(p, v - off) for p, v in enumerate(vals)])
 
 
@@ -621,6 +628,12 @@ def relative_derivation_oracle(space: MetricSpace,
     at least epsilon.  With an empty functional list every box is the
     whole survivor set.  Exact arithmetic; survivors shrink monotonically
     with the round count.
+
+    Pairing is linear, so each candidate is paired with each functional
+    once and a box compares those pairings.  Survivors are positions in
+    the deduplicated candidate list and keep its order, so a box's pairs
+    are always (earlier, later) and each pair's distance is solved once
+    per call, whichever boxes and rounds share it.
     """
     pool: dict[tuple, FreeVector] = {}
     for v in candidates:
@@ -632,24 +645,32 @@ def relative_derivation_oracle(space: MetricSpace,
     for f in functionals:
         if f.space is not space or not f.is_total:
             raise ValueError("functionals must be total on the space")
-    survivors = list(pool.values())
+    vectors = list(pool.values())
+    pairings = [tuple(v.pair(f) for f in functionals) for v in vectors]
+
+    @cache
+    def distance(a: int, b: int) -> Fraction:
+        return norm_value(vectors[a] - vectors[b])
+
+    survivors = list(range(len(vectors)))
     for _ in range(rounds):
         if not survivors:
             break
         kept = []
         for v in survivors:
+            pv = pairings[v]
             box = [w for w in survivors
-                   if all(abs((w - v).pair(f)) <= eta for f in functionals)]
+                   if all(abs(p - q) <= eta for p, q in zip(pairings[w], pv))]
             diameter = Fraction(0)
             for a in range(len(box)):
                 for b in range(a + 1, len(box)):
-                    d = norm_value(box[a] - box[b])
+                    d = distance(box[a], box[b])
                     if d > diameter:
                         diameter = d
             if diameter >= epsilon:
                 kept.append(v)
         survivors = kept
-    return tuple(survivors)
+    return tuple(vectors[v] for v in survivors)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -79,6 +79,18 @@ class FreeVector:
         self._space = space
         self._entries = tuple(cleaned)
 
+    @classmethod
+    def _from_sorted(cls, space: MetricSpace,
+                     entries: Iterable[tuple[int, Fraction]]) -> "FreeVector":
+        """Trusted constructor for results the arithmetic has already
+        formed: ``(index, Fraction)`` pairs sorted by distinct in-range
+        indices, none of them the base point, with nonzero coefficients,
+        taken without checks."""
+        vec = cls.__new__(cls)
+        vec._space = space
+        vec._entries = tuple(entries)
+        return vec
+
     @property
     def space(self) -> MetricSpace:
         return self._space
@@ -109,11 +121,35 @@ class FreeVector:
         if self._space is not other._space:
             raise ValueError("vectors live over different spaces")
 
+    def _merged(self, b: Sequence[tuple[int, Fraction]]) -> "FreeVector":
+        """This vector plus the sorted entries ``b``, in one merge pass."""
+        a = self._entries
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ia, ca = a[i]
+            ib, cb = b[j]
+            if ia < ib:
+                out.append(a[i])
+                i += 1
+            elif ib < ia:
+                out.append(b[j])
+                j += 1
+            else:
+                c = ca + cb
+                if c:
+                    out.append((ia, c))
+                i += 1
+                j += 1
+        out += a[i:]
+        out += b[j:]
+        return FreeVector._from_sorted(self._space, out)
+
     def __add__(self, other: "FreeVector") -> "FreeVector":
         if not isinstance(other, FreeVector):
             return NotImplemented
         self._require_same_space(other)
-        return FreeVector(self._space, self._entries + other._entries)
+        return self._merged(other._entries)
 
     def __radd__(self, other):
         if other == 0:
@@ -123,16 +159,19 @@ class FreeVector:
     def __sub__(self, other: "FreeVector") -> "FreeVector":
         if not isinstance(other, FreeVector):
             return NotImplemented
-        return self + (-other)
+        self._require_same_space(other)
+        return self._merged([(i, -c) for i, c in other._entries])
 
     def __neg__(self) -> "FreeVector":
-        return FreeVector(self._space,
-                          [(i, -c) for i, c in self._entries])
+        return FreeVector._from_sorted(self._space,
+                                       [(i, -c) for i, c in self._entries])
 
     def __mul__(self, scalar) -> "FreeVector":
         fac = Fraction(scalar)
-        return FreeVector(self._space,
-                          [(i, c * fac) for i, c in self._entries])
+        if not fac:
+            return FreeVector._from_sorted(self._space, ())
+        return FreeVector._from_sorted(self._space,
+                                       [(i, c * fac) for i, c in self._entries])
 
     __rmul__ = __mul__
 
@@ -148,10 +187,25 @@ class FreeVector:
         return hash((id(self._space), self._entries))
 
     def pair(self, func: LipschitzFunction) -> Fraction:
-        """Evaluate sum of coeff * func(point) over the entries."""
+        """Evaluate sum of coeff * func(point) over the entries.
+
+        The products are summed as integers over the running least
+        common denominator, and one ``Fraction`` is formed at the end.
+        """
         if func.space is not self._space:
             raise ValueError("function lives over a different space")
-        return sum((c * func.value(i) for i, c in self._entries), _ZERO)
+        value = func.value
+        num, den = 0, 1
+        for i, c in self._entries:
+            v = value(i)
+            top = c.numerator * v.numerator
+            bottom = c.denominator * v.denominator
+            if den % bottom:
+                common = math.lcm(den, bottom)
+                num *= common // den
+                den = common
+            num += top * (den // bottom)
+        return Fraction(num, den)
 
     def mapped(self, target: MetricSpace,
                index_map: Mapping[int, int]) -> "FreeVector":

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -473,37 +474,42 @@ def write_transcript(path: str, doc: TranscriptDocument,
         lines.append(f"adversary kind={adv.kind} count={adv.count} "
                      f"eta={format_fraction(adv.eta)} seed={adv.seed}")
 
-    families: dict[tuple, int] = {}
+    text = cache(format_fraction)  # each distinct value formatted once
+    # Moves share functional tuples, so a family is found by the tuple's
+    # identity; its values are hashed once per distinct tuple object.
+    family_of: dict[int, int] = {}
+    by_value: dict[tuple, int] = {}
     order: list[tuple[LipschitzFunction, ...]] = []
     for _, node in _walk_nodes(transcript.root, "root"):
         for move in node.moves:
-            key = tuple(f.entries for f in move.neighborhood.functionals)
-            if key not in families:
-                families[key] = len(order)
-                order.append(move.neighborhood.functionals)
+            fns = move.neighborhood.functionals
+            if id(fns) not in family_of:
+                key = tuple(f.entries for f in fns)
+                if key not in by_value:
+                    by_value[key] = len(order)
+                    order.append(fns)
+                family_of[id(fns)] = by_value[key]
     lines.append(f"families {len(order)}")
     for fid, fns in enumerate(order):
         lines.append(f"family {fid} size {len(fns)}")
         for k, fn in enumerate(fns):
             for i, v in fn.entries:
-                lines.append(f"fvalue {fid} {k} {space.label(i)} "
-                             f"{format_fraction(v)}")
+                lines.append(f"fvalue {fid} {k} {space.label(i)} {text(v)}")
 
     for node_path, node in _walk_nodes(transcript.root, "root"):
         lines.append(f"node {node_path} depth={node.depth} "
-                     f"epsilon={format_fraction(node.epsilon)}")
+                     f"epsilon={text(node.epsilon)}")
         for i, c in node.target.entries:
-            lines.append(f"tentry {node_path} {space.label(i)} "
-                         f"{format_fraction(c)}")
+            lines.append(f"tentry {node_path} {space.label(i)} {text(c)}")
         status, condition = doc.statuses.get(node_path, ("none", ""))
         lines.append(f"status {node_path} {status} {condition}".rstrip())
         for k, move in enumerate(node.moves):
-            key = tuple(f.entries for f in move.neighborhood.functionals)
-            lines.append(f"move {node_path} {k} family={families[key]} "
-                         f"eta={format_fraction(move.neighborhood.eta)}")
+            fid = family_of[id(move.neighborhood.functionals)]
+            lines.append(f"move {node_path} {k} family={fid} "
+                         f"eta={text(move.neighborhood.eta)}")
             for i, c in move.response.entries:
                 lines.append(f"rentry {node_path} {k} {space.label(i)} "
-                             f"{format_fraction(c)}")
+                             f"{text(c)}")
     lines.append("end")
     _write(path, lines)
 
@@ -546,6 +552,7 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                                     parse_fraction(adv["eta"]),
                                     int(adv["seed"]))
 
+    value = cache(parse_fraction)  # each distinct value text parsed once
     family_count = int(rd.expect("families", 2)[1])
     families: list[tuple[LipschitzFunction, ...]] = []
     for fid in range(family_count):
@@ -561,7 +568,7 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
             if len(tokens) != 5 or not 0 <= int(tokens[2]) < size:
                 raise rd.error("malformed fvalue record")
             values[int(tokens[2])].append(
-                (_index_of(rd, space, tokens[3]), parse_fraction(tokens[4])))
+                (_index_of(rd, space, tokens[3]), value(tokens[4])))
         families.append(tuple(LipschitzFunction(space, vals)
                               for vals in values))
 
@@ -582,11 +589,11 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
         if kind == "node":
             fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
             nodes[tokens[1]] = {"depth": int(fields["depth"]),
-                                "epsilon": parse_fraction(fields["epsilon"]),
+                                "epsilon": value(fields["epsilon"]),
                                 "target": [], "moves": {}}
         elif kind == "tentry":
             declared(tokens[1])["target"].append(
-                (_index_of(rd, space, tokens[2]), parse_fraction(tokens[3])))
+                (_index_of(rd, space, tokens[2]), value(tokens[3])))
         elif kind == "status":
             statuses[tokens[1]] = (tokens[2],
                                    tokens[3] if len(tokens) > 3 else "")
@@ -594,7 +601,7 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
             fields = _fields(rd, tokens[3:], ("family", "eta"))
             declared(tokens[1])["moves"][int(tokens[2])] = {
                 "family": int(fields["family"]),
-                "eta": parse_fraction(fields["eta"]),
+                "eta": value(fields["eta"]),
                 "response": []}
         elif kind == "rentry":
             moves = declared(tokens[1])["moves"]
@@ -603,7 +610,7 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                 raise rd.error(f"response for undeclared move {k} of "
                                f"{tokens[1]!r}")
             moves[k]["response"].append(
-                (_index_of(rd, space, tokens[3]), parse_fraction(tokens[4])))
+                (_index_of(rd, space, tokens[3]), value(tokens[4])))
         else:
             raise rd.error(f"unexpected record {kind!r}")
     rd.expect("end")

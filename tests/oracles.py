@@ -5,7 +5,9 @@ trees of the bipartite support graph, Lipschitz constants, bound checks
 and McShane extensions by pairwise Fraction loops, shortest paths by
 heap Dijkstra over Fractions, diamond stages as graphs grown by edge
 substitution, and the summing metric, equivalence constants and pole
-cover by pair-by-pair Fraction loops.
+cover by pair-by-pair Fraction loops, the pole cover's slices by a
+per-summand scan, and the box-derivation oracle by subtracting every
+pair of survivors.
 Slow, obviously correct, and sharing no code with the solvers and
 builders under test.
 """
@@ -278,3 +280,58 @@ def cover_oracle(space, bottom, top):
                          for comp in comps) if all(comps) else None
                   for z in range(n)}
     return halves[0], halves[1], separation
+
+
+def cover_slices_oracle(landmarks, kept, pole):
+    """Slice lists of a restricted cover half, by scanning every summand's
+    interior for every point; None when a point lies in no slice."""
+    slices = [[] for _ in landmarks.summands]
+    for new_idx, old_idx in enumerate(kept):
+        if old_idx == pole:
+            continue
+        placed = False
+        for m, info in enumerate(landmarks.summands):
+            interior = set(info.injection) - {landmarks.top, landmarks.bottom}
+            if old_idx in interior:
+                slices[m].append(new_idx)
+                placed = True
+                break
+        if not placed:
+            return None
+    return tuple(tuple(s) for s in slices)
+
+
+def relative_derivation_oracle(space, candidates, functionals, eta, epsilon,
+                               rounds):
+    """The single-box derivation with every box formed from the pairings
+    of ``w - v`` over all ordered survivor pairs."""
+    from diamondlab.freespace import norm_value
+
+    pool = {}
+    for v in candidates:
+        if v.space is not space:
+            raise ValueError("candidate lives over a different space")
+        if norm_value(v) > 1:
+            raise ValueError("candidates must lie in the unit ball")
+        pool.setdefault(v.entries, v)
+    for f in functionals:
+        if f.space is not space or not f.is_total:
+            raise ValueError("functionals must be total on the space")
+    survivors = list(pool.values())
+    for _ in range(rounds):
+        if not survivors:
+            break
+        kept = []
+        for v in survivors:
+            box = [w for w in survivors
+                   if all(abs((w - v).pair(f)) <= eta for f in functionals)]
+            diameter = Fraction(0)
+            for a in range(len(box)):
+                for b in range(a + 1, len(box)):
+                    d = norm_value(box[a] - box[b])
+                    if d > diameter:
+                        diameter = d
+            if diameter >= epsilon:
+                kept.append(v)
+        survivors = kept
+    return tuple(survivors)

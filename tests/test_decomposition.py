@@ -11,17 +11,21 @@ Core claims checked here:
     witnessed pair under the original metric.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from diamondlab import (
+    OMEGA,
     Cover,
     FreeVector,
     MetricAxiomError,
     MetricSpace,
     Sampler,
     SummandPartition,
+    DiamondSpec,
+    build_cached,
     build_cover,
     check_partition,
     cover_partition,
@@ -32,6 +36,7 @@ from diamondlab import (
     projection_identity_check,
     summing_metric,
 )
+from oracles import cover_slices_oracle
 
 
 # -- Helpers ----------------------------------------------------------------
@@ -182,6 +187,27 @@ def test_cover_partition_frozen_slices(dw33):
         for new_jdx, old_jdx in enumerate(kept):
             assert sub.distance(new_idx, new_jdx) \
                 == space.distance(old_idx, old_jdx)
+
+
+def test_cover_partition_matches_summand_scan():
+    space, lm = build_cached(DiamondSpec(OMEGA, 4, limit_width=4))
+    cover = build_cover(space, lm)
+    for half, pole in ((cover.bottom_half, lm.bottom),
+                       (cover.top_half, lm.top)):
+        _, kept, partition = cover_partition(space, lm, half, pole)
+        assert partition.summands == cover_slices_oracle(lm, kept, pole)
+    # Without its last summand some point of the half lies in no slice.
+    short = dataclasses.replace(lm, summands=lm.summands[:-1])
+    _, kept, _ = cover_partition(space, lm, cover.bottom_half, lm.bottom)
+    assert cover_slices_oracle(short, kept, lm.bottom) is None
+    with pytest.raises(ValueError, match="belongs to no summand slice"):
+        cover_partition(space, short, cover.bottom_half, lm.bottom)
+    # The far pole lies in no summand interior.
+    everything = range(len(space))
+    _, kept = space.restrict(everything, lm.bottom)
+    assert cover_slices_oracle(lm, kept, lm.bottom) is None
+    with pytest.raises(ValueError, match="point top belongs to no"):
+        cover_partition(space, lm, everything, lm.bottom)
 
 
 def test_cover_partition_requires_member_pole(dw33):

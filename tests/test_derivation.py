@@ -7,8 +7,9 @@ Core claims checked here:
     prover always escapes through the first clean branch pair,
   * certified transcripts verify node by node, with separation exactly 1
     and the full binary tree of follow-ups,
-  * the box-derivation oracle keeps certified vectors alive and kills
-    thin candidate sets,
+  * the box-derivation oracle keeps certified vectors alive, kills thin
+    candidate sets, and returns exactly what subtracting every survivor
+    pair returns,
   * the two lift combinators preserve verifiability as stated,
   * every planted mutation is caught by the verifier.
 """
@@ -16,7 +17,9 @@ Core claims checked here:
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from diamondlab import (
     ADVERSARY_KINDS,
     MUTATION_KINDS,
@@ -284,6 +287,59 @@ def test_oracle_survivors_shrink_with_rounds(d23):
     one = relative_derivation_oracle(space, vectors, family, ETA, ONE, 1)
     two = relative_derivation_oracle(space, vectors, family, ETA, ONE, 2)
     assert {v.entries for v in two} <= {w.entries for w in one}
+
+
+_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                    st.sampled_from([1, 2, 3, 8]))
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """Random unit-ball candidates and total functionals, optionally on
+    top of a certified game's vectors and adversary family, where some
+    candidates survive and some do not."""
+    space, lm = build_cached(DiamondSpec(2, 3))
+    n = len(space)
+    candidates, family = [], []
+    if draw(st.booleans()):
+        cfg = _config(draw(st.sampled_from(ADVERSARY_KINDS)),
+                      draw(st.integers(0, 50)))
+        candidates += collect_vectors(prover_certify(space, lm, 2, cfg))
+        family += adversary_family(space, lm, cfg)
+    for _ in range(draw(st.integers(0, 6))):
+        if candidates and draw(st.integers(0, 3)) == 0:
+            candidates.append(draw(st.sampled_from(candidates)))
+            continue
+        points = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=3, unique=True))
+        raw = FreeVector(space, [(p, draw(_COEFFS)) for p in points])
+        if raw.is_zero:
+            candidates.append(raw)
+            continue
+        shrink = draw(st.sampled_from([ONE, HALF, Fraction(1, 3)]))
+        candidates.append(raw * (shrink / norm_value(raw)))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            family.append(distance_functional(
+                space, draw(st.integers(0, n - 1))))
+        else:
+            family.append(LipschitzFunction(space, [
+                (p, draw(_COEFFS) / 8) for p in range(n)]))
+    family = draw(st.permutations(family))
+    eta = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 4), HALF, ONE,
+                                Fraction(2)]))
+    epsilon = draw(st.sampled_from([Fraction(1, 4), HALF, ONE,
+                                    Fraction(3, 2), Fraction(2)]))
+    return space, candidates, family, eta, epsilon, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_inputs())
+def test_linear_oracle_matches_pairwise_subtraction(args):
+    linear = relative_derivation_oracle(*args)
+    pairwise = oracles.relative_derivation_oracle(*args)
+    assert linear == pairwise
+    assert all(a is b for a, b in zip(linear, pairwise))
 
 
 # -- Lift combinators -------------------------------------------------------------------

@@ -7,19 +7,25 @@ Core claims checked here:
   * every certificate passes independent re-verification and tampered
     certificates are rejected,
   * norm axioms (homogeneity, symmetry, subadditivity, nondegeneracy)
-    hold exactly, and restriction onto the support is isometric.
+    hold exactly, and restriction onto the support is isometric,
+  * sums, differences, negations, multiples and pairings match a
+    dict-of-Fraction reference, cancellations and base-point entries
+    included.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diamondlab import (
     CertificateError,
+    DiamondSpec,
     FreeVector,
     LipschitzFunction,
     Sampler,
     TransportCertificate,
+    build_cached,
     free_norm,
     molecule,
     norm_statistics,
@@ -38,6 +44,32 @@ def _random_vector(sampler, space, max_support=4):
     points = sampler.sample(range(len(space)), k)
     entries = [(p, sampler.nonzero_fraction()) for p in points]
     return FreeVector(space, entries)
+
+
+_COEFFS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 8]))
+
+
+def _raw(size):
+    """Unnormalized entry lists: repeated indices, zeros, the base point."""
+    return st.lists(st.tuples(st.integers(0, size - 1), _COEFFS), max_size=6)
+
+
+def _reference(space, *terms):
+    """Sum of factor * coefficient over (factor, raw entries) terms, as a
+    dict without zeros and without the base point."""
+    acc = {}
+    for factor, raw in terms:
+        for i, c in raw:
+            acc[i] = acc.get(i, Fraction(0)) + factor * c
+    return {i: c for i, c in acc.items() if c and i != space.base_point}
+
+
+def _assert_matches(vec, space, reference):
+    assert vec.space is space
+    assert vec.entries == tuple(sorted(reference.items()))
+    assert all(type(c) is Fraction for _, c in vec.entries)
+    checked = FreeVector(space, reference.items())
+    assert vec == checked and hash(vec) == hash(checked)
 
 
 # -- Vector algebra -----------------------------------------------------------
@@ -259,3 +291,35 @@ def test_pair_requires_same_space(d13, d14):
     func = distance_functional(d14[0], 0)
     with pytest.raises(ValueError):
         vec.pair(func)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_dict_reference(data):
+    space, _ = build_cached(DiamondSpec(1, 3))
+    a_raw = data.draw(_raw(len(space)))
+    # Part of b cancels part of a, so sums hit zero coefficients.
+    cut = data.draw(st.integers(0, len(a_raw)))
+    b_raw = [(i, -c) for i, c in a_raw[:cut]] + data.draw(_raw(len(space)))
+    scalar = data.draw(st.one_of(st.just(0), st.just(Fraction(0)), _COEFFS,
+                                 st.integers(-3, 3)))
+    a, b = FreeVector(space, a_raw), FreeVector(space, b_raw)
+    one = Fraction(1)
+    _assert_matches(a + b, space, _reference(space, (one, a_raw),
+                                             (one, b_raw)))
+    _assert_matches(a - b, space, _reference(space, (one, a_raw),
+                                             (-one, b_raw)))
+    _assert_matches(-a, space, _reference(space, (-one, a_raw)))
+    _assert_matches(a * scalar, space,
+                    _reference(space, (Fraction(scalar), a_raw)))
+    _assert_matches(scalar * a, space,
+                    _reference(space, (Fraction(scalar), a_raw)))
+    assert (a - a).is_zero and (a + -a).is_zero
+    values = data.draw(st.lists(_COEFFS, min_size=len(space),
+                                max_size=len(space)))
+    func = LipschitzFunction(space, enumerate(values))
+    for vec in (a, b, a - b):
+        paired = vec.pair(func)
+        assert type(paired) is Fraction
+        assert paired == sum((c * values[i] for i, c in vec.entries),
+                             Fraction(0))

@@ -3,7 +3,9 @@
 Core claims checked here:
   * fraction syntax is exact and strict (no floats, no zero
     denominators),
-  * every writer is byte-deterministic and every reader inverts it,
+  * every writer is byte-deterministic and every reader inverts it;
+    golden transcript files and the demo's stage-2 space and DOT files
+    pin the exact bytes,
   * spec echoes rebind files to the shared cached construction and
     mismatches are refused with located errors,
   * truncated records and references to undeclared transcript nodes or
@@ -13,22 +15,30 @@ Core claims checked here:
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from diamondlab import (
+    ADVERSARY_KINDS,
     AdversaryConfig,
     CheckResult,
     DiamondSpec,
     FormatError,
     FreeVector,
+    GameNode,
+    GameTranscript,
     LipschitzFunction,
+    Move,
+    Sampler,
     SuiteReport,
     SummandPartition,
+    WeakNeighborhood,
     build_cached,
     cli,
     free_norm,
     molecule,
+    mutate_transcript,
     point_mass,
     prover_certify,
     read_report,
@@ -56,6 +66,8 @@ from diamondlab.io import (
 )
 
 ETA = Fraction(1, 10)
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 ONE = Fraction(1)
 
 
@@ -250,6 +262,57 @@ def test_transcript_roundtrip_with_statuses(tmp_path, d23):
     assert all(status == "pass"
                for status, _ in loaded_doc.statuses.values())
     assert verify_transcript(loaded_space, loaded_doc.transcript).passed
+
+
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+def test_transcript_files_are_frozen(tmp_path, d23, kind):
+    space, lm = d23
+    transcript = prover_certify(space, lm, 2, AdversaryConfig(kind, 3, ETA, 7))
+    doc = TranscriptDocument(transcript).with_report(
+        verify_transcript(space, transcript))
+    golden = GOLDEN / f"transcript_d23_{kind}.txt"
+    path = tmp_path / "game.txt"
+    write_transcript(str(path), doc, DiamondSpec(2, 3))
+    assert _bytes(path) == golden.read_bytes()
+
+    loaded, loaded_space, _ = read_transcript(str(golden))
+    assert loaded_space is space
+    assert loaded.spec == DiamondSpec(2, 3)
+    assert loaded.transcript.root == transcript.root
+    assert loaded.transcript.adversary == transcript.adversary
+    assert loaded.statuses == doc.statuses
+    write_transcript(str(path), loaded, loaded.spec)
+    assert _bytes(path) == golden.read_bytes()
+
+
+def test_transcript_families_are_keyed_by_value(tmp_path, d23):
+    space, _ = d23
+    transcript = _transcript(d23)
+    path = tmp_path / "game.txt"
+    write_transcript(str(path), TranscriptDocument(transcript))
+    original = _bytes(path)
+
+    # Equal functionals in a fresh tuple object still form one family.
+    def copy_families(node):
+        moves = tuple(Move(WeakNeighborhood(
+            tuple(LipschitzFunction(space, f.entries)
+                  for f in m.neighborhood.functionals),
+            m.neighborhood.center, m.neighborhood.eta), m.response,
+            copy_families(m.response_subtree),
+            copy_families(m.target_subtree)) for m in node.moves)
+        return GameNode(node.target, node.depth, node.epsilon, moves)
+
+    copied = GameTranscript(space, copy_families(transcript.root),
+                            transcript.adversary)
+    write_transcript(str(path), TranscriptDocument(copied))
+    assert _bytes(path) == original
+
+    # A shifted functional makes a second family, and it reads back.
+    mutant = mutate_transcript(transcript, "shift-functional", Sampler(3))
+    write_transcript(str(path), TranscriptDocument(mutant))
+    assert "families 2\n" in path.read_text()
+    loaded, _, _ = read_transcript(str(path), space)
+    assert loaded.transcript.root == mutant.root
 
 
 def test_transcript_without_statuses_reads_none(tmp_path, d23):
@@ -664,3 +727,14 @@ def test_cli_version(capsys):
         cli.main(["--version"])
     assert info.value.code == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+# -- Demo output --------------------------------------------------------------
+
+def test_demo_stage2_files_are_frozen(tmp_path, d23):
+    space, lm = d23
+    write_space(str(tmp_path / "stage2.txt"), space, lm, DiamondSpec(2, 3))
+    write_dot(str(tmp_path / "stage2.dot"), space)
+    for name in ("stage2.txt", "stage2.dot"):
+        assert (_bytes(tmp_path / name)
+                == (ROOT / "demos" / "output" / name).read_bytes())
