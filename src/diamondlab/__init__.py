@@ -18,7 +18,7 @@ from .derivation import (ADVERSARY_KINDS, MUTATION_KINDS, AdversaryConfig,
                          midpoint_lift, average_lift, mutate_transcript,
                          prover_certify, prover_escape,
                          relative_derivation_oracle, spine_points,
-                         verify_transcript)
+                         verify_transcript, walk_nodes)
 from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
                       PointAddress, build, build_cached, estimate_points,
                       finest_edges, parse_address, shortest_path_closure,

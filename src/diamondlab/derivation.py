@@ -49,6 +49,7 @@ __all__ = [
     "NodeCheck",
     "relative_derivation_oracle",
     "collect_vectors",
+    "walk_nodes",
     "mutate_transcript",
     "MUTATION_KINDS",
 ]
@@ -181,21 +182,23 @@ class GameTranscript:
     adversary: Optional["AdversaryConfig"] = None
 
 
+def walk_nodes(node: GameNode, path: str = "root"):
+    """Every (path, node), parents first; move k of the node at ``p``
+    leads to ``p.mk.r`` (response follow-up) and ``p.mk.t`` (target)."""
+    yield path, node
+    for k, move in enumerate(node.moves):
+        yield from walk_nodes(move.response_subtree, f"{path}.m{k}.r")
+        yield from walk_nodes(move.target_subtree, f"{path}.m{k}.t")
+
+
 def collect_vectors(tree) -> tuple[FreeVector, ...]:
     """All targets and responses in first-visit order, deduplicated."""
     root = tree.root if isinstance(tree, GameTranscript) else tree
     seen: dict[tuple, FreeVector] = {}
-
-    def walk(node: GameNode) -> None:
-        if node.target.entries not in seen:
-            seen[node.target.entries] = node.target
+    for _, node in walk_nodes(root):
+        seen.setdefault(node.target.entries, node.target)
         for move in node.moves:
-            if move.response.entries not in seen:
-                seen[move.response.entries] = move.response
-            walk(move.response_subtree)
-            walk(move.target_subtree)
-
-    walk(root)
+            seen.setdefault(move.response.entries, move.response)
     return tuple(seen.values())
 
 
@@ -339,20 +342,24 @@ def _push_vector(vec: FreeVector, ambient: MetricSpace,
                       [(injection[i], 2 * c) for i, c in vec.entries])
 
 
+def _map_tree(node: GameNode, vec, hood, eps: Fraction = _ONE) -> GameNode:
+    """The tree with each vector v replaced by ``vec(v)``, each epsilon
+    scaled by ``eps`` and each neighborhood rebuilt as
+    ``hood(neighborhood, new target)``."""
+    target = vec(node.target)
+    moves = tuple(Move(hood(m.neighborhood, target), vec(m.response),
+                       _map_tree(m.response_subtree, vec, hood, eps),
+                       _map_tree(m.target_subtree, vec, hood, eps))
+                  for m in node.moves)
+    return GameNode(target, node.depth, node.epsilon * eps, moves)
+
+
 def _push_node(node: GameNode, ambient: MetricSpace,
                injection: tuple[int, ...],
                family: tuple[LipschitzFunction, ...],
                eta: Fraction) -> GameNode:
-    target = _push_vector(node.target, ambient, injection)
-    moves = []
-    for move in node.moves:
-        response = _push_vector(move.response, ambient, injection)
-        moves.append(Move(
-            WeakNeighborhood(family, target, eta),
-            response,
-            _push_node(move.response_subtree, ambient, injection, family, eta),
-            _push_node(move.target_subtree, ambient, injection, family, eta)))
-    return GameNode(target, node.depth, node.epsilon, tuple(moves))
+    return _map_tree(node, lambda v: _push_vector(v, ambient, injection),
+                     lambda _, target: WeakNeighborhood(family, target, eta))
 
 
 def _combine(a: GameNode, b: GameNode) -> GameNode:
@@ -419,19 +426,8 @@ def midpoint_lift(node: GameNode, shift: FreeVector) -> GameNode:
     """
     if norm_value(shift) > 1:
         raise ValueError("the shift vector must lie in the unit ball")
-
-    def lift(n: GameNode) -> GameNode:
-        target = (n.target + shift) * _HALF
-        moves = []
-        for move in n.moves:
-            moves.append(Move(
-                move.neighborhood.recentered(target),
-                (move.response + shift) * _HALF,
-                lift(move.response_subtree),
-                lift(move.target_subtree)))
-        return GameNode(target, n.depth, n.epsilon * _HALF, tuple(moves))
-
-    return lift(node)
+    return _map_tree(node, lambda v: (v + shift) * _HALF,
+                     WeakNeighborhood.recentered, _HALF)
 
 
 def _stage_height(landmarks: DiamondLandmarks) -> Optional[int]:
@@ -448,35 +444,39 @@ def _stage_height(landmarks: DiamondLandmarks) -> Optional[int]:
 
 def _certify_pole(space: MetricSpace, landmarks: DiamondLandmarks,
                   depth: int, family: tuple[LipschitzFunction, ...],
-                  eta: Fraction, epsilon: Fraction) -> GameNode:
+                  eta: Fraction, epsilon: Fraction) -> list[GameNode]:
+    """Pole-molecule certificates for depths 0 to ``depth``: element k's
+    move has element k - 1 as target follow-up, and as response the leaf
+    at the escape vector (k = 1) or the average of element k - 1 of the
+    two predecessor towers, pushed into the escape vector's copies."""
     target = _pole_molecule(space, landmarks)
+    tower = [GameNode(target, 0, epsilon, ())]
     if depth == 0:
-        return GameNode(target, 0, epsilon, ())
+        return tower
     hood = WeakNeighborhood(family, target, eta)
     i, j, gamma = _escape_pair(space, landmarks, hood)
-    if depth == 1:
-        response_node = GameNode(gamma, 0, epsilon, ())
-    else:
+    responses = [GameNode(gamma, 0, epsilon, ())]
+    if depth >= 2:
         pred_space, pred_lm = landmarks.predecessor
-        plus_inj = landmarks.subcopies[("+", j)]
-        minus_inj = landmarks.subcopies[("-", i)]
-        fam_plus = tuple(_pullback(pred_space, plus_inj, f) for f in family)
-        fam_minus = tuple(_pullback(pred_space, minus_inj, f) for f in family)
-        sub_plus = _certify_pole(pred_space, pred_lm, depth - 1,
-                                 fam_plus, eta, epsilon)
-        sub_minus = _certify_pole(pred_space, pred_lm, depth - 1,
-                                  fam_minus, eta, epsilon)
-        node_plus = _push_node(sub_plus, space, plus_inj, family, eta)
-        node_minus = _push_node(sub_minus, space, minus_inj, family, eta)
-        response_node = average_lift(space, landmarks, j, node_plus,
-                                     i, node_minus)
-        if response_node.target != gamma:
-            raise AssertionError("combined certificate misses the escape "
-                                 "vector")
-    target_node = _certify_pole(space, landmarks, depth - 1,
-                                family, eta, epsilon)
-    move = Move(hood, gamma, response_node, target_node)
-    return GameNode(target, depth, epsilon, (move,))
+        pushed = []
+        for sign, branch in (("+", j), ("-", i)):
+            inj = landmarks.subcopies[(sign, branch)]
+            pulled = tuple(_pullback(pred_space, inj, f) for f in family)
+            sub = _certify_pole(pred_space, pred_lm, depth - 1,
+                                pulled, eta, epsilon)
+            pushed.append([_push_node(node, space, inj, family, eta)
+                           for node in sub[1:]])
+        for node_plus, node_minus in zip(*pushed):
+            response_node = average_lift(space, landmarks, j, node_plus,
+                                         i, node_minus)
+            if response_node.target != gamma:
+                raise AssertionError("combined certificate misses the "
+                                     "escape vector")
+            responses.append(response_node)
+    for k, response_node in enumerate(responses, start=1):
+        move = Move(hood, gamma, response_node, tower[k - 1])
+        tower.append(GameNode(target, k, epsilon, (move,)))
+    return tower
 
 
 def prover_certify(space: MetricSpace, landmarks: DiamondLandmarks,
@@ -507,7 +507,7 @@ def prover_certify(space: MetricSpace, landmarks: DiamondLandmarks,
         return GameTranscript(space, root, adversary)
     family = adversary_family(space, landmarks, adversary)
     root = _certify_pole(space, landmarks, depth, family,
-                         Fraction(adversary.eta), epsilon)
+                         Fraction(adversary.eta), epsilon)[-1]
     return GameTranscript(space, root, adversary)
 
 
@@ -680,15 +680,6 @@ MUTATION_KINDS = ("inflate-response", "shift-functional", "double-epsilon",
                   "tamper-subtree-target", "drop-response-entry")
 
 
-def _move_sites(node: GameNode, path: str = "root") -> list[tuple[str, int]]:
-    sites = []
-    for k, move in enumerate(node.moves):
-        sites.append((path, k))
-        sites += _move_sites(move.response_subtree, f"{path}.m{k}.r")
-        sites += _move_sites(move.target_subtree, f"{path}.m{k}.t")
-    return sites
-
-
 def _rebuild(node: GameNode, path: str, site: tuple[str, int],
              editor) -> GameNode:
     moves = []
@@ -723,7 +714,8 @@ def mutate_transcript(transcript: GameTranscript, kind: str,
                            root.moves)
         return GameTranscript(space, mutated, transcript.adversary)
 
-    sites = _move_sites(root)
+    sites = [(path, k) for path, node in walk_nodes(root)
+             for k in range(len(node.moves))]
     if not sites:
         raise ValueError("transcript has no moves to mutate")
     site = sites[sampler.below(len(sites))]

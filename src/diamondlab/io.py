@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .derivation import (AdversaryConfig, GameNode, GameTranscript, Move,
-                         VerificationReport, WeakNeighborhood)
+                         VerificationReport, WeakNeighborhood, walk_nodes)
 from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
                       build_cached, finest_edges)
 from .decomposition import SummandPartition
@@ -70,15 +70,29 @@ def _safe_label(label: str) -> str:
 
 
 class _Reader:
-    """Token-line cursor with one-line lookahead and located errors."""
+    """Token-line cursor with one-line lookahead and located errors.
+
+    As a context manager around a whole read, it turns any other
+    ``ValueError`` into a :class:`FormatError` at the current line.
+    """
 
     def __init__(self, path: str):
         self.path = path
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().split("\n")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
         self.lines = [(n + 1, line) for n, line in enumerate(raw)
                       if line.strip()]
         self.pos = 0
+
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, ValueError) and not isinstance(exc, FormatError):
+            raise self.error(str(exc)) from exc
 
     def error(self, message: str) -> FormatError:
         lineno = self.lines[self.pos - 1][0] if self.pos else 0
@@ -138,11 +152,13 @@ def _check_header(rd: _Reader, kind: str) -> None:
 # spec echo lines
 
 
-def _spec_line(spec: Optional[DiamondSpec]) -> str:
-    if spec is None:
-        return "spec none"
-    return (f"spec alpha={format_ordinal(spec.alpha)} "
+def _spec_fields(spec: DiamondSpec) -> str:
+    return (f"alpha={format_ordinal(spec.alpha)} "
             f"branches={spec.branches} limit-width={spec.limit_width}")
+
+
+def _spec_line(spec: Optional[DiamondSpec]) -> str:
+    return "spec none" if spec is None else f"spec {_spec_fields(spec)}"
 
 
 def _fields(rd: _Reader, tokens: list[str],
@@ -161,39 +177,40 @@ def _fields(rd: _Reader, tokens: list[str],
 
 
 def _spec_from_fields(rd: _Reader, fields: dict[str, str]) -> DiamondSpec:
-    try:
-        return DiamondSpec(parse_ordinal(fields["alpha"]),
-                           int(fields["branches"]),
-                           int(fields["limit-width"]))
-    except (KeyError, ValueError) as exc:
-        raise rd.error(f"bad spec echo: {exc}")
-
-
-def _parse_spec_tokens(rd: _Reader,
-                       tokens: list[str]) -> Optional[DiamondSpec]:
-    if tokens[1:] == ["none"]:
-        return None
-    return _spec_from_fields(rd, _fields(rd, tokens[1:]))
+    missing = {"alpha", "branches", "limit-width"} - fields.keys()
+    if missing:
+        raise rd.error(f"missing field {min(missing)!r}")
+    return DiamondSpec(parse_ordinal(fields["alpha"]),
+                       int(fields["branches"]), int(fields["limit-width"]))
 
 
 def _space_line(space: MetricSpace, spec: Optional[DiamondSpec]) -> str:
-    head = "space"
-    if spec is not None:
-        head += (f" alpha={format_ordinal(spec.alpha)}"
-                 f" branches={spec.branches} limit-width={spec.limit_width}")
+    head = "space" if spec is None else f"space {_spec_fields(spec)}"
     return (f"{head} points={len(space)}"
             f" base={_safe_label(space.label(space.base_point))}")
 
 
-def _check_space_line(rd: _Reader, space: MetricSpace) -> None:
-    tokens = rd.expect("space")
-    fields = dict(tok.split("=", 1) for tok in tokens[1:] if "=" in tok)
+def _read_space_line(rd: _Reader, space: Optional[MetricSpace] = None,
+                     landmarks: Optional[DiamondLandmarks] = None,
+                     budget: int = DEFAULT_BUDGET
+                     ) -> tuple[MetricSpace, Optional[DiamondLandmarks],
+                                Optional[DiamondSpec]]:
+    """The ``space`` line: its construction echo, and the space the file
+    binds to, rebuilt from the echo when none is given."""
+    fields = _fields(rd, rd.expect("space")[1:])
+    spec = _spec_from_fields(rd, fields) if "alpha" in fields else None
+    if space is None:
+        if spec is None:
+            raise rd.error("file has no construction echo; a space must "
+                           "be supplied")
+        space, landmarks = build_cached(spec, budget)
     if "points" in fields and int(fields["points"]) != len(space):
         raise rd.error(f"file was written for a {fields['points']}-point "
                        f"space, got {len(space)} points")
     if "base" in fields and fields["base"] != space.label(space.base_point):
         raise rd.error("file was written for a space with a different "
                        "base point")
+    return space, landmarks, spec
 
 
 def _index_of(rd: _Reader, space: MetricSpace, label: str) -> int:
@@ -201,6 +218,21 @@ def _index_of(rd: _Reader, space: MetricSpace, label: str) -> int:
         return space.index_of(label)
     except KeyError:
         raise rd.error(f"unknown point label {label!r}")
+
+
+def _labelled_lines(keyword: str, space: MetricSpace, entries) -> list[str]:
+    return [f"{keyword} {_safe_label(space.label(i))} {format_fraction(v)}"
+            for i, v in entries]
+
+
+def _read_labelled(rd: _Reader, space: MetricSpace,
+                   keyword: str) -> list[tuple[int, Fraction]]:
+    """The run of ``keyword label value`` lines, as (index, value)."""
+    out = []
+    while (tokens := rd.take(keyword, 3)) is not None:
+        out.append((_index_of(rd, space, tokens[1]),
+                    parse_fraction(tokens[2])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,65 +271,69 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
     checked against the stored labels and distances, so vectors written
     against the file bind to the shared space object.
     """
-    rd = _Reader(path)
-    _check_header(rd, "space")
-    spec = _parse_spec_tokens(rd, rd.expect("spec"))
-    count = int(rd.expect("points", 2)[1])
-    base_label = rd.expect("base", 2)[1]
-    labels = []
-    for i in range(count):
-        tokens = rd.expect("point", 3)
-        if int(tokens[1]) != i:
-            raise rd.error("point lines out of order")
-        labels.append(tokens[2])
-    while rd.take("landmark"):
-        pass
-    # Each distinct distance text is parsed once; codes[k] indexes the
-    # value of the k-th dist line in ``values``.
-    parsed: dict[str, int] = {}
-    values: list[Fraction] = []
-    codes = []
-    for i in range(count):
-        for j in range(i + 1, count):
-            tokens = rd.expect("dist")
-            if len(tokens) != 4:
-                raise rd.error("malformed dist line")
-            if int(tokens[1]) != i or int(tokens[2]) != j:
-                raise rd.error("dist lines out of order")
-            code = parsed.get(tokens[3])
-            if code is None:
-                values.append(parse_fraction(tokens[3]))
-                code = parsed[tokens[3]] = len(values) - 1
-            codes.append(code)
-    rd.expect("end")
-    if base_label not in labels:
-        raise rd.error(f"base label {base_label!r} is not a point")
-    base = labels.index(base_label)
-    rows, cols = np.triu_indices(count, 1)
-    if spec is None:
-        scale = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (scale // v.denominator) for v in values]
-        if any(abs(x) >= 1 << 60 for x in nums):
-            raise rd.error("a stored distance exceeds the int64 scale")
-        mat = np.zeros((count, count), dtype=np.int64)
-        mat[rows, cols] = mat[cols, rows] = np.array(nums, np.int64)[codes]
-        return MetricSpace.from_scaled(labels, mat, scale, base), None, None
-    space, landmarks = build_cached(spec, budget)
-    if list(space.labels) != labels or space.base_point != base:
-        raise rd.error("stored points do not match the spec echo")
-    mat, scale = space.integer_scaled()
-    # A stored value that is not a multiple of 1/scale, or too large to
-    # scale, becomes -1, which no distance of the built space equals.
-    scaled = np.full(len(values), -1, dtype=np.int64)
-    for k, v in enumerate(values):
-        if scale % v.denominator == 0 and abs(v) * scale < 1 << 62:
-            scaled[k] = int(v * scale)
-    mismatch = np.flatnonzero(scaled[codes] != mat[rows, cols])
-    if mismatch.size:
-        k = mismatch[0]
-        raise rd.error(f"stored distance ({rows[k]},{cols[k]}) does not "
-                       f"match the spec echo")
-    return space, landmarks, spec
+    with _Reader(path) as rd:
+        _check_header(rd, "space")
+        tokens = rd.expect("spec")[1:]
+        spec = (None if tokens == ["none"]
+                else _spec_from_fields(rd, _fields(rd, tokens)))
+        count = int(rd.expect("points", 2)[1])
+        base_label = rd.expect("base", 2)[1]
+        labels = []
+        for i in range(count):
+            tokens = rd.expect("point", 3)
+            if int(tokens[1]) != i:
+                raise rd.error("point lines out of order")
+            labels.append(tokens[2])
+        while rd.take("landmark"):
+            pass
+        # Each distinct distance text is parsed once; codes[k] indexes the
+        # value of the k-th dist line in ``values``.
+        parsed: dict[str, int] = {}
+        values: list[Fraction] = []
+        codes = []
+        for i in range(count):
+            for j in range(i + 1, count):
+                tokens = rd.expect("dist")
+                if len(tokens) != 4:
+                    raise rd.error("malformed dist line")
+                if int(tokens[1]) != i or int(tokens[2]) != j:
+                    raise rd.error("dist lines out of order")
+                code = parsed.get(tokens[3])
+                if code is None:
+                    values.append(parse_fraction(tokens[3]))
+                    code = parsed[tokens[3]] = len(values) - 1
+                codes.append(code)
+        rd.expect("end")
+        if base_label not in labels:
+            raise rd.error(f"base label {base_label!r} is not a point")
+        base = labels.index(base_label)
+        rows, cols = np.triu_indices(count, 1)
+        if spec is None:
+            scale = math.lcm(*(v.denominator for v in values))
+            nums = [v.numerator * (scale // v.denominator) for v in values]
+            if any(abs(x) >= 1 << 60 for x in nums):
+                raise rd.error("a stored distance exceeds the int64 scale")
+            mat = np.zeros((count, count), dtype=np.int64)
+            mat[rows, cols] = mat[cols, rows] = np.array(nums,
+                                                         np.int64)[codes]
+            space = MetricSpace.from_scaled(labels, mat, scale, base)
+            return space, None, None
+        space, landmarks = build_cached(spec, budget)
+        if list(space.labels) != labels or space.base_point != base:
+            raise rd.error("stored points do not match the spec echo")
+        mat, scale = space.integer_scaled()
+        # A stored value that is not a multiple of 1/scale, or too large to
+        # scale, becomes -1, which no distance of the built space equals.
+        scaled = np.full(len(values), -1, dtype=np.int64)
+        for k, v in enumerate(values):
+            if scale % v.denominator == 0 and abs(v) * scale < 1 << 62:
+                scaled[k] = int(v * scale)
+        mismatch = np.flatnonzero(scaled[codes] != mat[rows, cols])
+        if mismatch.size:
+            k = mismatch[0]
+            raise rd.error(f"stored distance ({rows[k]},{cols[k]}) does not "
+                           f"match the spec echo")
+        return space, landmarks, spec
 
 
 # ---------------------------------------------------------------------------
@@ -307,95 +343,74 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
 def write_vector(path: str, vec: FreeVector,
                  spec: Optional[DiamondSpec] = None) -> None:
     space = vec.space
-    lines = [_header("vector"), _space_line(space, spec)]
-    for i, c in vec.entries:
-        lines.append(f"entry {_safe_label(space.label(i))} "
-                     f"{format_fraction(c)}")
-    lines.append("end")
+    lines = [_header("vector"), _space_line(space, spec),
+             *_labelled_lines("entry", space, vec.entries), "end"]
     _write(path, lines)
 
 
 def read_vector(path: str, space: MetricSpace) -> FreeVector:
-    rd = _Reader(path)
-    _check_header(rd, "vector")
-    _check_space_line(rd, space)
-    entries = []
-    while (tokens := rd.take("entry", 3)) is not None:
-        entries.append((_index_of(rd, space, tokens[1]),
-                        parse_fraction(tokens[2])))
-    rd.expect("end")
-    return FreeVector(space, entries)
+    with _Reader(path) as rd:
+        _check_header(rd, "vector")
+        _read_space_line(rd, space)
+        entries = _read_labelled(rd, space, "entry")
+        rd.expect("end")
+        return FreeVector(space, entries)
 
 
 def write_function(path: str, func: LipschitzFunction,
                    spec: Optional[DiamondSpec] = None) -> None:
     space = func.space
     lines = [_header("function"), _space_line(space, spec),
-             "domain " + ("total" if func.is_total else "partial")]
-    for i, v in func.entries:
-        lines.append(f"value {_safe_label(space.label(i))} "
-                     f"{format_fraction(v)}")
-    lines.append("end")
+             "domain " + ("total" if func.is_total else "partial"),
+             *_labelled_lines("value", space, func.entries), "end"]
     _write(path, lines)
 
 
 def read_function(path: str, space: MetricSpace) -> LipschitzFunction:
-    rd = _Reader(path)
-    _check_header(rd, "function")
-    _check_space_line(rd, space)
-    marker = rd.expect("domain", 2)[1]
-    if marker not in ("total", "partial"):
-        raise rd.error(f"unknown domain marker {marker!r}")
-    values = []
-    while (tokens := rd.take("value", 3)) is not None:
-        values.append((_index_of(rd, space, tokens[1]),
-                       parse_fraction(tokens[2])))
-    rd.expect("end")
-    func = LipschitzFunction(space, values)
-    if marker == "total" and not func.is_total:
-        raise rd.error("file claims a total function but misses points")
-    return func
+    with _Reader(path) as rd:
+        _check_header(rd, "function")
+        _read_space_line(rd, space)
+        marker = rd.expect("domain", 2)[1]
+        if marker not in ("total", "partial"):
+            raise rd.error(f"unknown domain marker {marker!r}")
+        values = _read_labelled(rd, space, "value")
+        rd.expect("end")
+        func = LipschitzFunction(space, values)
+        if marker == "total" and not func.is_total:
+            raise rd.error("file claims a total function but misses points")
+        return func
 
 
 def write_certificate(path: str, cert: TransportCertificate,
                       spec: Optional[DiamondSpec] = None) -> None:
     space = cert.vector.space
-    lines = [_header("certificate"), _space_line(space, spec)]
-    for i, c in cert.vector.entries:
-        lines.append(f"entry {_safe_label(space.label(i))} "
-                     f"{format_fraction(c)}")
-    lines.append(f"value {format_fraction(cert.value)}")
+    lines = [_header("certificate"), _space_line(space, spec),
+             *_labelled_lines("entry", space, cert.vector.entries),
+             f"value {format_fraction(cert.value)}"]
     for i, j, mass in cert.plan:
         lines.append(f"plan {space.label(i)} {space.label(j)} "
                      f"{format_fraction(mass)}")
-    for i, v in cert.potential.entries:
-        lines.append(f"potential {space.label(i)} {format_fraction(v)}")
+    lines += _labelled_lines("potential", space, cert.potential.entries)
     lines.append("end")
     _write(path, lines)
 
 
 def read_certificate(path: str, space: MetricSpace) -> TransportCertificate:
-    rd = _Reader(path)
-    _check_header(rd, "certificate")
-    _check_space_line(rd, space)
-    entries = []
-    while (tokens := rd.take("entry", 3)) is not None:
-        entries.append((_index_of(rd, space, tokens[1]),
-                        parse_fraction(tokens[2])))
-    value = parse_fraction(rd.expect("value", 2)[1])
-    plan = []
-    while (tokens := rd.take("plan", 4)) is not None:
-        plan.append((_index_of(rd, space, tokens[1]),
-                     _index_of(rd, space, tokens[2]),
-                     parse_fraction(tokens[3])))
-    potential = []
-    while (tokens := rd.take("potential", 3)) is not None:
-        potential.append((_index_of(rd, space, tokens[1]),
-                          parse_fraction(tokens[2])))
-    rd.expect("end")
-    return TransportCertificate(FreeVector(space, entries), value,
-                                tuple(plan),
-                                LipschitzFunction(space, potential))
+    with _Reader(path) as rd:
+        _check_header(rd, "certificate")
+        _read_space_line(rd, space)
+        entries = _read_labelled(rd, space, "entry")
+        value = parse_fraction(rd.expect("value", 2)[1])
+        plan = []
+        while (tokens := rd.take("plan", 4)) is not None:
+            plan.append((_index_of(rd, space, tokens[1]),
+                         _index_of(rd, space, tokens[2]),
+                         parse_fraction(tokens[3])))
+        potential = _read_labelled(rd, space, "potential")
+        rd.expect("end")
+        return TransportCertificate(FreeVector(space, entries), value,
+                                    tuple(plan),
+                                    LipschitzFunction(space, potential))
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +431,18 @@ def write_partition(path: str, space: MetricSpace,
 
 
 def read_partition(path: str, space: MetricSpace) -> SummandPartition:
-    rd = _Reader(path)
-    _check_header(rd, "partition")
-    _check_space_line(rd, space)
-    base = _index_of(rd, space, rd.expect("base", 2)[1])
-    summands = []
-    while (tokens := rd.take("summand", 2)) is not None:
-        if int(tokens[1]) != len(summands):
-            raise rd.error("summand lines out of order")
-        summands.append(tuple(_index_of(rd, space, lab)
-                              for lab in tokens[2:]))
-    rd.expect("end")
-    return SummandPartition(base, tuple(summands))
+    with _Reader(path) as rd:
+        _check_header(rd, "partition")
+        _read_space_line(rd, space)
+        base = _index_of(rd, space, rd.expect("base", 2)[1])
+        summands = []
+        while (tokens := rd.take("summand", 2)) is not None:
+            if int(tokens[1]) != len(summands):
+                raise rd.error("summand lines out of order")
+            summands.append(tuple(_index_of(rd, space, lab)
+                                  for lab in tokens[2:]))
+        rd.expect("end")
+        return SummandPartition(base, tuple(summands))
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +470,6 @@ class TranscriptDocument:
         return TranscriptDocument(self.transcript, statuses, self.spec)
 
 
-def _walk_nodes(node: GameNode, path: str):
-    yield path, node
-    for k, move in enumerate(node.moves):
-        yield from _walk_nodes(move.response_subtree, f"{path}.m{k}.r")
-        yield from _walk_nodes(move.target_subtree, f"{path}.m{k}.t")
-
-
 def write_transcript(path: str, doc: TranscriptDocument,
                      spec: Optional[DiamondSpec] = None) -> None:
     transcript = doc.transcript
@@ -480,7 +488,7 @@ def write_transcript(path: str, doc: TranscriptDocument,
     family_of: dict[int, int] = {}
     by_value: dict[tuple, int] = {}
     order: list[tuple[LipschitzFunction, ...]] = []
-    for _, node in _walk_nodes(transcript.root, "root"):
+    for _, node in walk_nodes(transcript.root):
         for move in node.moves:
             fns = move.neighborhood.functionals
             if id(fns) not in family_of:
@@ -496,7 +504,7 @@ def write_transcript(path: str, doc: TranscriptDocument,
             for i, v in fn.entries:
                 lines.append(f"fvalue {fid} {k} {space.label(i)} {text(v)}")
 
-    for node_path, node in _walk_nodes(transcript.root, "root"):
+    for node_path, node in walk_nodes(transcript.root):
         lines.append(f"node {node_path} depth={node.depth} "
                      f"epsilon={text(node.epsilon)}")
         for i, c in node.target.entries:
@@ -529,119 +537,119 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
     Pass a space to bind the transcript to an existing object; without
     one, the file must carry a construction echo.
     """
-    rd = _Reader(path)
-    _check_header(rd, "transcript")
-    tokens = rd.expect("space")
-    fields = dict(tok.split("=", 1) for tok in tokens[1:] if "=" in tok)
-    spec = _spec_from_fields(rd, fields) if "alpha" in fields else None
-    if space is None:
-        if spec is None:
-            raise rd.error("transcript has no construction echo; a space "
-                           "must be supplied")
-        space, landmarks = build_cached(spec, budget)
-    if "points" in fields and int(fields["points"]) != len(space):
-        raise rd.error("transcript was written for a different space")
-    if "base" in fields and fields["base"] != space.label(space.base_point):
-        raise rd.error("transcript was written for a different base point")
+    with _Reader(path) as rd:
+        _check_header(rd, "transcript")
+        space, landmarks, spec = _read_space_line(rd, space, landmarks,
+                                                  budget)
 
-    tokens = rd.expect("adversary")
-    adversary = None
-    if tokens[1:] != ["none"]:
-        adv = _fields(rd, tokens[1:], ("kind", "count", "eta", "seed"))
-        adversary = AdversaryConfig(adv["kind"], int(adv["count"]),
-                                    parse_fraction(adv["eta"]),
-                                    int(adv["seed"]))
+        tokens = rd.expect("adversary")
+        adversary = None
+        if tokens[1:] != ["none"]:
+            adv = _fields(rd, tokens[1:], ("kind", "count", "eta", "seed"))
+            adversary = AdversaryConfig(adv["kind"], int(adv["count"]),
+                                        parse_fraction(adv["eta"]),
+                                        int(adv["seed"]))
 
-    value = cache(parse_fraction)  # each distinct value text parsed once
-    family_count = int(rd.expect("families", 2)[1])
-    families: list[tuple[LipschitzFunction, ...]] = []
-    for fid in range(family_count):
-        tokens = rd.expect("family", 4)
-        if int(tokens[1]) != fid:
-            raise rd.error("family lines out of order")
-        size = int(tokens[3])
-        values: list[list[tuple[int, Fraction]]] = [[] for _ in range(size)]
-        while (tokens := rd.take("fvalue", 2)) is not None:
+        value = cache(parse_fraction)  # each distinct value text parsed once
+        family_count = int(rd.expect("families", 2)[1])
+        families: list[tuple[LipschitzFunction, ...]] = []
+        for fid in range(family_count):
+            tokens = rd.expect("family", 4)
             if int(tokens[1]) != fid:
-                rd.pos -= 1
-                break
-            if len(tokens) != 5 or not 0 <= int(tokens[2]) < size:
-                raise rd.error("malformed fvalue record")
-            values[int(tokens[2])].append(
-                (_index_of(rd, space, tokens[3]), value(tokens[4])))
-        families.append(tuple(LipschitzFunction(space, vals)
-                              for vals in values))
+                raise rd.error("family lines out of order")
+            size = int(tokens[3])
+            # Keyed by functional, so a claimed size allocates nothing.
+            values: dict[int, list[tuple[int, Fraction]]] = {}
+            while (tokens := rd.take("fvalue", 2)) is not None:
+                if int(tokens[1]) != fid:
+                    rd.pos -= 1
+                    break
+                if len(tokens) != 5 or not 0 <= int(tokens[2]) < size:
+                    raise rd.error("malformed fvalue record")
+                values.setdefault(int(tokens[2]), []).append(
+                    (_index_of(rd, space, tokens[3]), value(tokens[4])))
+            if len(values) != size:
+                raise rd.error(f"family {fid} lists {len(values)} of its "
+                               f"{size} functionals")
+            families.append(tuple(LipschitzFunction(space, values[k])
+                                  for k in range(size)))
 
-    nodes: dict[str, dict] = {}
-    statuses: dict[str, tuple[str, str]] = {}
+        nodes: dict[str, dict] = {}
+        statuses: dict[str, tuple[str, str]] = {}
 
-    def declared(node_path: str) -> dict:
-        rec = nodes.get(node_path)
-        if rec is None:
-            raise rd.error(f"record for undeclared node {node_path!r}")
-        return rec
+        def declared(node_path: str) -> dict:
+            rec = nodes.get(node_path)
+            if rec is None:
+                raise rd.error(f"record for undeclared node {node_path!r}")
+            return rec
 
-    while (tokens := rd.peek()) is not None and tokens[0] != "end":
-        tokens = rd.next()
-        kind = tokens[0]
-        if len(tokens) < _TRANSCRIPT_ARITY.get(kind, 1):
-            raise rd.error(f"truncated {kind!r} record")
-        if kind == "node":
-            fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
-            nodes[tokens[1]] = {"depth": int(fields["depth"]),
-                                "epsilon": value(fields["epsilon"]),
-                                "target": [], "moves": {}}
-        elif kind == "tentry":
-            declared(tokens[1])["target"].append(
-                (_index_of(rd, space, tokens[2]), value(tokens[3])))
-        elif kind == "status":
-            statuses[tokens[1]] = (tokens[2],
-                                   tokens[3] if len(tokens) > 3 else "")
-        elif kind == "move":
-            fields = _fields(rd, tokens[3:], ("family", "eta"))
-            declared(tokens[1])["moves"][int(tokens[2])] = {
-                "family": int(fields["family"]),
-                "eta": value(fields["eta"]),
-                "response": []}
-        elif kind == "rentry":
-            moves = declared(tokens[1])["moves"]
-            k = int(tokens[2])
-            if k not in moves:
-                raise rd.error(f"response for undeclared move {k} of "
-                               f"{tokens[1]!r}")
-            moves[k]["response"].append(
-                (_index_of(rd, space, tokens[3]), value(tokens[4])))
-        else:
-            raise rd.error(f"unexpected record {kind!r}")
-    rd.expect("end")
-    if "root" not in nodes:
-        raise rd.error("transcript has no root node")
+        while (tokens := rd.peek()) is not None and tokens[0] != "end":
+            tokens = rd.next()
+            kind = tokens[0]
+            if len(tokens) < _TRANSCRIPT_ARITY.get(kind, 1):
+                raise rd.error(f"truncated {kind!r} record")
+            if kind == "node":
+                if tokens[1] in nodes:
+                    raise rd.error(f"node {tokens[1]!r} declared twice")
+                fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
+                nodes[tokens[1]] = {"depth": int(fields["depth"]),
+                                    "epsilon": value(fields["epsilon"]),
+                                    "target": [], "moves": {}}
+            elif kind == "tentry":
+                declared(tokens[1])["target"].append(
+                    (_index_of(rd, space, tokens[2]), value(tokens[3])))
+            elif kind == "status":
+                declared(tokens[1])
+                if tokens[2] not in ("pass", "fail", "none"):
+                    raise rd.error(f"unknown status {tokens[2]!r}")
+                statuses[tokens[1]] = (tokens[2],
+                                       tokens[3] if len(tokens) > 3 else "")
+            elif kind == "move":
+                fields = _fields(rd, tokens[3:], ("family", "eta"))
+                declared(tokens[1])["moves"][int(tokens[2])] = {
+                    "family": int(fields["family"]),
+                    "eta": value(fields["eta"]),
+                    "response": []}
+            elif kind == "rentry":
+                moves = declared(tokens[1])["moves"]
+                k = int(tokens[2])
+                if k not in moves:
+                    raise rd.error(f"response for undeclared move {k} of "
+                                   f"{tokens[1]!r}")
+                moves[k]["response"].append(
+                    (_index_of(rd, space, tokens[3]), value(tokens[4])))
+            else:
+                raise rd.error(f"unexpected record {kind!r}")
+        rd.expect("end")
+        if "root" not in nodes:
+            raise rd.error("transcript has no root node")
 
-    def assemble(node_path: str) -> GameNode:
-        rec = nodes.get(node_path)
-        if rec is None:
-            raise rd.error(f"missing node {node_path!r}")
-        target = FreeVector(space, rec["target"])
-        moves = []
-        for k in sorted(rec["moves"]):
-            mrec = rec["moves"][k]
-            if mrec["family"] >= len(families):
-                raise rd.error(f"move references unknown family "
-                               f"{mrec['family']}")
-            hood = WeakNeighborhood(families[mrec["family"]], target,
-                                    mrec["eta"])
-            response = FreeVector(space, mrec["response"])
-            moves.append(Move(
-                hood, response,
-                assemble(f"{node_path}.m{k}.r"),
-                assemble(f"{node_path}.m{k}.t")))
-        return GameNode(target, rec["depth"], rec["epsilon"], tuple(moves))
+        def assemble(node_path: str) -> GameNode:
+            rec = nodes.get(node_path)
+            if rec is None:
+                raise rd.error(f"missing node {node_path!r}")
+            target = FreeVector(space, rec["target"])
+            moves = []
+            for k in sorted(rec["moves"]):
+                mrec = rec["moves"][k]
+                if not 0 <= mrec["family"] < len(families):
+                    raise rd.error(f"move references unknown family "
+                                   f"{mrec['family']}")
+                hood = WeakNeighborhood(families[mrec["family"]], target,
+                                        mrec["eta"])
+                response = FreeVector(space, mrec["response"])
+                moves.append(Move(
+                    hood, response,
+                    assemble(f"{node_path}.m{k}.r"),
+                    assemble(f"{node_path}.m{k}.t")))
+            return GameNode(target, rec["depth"], rec["epsilon"],
+                            tuple(moves))
 
-    transcript = GameTranscript(space, assemble("root"), adversary)
-    doc = TranscriptDocument(transcript, statuses, spec)
-    for node_path, _ in _walk_nodes(transcript.root, "root"):
-        statuses.setdefault(node_path, ("none", ""))
-    return doc, space, landmarks
+        transcript = GameTranscript(space, assemble("root"), adversary)
+        doc = TranscriptDocument(transcript, statuses, spec)
+        for node_path, _ in walk_nodes(transcript.root):
+            statuses.setdefault(node_path, ("none", ""))
+        return doc, space, landmarks
 
 
 # ---------------------------------------------------------------------------

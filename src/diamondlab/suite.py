@@ -562,22 +562,20 @@ def write_report(path: str, report: SuiteReport) -> None:
 
 
 def read_report(path: str) -> SuiteReport:
-    rd = dio._Reader(path)
-    tokens = rd.next()
-    if tokens != ["diamondlab", "report", "1"]:
-        raise rd.error("not a diamondlab report file")
-    version = rd.expect("version")[1]
-    seed = int(rd.expect("seed")[1])
-    budget = int(rd.expect("budget")[1])
-    rows = []
-    while (tokens := rd.take("check")) is not None:
-        _, claim, details = " ".join(tokens).split(" | ", 2)
-        check_id, status = tokens[1], tokens[2]
-        if status not in ("pass", "fail", "skip"):
-            raise rd.error(f"unknown status {status!r}")
-        rows.append(CheckResult(check_id, claim, status, details))
-    verdict = rd.expect("verdict")[1]
-    rd.expect("end")
+    with dio._Reader(path) as rd:
+        dio._check_header(rd, "report")
+        version = rd.expect("version", 2)[1]
+        seed = int(rd.expect("seed", 2)[1])
+        budget = int(rd.expect("budget", 2)[1])
+        rows = []
+        while (tokens := rd.take("check")) is not None:
+            _, claim, details = " ".join(tokens).split(" | ", 2)
+            check_id, status = tokens[1], tokens[2]
+            if status not in ("pass", "fail", "skip"):
+                raise rd.error(f"unknown status {status!r}")
+            rows.append(CheckResult(check_id, claim, status, details))
+        verdict = rd.expect("verdict", 2)[1]
+        rd.expect("end")
     report = SuiteReport(version, seed, budget, tuple(rows))
     if report.verdict != verdict:
         raise FormatError(f"{path}: stored verdict {verdict!r} contradicts "

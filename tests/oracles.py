@@ -6,8 +6,9 @@ and McShane extensions by pairwise Fraction loops, shortest paths by
 heap Dijkstra over Fractions, diamond stages as graphs grown by edge
 substitution, and the summing metric, equivalence constants and pole
 cover by pair-by-pair Fraction loops, the pole cover's slices by a
-per-summand scan, and the box-derivation oracle by subtracting every
-pair of survivors.
+per-summand scan, the box-derivation oracle by subtracting every
+pair of survivors, and the pole-molecule game certificate by the
+recursion that re-derives every target follow-up.
 Slow, obviously correct, and sharing no code with the solvers and
 builders under test.
 """
@@ -335,3 +336,41 @@ def relative_derivation_oracle(space, candidates, functionals, eta, epsilon,
                 kept.append(v)
         survivors = kept
     return tuple(survivors)
+
+
+def certify_pole(space, landmarks, depth, family, eta, epsilon):
+    """The pole-molecule certificate at one depth, by plain recursion: the
+    target follow-up and both predecessor certificates are each derived
+    afresh, so every escape search and pullback is repeated."""
+    from diamondlab.derivation import (GameNode, Move, WeakNeighborhood,
+                                       _escape_pair, _pole_molecule,
+                                       _pullback, _push_node, average_lift)
+
+    target = _pole_molecule(space, landmarks)
+    if depth == 0:
+        return GameNode(target, 0, epsilon, ())
+    hood = WeakNeighborhood(family, target, eta)
+    i, j, gamma = _escape_pair(space, landmarks, hood)
+    if depth == 1:
+        response_node = GameNode(gamma, 0, epsilon, ())
+    else:
+        pred_space, pred_lm = landmarks.predecessor
+        plus_inj = landmarks.subcopies[("+", j)]
+        minus_inj = landmarks.subcopies[("-", i)]
+        fam_plus = tuple(_pullback(pred_space, plus_inj, f) for f in family)
+        fam_minus = tuple(_pullback(pred_space, minus_inj, f) for f in family)
+        sub_plus = certify_pole(pred_space, pred_lm, depth - 1,
+                                fam_plus, eta, epsilon)
+        sub_minus = certify_pole(pred_space, pred_lm, depth - 1,
+                                 fam_minus, eta, epsilon)
+        node_plus = _push_node(sub_plus, space, plus_inj, family, eta)
+        node_minus = _push_node(sub_minus, space, minus_inj, family, eta)
+        response_node = average_lift(space, landmarks, j, node_plus,
+                                     i, node_minus)
+        if response_node.target != gamma:
+            raise AssertionError("combined certificate misses the escape "
+                                 "vector")
+    target_node = certify_pole(space, landmarks, depth - 1,
+                               family, eta, epsilon)
+    move = Move(hood, gamma, response_node, target_node)
+    return GameNode(target, depth, epsilon, (move,))

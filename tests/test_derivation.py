@@ -11,6 +11,9 @@ Core claims checked here:
     candidate sets, and returns exactly what subtracting every survivor
     pair returns,
   * the two lift combinators preserve verifiability as stated,
+  * the prover builds each depth's certificate once, as a tower whose
+    roots equal the plain recursion's, with one escape search per
+    certified pole molecule,
   * every planted mutation is caught by the verifier.
 """
 
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from diamondlab import derivation
 from diamondlab import (
     ADVERSARY_KINDS,
     MUTATION_KINDS,
@@ -51,6 +55,7 @@ from diamondlab import (
     relative_derivation_oracle,
     spine_points,
     verify_transcript,
+    walk_nodes,
 )
 
 ONE = Fraction(1)
@@ -517,3 +522,70 @@ def test_collect_vectors_deduplicates(d23):
     vectors = collect_vectors(transcript)
     assert vectors[0] == transcript.root.target
     assert len({v.entries for v in vectors}) == len(vectors)
+
+
+def test_walk_nodes_yields_parents_first(d23):
+    transcript = _game(d23)
+    paths = [path for path, _ in walk_nodes(transcript.root)]
+    assert paths == ["root", "root.m0.r", "root.m0.r.m0.r", "root.m0.r.m0.t",
+                     "root.m0.t", "root.m0.t.m0.r", "root.m0.t.m0.t"]
+    root_move = transcript.root.moves[0]
+    assert dict(walk_nodes(transcript.root))["root.m0.t"] is \
+        root_move.target_subtree
+
+
+def test_multi_move_order_visits_a_node_before_its_subtrees(d23):
+    # collect_vectors lists all of a node's responses before anything in
+    # its follow-ups; the walk itself visits a node's moves in order.
+    space, _ = d23
+    root = _game(d23, depth=2).root
+    move = root.moves[0]
+    other = molecule(space, 1, 2) * HALF
+    second = Move(move.neighborhood, other, GameNode(other, 1, ONE),
+                  move.target_subtree)
+    two = GameNode(root.target, 2, ONE, (move, second))
+    assert collect_vectors(two)[:3] == (root.target, move.response, other)
+    assert [(p, len(n.moves)) for p, n in walk_nodes(two)][:5] == [
+        ("root", 2), ("root.m0.r", 1), ("root.m0.r.m0.r", 0),
+        ("root.m0.r.m0.t", 0), ("root.m0.t", 1)]
+
+
+# -- Tower prover -------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+def test_tower_matches_recursive_certificates(d33, kind):
+    space, lm = d33
+    config = _config(kind)
+    family = adversary_family(space, lm, config)
+    tower = derivation._certify_pole(space, lm, 3, family, config.eta, ONE)
+    assert [node.depth for node in tower] == [0, 1, 2, 3]
+    for depth, node in enumerate(tower):
+        expected = oracles.certify_pole(space, lm, depth, family,
+                                        config.eta, ONE)
+        assert node == expected
+        assert prover_certify(space, lm, depth, config).root == expected
+        if depth:
+            assert node.moves[0].target_subtree is tower[depth - 1]
+
+
+def test_depth_four_tower_matches_recursive_certificate():
+    space, lm = build_cached(DiamondSpec(4, 3))
+    config = _config("random_lipschitz")
+    family = adversary_family(space, lm, config)
+    expected = oracles.certify_pole(space, lm, 4, family, config.eta, ONE)
+    assert prover_certify(space, lm, 4, config).root == expected
+
+
+@pytest.mark.parametrize("alpha, depth", [(3, 1), (3, 2), (3, 3), (4, 4)])
+def test_one_escape_search_per_certified_pole(monkeypatch, alpha, depth):
+    space, lm = build_cached(DiamondSpec(alpha, 3))
+    searches = []
+    search = derivation._escape_pair
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(derivation, "_escape_pair", counted)
+    prover_certify(space, lm, depth, _config())
+    assert len(searches) == 2 ** depth - 1

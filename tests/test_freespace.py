@@ -168,6 +168,23 @@ def test_norm_axioms(d23):
         assert norm_value(a + b) <= na + nb
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(1, 3), (2, 3)]), st.data())
+def test_norm_is_a_norm_matching_the_metric(shape, data):
+    space, _ = build_cached(DiamondSpec(*shape))
+    a = FreeVector(space, data.draw(_raw(len(space))))
+    b = FreeVector(space, data.draw(_raw(len(space))))
+    c = data.draw(_COEFFS)
+    na, nb = norm_value(a), norm_value(b)
+    assert norm_value(a + b) <= na + nb
+    assert norm_value(a * c) == abs(c) * na
+    assert (na == 0) == a.is_zero
+    x, y = data.draw(st.lists(st.integers(0, len(space) - 1), min_size=2,
+                              max_size=2, unique=True))
+    delta = FreeVector(space, [(x, 1), (y, -1)])
+    assert norm_value(delta) == space.distance(x, y)
+
+
 # -- Certificates -----------------------------------------------------------------
 
 def test_certificates_verify(d23):

@@ -8,8 +8,9 @@ Core claims checked here:
     pin the exact bytes,
   * spec echoes rebind files to the shared cached construction and
     mismatches are refused with located errors,
-  * truncated records and references to undeclared transcript nodes or
-    moves are refused with FormatError, never a KeyError or IndexError,
+  * truncated records, references to undeclared transcript nodes or
+    moves, and unknown statuses are refused with FormatError, never a
+    KeyError or IndexError,
   * the command-line entry point implements the documented commands and
     exit codes (0 ok, 1 failed check, 2 usage, 3 budget).
 """
@@ -352,12 +353,66 @@ def _retarget(text, kind, node_path):
     return text.replace(line, " ".join(tokens), 1)
 
 
-@pytest.mark.parametrize("kind", ["tentry", "move", "rentry"])
+@pytest.mark.parametrize("kind", ["tentry", "status", "move", "rentry"])
 def test_transcript_reader_rejects_undeclared_node(tmp_path, d23, kind):
     path, text = _transcript_text(tmp_path, d23)
     path.write_text(_retarget(text, kind, "root.m7.r"))
     with pytest.raises(FormatError, match="undeclared node 'root.m7.r'"):
         read_transcript(str(path))
+
+
+def test_transcript_reader_rejects_unknown_status(tmp_path, d23):
+    path, text = _transcript_text(tmp_path, d23)
+    path.write_text(text.replace("status root none", "status root maybe", 1))
+    with pytest.raises(FormatError, match="unknown status 'maybe'"):
+        read_transcript(str(path))
+
+
+def test_transcript_reader_rejects_redeclared_node(tmp_path, d23):
+    path, text = _transcript_text(tmp_path, d23)
+    line = next(l for l in text.splitlines() if l.startswith("node "))
+    path.write_text(text.replace(line, f"{line}\n{line}", 1))
+    with pytest.raises(FormatError, match="node 'root' declared twice"):
+        read_transcript(str(path))
+
+
+def test_transcript_reader_rejects_unlisted_functionals(tmp_path, d23):
+    # A claimed family size must be backed by fvalue records, so a large
+    # claim fails without allocating one slot per claimed functional.
+    path, text = _transcript_text(tmp_path, d23)
+    line = next(l for l in text.splitlines() if l.startswith("family "))
+    path.write_text(text.replace(line, "family 0 size 999999999", 1))
+    with pytest.raises(FormatError, match="lists 3 of its 999999999"):
+        read_transcript(str(path))
+
+
+def test_readers_reject_non_utf8_bytes(tmp_path, d13):
+    space, _ = d13
+    path = tmp_path / "vec.txt"
+    path.write_bytes(b"diamondlab vector 1\nspace points=\xff\nend\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        read_vector(str(path), space)
+
+
+def test_space_line_is_one_parser_for_every_reader(tmp_path, d23):
+    # A token without '=' is refused on the space line of every file kind,
+    # and the transcript reader gives the vector reader's messages.
+    space, lm = d23
+    path, text = _transcript_text(tmp_path, d23)
+    vec_path = tmp_path / "vec.txt"
+    write_vector(str(vec_path), molecule(space, lm.top, lm.bottom))
+    for target, read in ((path, read_transcript),
+                         (vec_path, lambda p: read_vector(p, space))):
+        original = target.read_text()
+        target.write_text(original.replace(" points=", " stray points=", 1))
+        with pytest.raises(FormatError, match="malformed field 'stray'"):
+            read(str(target))
+        target.write_text(original.replace(" points=", " points=9", 1))
+        with pytest.raises(FormatError, match="for a 923-point space"):
+            read(str(target))
+        target.write_text(original.replace(" base=", " base=x", 1))
+        with pytest.raises(FormatError, match="a different base point"):
+            read(str(target))
 
 
 def test_transcript_reader_rejects_response_of_undeclared_move(tmp_path, d23):
