@@ -73,7 +73,9 @@ class _Reader:
     """Token-line cursor with one-line lookahead and located errors.
 
     As a context manager around a whole read, it turns any other
-    ``ValueError`` into a :class:`FormatError` at the current line.
+    ``ValueError`` into a :class:`FormatError` at the current line.  A
+    ``FormatError`` that does not name the file yet, such as a bad
+    number from :func:`parse_fraction`, is located the same way.
     """
 
     def __init__(self, path: str):
@@ -91,7 +93,8 @@ class _Reader:
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, ValueError) and not isinstance(exc, FormatError):
+        if (isinstance(exc, ValueError)
+                and not str(exc).startswith(f"{self.path}:")):
             raise self.error(str(exc)) from exc
 
     def error(self, message: str) -> FormatError:
@@ -594,7 +597,7 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                 fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
                 nodes[tokens[1]] = {"depth": int(fields["depth"]),
                                     "epsilon": value(fields["epsilon"]),
-                                    "target": [], "moves": {}}
+                                    "target": [], "moves": []}
             elif kind == "tentry":
                 declared(tokens[1])["target"].append(
                     (_index_of(rd, space, tokens[2]), value(tokens[3])))
@@ -605,15 +608,19 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                 statuses[tokens[1]] = (tokens[2],
                                        tokens[3] if len(tokens) > 3 else "")
             elif kind == "move":
+                moves = declared(tokens[1])["moves"]
+                if int(tokens[2]) != len(moves):
+                    raise rd.error(f"move {tokens[2]} of {tokens[1]!r} is "
+                                   f"out of order, expected move "
+                                   f"{len(moves)}")
                 fields = _fields(rd, tokens[3:], ("family", "eta"))
-                declared(tokens[1])["moves"][int(tokens[2])] = {
-                    "family": int(fields["family"]),
-                    "eta": value(fields["eta"]),
-                    "response": []}
+                moves.append({"family": int(fields["family"]),
+                              "eta": value(fields["eta"]),
+                              "response": []})
             elif kind == "rentry":
                 moves = declared(tokens[1])["moves"]
                 k = int(tokens[2])
-                if k not in moves:
+                if not 0 <= k < len(moves):
                     raise rd.error(f"response for undeclared move {k} of "
                                    f"{tokens[1]!r}")
                 moves[k]["response"].append(
@@ -630,8 +637,7 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                 raise rd.error(f"missing node {node_path!r}")
             target = FreeVector(space, rec["target"])
             moves = []
-            for k in sorted(rec["moves"]):
-                mrec = rec["moves"][k]
+            for k, mrec in enumerate(rec["moves"]):
                 if not 0 <= mrec["family"] < len(families):
                     raise rd.error(f"move references unknown family "
                                    f"{mrec['family']}")

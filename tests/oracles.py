@@ -3,8 +3,9 @@
 Deliberately naive implementations: transport by enumerating spanning
 trees of the bipartite support graph, Lipschitz constants, bound checks
 and McShane extensions by pairwise Fraction loops, shortest paths by
-heap Dijkstra over Fractions, diamond stages as graphs grown by edge
-substitution, and the summing metric, equivalence constants and pole
+heap Dijkstra over Fractions, finest edges by the dense per-row search
+and the edge closure by Floyd-Warshall on integer numerators, diamond
+stages as graphs grown by edge substitution, and the summing metric, equivalence constants and pole
 cover by pair-by-pair Fraction loops, the pole cover's slices by a
 per-summand scan, the box-derivation oracle by subtracting every
 pair of survivors, and the pole-molecule game certificate by the
@@ -19,6 +20,8 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from diamondlab.ordinal import ONE, format_ordinal, fundamental_sequence
 
@@ -161,6 +164,47 @@ def dijkstra_closure(space, edges):
         dist = _dijkstra(adjacency, source)
         out.append([dist.get(v) for v in range(n)])
     return out
+
+
+def finest_edges_oracle(space):
+    """Pairs with no third point lying strictly between them, by an
+    n x n through-table per row: O(n^3)."""
+    mat, _ = space.integer_scaled()
+    n = len(space)
+    big = int(mat.max()) * 4 + 1
+    out = []
+    diag = np.arange(n)
+    for i in range(n):
+        through = mat[i][:, None] + mat
+        through[i, :] = big
+        through[diag, diag] = big
+        slack = through.min(axis=0)
+        for j in range(i + 1, n):
+            if slack[j] > mat[i, j]:
+                out.append((i, j))
+    return tuple(out)
+
+
+def closure_numerators_oracle(space, edges):
+    """All-pairs shortest paths over ``edges`` as numerators, by dense
+    Floyd-Warshall min-plus steps: O(n^3)."""
+    mat, _ = space.integer_scaled()
+    n = len(space)
+    inf = (int(mat.max()) + 1) * (n + 1)
+    if inf >= 1 << 60:
+        raise OverflowError("scaled path lengths exceed the int64 range")
+    d = np.full((n, n), inf, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for i, j in edges:
+        w = mat[i, j]
+        if w < d[i, j]:
+            d[i, j] = w
+            d[j, i] = w
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    if (d >= inf).any():
+        raise ValueError("edge set does not connect the space")
+    return d
 
 
 def diamond_graph(alpha, branches, limit_width=3):

@@ -6,7 +6,8 @@ Core claims checked here:
     are unscaled isometries onto their images,
   * hand-computed cross-copy distances are hit exactly,
   * finest-edge closure reproduces the metric (against a Fraction
-    Dijkstra oracle, independent of the int64 min-plus path),
+    Dijkstra oracle, independent of the int64 sweeps),
+  * the finest edges are exactly the substitution graph's edges,
   * every stage equals the shortest-path metric of the graph grown by
     edge substitution, a generator sharing no code with the builder,
   * the integer matrix a stage is built with is the one its Fraction
@@ -301,6 +302,19 @@ def test_build_matches_substitution_graph(spec):
         for label, d in row.items():
             assert space.distance(x, space.index_of(label)) == d, \
                 (source, label)
+
+
+@pytest.mark.parametrize("spec", STAGES, ids=_stage_id)
+def test_finest_edges_are_substitution_graph_edges(spec):
+    space, _ = build(spec)
+    expected = {}
+    for u, v, w in diamond_graph(spec.alpha, spec.branches,
+                                 spec.limit_width):
+        i, j = sorted((space.index_of(u), space.index_of(v)))
+        expected[i, j] = w
+    edges = finest_edges(space)
+    assert list(edges) == sorted(expected)
+    assert all(space.distance(i, j) == w for (i, j), w in expected.items())
 
 
 @pytest.mark.parametrize("spec", STAGES, ids=_stage_id)

@@ -1,0 +1,102 @@
+"""Finest edges and edge closures on random graph metrics.
+
+Core claims checked here:
+  * on the shortest-path metric of any connected graph with positive
+    integer weights, ``finest_edges`` returns exactly the pairs of the
+    dense O(n^3) search, as Python ints in lexicographic order,
+  * ``closure_numerators`` equals dense Floyd-Warshall and a Fraction
+    Dijkstra on random edge lists, self-loops, reversed and repeated
+    edges included, and both closures refuse disconnected lists,
+  * the edge-closure check can fail: on a table that breaks the
+    triangle inequality the closure of the found edges differs from it.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from diamondlab import MetricSpace
+from diamondlab.diamond import closure_numerators, finest_edges
+
+from oracles import (closure_numerators_oracle, dijkstra_closure,
+                     finest_edges_oracle, graph_closure)
+
+
+@st.composite
+def graph_metrics(draw):
+    """The closure of a random connected graph, as a space from numerators
+    over a random denominator."""
+    n = draw(st.integers(2, 12))
+    weight = st.integers(1, 12)
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weight))
+             for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+    edges += [(u, v, w) for u, v, w in draw(st.lists(pairs, max_size=2 * n))
+              if u != v]
+    rows = graph_closure([(str(u), str(v), Fraction(w))
+                          for u, v, w in edges])
+    mat = [[int(rows[str(i)][str(j)]) for j in range(n)] for i in range(n)]
+    return MetricSpace.from_scaled([str(i) for i in range(n)], mat,
+                                   draw(st.integers(1, 4)), base_point=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_metrics())
+def test_finest_edges_match_dense_search(space):
+    edges = finest_edges(space)
+    assert edges == finest_edges_oracle(space)
+    assert all(type(i) is int and type(j) is int for i, j in edges)
+    assert list(edges) == sorted(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closure_matches_floyd_warshall_and_dijkstra(data):
+    space = data.draw(graph_metrics())
+    n = len(space)
+    point = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(point, point), max_size=3 * n))
+    if data.draw(st.booleans()):
+        # A connected list: the finest edges, some reversed or repeated.
+        finest = finest_edges(space)
+        edges += data.draw(st.permutations(
+            [(j, i) if data.draw(st.booleans()) else (i, j)
+             for i, j in finest + finest[:data.draw(st.integers(0, 3))]]))
+    scale = space.integer_scaled()[1]
+    paths = dijkstra_closure(space, edges)
+    if any(None in row for row in paths):
+        with pytest.raises(ValueError, match="connect"):
+            closure_numerators_oracle(space, edges)
+        with pytest.raises(ValueError, match="connect"):
+            closure_numerators(space, edges)
+        return
+    closure = closure_numerators(space, edges)
+    assert np.array_equal(closure, closure_numerators_oracle(space, edges))
+    assert [[Fraction(int(v), scale) for v in row]
+            for row in closure] == paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closure_check_fails_on_triangle_violations(data):
+    n = data.draw(st.integers(3, 8))
+    mat = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = mat[j, i] = data.draw(st.integers(1, 12))
+    assume((mat[:, :, None] > mat[:, None, :] + mat.T[None, :, :]).any())
+    space = MetricSpace.from_scaled([str(i) for i in range(n)], mat, 1, 0)
+    closure = closure_numerators(space, finest_edges(space))
+    assert not np.array_equal(closure, space.integer_scaled()[0])
+
+
+def test_closure_refuses_negative_and_out_of_range_edges():
+    space = MetricSpace.from_scaled(["a", "b"], [[0, -1], [-1, 0]], 1, 0)
+    with pytest.raises(ValueError, match="negative"):
+        closure_numerators(space, [(0, 1)])
+    space = MetricSpace.from_scaled(["a", "b"], [[0, 1], [1, 0]], 1, 0)
+    for bad in ((0, 2), (-1, 0)):
+        with pytest.raises(IndexError):
+            closure_numerators(space, [(0, 1), bad])

@@ -9,8 +9,8 @@ Core claims checked here:
   * spec echoes rebind files to the shared cached construction and
     mismatches are refused with located errors,
   * truncated records, references to undeclared transcript nodes or
-    moves, and unknown statuses are refused with FormatError, never a
-    KeyError or IndexError,
+    moves, move indices other than 0..k-1 and unknown statuses are
+    refused with FormatError, never a KeyError or IndexError,
   * the command-line entry point implements the documented commands and
     exit codes (0 ok, 1 failed check, 2 usage, 3 budget).
 """
@@ -376,6 +376,32 @@ def test_transcript_reader_rejects_redeclared_node(tmp_path, d23):
         read_transcript(str(path))
 
 
+@pytest.mark.parametrize("edit", ["gap", "duplicate", "renumbered"])
+def test_transcript_reader_rejects_misnumbered_moves(tmp_path, d23, edit):
+    # A node's moves must be numbered 0..k-1 in order: the tree numbers
+    # them by position, so any other index would rename the subtrees.
+    path, text = _transcript_text(tmp_path, d23)
+    lines = text.splitlines()
+    k = next(n for n, l in enumerate(lines) if l.startswith("move root 0 "))
+    if edit == "gap":
+        lines.insert(k + 1, lines[k].replace(" root 0 ", " root 2 "))
+        where, found, expected = k + 2, 2, 1
+    elif edit == "duplicate":
+        lines.insert(k + 1, lines[k])
+        where, found, expected = k + 2, 0, 1
+    else:
+        # The root's move, its responses and its subtrees all say 2.
+        lines = [l.replace(" root 0 ", " root 2 ").replace("root.m0.",
+                                                           "root.m2.")
+                 for l in lines]
+        where, found, expected = k + 1, 2, 0
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError,
+                       match=rf"game\.txt:{where}: move {found} of 'root' "
+                             rf"is out of order, expected move {expected}"):
+        read_transcript(str(path))
+
+
 def test_transcript_reader_rejects_unlisted_functionals(tmp_path, d23):
     # A claimed family size must be backed by fvalue records, so a large
     # claim fails without allocating one slot per claimed functional.
@@ -734,6 +760,14 @@ def test_cli_usage_errors(tmp_path, capsys):
                      "--x", "a", "--y", "b"])
     captured = capsys.readouterr()
     assert code == 2
+
+    # A bad number on the command line is named without a file location.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["game", "--alpha", "2", "--branches", "3", "--eta", "x/1",
+                  "--out", str(tmp_path / "g.txt")])
+    assert info.value.code == 2
+    assert ("argument --eta: not an exact rational: 'x/1'"
+            in capsys.readouterr().err)
 
 
 def test_cli_dist_unknown_label(tmp_path, capsys):

@@ -5,9 +5,11 @@ or raises FormatError, never a bare ValueError, KeyError or IndexError.
 Each example takes one valid file (spaces with and without a
 construction echo, a vector, a function, a certificate, a partition of
 the omega stage's bottom half and a transcript) and truncates it,
-deletes or duplicates one line, or replaces one token.
+deletes or duplicates one line, or replaces one token.  A damaged
+number in any file kind is reported at its line.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,3 +103,22 @@ def test_damaged_files_read_or_raise_format_error(files, data):
         read(str(damaged))
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize("name", ["space-echo", "space-bare", "vector",
+                                  "function", "certificate", "transcript"])
+def test_bad_number_names_its_line(files, name):
+    root, texts = files
+    text, read = texts[name]
+    lines = text.split("\n")
+    k = next(k for k, line in enumerate(lines)
+             if re.fullmatch(r"-?\d+/\d+", line.split(" ")[-1]))
+    tokens = lines[k].split(" ")
+    tokens[-1] = "x/1"
+    lines[k] = " ".join(tokens)
+    path = root / f"bad-{name}.txt"
+    path.write_text("\n".join(lines))
+    with pytest.raises(FormatError) as info:
+        read(str(path))
+    assert str(info.value) == (f"{path}:{k + 1}: not an exact rational: "
+                               f"'x/1'")
