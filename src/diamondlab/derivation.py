@@ -564,6 +564,10 @@ def verify_transcript(space: MetricSpace, tree) -> VerificationReport:
                 return
             entries.append(NodeCheck(path, True, "", ""))
             return
+        if not node.moves:
+            fail(path, "no-moves",
+                 f"depth-{node.depth} node answers no neighborhood")
+            return
         for k, move in enumerate(node.moves):
             hood = move.neighborhood
             if hood.center != node.target:

@@ -3,18 +3,20 @@
 Every writer emits a deterministic byte sequence for equal in-memory
 values: entries are ordered by point index, fractions appear in lowest
 terms with an explicit denominator, and files end with an ``end`` line.
-Readers accept exactly what writers produce and raise
-:class:`~diamondlab.errors.FormatError` with a line number otherwise.
+Readers stream a file and accept exactly what writers emit, in order,
+raising :class:`~diamondlab.errors.FormatError` with a line otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -23,10 +25,10 @@ from .derivation import (AdversaryConfig, GameNode, GameTranscript, Move,
 from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
                       build_cached, finest_edges)
 from .decomposition import SummandPartition
-from .errors import FormatError
+from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
 from .lipschitz import LipschitzFunction
-from .metric import MetricSpace
+from .metric import MetricSpace, distinct_values
 from .ordinal import format_ordinal, parse_ordinal
 
 __all__ = [
@@ -70,9 +72,12 @@ def _safe_label(label: str) -> str:
 
 
 class _Reader:
-    """Token-line cursor with one-line lookahead and located errors.
+    """Streaming token-line cursor with one-line lookahead and located
+    errors.
 
-    As a context manager around a whole read, it turns any other
+    The file is read one line at a time.  Blank lines are skipped but
+    counted, so errors name physical line numbers.  As a context manager
+    around a whole read, it closes the file and turns any other
     ``ValueError`` into a :class:`FormatError` at the current line.  A
     ``FormatError`` that does not name the file yet, such as a bad
     number from :func:`parse_fraction`, is located the same way.
@@ -80,60 +85,58 @@ class _Reader:
 
     def __init__(self, path: str):
         self.path = path
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = fh.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
-        self.lines = [(n + 1, line) for n, line in enumerate(raw)
-                      if line.strip()]
-        self.pos = 0
+        self._fh = open(path, "r", encoding="utf-8")
+        self._read = 0  # physical lines read so far
+        self._ahead: Optional[list[str]] = None  # [] at end of file
+        self.lineno = 0  # physical line of the last record taken
 
     def __enter__(self) -> "_Reader":
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
+        self._fh.close()
         if (isinstance(exc, ValueError)
                 and not str(exc).startswith(f"{self.path}:")):
             raise self.error(str(exc)) from exc
 
     def error(self, message: str) -> FormatError:
-        lineno = self.lines[self.pos - 1][0] if self.pos else 0
-        return FormatError(f"{self.path}:{lineno}: {message}")
+        return FormatError(f"{self.path}:{self.lineno}: {message}")
 
     def peek(self) -> Optional[list[str]]:
-        if self.pos >= len(self.lines):
-            return None
-        return self.lines[self.pos][1].split()
+        """The next record's tokens, or None at end of file."""
+        try:
+            while self._ahead is None:
+                line = self._fh.readline()
+                self._read += 1
+                # A blank line leaves None, to read on; end of file gives [].
+                self._ahead = line.split() or (None if line else [])
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: not UTF-8 text: {exc}") from None
+        return self._ahead or None
 
     def next(self) -> list[str]:
         tokens = self.peek()
         if tokens is None:
             raise FormatError(f"{self.path}: unexpected end of file")
-        self.pos += 1
+        self.lineno, self._ahead = self._read, None
         return tokens
+
+    def run(self, keyword: str, size: int = 1) -> Iterator[list[str]]:
+        """The consecutive ``keyword`` records from here on, each of
+        which must carry at least ``size`` tokens, keyword included."""
+        while (tokens := self.peek()) and tokens[0] == keyword:
+            self.lineno, self._ahead = self._read, None
+            if len(tokens) < size:
+                raise self.error(f"truncated {keyword!r} line")
+            yield tokens
 
     def expect(self, keyword: str, size: int = 1) -> list[str]:
-        """The next line, which must start with ``keyword`` and carry at
-        least ``size`` tokens, keyword included."""
-        tokens = self.next()
-        if tokens[0] != keyword:
-            raise self.error(f"expected {keyword!r}, found {tokens[0]!r}")
-        return self._sized(tokens, size)
-
-    def take(self, keyword: str, size: int = 1) -> Optional[list[str]]:
-        """Like :meth:`expect`, but None when the next line is not a
-        ``keyword`` line."""
-        tokens = self.peek()
-        if tokens and tokens[0] == keyword:
-            self.pos += 1
-            return self._sized(tokens, size)
-        return None
-
-    def _sized(self, tokens: list[str], size: int) -> list[str]:
-        if len(tokens) < size:
-            raise self.error(f"truncated {tokens[0]!r} line")
-        return tokens
+        """The next record, which must be a ``keyword`` record of at
+        least ``size`` tokens."""
+        for tokens in self.run(keyword, size):
+            return tokens
+        found = self.next()[0]  # taken, so the error names its line
+        raise self.error(f"expected {keyword!r}, found {found!r}")
 
 
 def _write(path: str, lines: list[str]) -> None:
@@ -231,11 +234,8 @@ def _labelled_lines(keyword: str, space: MetricSpace, entries) -> list[str]:
 def _read_labelled(rd: _Reader, space: MetricSpace,
                    keyword: str) -> list[tuple[int, Fraction]]:
     """The run of ``keyword label value`` lines, as (index, value)."""
-    out = []
-    while (tokens := rd.take(keyword, 3)) is not None:
-        out.append((_index_of(rd, space, tokens[1]),
-                    parse_fraction(tokens[2])))
-    return out
+    return [(_index_of(rd, space, tokens[1]), parse_fraction(tokens[2]))
+            for tokens in rd.run(keyword, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +257,10 @@ def write_space(path: str, space: MetricSpace,
             lines.append(f"landmark mid {k} {space.label(m)}")
     mat, scale = space.integer_scaled()
     rows, cols = np.triu_indices(len(space), 1)
-    values, inverse = np.unique(mat[rows, cols], return_inverse=True)
+    values, codes = distinct_values(mat[rows, cols])
     texts = [format_fraction(Fraction(v, scale)) for v in values.tolist()]
     lines += [f"dist {i} {j} {texts[k]}" for i, j, k
-              in zip(rows.tolist(), cols.tolist(), inverse.tolist())]
+              in zip(rows.tolist(), cols.tolist(), codes.tolist())]
     lines.append("end")
     _write(path, lines)
 
@@ -279,7 +279,12 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
         tokens = rd.expect("spec")[1:]
         spec = (None if tokens == ["none"]
                 else _spec_from_fields(rd, _fields(rd, tokens)))
+        if spec is not None:
+            space, landmarks = build_cached(spec, budget)
         count = int(rd.expect("points", 2)[1])
+        if count > budget:
+            raise BudgetExceededError(f"file claims {count} points, "
+                                      f"budget is {budget}", count, budget)
         base_label = rd.expect("base", 2)[1]
         labels = []
         for i in range(count):
@@ -287,25 +292,26 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
             if int(tokens[1]) != i:
                 raise rd.error("point lines out of order")
             labels.append(tokens[2])
-        while rd.take("landmark"):
+        for _ in rd.run("landmark"):
             pass
         # Each distinct distance text is parsed once; codes[k] indexes the
         # value of the k-th dist line in ``values``.
         parsed: dict[str, int] = {}
         values: list[Fraction] = []
         codes = []
-        for i in range(count):
-            for j in range(i + 1, count):
-                tokens = rd.expect("dist")
-                if len(tokens) != 4:
-                    raise rd.error("malformed dist line")
-                if int(tokens[1]) != i or int(tokens[2]) != j:
-                    raise rd.error("dist lines out of order")
-                code = parsed.get(tokens[3])
-                if code is None:
-                    values.append(parse_fraction(tokens[3]))
-                    code = parsed[tokens[3]] = len(values) - 1
-                codes.append(code)
+        pairs = itertools.combinations(range(count), 2)
+        for (i, j), tokens in zip(pairs, rd.run("dist")):
+            if len(tokens) != 4:
+                raise rd.error("malformed dist line")
+            if int(tokens[1]) != i or int(tokens[2]) != j:
+                raise rd.error("dist lines out of order")
+            code = parsed.get(tokens[3])
+            if code is None:
+                values.append(parse_fraction(tokens[3]))
+                code = parsed[tokens[3]] = len(values) - 1
+            codes.append(code)
+        if len(codes) < count * (count - 1) // 2:
+            rd.expect("dist")  # the table ends early: refused here
         rd.expect("end")
         if base_label not in labels:
             raise rd.error(f"base label {base_label!r} is not a point")
@@ -321,7 +327,6 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
                                                          np.int64)[codes]
             space = MetricSpace.from_scaled(labels, mat, scale, base)
             return space, None, None
-        space, landmarks = build_cached(spec, budget)
         if list(space.labels) != labels or space.base_point != base:
             raise rd.error("stored points do not match the spec echo")
         mat, scale = space.integer_scaled()
@@ -404,15 +409,13 @@ def read_certificate(path: str, space: MetricSpace) -> TransportCertificate:
         _read_space_line(rd, space)
         entries = _read_labelled(rd, space, "entry")
         value = parse_fraction(rd.expect("value", 2)[1])
-        plan = []
-        while (tokens := rd.take("plan", 4)) is not None:
-            plan.append((_index_of(rd, space, tokens[1]),
-                         _index_of(rd, space, tokens[2]),
-                         parse_fraction(tokens[3])))
+        plan = tuple((_index_of(rd, space, tokens[1]),
+                      _index_of(rd, space, tokens[2]),
+                      parse_fraction(tokens[3]))
+                     for tokens in rd.run("plan", 4))
         potential = _read_labelled(rd, space, "potential")
         rd.expect("end")
-        return TransportCertificate(FreeVector(space, entries), value,
-                                    tuple(plan),
+        return TransportCertificate(FreeVector(space, entries), value, plan,
                                     LipschitzFunction(space, potential))
 
 
@@ -439,7 +442,7 @@ def read_partition(path: str, space: MetricSpace) -> SummandPartition:
         _read_space_line(rd, space)
         base = _index_of(rd, space, rd.expect("base", 2)[1])
         summands = []
-        while (tokens := rd.take("summand", 2)) is not None:
+        for tokens in rd.run("summand", 2):
             if int(tokens[1]) != len(summands):
                 raise rd.error("summand lines out of order")
             summands.append(tuple(_index_of(rd, space, lab)
@@ -525,11 +528,6 @@ def write_transcript(path: str, doc: TranscriptDocument,
     _write(path, lines)
 
 
-# Least token count of each node-section record of a transcript.
-_TRANSCRIPT_ARITY = {"node": 2, "tentry": 4, "status": 3, "move": 3,
-                     "rentry": 5}
-
-
 def read_transcript(path: str, space: Optional[MetricSpace] = None,
                     landmarks: Optional[DiamondLandmarks] = None,
                     budget: int = DEFAULT_BUDGET
@@ -538,7 +536,9 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
     """Load a transcript; rebuild its space from the echo when needed.
 
     Pass a space to bind the transcript to an existing object; without
-    one, the file must carry a construction echo.
+    one, the file must carry a construction echo.  Records must come in
+    writer order, and nodes nested deeper than a quarter of the
+    interpreter's recursion limit are refused.
     """
     with _Reader(path) as rd:
         _check_header(rd, "transcript")
@@ -563,11 +563,9 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
             size = int(tokens[3])
             # Keyed by functional, so a claimed size allocates nothing.
             values: dict[int, list[tuple[int, Fraction]]] = {}
-            while (tokens := rd.take("fvalue", 2)) is not None:
-                if int(tokens[1]) != fid:
-                    rd.pos -= 1
-                    break
-                if len(tokens) != 5 or not 0 <= int(tokens[2]) < size:
+            for tokens in rd.run("fvalue", 2):
+                if (len(tokens) != 5 or int(tokens[1]) != fid
+                        or not 0 <= int(tokens[2]) < size):
                     raise rd.error("malformed fvalue record")
                 values.setdefault(int(tokens[2]), []).append(
                     (_index_of(rd, space, tokens[3]), value(tokens[4])))
@@ -577,85 +575,86 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
             families.append(tuple(LipschitzFunction(space, values[k])
                                   for k in range(size)))
 
-        nodes: dict[str, dict] = {}
+        # Every node read so far, with its status on record.
         statuses: dict[str, tuple[str, str]] = {}
+        max_level = sys.getrecursionlimit() // 4
 
-        def declared(node_path: str) -> dict:
-            rec = nodes.get(node_path)
-            if rec is None:
-                raise rd.error(f"record for undeclared node {node_path!r}")
-            return rec
+        def misplaced(tokens: list[str], expected: str = "") -> FormatError:
+            """The error for a record that writer order does not put
+            here, where the line of node ``expected``, if given, belongs."""
+            kind, node_path = tokens[0], " ".join(tokens[1:2])
+            if kind == "node" and node_path in statuses:
+                return rd.error(f"node {node_path!r} declared twice")
+            if expected and node_path not in statuses:
+                return rd.error(f"missing node {expected!r}")
+            if node_path in statuses or kind == "node":
+                return rd.error(f"{kind!r} record of node {node_path!r} is "
+                                f"out of writer order")
+            if kind in ("tentry", "status", "move", "rentry"):
+                return rd.error(f"record for undeclared node {node_path!r}")
+            return rd.error(f"unexpected record {kind!r}")
 
-        while (tokens := rd.peek()) is not None and tokens[0] != "end":
+        def of_node(records: Iterator[list[str]],
+                    node_path: str) -> Iterator[list[str]]:
+            for tokens in records:
+                if tokens[1] != node_path:
+                    raise misplaced(tokens)
+                yield tokens
+
+        def read_node(node_path: str, level: int) -> GameNode:
+            """The node at ``node_path`` and its subtree, read in the order
+            of :func:`write_transcript`."""
             tokens = rd.next()
-            kind = tokens[0]
-            if len(tokens) < _TRANSCRIPT_ARITY.get(kind, 1):
-                raise rd.error(f"truncated {kind!r} record")
-            if kind == "node":
-                if tokens[1] in nodes:
-                    raise rd.error(f"node {tokens[1]!r} declared twice")
-                fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
-                nodes[tokens[1]] = {"depth": int(fields["depth"]),
-                                    "epsilon": value(fields["epsilon"]),
-                                    "target": [], "moves": []}
-            elif kind == "tentry":
-                declared(tokens[1])["target"].append(
-                    (_index_of(rd, space, tokens[2]), value(tokens[3])))
-            elif kind == "status":
-                declared(tokens[1])
+            if tokens[:2] != ["node", node_path]:
+                raise misplaced(tokens, node_path)
+            if level > max_level:
+                raise rd.error(f"node {node_path!r} is nested more than "
+                               f"{max_level} levels deep")
+            fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
+            depth, epsilon = int(fields["depth"]), value(fields["epsilon"])
+            statuses[node_path] = ("none", "")
+            target = FreeVector(space, [
+                (_index_of(rd, space, tokens[2]), value(tokens[3]))
+                for tokens in of_node(rd.run("tentry", 4), node_path)])
+            for tokens in of_node(rd.run("status", 3), node_path):
                 if tokens[2] not in ("pass", "fail", "none"):
                     raise rd.error(f"unknown status {tokens[2]!r}")
-                statuses[tokens[1]] = (tokens[2],
-                                       tokens[3] if len(tokens) > 3 else "")
-            elif kind == "move":
-                moves = declared(tokens[1])["moves"]
-                if int(tokens[2]) != len(moves):
-                    raise rd.error(f"move {tokens[2]} of {tokens[1]!r} is "
-                                   f"out of order, expected move "
-                                   f"{len(moves)}")
-                fields = _fields(rd, tokens[3:], ("family", "eta"))
-                moves.append({"family": int(fields["family"]),
-                              "eta": value(fields["eta"]),
-                              "response": []})
-            elif kind == "rentry":
-                moves = declared(tokens[1])["moves"]
+                statuses[node_path] = (tokens[2], " ".join(tokens[3:4]))
+                break  # a second status is out of writer order
+            posed = []
+            for tokens in of_node(rd.run("move", 3), node_path):
                 k = int(tokens[2])
-                if not 0 <= k < len(moves):
-                    raise rd.error(f"response for undeclared move {k} of "
-                                   f"{tokens[1]!r}")
-                moves[k]["response"].append(
-                    (_index_of(rd, space, tokens[3]), value(tokens[4])))
-            else:
-                raise rd.error(f"unexpected record {kind!r}")
-        rd.expect("end")
-        if "root" not in nodes:
-            raise rd.error("transcript has no root node")
+                if k != len(posed):
+                    raise rd.error(f"move {k} of {node_path!r} is out of "
+                                   f"order, expected move {len(posed)}")
+                fields = _fields(rd, tokens[3:], ("family", "eta"))
+                fid = int(fields["family"])
+                if not 0 <= fid < len(families):
+                    raise rd.error(f"move references unknown family {fid}")
+                hood = WeakNeighborhood(families[fid], target,
+                                        value(fields["eta"]))
+                response = []
+                for tokens in of_node(rd.run("rentry", 5), node_path):
+                    if int(tokens[2]) > k:
+                        raise rd.error(f"response for undeclared move "
+                                       f"{int(tokens[2])} of {node_path!r}")
+                    if int(tokens[2]) < k:
+                        raise misplaced(tokens)
+                    response.append((_index_of(rd, space, tokens[3]),
+                                     value(tokens[4])))
+                posed.append((hood, FreeVector(space, response)))
+            moves = tuple(Move(hood, response,
+                               read_node(f"{node_path}.m{k}.r", level + 1),
+                               read_node(f"{node_path}.m{k}.t", level + 1))
+                          for k, (hood, response) in enumerate(posed))
+            return GameNode(target, depth, epsilon, moves)
 
-        def assemble(node_path: str) -> GameNode:
-            rec = nodes.get(node_path)
-            if rec is None:
-                raise rd.error(f"missing node {node_path!r}")
-            target = FreeVector(space, rec["target"])
-            moves = []
-            for k, mrec in enumerate(rec["moves"]):
-                if not 0 <= mrec["family"] < len(families):
-                    raise rd.error(f"move references unknown family "
-                                   f"{mrec['family']}")
-                hood = WeakNeighborhood(families[mrec["family"]], target,
-                                        mrec["eta"])
-                response = FreeVector(space, mrec["response"])
-                moves.append(Move(
-                    hood, response,
-                    assemble(f"{node_path}.m{k}.r"),
-                    assemble(f"{node_path}.m{k}.t")))
-            return GameNode(target, rec["depth"], rec["epsilon"],
-                            tuple(moves))
-
-        transcript = GameTranscript(space, assemble("root"), adversary)
-        doc = TranscriptDocument(transcript, statuses, spec)
-        for node_path, _ in walk_nodes(transcript.root):
-            statuses.setdefault(node_path, ("none", ""))
-        return doc, space, landmarks
+        root = read_node("root", 0)
+        tokens = rd.next()
+        if tokens[0] != "end":
+            raise misplaced(tokens)
+        transcript = GameTranscript(space, root, adversary)
+        return TranscriptDocument(transcript, statuses, spec), space, landmarks
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,18 @@ class MetricSpace:
                 f"base={self._labels[self._base]!r})")
 
 
+def distinct_values(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of ``array``, and for each entry, in
+    flattened order, the index of its value among them.
+
+    This is ``np.unique(array, return_inverse=True)``, which is several
+    times slower than a search on large arrays.
+    """
+    flat = array.ravel()
+    values = np.unique(flat)
+    return values, np.searchsorted(values, flat)
+
+
 def fraction_rows(numerators: np.ndarray, denominator: int
                   ) -> list[list[Fraction]]:
     """Rows of ``numerators / denominator`` as ``Fraction`` lists.
@@ -211,7 +223,7 @@ def fraction_rows(numerators: np.ndarray, denominator: int
     One ``Fraction`` is made per distinct value and shared by every entry
     that holds it.
     """
-    values, inverse = np.unique(numerators.ravel(), return_inverse=True)
+    values, codes = distinct_values(numerators)
     table = np.empty(len(values), dtype=object)
     table[:] = [Fraction(int(v), denominator) for v in values.tolist()]
-    return table[inverse].reshape(numerators.shape).tolist()
+    return table[codes].reshape(numerators.shape).tolist()

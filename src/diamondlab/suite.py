@@ -557,8 +557,7 @@ def write_report(path: str, report: SuiteReport) -> None:
                      f"{row.details}")
     lines.append(f"verdict {report.verdict}")
     lines.append("end")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    dio._write(path, lines)
 
 
 def read_report(path: str) -> SuiteReport:
@@ -568,7 +567,7 @@ def read_report(path: str) -> SuiteReport:
         seed = int(rd.expect("seed", 2)[1])
         budget = int(rd.expect("budget", 2)[1])
         rows = []
-        while (tokens := rd.take("check")) is not None:
+        for tokens in rd.run("check"):
             _, claim, details = " ".join(tokens).split(" | ", 2)
             check_id, status = tokens[1], tokens[2]
             if status not in ("pass", "fail", "skip"):

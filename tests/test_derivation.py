@@ -485,6 +485,14 @@ def test_verifier_rejects_broken_subtrees(d13):
     assert _failing_condition(space, node) == "subtree-target-target"
 
 
+def test_verifier_rejects_nodes_without_moves(d13):
+    # A node of depth >= 1 claims its target survives a posed
+    # neighborhood, so it must answer at least one.
+    space, lm = d13
+    node = GameNode(_pole(space, lm), 1, ONE)
+    assert _failing_condition(space, node) == "no-moves"
+
+
 def test_verifier_rejects_wrong_space(d13, d14):
     space, lm = d13
     transcript = GameTranscript(space, _leaf(_pole(space, lm)))

@@ -23,6 +23,7 @@ import pytest
 from diamondlab import (
     ADVERSARY_KINDS,
     AdversaryConfig,
+    BudgetExceededError,
     CheckResult,
     DiamondSpec,
     FormatError,
@@ -402,6 +403,30 @@ def test_transcript_reader_rejects_misnumbered_moves(tmp_path, d23, edit):
         read_transcript(str(path))
 
 
+@pytest.mark.parametrize("edit", ["tentry-after-status",
+                                  "follow-up-before-move"])
+def test_transcript_reader_requires_writer_order(tmp_path, d23, edit):
+    path, text = _transcript_text(tmp_path, d23)
+    lines = text.splitlines()
+    if edit == "tentry-after-status":
+        moved = next(n for n, l in enumerate(lines)
+                     if l.startswith("tentry root "))
+        to = lines.index("status root none")
+        message = "'tentry' record of node 'root'"
+    else:
+        moved = next(n for n, l in enumerate(lines)
+                     if l.startswith("node root.m0.r "))
+        to = next(n for n, l in enumerate(lines)
+                  if l.startswith("move root 0 "))
+        message = "'node' record of node 'root.m0.r'"
+    lines.insert(to, lines.pop(moved))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError,
+                       match=rf"game\.txt:{to + 1}: {message} is out of "
+                             rf"writer order"):
+        read_transcript(str(path))
+
+
 def test_transcript_reader_rejects_unlisted_functionals(tmp_path, d23):
     # A claimed family size must be backed by fvalue records, so a large
     # claim fails without allocating one slot per claimed functional.
@@ -536,6 +561,49 @@ def test_readers_reject_keyword_only_lines(tmp_path, d13, d23, kind,
         reader(str(path))
 
 
+@pytest.mark.parametrize("kind, keyword", [
+    ("space", "dist"), ("space-bare", "point"), ("vector", "entry"),
+    ("function", "value"), ("certificate", "plan"),
+    ("partition", "summand"), ("transcript", "rentry"), ("report", "check"),
+])
+def test_reader_errors_name_physical_lines(tmp_path, d13, d23, kind,
+                                           keyword):
+    # Blank and whitespace-only lines are skipped but counted, so a damaged
+    # record after them is reported at its line in the file.
+    if kind == "space-bare":
+        path, reader = tmp_path / "bare.txt", read_space
+        write_space(str(path), d13[0])
+    elif kind == "report":
+        path, reader = tmp_path / "report.txt", read_report
+        write_report(str(path), _toy_report())
+    else:
+        path, reader = _written(tmp_path, kind, d13, d23)
+    lines = path.read_text().splitlines()
+    k = max(n for n, l in enumerate(lines) if l.startswith(keyword + " "))
+    lines[k] = keyword
+    lines[k:k] = ["", " \t "]
+    lines[1:1] = ["", "  "]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        reader(str(path))
+    assert str(info.value).startswith(f"{path}:{k + 5}: ")
+
+
+@pytest.mark.parametrize("echo", [False, True])
+def test_space_reader_refuses_budget_before_the_table(tmp_path, capsys,
+                                                      echo):
+    # 16,385 points is one over the default budget: the claim is refused
+    # at its line, before any point or distance is read.
+    spec = "spec alpha=6 branches=3 limit-width=3" if echo else "spec none"
+    path = tmp_path / "big.txt"
+    path.write_text(f"diamondlab space 1\n{spec}\npoints 16385\nbase top\n")
+    with pytest.raises(BudgetExceededError):
+        read_space(str(path))
+    assert cli.main(["dist", "--space", str(path),
+                     "--x", "top", "--y", "top"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_cli_dist_truncated_point_line_exits_2(tmp_path, capsys):
     space_file = tmp_path / "d13.txt"
     cli.main(["gen", "--alpha", "1", "--branches", "3",
@@ -589,6 +657,43 @@ def test_cli_verify_missing_node_exits_2(tmp_path, d23, capsys):
     path.write_text(text.replace(line + "\n", ""))
     assert cli.main(["verify", "--transcript", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_verify_fails_a_node_without_moves(tmp_path, d23, capsys):
+    # The root keeps its target and status but answers no neighborhood.
+    path, text = _transcript_text(tmp_path, d23)
+    lines = text.splitlines()
+    kept = [l for l in lines[:lines.index("status root none") + 1]
+            if l.split()[0] not in ("family", "fvalue")]
+    kept[kept.index(next(l for l in kept if l.startswith("families ")))] = (
+        "families 0")
+    path.write_text("\n".join(kept + ["end"]) + "\n")
+    assert cli.main(["verify", "--transcript", str(path)]) == 1
+    assert "fail root no-moves" in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_deep_transcripts(tmp_path, d23, capsys):
+    # A chain of 1,200 nested moves: each follow-up of the response nests
+    # one level deeper, and each target follow-up is a leaf.
+    path, text = _transcript_text(tmp_path, d23)
+    lines = text.splitlines()
+    head = lines[:next(n for n, l in enumerate(lines)
+                       if l.startswith("node "))]
+    levels = 1200
+    paths = ["root"]
+    for _ in range(levels):
+        paths.append(paths[-1] + ".m0.r")
+    chain = []
+    for depth, node_path in zip(range(levels, -1, -1), paths):
+        chain.append(f"node {node_path} depth={depth} epsilon=1/1")
+        if depth:
+            chain.append(f"move {node_path} 0 family=0 eta=1/10")
+    for depth, node_path in enumerate(reversed(paths[:-1])):
+        chain.append(f"node {node_path}.m0.t depth={depth} epsilon=1/1")
+    path.write_text("\n".join(head + chain + ["end"]) + "\n")
+    assert cli.main(["verify", "--transcript", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "levels deep" in err and "Traceback" not in err
 
 
 # -- DOT output --------------------------------------------------------------------
