@@ -27,8 +27,7 @@ from .errors import (BudgetExceededError, CertificateError, FormatError,
                      InsufficientBranchingError)
 from .freespace import (FreeVector, TransportCertificate, clear_norm_caches,
                         free_norm, molecule, norm_statistics, norm_value,
-                        point_mass, reset_norm_statistics,
-                        verify_certificate)
+                        point_mass, verify_certificate)
 from .lipschitz import (LipschitzFunction, distance_functional, glue_poles,
                         is_lipschitz_at_most, lip_constant, mcshane_extend,
                         pull_to_copy)

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .metric import MetricSpace, fraction_rows
+from .metric import (MetricSpace, closure_numerators, finest_edges,
+                     fraction_rows)
 from .ordinal import (OrdinalNotation, ZERO, ONE, format_ordinal,
                       fundamental_sequence, parse_ordinal)
 
@@ -56,8 +57,6 @@ __all__ = [
 # 4,667 points), so the largest admitted build stays well under 8 GB.
 _MATRIX_BYTES = 2 << 30
 DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
-# Temporaries of one grouped step of the edge closure.
-_GROUP_BYTES = 1 << 18
 
 # ---------------------------------------------------------------------------
 # specs and addresses
@@ -394,124 +393,6 @@ def subcopy_map(landmarks: DiamondLandmarks, side: str, branch: int
     if key not in landmarks.subcopies:
         raise ValueError(f"no subcopy {side}({branch})")
     return landmarks.subcopies[key]
-
-
-def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
-    """Pairs with no third point lying strictly between them.
-
-    A point z is strictly between x and y when d(x,z) + d(z,y) = d(x,y)
-    with both summands positive.  The space must be a metric: on other
-    tables the pairs returned are unspecified (but the search ends).
-
-    Each row is a greedy scan on the integer-scaled matrix: the nearest
-    point not yet blocked is a finest neighbour, and it blocks every
-    point it lies on a shortest route to.  A row costs deg(x)·n, so the
-    whole search is O(|E|·n) time with O(n) temporaries, where |E| is
-    the number of finest edges.
-    """
-    mat, _ = space.integer_scaled()
-    n = len(space)
-    blocked = np.iinfo(np.int64).max
-    out = []
-    for i in range(n):
-        row = mat[i]
-        live = row.copy()
-        live[i] = blocked
-        while True:
-            z = int(live.argmin())
-            if live[z] == blocked:
-                break
-            if z > i:
-                out.append((i, z))
-            live[row[z] + mat[z] <= row] = blocked
-            live[z] = blocked
-    out.sort()
-    return tuple(out)
-
-
-def closure_numerators(space: MetricSpace,
-                       edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """All-pairs shortest paths over ``edges``, weighted by the space's
-    distances, as numerators over its denominator.
-
-    An edge ``(i, j)`` has length ``d(i, j)``; self-loops add nothing and
-    the lightest of repeated edges counts.  Raises ``ValueError`` when
-    the edges do not connect the space or one has a negative length.
-
-    Label-correcting sweeps: every row starts at 0 on the diagonal and
-    unreachable elsewhere, and a sweep lowers each row in turn to the best
-    neighbour row plus the edge length.  Rows are visited in breadth-first
-    order, alternately forwards and backwards, until a sweep lowers
-    nothing.  Every entry is always the length of some path, and a sweep
-    that changes nothing leaves no edge to relax, so the result is exact.
-    A sweep costs O(|E|·n) time with O(deg·n) temporaries; a few sweeps
-    suffice on diamond stages.
-    """
-    mat, _ = space.integer_scaled()
-    n = len(space)
-    inf = (int(mat.max()) + 1) * (n + 1)
-    if inf >= 1 << 60:
-        raise OverflowError("scaled path lengths exceed the int64 range")
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    if ends.size and (ends.min() < 0 or ends.max() >= n):
-        raise IndexError("edge endpoint out of range")
-    ends = ends[ends[:, 0] != ends[:, 1]]
-    length = mat[ends[:, 0], ends[:, 1]]
-    if (length < 0).any():
-        raise ValueError("edge has a negative length")
-    # Both arcs of every edge, sorted by (tail, head).  A repeated arc
-    # stays: the minimum over a row's arcs takes the lightest copy.
-    tail = np.concatenate([ends[:, 0], ends[:, 1]])
-    head = np.concatenate([ends[:, 1], ends[:, 0]])
-    length = np.concatenate([length, length])
-    order = np.lexsort((head, tail))
-    tail, head, length = tail[order], head[order], length[order]
-    cuts = np.searchsorted(tail, np.arange(n + 1))
-    near = [head[cuts[v]:cuts[v + 1]].tolist() for v in range(n)]
-
-    visit, seen = [0], {0}
-    for v in visit:
-        for u in near[v]:
-            if u not in seen:
-                seen.add(u)
-                visit.append(u)
-    if len(visit) < n:
-        raise ValueError("edge set does not connect the space")
-
-    # Consecutive rows of equal degree with no edge among them relax as
-    # one group: none reads another's row, so a group step is exactly its
-    # rows' steps in sweep order.  A group's temporaries stay under
-    # _GROUP_BYTES, or one row's deg x n when that is larger.
-    group_arcs = max(1, _GROUP_BYTES // (8 * n))
-    groups, rows, inside = [], [], set()
-    for v in visit:
-        deg = len(near[v])
-        if rows and (deg != len(near[rows[0]])
-                     or deg * (len(rows) + 1) > group_arcs
-                     or not inside.isdisjoint(near[v])):
-            groups.append(rows)
-            rows, inside = [], set()
-        rows.append(v)
-        inside.add(v)
-    groups = [(np.array(rows), np.array([near[v] for v in rows], np.intp),
-               np.stack([length[cuts[v]:cuts[v + 1], None] for v in rows]))
-              for rows in groups + [rows]]
-
-    d = np.full((n, n), inf, dtype=np.int64)
-    np.fill_diagonal(d, 0)
-    lowered = n > 1
-    while lowered:
-        lowered = False
-        for rows, near_rows, lengths in groups:
-            best = d[near_rows]
-            best += lengths
-            best = best.min(axis=1)
-            current = d[rows]
-            if (best < current).any():
-                d[rows] = np.minimum(current, best)
-                lowered = True
-        groups.reverse()
-    return d
 
 
 def shortest_path_closure(space: MetricSpace,

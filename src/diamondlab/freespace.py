@@ -38,7 +38,6 @@ __all__ = [
     "norm_value",
     "verify_certificate",
     "norm_statistics",
-    "reset_norm_statistics",
     "clear_norm_caches",
 ]
 
@@ -50,11 +49,6 @@ _stats = {"norms": 0, "gap_checks": 0, "gap_failures": 0}
 def norm_statistics() -> dict:
     """Counters for norm computations and primal-dual agreement checks."""
     return dict(_stats)
-
-
-def reset_norm_statistics() -> None:
-    for key in _stats:
-        _stats[key] = 0
 
 
 class FreeVector:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -139,9 +140,20 @@ class _Reader:
         raise self.error(f"expected {keyword!r}, found {found!r}")
 
 
-def _write(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write(path: str, lines: Iterable[str]) -> None:
+    """Stream ``lines`` into a file beside ``path`` and rename it over
+    ``path``, so a writer that fails leaves no partial file behind."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    fh = open(temporary, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            lines = iter(lines)  # joined 32768 at a time, about a megabyte
+            while chunk := list(itertools.islice(lines, 1 << 15)):
+                fh.write("\n".join(chunk) + "\n")
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def _header(kind: str) -> str:
@@ -245,24 +257,24 @@ def _read_labelled(rd: _Reader, space: MetricSpace,
 def write_space(path: str, space: MetricSpace,
                 landmarks: Optional[DiamondLandmarks] = None,
                 spec: Optional[DiamondSpec] = None) -> None:
-    lines = [_header("space"), _spec_line(spec), f"points {len(space)}",
-             f"base {_safe_label(space.label(space.base_point))}"]
-    for i in range(len(space)):
-        lines.append(f"point {i} {_safe_label(space.label(i))}")
+    n = len(space)
+    head = [_header("space"), _spec_line(spec), f"points {n}",
+            f"base {_safe_label(space.label(space.base_point))}"]
+    points = (f"point {i} {_safe_label(space.label(i))}" for i in range(n))
+    marks = []
     if landmarks is not None:
-        lines.append(f"landmark top {space.label(landmarks.top)}")
-        lines.append(f"landmark bottom {space.label(landmarks.bottom)}")
-        lines.append(f"landmark ell {space.label(landmarks.ell)}")
-        for k, m in enumerate(landmarks.mids, start=1):
-            lines.append(f"landmark mid {k} {space.label(m)}")
+        marks = [f"landmark {name} {space.label(i)}" for name, i
+                 in (("top", landmarks.top), ("bottom", landmarks.bottom),
+                     ("ell", landmarks.ell))]
+        marks += [f"landmark mid {k} {space.label(m)}"
+                  for k, m in enumerate(landmarks.mids, start=1)]
     mat, scale = space.integer_scaled()
-    rows, cols = np.triu_indices(len(space), 1)
-    values, codes = distinct_values(mat[rows, cols])
+    values, codes = distinct_values(mat)
     texts = [format_fraction(Fraction(v, scale)) for v in values.tolist()]
-    lines += [f"dist {i} {j} {texts[k]}" for i, j, k
-              in zip(rows.tolist(), cols.tolist(), codes.tolist())]
-    lines.append("end")
-    _write(path, lines)
+    codes = codes.reshape(n, n)
+    dists = (f"dist {i} {j} {texts[k]}" for i in range(n)
+             for j, k in enumerate(codes[i, i + 1:].tolist(), i + 1))
+    _write(path, itertools.chain(head, points, marks, dists, ["end"]))
 
 
 def read_space(path: str, budget: int = DEFAULT_BUDGET
@@ -272,7 +284,8 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
 
     With a spec echo the construction is rebuilt through the cache and
     checked against the stored labels and distances, so vectors written
-    against the file bind to the shared space object.
+    against the file bind to the shared space object.  Without one, the
+    stored table must pass :meth:`MetricSpace.validate_metric`.
     """
     with _Reader(path) as rd:
         _check_header(rd, "space")
@@ -326,6 +339,7 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
             mat[rows, cols] = mat[cols, rows] = np.array(nums,
                                                          np.int64)[codes]
             space = MetricSpace.from_scaled(labels, mat, scale, base)
+            space.validate_metric()
             return space, None, None
         if list(space.labels) != labels or space.base_point != base:
             raise rd.error("stored points do not match the spec echo")
@@ -572,8 +586,11 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
             if len(values) != size:
                 raise rd.error(f"family {fid} lists {len(values)} of its "
                                f"{size} functionals")
-            families.append(tuple(LipschitzFunction(space, values[k])
-                                  for k in range(size)))
+            entries = [sorted(values[k]) for k in range(size)]
+            if any(len(dict(pairs)) < len(pairs) for pairs in entries):
+                raise rd.error(f"a functional of family {fid} repeats a point")
+            families.append(tuple(LipschitzFunction._from_sorted(space, pairs)
+                                  for pairs in entries))
 
         # Every node read so far, with its status on record.
         statuses: dict[str, tuple[str, str]] = {}

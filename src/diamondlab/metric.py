@@ -28,11 +28,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .sampling import Sampler
-
-__all__ = ["MetricSpace", "MetricAxiomError"]
+__all__ = ["MetricSpace", "MetricAxiomError", "finest_edges",
+           "closure_numerators"]
 
 _INT64_SAFE = 1 << 60
+# Temporaries of one grouped step of the edge closure.
+_GROUP_BYTES = 1 << 18
 
 
 class MetricAxiomError(ValueError):
@@ -159,18 +160,19 @@ class MetricSpace:
 
     # -- validation --------------------------------------------------------
 
-    def validate_metric(self, exhaustive_limit: int = 400,
-                        sampler: Optional[Sampler] = None,
-                        samples: int = 20000) -> None:
-        """Check the metric axioms exactly.
+    def validate_metric(self) -> None:
+        """Check the metric axioms exactly, at every size.
 
-        All pairs are always checked for symmetry, zero diagonal and
-        positivity.  The triangle inequality is checked over all triples
-        up to ``exhaustive_limit`` points and over ``samples`` sampled
-        triples beyond that.
+        All pairs are checked for symmetry, zero diagonal and positivity.
+        Such a table is a metric exactly when the shortest-path closure of
+        its finest edges reproduces it: a closure always satisfies the
+        triangle inequality, and the finest edges of a metric generate it.
+        The edges always connect such a table: the cheapest pair (a, b)
+        across any cut has d(a,y) + d(y,b) > d(a,b) for every third
+        point y, so no row scan blocks it.
         """
         n = len(self)
-        mat, _ = self._scaled
+        mat, scale = self._scaled
         d = self.distance
         if np.diagonal(mat).any():
             i = int(np.flatnonzero(np.diagonal(mat))[0])
@@ -183,21 +185,15 @@ class MetricSpace:
         if (off <= 0).any():
             i, j = map(int, np.argwhere(off <= 0)[0])
             raise MetricAxiomError(f"d({i},{j}) is not positive")
-        if n <= exhaustive_limit:
-            for k in range(n):
-                bad = mat > mat[:, k, None] + mat[None, k, :]
-                if bad.any():
-                    i, j = map(int, np.argwhere(bad)[0])
-                    raise MetricAxiomError(
-                        f"triangle violation: d({i},{j}) = {d(i, j)}"
-                        f" > d({i},{k}) + d({k},{j}) = {d(i, k) + d(k, j)}")
-        else:
-            rng = sampler or Sampler(0)
-            for _ in range(samples):
-                i, j, k = (rng.below(n) for _ in range(3))
-                if mat[i, j] > mat[i, k] + mat[k, j]:
-                    raise MetricAxiomError(
-                        f"triangle violation at sampled triple ({i},{j},{k})")
+        closure = closure_numerators(self, finest_edges(self))
+        wrong = np.argwhere(closure != mat)
+        if wrong.size:
+            i, j = map(int, wrong[0])
+            path = Fraction(int(closure[i, j]), scale)
+            raise MetricAxiomError(
+                f"triangle violation: d({i},{j}) = {d(i, j)} between "
+                f"{self.label(i)} and {self.label(j)}, but the closure of "
+                f"the finest edges gives {path}")
 
     def __repr__(self) -> str:
         return (f"MetricSpace({len(self)} points, "
@@ -227,3 +223,122 @@ def fraction_rows(numerators: np.ndarray, denominator: int
     table = np.empty(len(values), dtype=object)
     table[:] = [Fraction(int(v), denominator) for v in values.tolist()]
     return table[codes].reshape(numerators.shape).tolist()
+
+
+def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
+    """Pairs with no third point lying strictly between them.
+
+    A point z is strictly between x and y when d(x,z) + d(z,y) = d(x,y)
+    with both summands positive.  The space must be a metric: on other
+    tables the pairs returned are unspecified (but the search ends).
+
+    Each row is a greedy scan on the integer-scaled matrix: the nearest
+    point not yet blocked is a finest neighbour, and it blocks every
+    point it lies on a shortest route to.  A row costs deg(x)·n, so the
+    whole search is O(|E|·n) time with O(n) temporaries, where |E| is
+    the number of finest edges.
+    """
+    mat, _ = space.integer_scaled()
+    n = len(space)
+    blocked = np.iinfo(np.int64).max
+    out = []
+    for i in range(n):
+        row = mat[i]
+        live = row.copy()
+        live[i] = blocked
+        while True:
+            z = int(live.argmin())
+            if live[z] == blocked:
+                break
+            if z > i:
+                out.append((i, z))
+            live[row[z] + mat[z] <= row] = blocked
+            live[z] = blocked
+    out.sort()
+    return tuple(out)
+
+
+def closure_numerators(space: MetricSpace,
+                       edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """All-pairs shortest paths over ``edges``, weighted by the space's
+    distances, as numerators over its denominator.
+
+    An edge ``(i, j)`` has length ``d(i, j)``; self-loops add nothing and
+    the lightest of repeated edges counts.  Raises ``ValueError`` when
+    the edges do not connect the space or one has a negative length.
+    The rows are int64, or Python ints where a path could reach 2^60.
+
+    Label-correcting sweeps: every row starts at 0 on the diagonal and
+    unreachable elsewhere, and a sweep lowers each row in turn to the best
+    neighbour row plus the edge length.  Rows are visited in breadth-first
+    order, alternately forwards and backwards, until a sweep lowers
+    nothing.  Every entry is always the length of some path, and a sweep
+    that changes nothing leaves no edge to relax, so the result is exact.
+    A sweep costs O(|E|·n) time with O(deg·n) temporaries; a few sweeps
+    suffice on diamond stages.
+    """
+    mat, _ = space.integer_scaled()
+    n = len(space)
+    # Longer than any simple path.
+    inf = (int(mat.max()) + 1) * (n + 1)
+    dtype = np.int64 if inf < _INT64_SAFE else object
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise IndexError("edge endpoint out of range")
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    length = mat[ends[:, 0], ends[:, 1]].astype(dtype)
+    if (length < 0).any():
+        raise ValueError("edge has a negative length")
+    # Both arcs of every edge, sorted by (tail, head).  A repeated arc
+    # stays: the minimum over a row's arcs takes the lightest copy.
+    tail = np.concatenate([ends[:, 0], ends[:, 1]])
+    head = np.concatenate([ends[:, 1], ends[:, 0]])
+    length = np.concatenate([length, length])
+    order = np.lexsort((head, tail))
+    tail, head, length = tail[order], head[order], length[order]
+    cuts = np.searchsorted(tail, np.arange(n + 1))
+    near = [head[cuts[v]:cuts[v + 1]].tolist() for v in range(n)]
+
+    visit, seen = [0], {0}
+    for v in visit:
+        for u in near[v]:
+            if u not in seen:
+                seen.add(u)
+                visit.append(u)
+    if len(visit) < n:
+        raise ValueError("edge set does not connect the space")
+
+    # Consecutive rows of equal degree with no edge among them relax as
+    # one group: none reads another's row, so a group step is exactly its
+    # rows' steps in sweep order.  A group's temporaries stay under
+    # _GROUP_BYTES, or one row's deg x n when that is larger.
+    group_arcs = max(1, _GROUP_BYTES // (8 * n))
+    groups, rows, inside = [], [], set()
+    for v in visit:
+        deg = len(near[v])
+        if rows and (deg != len(near[rows[0]])
+                     or deg * (len(rows) + 1) > group_arcs
+                     or not inside.isdisjoint(near[v])):
+            groups.append(rows)
+            rows, inside = [], set()
+        rows.append(v)
+        inside.add(v)
+    groups = [(np.array(rows), np.array([near[v] for v in rows], np.intp),
+               np.stack([length[cuts[v]:cuts[v + 1], None] for v in rows]))
+              for rows in groups + [rows]]
+
+    d = np.full((n, n), inf, dtype=dtype)
+    np.fill_diagonal(d, 0)
+    lowered = n > 1
+    while lowered:
+        lowered = False
+        for rows, near_rows, lengths in groups:
+            best = d[near_rows]
+            best += lengths
+            best = best.min(axis=1)
+            current = d[rows]
+            if (best < current).any():
+                d[rows] = np.minimum(current, best)
+                lowered = True
+        groups.reverse()
+    return d

@@ -10,8 +10,8 @@ Core claims checked here:
     ``Fraction`` oracles, on random partitions of small stages, the
     omega stage's bottom half, non-dyadic scaled copies and random
     metrics,
-  * the suite's metric-oracle check names the first pair whose distance
-    disagrees with the edge closure.
+  * the suite's metric-oracle check, which is ``validate_metric``, names
+    the first pair whose distance disagrees with the edge closure.
 """
 
 from fractions import Fraction
@@ -34,7 +34,7 @@ from diamondlab import (
     run_check,
     summing_metric,
 )
-from diamondlab import suite
+from diamondlab import metric
 from oracles import (cover_oracle, equivalence_constants_oracle,
                      summing_metric_oracle)
 
@@ -211,11 +211,12 @@ def test_build_cover_matches_oracle_on_random_metrics(space):
 
 
 def test_metric_oracle_names_the_disagreeing_pair(monkeypatch):
-    # Without the finest edge top - mid(1) of the first stage checked,
-    # its closure distance is 3, not 1.
-    monkeypatch.setattr(suite, "finest_edges",
+    # Without the finest edge top - mid(1) of the first stage, which
+    # validate_metric reads, its closure distance is 3, not 1.
+    monkeypatch.setattr(metric, "finest_edges",
                         lambda space: finest_edges(space)[1:])
     result = run_check("metric-oracle", SuiteConfig(seed=0))
     assert result.status == "fail"
-    assert result.details == ("distance (0,2) of top,mid(1) disagrees with "
-                              "the edge closure")
+    assert result.details == (
+        "MetricAxiomError: triangle violation: d(0,2) = 1 between top and "
+        "mid(1), but the closure of the finest edges gives 3")

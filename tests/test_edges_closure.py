@@ -8,7 +8,9 @@ Core claims checked here:
     Dijkstra on random edge lists, self-loops, reversed and repeated
     edges included, and both closures refuse disconnected lists,
   * the edge-closure check can fail: on a table that breaks the
-    triangle inequality the closure of the found edges differs from it.
+    triangle inequality the closure of the found edges differs from it,
+    and ``validate_metric``, which is that check, refuses the table while
+    it accepts every graph metric.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diamondlab import MetricSpace
+from diamondlab import MetricAxiomError, MetricSpace
 from diamondlab.diamond import closure_numerators, finest_edges
 
 from oracles import (closure_numerators_oracle, dijkstra_closure,
@@ -55,6 +57,7 @@ def test_finest_edges_match_dense_search(space):
 @given(st.data())
 def test_closure_matches_floyd_warshall_and_dijkstra(data):
     space = data.draw(graph_metrics())
+    space.validate_metric()
     n = len(space)
     point = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(point, point), max_size=3 * n))
@@ -90,6 +93,8 @@ def test_closure_check_fails_on_triangle_violations(data):
     space = MetricSpace.from_scaled([str(i) for i in range(n)], mat, 1, 0)
     closure = closure_numerators(space, finest_edges(space))
     assert not np.array_equal(closure, space.integer_scaled()[0])
+    with pytest.raises(MetricAxiomError, match="triangle"):
+        space.validate_metric()
 
 
 def test_closure_refuses_negative_and_out_of_range_edges():

@@ -7,7 +7,9 @@ Core claims checked here:
     golden transcript files and the demo's stage-2 space and DOT files
     pin the exact bytes,
   * spec echoes rebind files to the shared cached construction and
-    mismatches are refused with located errors,
+    mismatches are refused with located errors; a space file without an
+    echo must hold a metric,
+  * a writer that fails leaves neither a partial nor a temporary file,
   * truncated records, references to undeclared transcript nodes or
     moves, move indices other than 0..k-1 and unknown statuses are
     refused with FormatError, never a KeyError or IndexError,
@@ -31,6 +33,7 @@ from diamondlab import (
     GameNode,
     GameTranscript,
     LipschitzFunction,
+    MetricSpace,
     Move,
     Sampler,
     SuiteReport,
@@ -149,6 +152,39 @@ def test_space_reader_rejects_tampered_distance(tmp_path, d13):
         with pytest.raises(FormatError,
                            match="does not match the spec echo"):
             read_space(str(path))
+
+
+def test_space_reader_validates_a_file_without_echo(tmp_path, capsys, d13):
+    space, _ = d13
+    path = tmp_path / "plain.txt"
+    write_space(str(path), space)
+    text = path.read_text()
+    assert "dist 0 1 2/1" in text
+    # top - mid(1) - bottom is 2, so a stored 3 breaks the triangle.
+    path.write_text(text.replace("dist 0 1 2/1", "dist 0 1 3/1"))
+    end = len(text.splitlines())
+    with pytest.raises(FormatError,
+                       match=rf"plain\.txt:{end}: triangle violation"):
+        read_space(str(path))
+    assert cli.main(["dist", "--space", str(path),
+                     "--x", "top", "--y", "bottom"]) == 2
+    assert "triangle violation" in capsys.readouterr().err
+
+
+def test_space_writer_leaves_no_partial_or_temporary_file(tmp_path, d13):
+    space, lm = d13
+    path = tmp_path / "space.txt"
+    write_space(str(path), space, lm)
+    first = _bytes(path)
+    # The base label is fine, so the writer fails while streaming.
+    bad = MetricSpace.from_scaled(["top", "bottom", "mid(1)", "mid 2",
+                                   "mid(3)"], *space.integer_scaled(), 2)
+    with pytest.raises(FormatError, match="whitespace"):
+        write_space(str(path), bad)
+    with pytest.raises(FormatError, match="whitespace"):
+        write_space(str(tmp_path / "new.txt"), bad)
+    assert [p.name for p in tmp_path.iterdir()] == ["space.txt"]
+    assert _bytes(path) == first
 
 
 def test_reader_rejects_wrong_header(tmp_path):
@@ -434,6 +470,16 @@ def test_transcript_reader_rejects_unlisted_functionals(tmp_path, d23):
     line = next(l for l in text.splitlines() if l.startswith("family "))
     path.write_text(text.replace(line, "family 0 size 999999999", 1))
     with pytest.raises(FormatError, match="lists 3 of its 999999999"):
+        read_transcript(str(path))
+
+
+def test_transcript_reader_rejects_a_repeated_functional_point(tmp_path,
+                                                              d23):
+    path, text = _transcript_text(tmp_path, d23)
+    line = next(l for l in text.splitlines() if l.startswith("fvalue "))
+    path.write_text(text.replace(line, f"{line}\n{line}", 1))
+    with pytest.raises(FormatError,
+                       match="a functional of family 0 repeats a point"):
         read_transcript(str(path))
 
 

@@ -2,6 +2,7 @@
 
 Core claims checked here:
   * axiom validation accepts true metrics and pinpoints each violation,
+    also a single changed entry of a 779-point stage,
   * restriction preserves distances, labels and the chosen base,
   * integer scaling is exact and random closure matrices validate,
   * a space built from integer numerators equals the one built from
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from diamondlab import MetricAxiomError, MetricSpace, Sampler
+from diamondlab import (DiamondSpec, MetricAxiomError, MetricSpace, Sampler,
+                        build_cached)
 
 from oracles import dijkstra_closure
 
@@ -103,14 +105,22 @@ def test_validate_detects_triangle_violation():
         bad.validate_metric()
 
 
-def test_validate_sampled_branch():
-    # Force the sampled path with a tiny exhaustive limit; the violating
-    # triple is eventually hit.
-    bad = _space([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-    with pytest.raises(MetricAxiomError, match="triangle"):
-        bad.validate_metric(exhaustive_limit=2, sampler=Sampler(5),
-                            samples=5000)
-    PATH3.validate_metric(exhaustive_limit=2, sampler=Sampler(5), samples=200)
+def test_validate_refuses_one_changed_entry_on_779_points():
+    # The alpha=4, n=3 stage is past the size where triangles used to be
+    # sampled; each of these one-entry changes passed that sampling.
+    space, lm = build_cached(DiamondSpec(4, 3))
+    mat, scale = space.integer_scaled()
+    assert len(space) == 779
+    space.validate_metric()
+    for (i, j), change in (((lm.top, lm.bottom), 1), ((5, 700), 1),
+                           ((5, 700), -1), ((100, 400), 2)):
+        bad = mat.copy()
+        bad[i, j] += change
+        bad[j, i] += change
+        planted = MetricSpace.from_scaled(space.labels, bad, scale,
+                                          space.base_point)
+        with pytest.raises(MetricAxiomError, match="triangle"):
+            planted.validate_metric()
 
 
 def test_random_closures_validate():

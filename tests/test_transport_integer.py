@@ -8,6 +8,8 @@ Core claims checked here:
   * the dual is the largest potential that is tight on the plan, so the
     certificate potential is its McShane extension and verifies,
   * a feasible but non-optimal plan fails the optimality re-check,
+  * the stage with numerators near 2^60 validates on Python-int edge
+    closures, and a violation planted in it is refused,
   * certificate files for fixed vectors are byte-identical to the ones
     the Fraction solver wrote,
   * the suite's duality-gap check counts only its own solves and fails
@@ -27,10 +29,12 @@ from diamondlab import (
     DiamondSpec,
     FreeVector,
     LipschitzFunction,
+    MetricAxiomError,
     MetricSpace,
     build_cached,
     build_cover,
     cover_partition,
+    finest_edges,
     free_norm,
     mcshane_extend,
     norm_value,
@@ -39,6 +43,7 @@ from diamondlab import (
     verify_certificate,
 )
 from diamondlab import freespace
+from diamondlab.diamond import closure_numerators
 from diamondlab import io as dio
 from diamondlab.suite import SuiteConfig
 from oracles import free_norm_oracle, largest_potential_oracle
@@ -118,6 +123,26 @@ def test_huge_space_runs_the_dual_on_python_ints():
     ratio = space.distance(0, 1) / d23.distance(0, 1)
     assert norm_value(FreeVector(space, entries)) \
         == ratio * norm_value(FreeVector(d23, entries))
+
+
+def test_huge_space_validates_on_python_int_closures():
+    # (max + 1) * (n + 1) passes 2^60, so the closure rows hold Python
+    # ints instead of raising OverflowError.
+    space = _spaces()["huge"]
+    mat, scale = space.integer_scaled()
+    closure = closure_numerators(space, finest_edges(space))
+    assert closure.dtype == object
+    assert (closure == mat).all()
+    space.validate_metric()
+    d23 = _spaces()["d23"]
+    top, bottom = d23.index_of("top"), d23.index_of("bottom")
+    bad = mat.astype(object)
+    bad[top, bottom] += 1
+    bad[bottom, top] += 1
+    planted = MetricSpace.from_scaled(space.labels, bad, scale,
+                                      space.base_point)
+    with pytest.raises(MetricAxiomError, match="triangle"):
+        planted.validate_metric()
 
 
 def test_optimality_recheck_rejects_a_non_optimal_plan(d23):
