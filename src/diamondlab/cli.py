@@ -221,6 +221,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decomp(args) -> int:
+    if args.count < 1:
+        raise ValueError("count must be at least 1")
     spec = _parse_spec(args)
     space, landmarks = build_cached(spec, args.budget_points)
     rows = []

@@ -286,20 +286,21 @@ def adversary_family(space: MetricSpace, landmarks: DiamondLandmarks,
 # prover
 
 
-def _pole_molecule(space: MetricSpace,
-                   landmarks: DiamondLandmarks) -> FreeVector:
-    return molecule(space, landmarks.top, landmarks.bottom)
+def _pole_molecule(space: MetricSpace, landmarks: DiamondLandmarks,
+                   place: Sequence[int]) -> FreeVector:
+    return molecule(space, place[landmarks.top], place[landmarks.bottom])
 
 
 def _escape_pair(space: MetricSpace, landmarks: DiamondLandmarks,
-                 neighborhood: WeakNeighborhood
+                 place: Sequence[int], neighborhood: WeakNeighborhood
                  ) -> tuple[int, int, FreeVector]:
-    mids = landmarks.mids
+    top, bottom = place[landmarks.top], place[landmarks.bottom]
+    mids = [place[m] for m in landmarks.mids]
     n = len(mids)
     for i in range(2, n + 1):
         for j in range(i + 1, n + 1):
-            gamma = (molecule(space, landmarks.top, mids[j - 1])
-                     + molecule(space, mids[i - 1], landmarks.bottom)) * _HALF
+            gamma = (molecule(space, top, mids[j - 1])
+                     + molecule(space, mids[i - 1], bottom)) * _HALF
             if neighborhood.contains(gamma):
                 return i, j, gamma
     raise InsufficientBranchingError(
@@ -318,48 +319,10 @@ def prover_escape(space: MetricSpace, landmarks: DiamondLandmarks,
     vector differs from the center by half a midpoint-to-midpoint jump,
     so its separation is exactly 1 at every stage.
     """
-    if neighborhood.center != _pole_molecule(space, landmarks):
+    place = range(len(space))
+    if neighborhood.center != _pole_molecule(space, landmarks, place):
         raise ValueError("neighborhood is not centered at the pole molecule")
-    return _escape_pair(space, landmarks, neighborhood)[2]
-
-
-def _pullback(pred_space: MetricSpace, injection: tuple[int, ...],
-              func: LipschitzFunction) -> LipschitzFunction:
-    # Copy distances are halved, so doubled values keep the constant and
-    # pairings with coefficient-doubled vectors match exactly.
-    vals = [2 * func.value(injection[p]) for p in range(len(pred_space))]
-    off = vals[pred_space.base_point]
-    return LipschitzFunction._from_sorted(
-        pred_space, [(p, v - off) for p, v in enumerate(vals)])
-
-
-def _push_vector(vec: FreeVector, ambient: MetricSpace,
-                 injection: tuple[int, ...]) -> FreeVector:
-    if vec.total_mass != 0:
-        raise ValueError("only balanced vectors transfer isometrically "
-                         "into a copy")
-    return FreeVector(ambient,
-                      [(injection[i], 2 * c) for i, c in vec.entries])
-
-
-def _map_tree(node: GameNode, vec, hood, eps: Fraction = _ONE) -> GameNode:
-    """The tree with each vector v replaced by ``vec(v)``, each epsilon
-    scaled by ``eps`` and each neighborhood rebuilt as
-    ``hood(neighborhood, new target)``."""
-    target = vec(node.target)
-    moves = tuple(Move(hood(m.neighborhood, target), vec(m.response),
-                       _map_tree(m.response_subtree, vec, hood, eps),
-                       _map_tree(m.target_subtree, vec, hood, eps))
-                  for m in node.moves)
-    return GameNode(target, node.depth, node.epsilon * eps, moves)
-
-
-def _push_node(node: GameNode, ambient: MetricSpace,
-               injection: tuple[int, ...],
-               family: tuple[LipschitzFunction, ...],
-               eta: Fraction) -> GameNode:
-    return _map_tree(node, lambda v: _push_vector(v, ambient, injection),
-                     lambda _, target: WeakNeighborhood(family, target, eta))
+    return _escape_pair(space, landmarks, place, neighborhood)[2]
 
 
 def _combine(a: GameNode, b: GameNode) -> GameNode:
@@ -426,8 +389,17 @@ def midpoint_lift(node: GameNode, shift: FreeVector) -> GameNode:
     """
     if norm_value(shift) > 1:
         raise ValueError("the shift vector must lie in the unit ball")
-    return _map_tree(node, lambda v: (v + shift) * _HALF,
-                     WeakNeighborhood.recentered, _HALF)
+    return _halfway(node, shift)
+
+
+def _halfway(node: GameNode, shift: FreeVector) -> GameNode:
+    target = (node.target + shift) * _HALF
+    moves = tuple(Move(m.neighborhood.recentered(target),
+                       (m.response + shift) * _HALF,
+                       _halfway(m.response_subtree, shift),
+                       _halfway(m.target_subtree, shift))
+                  for m in node.moves)
+    return GameNode(target, node.depth, node.epsilon * _HALF, moves)
 
 
 def _stage_height(landmarks: DiamondLandmarks) -> Optional[int]:
@@ -443,36 +415,31 @@ def _stage_height(landmarks: DiamondLandmarks) -> Optional[int]:
 
 
 def _certify_pole(space: MetricSpace, landmarks: DiamondLandmarks,
-                  depth: int, family: tuple[LipschitzFunction, ...],
+                  place: Sequence[int], depth: int,
+                  family: tuple[LipschitzFunction, ...],
                   eta: Fraction, epsilon: Fraction) -> list[GameNode]:
-    """Pole-molecule certificates for depths 0 to ``depth``: element k's
-    move has element k - 1 as target follow-up, and as response the leaf
-    at the escape vector (k = 1) or the average of element k - 1 of the
-    two predecessor towers, pushed into the escape vector's copies."""
-    target = _pole_molecule(space, landmarks)
+    """Pole-molecule certificates for depths 0 to ``depth`` of the
+    sub-stage described by ``landmarks``, built in ``space`` at the points
+    ``place`` (``place[x]`` is the stage index of sub-stage point x):
+    element k's move has element k - 1 as target follow-up, and as
+    response the leaf at the escape vector (k = 1) or the average of
+    element k - 1 of the towers placed in the escape vector's two copies,
+    whose placements compose ``place`` with the copy injections."""
+    target = _pole_molecule(space, landmarks, place)
     tower = [GameNode(target, 0, epsilon, ())]
     if depth == 0:
         return tower
     hood = WeakNeighborhood(family, target, eta)
-    i, j, gamma = _escape_pair(space, landmarks, hood)
+    i, j, gamma = _escape_pair(space, landmarks, place, hood)
     responses = [GameNode(gamma, 0, epsilon, ())]
     if depth >= 2:
-        pred_space, pred_lm = landmarks.predecessor
-        pushed = []
-        for sign, branch in (("+", j), ("-", i)):
-            inj = landmarks.subcopies[(sign, branch)]
-            pulled = tuple(_pullback(pred_space, inj, f) for f in family)
-            sub = _certify_pole(pred_space, pred_lm, depth - 1,
-                                pulled, eta, epsilon)
-            pushed.append([_push_node(node, space, inj, family, eta)
-                           for node in sub[1:]])
-        for node_plus, node_minus in zip(*pushed):
-            response_node = average_lift(space, landmarks, j, node_plus,
-                                         i, node_minus)
-            if response_node.target != gamma:
-                raise AssertionError("combined certificate misses the "
-                                     "escape vector")
-            responses.append(response_node)
+        pred_lm = landmarks.predecessor[1]
+        plus, minus = (
+            _certify_pole(space, pred_lm,
+                          [place[x] for x in landmarks.subcopies[copy]],
+                          depth - 1, family, eta, epsilon)[1:]
+            for copy in (("+", j), ("-", i)))
+        responses += map(_combine, plus, minus)
     for k, response_node in enumerate(responses, start=1):
         move = Move(hood, gamma, response_node, tower[k - 1])
         tower.append(GameNode(target, k, epsilon, (move,)))
@@ -486,9 +453,11 @@ def prover_certify(space: MetricSpace, landmarks: DiamondLandmarks,
 
     The stage must be a finite successor tower tall enough for the
     depth; limit stages are not playable directly (certify a summand
-    instead).  Each level escapes into two fresh branch copies, the
-    half-molecules there restate the pole molecule one stage down, and
-    the recursive certificates are pushed into the copies and averaged.
+    instead).  Each level escapes into two fresh branch copies, whose
+    half-molecules restate the pole molecule one stage down.  Every
+    level is built in this stage: a copy's certificate is formed at the
+    points its composed injections place it on, tested against this
+    stage's family, and the two copies' certificates are averaged.
     Deterministic given the adversary seed.
     """
     if depth < 0:
@@ -502,11 +471,8 @@ def prover_certify(space: MetricSpace, landmarks: DiamondLandmarks,
         if depth > height:
             raise ValueError(f"stage supports depth at most {height}, "
                              f"requested {depth}")
-    if depth == 0:
-        root = GameNode(_pole_molecule(space, landmarks), 0, epsilon, ())
-        return GameTranscript(space, root, adversary)
-    family = adversary_family(space, landmarks, adversary)
-    root = _certify_pole(space, landmarks, depth, family,
+    family = adversary_family(space, landmarks, adversary) if depth else ()
+    root = _certify_pole(space, landmarks, range(len(space)), depth, family,
                          Fraction(adversary.eta), epsilon)[-1]
     return GameTranscript(space, root, adversary)
 

@@ -60,6 +60,12 @@ class SuiteConfig:
     seed: int = 0
     budget: int = DEFAULT_BUDGET
 
+    def __post_init__(self):
+        # Refused before any check runs, so bad input is not reported as
+        # failed checks.
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
+
 
 @dataclass(frozen=True)
 class CheckResult:

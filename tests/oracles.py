@@ -9,7 +9,9 @@ stages as graphs grown by edge substitution, and the summing metric, equivalence
 cover by pair-by-pair Fraction loops, the pole cover's slices by a
 per-summand scan, the box-derivation oracle by subtracting every
 pair of survivors, and the pole-molecule game certificate by the
-recursion that re-derives every target follow-up.
+recursion that pulls every functional back into the predecessor
+spaces, certifies there, pushes the trees forward again and re-derives
+every target follow-up.
 Slow, obviously correct, and sharing no code with the solvers and
 builders under test.
 """
@@ -382,19 +384,67 @@ def relative_derivation_oracle(space, candidates, functionals, eta, epsilon,
     return tuple(survivors)
 
 
-def certify_pole(space, landmarks, depth, family, eta, epsilon):
-    """The pole-molecule certificate at one depth, by plain recursion: the
-    target follow-up and both predecessor certificates are each derived
-    afresh, so every escape search and pullback is repeated."""
-    from diamondlab.derivation import (GameNode, Move, WeakNeighborhood,
-                                       _escape_pair, _pole_molecule,
-                                       _pullback, _push_node, average_lift)
+def _pullback(pred_space, injection, func):
+    """The functional on the predecessor that pairs with a balanced vector
+    as ``func`` pairs with its push-forward: copy distances are halved, so
+    values double and the Lipschitz constant is kept."""
+    from diamondlab.lipschitz import LipschitzFunction
 
-    target = _pole_molecule(space, landmarks)
+    vals = [2 * func.value(injection[p]) for p in range(len(pred_space))]
+    off = vals[pred_space.base_point]
+    return LipschitzFunction(pred_space,
+                             [(p, v - off) for p, v in enumerate(vals)])
+
+
+def _push_vector(vec, ambient, injection):
+    from diamondlab.freespace import FreeVector
+
+    if vec.total_mass != 0:
+        raise ValueError("only balanced vectors transfer isometrically "
+                         "into a copy")
+    return FreeVector(ambient,
+                      [(injection[i], 2 * c) for i, c in vec.entries])
+
+
+def _push_node(node, ambient, injection, family, eta):
+    """The certificate pushed into a copy, every neighborhood rebuilt
+    from the ambient family around its pushed target."""
+    from diamondlab.derivation import GameNode, Move, WeakNeighborhood
+
+    target = _push_vector(node.target, ambient, injection)
+    moves = tuple(
+        Move(WeakNeighborhood(family, target, eta),
+             _push_vector(m.response, ambient, injection),
+             _push_node(m.response_subtree, ambient, injection, family, eta),
+             _push_node(m.target_subtree, ambient, injection, family, eta))
+        for m in node.moves)
+    return GameNode(target, node.depth, node.epsilon, moves)
+
+
+def certify_pole(space, landmarks, depth, family, eta, epsilon):
+    """The pole-molecule certificate at one depth, by plain recursion over
+    the predecessor spaces: each functional is pulled back into a copy's
+    predecessor, certified there and pushed forward again, and the target
+    follow-up and both predecessor certificates are each derived afresh,
+    so every escape search and pullback is repeated."""
+    from diamondlab.derivation import GameNode, Move, WeakNeighborhood
+    from diamondlab.derivation import average_lift
+    from diamondlab.freespace import molecule
+
+    top, bottom, mids = landmarks.top, landmarks.bottom, landmarks.mids
+    target = molecule(space, top, bottom)
     if depth == 0:
         return GameNode(target, 0, epsilon, ())
     hood = WeakNeighborhood(family, target, eta)
-    i, j, gamma = _escape_pair(space, landmarks, hood)
+    pairs = [(i, j) for i in range(2, len(mids) + 1)
+             for j in range(i + 1, len(mids) + 1)]
+    for i, j in pairs:
+        gamma = (molecule(space, top, mids[j - 1])
+                 + molecule(space, mids[i - 1], bottom)) * Fraction(1, 2)
+        if hood.contains(gamma):
+            break
+    else:
+        raise AssertionError("no branch pair lands in the neighborhood")
     if depth == 1:
         response_node = GameNode(gamma, 0, epsilon, ())
     else:

@@ -12,8 +12,9 @@ Core claims checked here:
     pair returns,
   * the two lift combinators preserve verifiability as stated,
   * the prover builds each depth's certificate once, as a tower whose
-    roots equal the plain recursion's, with one escape search per
-    certified pole molecule,
+    roots equal the pull-back/push-forward recursion's, with one escape
+    search per certified pole molecule and every molecule formed in the
+    stage itself,
   * every planted mutation is caught by the verifier.
 """
 
@@ -565,7 +566,8 @@ def test_tower_matches_recursive_certificates(d33, kind):
     space, lm = d33
     config = _config(kind)
     family = adversary_family(space, lm, config)
-    tower = derivation._certify_pole(space, lm, 3, family, config.eta, ONE)
+    tower = derivation._certify_pole(space, lm, range(len(space)), 3, family,
+                                     config.eta, ONE)
     assert [node.depth for node in tower] == [0, 1, 2, 3]
     for depth, node in enumerate(tower):
         expected = oracles.certify_pole(space, lm, depth, family,
@@ -576,12 +578,29 @@ def test_tower_matches_recursive_certificates(d33, kind):
             assert node.moves[0].target_subtree is tower[depth - 1]
 
 
-def test_depth_four_tower_matches_recursive_certificate():
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+def test_depth_four_tower_matches_recursive_certificate(kind):
     space, lm = build_cached(DiamondSpec(4, 3))
-    config = _config("random_lipschitz")
+    config = _config(kind)
     family = adversary_family(space, lm, config)
     expected = oracles.certify_pole(space, lm, 4, family, config.eta, ONE)
     assert prover_certify(space, lm, 4, config).root == expected
+
+
+def test_prover_forms_every_molecule_in_the_stage(monkeypatch):
+    # Predecessor copies are placed in the stage, so no certificate level
+    # is built over a predecessor space.
+    space, lm = build_cached(DiamondSpec(4, 3))
+    spaces = []
+    make = derivation.molecule
+
+    def recorded(where, x, y):
+        spaces.append(where)
+        return make(where, x, y)
+
+    monkeypatch.setattr(derivation, "molecule", recorded)
+    prover_certify(space, lm, 4, _config())
+    assert spaces and all(where is space for where in spaces)
 
 
 @pytest.mark.parametrize("alpha, depth", [(3, 1), (3, 2), (3, 3), (4, 4)])

@@ -962,6 +962,25 @@ def test_cli_decomp(tmp_path, capsys):
         tuple(sorted(m)) for m in partition.summands)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_decomp_refuses_a_count_below_one(count, capsys):
+    code = cli.main(["decomp", "--alpha", "w", "--branches", "3",
+                     "--count", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "count must be at least 1" in captured.err
+    assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_cli_suite_refuses_a_seed_out_of_range(seed, capsys):
+    code = cli.main(["suite", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "seed must be an unsigned 64-bit integer" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--version"])
