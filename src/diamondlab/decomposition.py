@@ -85,11 +85,23 @@ def summing_metric(space: MetricSpace,
     """Same points, with cross-summand travel rerouted through the base.
 
     Distances within a summand, and to the base point, are kept; a pair
-    in distinct summands gets d(x, base) + d(base, y).  The result is
-    checked against the metric axioms before being returned.
+    in distinct summands gets d(x, base) + d(base, y).  The result is the
+    wedge sum at the base of the summand-plus-base subspaces, and holds
+    each of them isometrically, so it is a metric exactly when each of
+    them is.  Each is checked against the metric axioms before the
+    result is returned.
     """
     check_partition(space, partition)
     base = partition.base
+    # With no summands the space is the base alone, checked as one piece.
+    for m, members in enumerate(partition.summands or ((),)):
+        piece, _ = space.restrict((base, *members), base)
+        try:
+            piece.validate_metric()
+        except MetricAxiomError as exc:
+            raise MetricAxiomError(
+                f"summand {m} with the base point is not a metric, in the "
+                f"piece's own indices, base first: {exc}") from exc
     owner = np.full(len(space), -1)
     for m, members in enumerate(partition.summands):
         owner[list(members)] = m
@@ -98,15 +110,7 @@ def summing_metric(space: MetricSpace,
     cross = owner[:, None] != owner[None, :]
     mat, scale = space.integer_scaled()
     rerouted = np.where(cross, mat[:, base, None] + mat[None, base, :], mat)
-    result = MetricSpace.from_scaled(space.labels, rerouted, scale, base)
-    try:
-        result.validate_metric()
-    except MetricAxiomError as exc:
-        raise MetricAxiomError(
-            f"summing metric is not a metric ({exc}); this signals a "
-            f"partition whose summands are not separated through the "
-            f"base point") from exc
-    return result
+    return MetricSpace.from_scaled(space.labels, rerouted, scale, base)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,17 @@ values: entries are ordered by point index, fractions appear in lowest
 terms with an explicit denominator, and files end with an ``end`` line.
 Readers stream a file and accept exactly what writers emit, in order,
 raising :class:`~diamondlab.errors.FormatError` with a line otherwise.
+
+A space table is written a row at a time, each row of ``dist`` lines as
+one joined text.  When a space file's construction echo rebuilds the
+stored points, :func:`read_space` compares each row's physical lines,
+as one text, with the row the writer gives the rebuilt space, and takes
+the row unparsed when they are identical.  At the first row that
+differs it hands those lines back and parses every line from there on,
+exactly as without the check, so other valid spellings still read and
+every error keeps its message, line and precedence.  A file without an
+echo is parsed line by line throughout.  Parsed values are the shared
+``Fraction`` objects of :func:`diamondlab.metric.fraction`.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .decomposition import SummandPartition
 from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
 from .lipschitz import LipschitzFunction
-from .metric import MetricSpace, distinct_values
+from .metric import MetricSpace, distinct_values, fraction
 from .ordinal import format_ordinal, parse_ordinal
 
 __all__ = [
@@ -60,10 +71,14 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Exact rational from "p/q" or a plain integer; no floats."""
+    """Exact rational from "p/q" or a plain integer; no floats.
+
+    The value is the shared object of :func:`diamondlab.metric.fraction`.
+    """
     if not _FRACTION_RE.match(text):
         raise FormatError(f"not an exact rational: {text!r}")
-    return Fraction(text)
+    numerator, _, denominator = text.partition("/")
+    return fraction(int(numerator), int(denominator or 1))
 
 
 def _safe_label(label: str) -> str:
@@ -82,6 +97,10 @@ class _Reader:
     ``ValueError`` into a :class:`FormatError` at the current line.  A
     ``FormatError`` that does not name the file yet, such as a bad
     number from :func:`parse_fraction`, is located the same way.
+
+    :meth:`take_text` takes a block of physical lines whole when it is
+    exactly an expected text, and otherwise hands the lines back, so the
+    token records read on as if it had not been called.
     """
 
     def __init__(self, path: str):
@@ -89,6 +108,11 @@ class _Reader:
         self._fh = open(path, "r", encoding="utf-8")
         self._read = 0  # physical lines read so far
         self._ahead: Optional[list[str]] = None  # [] at end of file
+        self._ahead_line = ""  # the lookahead's physical line
+        self._back: list[str] = []  # lines handed back, last one first
+        # A decoding error met ahead of the lines handed back: raised when
+        # reading gets past them, where reading line by line meets it.
+        self._undecodable: Optional[UnicodeDecodeError] = None
         self.lineno = 0  # physical line of the last record taken
 
     def __enter__(self) -> "_Reader":
@@ -103,11 +127,18 @@ class _Reader:
     def error(self, message: str) -> FormatError:
         return FormatError(f"{self.path}:{self.lineno}: {message}")
 
+    def _line(self) -> str:
+        if self._back:
+            return self._back.pop()
+        if self._undecodable is not None:
+            raise self._undecodable
+        return self._fh.readline()
+
     def peek(self) -> Optional[list[str]]:
         """The next record's tokens, or None at end of file."""
         try:
             while self._ahead is None:
-                line = self._fh.readline()
+                line = self._ahead_line = self._line()
                 self._read += 1
                 # A blank line leaves None, to read on; end of file gives [].
                 self._ahead = line.split() or (None if line else [])
@@ -121,6 +152,28 @@ class _Reader:
             raise FormatError(f"{self.path}: unexpected end of file")
         self.lineno, self._ahead = self._read, None
         return tokens
+
+    def take_text(self, text: str, count: int) -> bool:
+        """Take the next ``count`` physical lines, starting at the next
+        record, if together they are exactly ``text``; otherwise hand them
+        back and return False.  Once lines were handed back, or at the
+        end of the file, nothing is taken.
+        """
+        if self._back or self._undecodable or self._ahead == []:
+            return False
+        lines = [] if self._ahead is None else [self._ahead_line]
+        self._read -= len(lines)
+        try:
+            lines.extend(itertools.islice(self._fh, count - len(lines)))
+        except UnicodeDecodeError as exc:
+            self._undecodable = exc
+        if not self._undecodable and "".join(lines) == text:
+            self._read += count
+            self.lineno, self._ahead = self._read, None
+            return True
+        self._back = lines[::-1]
+        self._ahead = None
+        return False
 
     def run(self, keyword: str, size: int = 1) -> Iterator[list[str]]:
         """The consecutive ``keyword`` records from here on, each of
@@ -140,15 +193,20 @@ class _Reader:
         raise self.error(f"expected {keyword!r}, found {found!r}")
 
 
-def _write(path: str, lines: Iterable[str]) -> None:
+def _write(path: str, lines: Iterable[str], per_write: int = 1 << 15
+           ) -> None:
     """Stream ``lines`` into a file beside ``path`` and rename it over
-    ``path``, so a writer that fails leaves no partial file behind."""
+    ``path``, so a writer that fails leaves no partial file behind.
+
+    Lines are joined ``per_write`` at a time (about a megabyte for the
+    default); a "line" may be a block of several.
+    """
     temporary = f"{path}.{os.getpid()}.tmp"
     fh = open(temporary, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            lines = iter(lines)  # joined 32768 at a time, about a megabyte
-            while chunk := list(itertools.islice(lines, 1 << 15)):
+            lines = iter(lines)
+            while chunk := list(itertools.islice(lines, per_write)):
                 fh.write("\n".join(chunk) + "\n")
         os.replace(temporary, path)
     except BaseException:
@@ -254,6 +312,28 @@ def _read_labelled(rd: _Reader, space: MetricSpace,
 # spaces
 
 
+def _dist_rows(space: MetricSpace) -> Iterator[str]:
+    """The ``dist`` lines of each row i < n - 1, as one text per row.
+
+    Each distinct value is formatted once, and a row is one join of its
+    pieces, so a row costs O(n) temporaries beyond the value codes.
+    """
+    n = len(space)
+    mat, scale = space.integer_scaled()
+    values, codes = distinct_values(mat)
+    codes = codes.reshape(n, n)
+    texts = [format_fraction(fraction(v, scale)) for v in values.tolist()]
+    ends = np.array([f"{text}\n" for text in texts], dtype=object)
+    heads = [f"{j} " for j in range(n)]
+    for i in range(n - 1):
+        row = codes[i, i + 1:]
+        parts = [f"dist {i} "] * (3 * len(row))
+        parts[1::3] = heads[i + 1:]
+        parts[2::3] = ends[row].tolist()
+        parts[-1] = texts[row[-1]]  # the row's last line has no newline
+        yield "".join(parts)
+
+
 def write_space(path: str, space: MetricSpace,
                 landmarks: Optional[DiamondLandmarks] = None,
                 spec: Optional[DiamondSpec] = None) -> None:
@@ -268,13 +348,10 @@ def write_space(path: str, space: MetricSpace,
                      ("ell", landmarks.ell))]
         marks += [f"landmark mid {k} {space.label(m)}"
                   for k, m in enumerate(landmarks.mids, start=1)]
-    mat, scale = space.integer_scaled()
-    values, codes = distinct_values(mat)
-    texts = [format_fraction(Fraction(v, scale)) for v in values.tolist()]
-    codes = codes.reshape(n, n)
-    dists = (f"dist {i} {j} {texts[k]}" for i in range(n)
-             for j, k in enumerate(codes[i, i + 1:].tolist(), i + 1))
-    _write(path, itertools.chain(head, points, marks, dists, ["end"]))
+    # A row holds up to n lines: join about 32768 lines per write.
+    _write(path, itertools.chain(head, points, marks, _dist_rows(space),
+                                 ["end"]),
+           per_write=max(1, (1 << 15) // max(n, 1)))
 
 
 def read_space(path: str, budget: int = DEFAULT_BUDGET
@@ -286,6 +363,10 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
     checked against the stored labels and distances, so vectors written
     against the file bind to the shared space object.  Without one, the
     stored table must pass :meth:`MetricSpace.validate_metric`.
+
+    When the stored labels are the rebuilt ones, rows of ``dist`` lines
+    that are exactly the writer's text are taken unparsed, up to the
+    first row that differs (see the module docstring).
     """
     with _Reader(path) as rd:
         _check_header(rd, "space")
@@ -307,12 +388,19 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
             labels.append(tokens[2])
         for _ in rd.run("landmark"):
             pass
+        # Rows before ``start`` are taken whole, by their text.
+        start = 0
+        if spec is not None and labels == list(space.labels):
+            for text in _dist_rows(space):
+                if not rd.take_text(text + "\n", count - 1 - start):
+                    break
+                start += 1
         # Each distinct distance text is parsed once; codes[k] indexes the
-        # value of the k-th dist line in ``values``.
+        # value of the k-th parsed dist line in ``values``.
         parsed: dict[str, int] = {}
         values: list[Fraction] = []
         codes = []
-        pairs = itertools.combinations(range(count), 2)
+        pairs = itertools.combinations(range(start, count), 2)
         for (i, j), tokens in zip(pairs, rd.run("dist")):
             if len(tokens) != 4:
                 raise rd.error("malformed dist line")
@@ -323,7 +411,7 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
                 values.append(parse_fraction(tokens[3]))
                 code = parsed[tokens[3]] = len(values) - 1
             codes.append(code)
-        if len(codes) < count * (count - 1) // 2:
+        if len(codes) < (count - start) * (count - start - 1) // 2:
             rd.expect("dist")  # the table ends early: refused here
         rd.expect("end")
         if base_label not in labels:
@@ -350,6 +438,8 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
         for k, v in enumerate(values):
             if scale % v.denominator == 0 and abs(v) * scale < 1 << 62:
                 scaled[k] = int(v * scale)
+        skipped = len(rows) - len(codes)  # the pairs of the rows taken whole
+        rows, cols = rows[skipped:], cols[skipped:]
         mismatch = np.flatnonzero(scaled[codes] != mat[rows, cols])
         if mismatch.size:
             k = mismatch[0]

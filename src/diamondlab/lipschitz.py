@@ -23,7 +23,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .metric import MetricSpace, fraction_rows
+from .metric import MetricSpace, fraction, fraction_rows
 
 __all__ = [
     "LipschitzFunction",
@@ -214,7 +214,7 @@ def _inf_convolution(func: LipschitzFunction,
         dist = mat[np.ix_(rows, idx)].astype(dtype, copy=False)
         reach = (vals[None, :] + dist_factor * dist).min(axis=1)
         for x, num in zip(rows.tolist(), reach.tolist()):
-            values[x] = Fraction(num, denominator)
+            values[x] = fraction(num, denominator)
     return LipschitzFunction._from_sorted(space, enumerate(values))
 
 

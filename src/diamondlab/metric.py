@@ -12,7 +12,16 @@ margins, space files, the Lipschitz kernels (constant, bound check,
 McShane extension), and the transport solver with its dual potential.
 ``distance(x, y)`` forms one ``Fraction`` on demand, and ``dist_matrix``
 is a read-only ``Fraction`` table for the API boundary, built on first
-access with one object per distinct value and then kept.
+access and then kept.
+
+Exact values cross into ``Fraction`` through :func:`fraction`, a bounded
+process-wide table from a reduced (numerator, denominator) pair to one
+``Fraction`` object.  Distances, distance tables, closures, McShane
+extensions and the values read from files all take their objects from
+it, so equal values made in different places are usually the same
+object, and comparing two equal tables short-circuits on identity.  The
+objects are immutable, so sharing them is safe; a value that has left
+the table is simply made again.
 
 :meth:`MetricSpace.from_scaled` builds a space from numerators; the
 diamond builder and :meth:`MetricSpace.restrict` construct spaces this
@@ -22,6 +31,7 @@ once, over the least common multiple of their denominators.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -29,11 +39,28 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 __all__ = ["MetricSpace", "MetricAxiomError", "finest_edges",
-           "closure_numerators"]
+           "closure_numerators", "fraction"]
 
 _INT64_SAFE = 1 << 60
 # Temporaries of one grouped step of the edge closure.
 _GROUP_BYTES = 1 << 18
+# Distinct values the shared Fraction table keeps, least recently used
+# first out.
+_SHARED_FRACTIONS = 1 << 16
+
+
+@functools.lru_cache(maxsize=_SHARED_FRACTIONS)
+def _shared(numerator: int, denominator: int) -> Fraction:
+    return Fraction(numerator, denominator)
+
+
+def fraction(numerator: int, denominator: int) -> Fraction:
+    """``numerator / denominator`` as the shared ``Fraction`` of its value.
+
+    Both arguments are Python ints and the denominator is positive.
+    """
+    common = math.gcd(numerator, denominator)
+    return _shared(numerator // common, denominator // common)
 
 
 class MetricAxiomError(ValueError):
@@ -116,7 +143,7 @@ class MetricSpace:
         if not (0 <= x < len(self._labels) and 0 <= y < len(self._labels)):
             raise IndexError("point index out of range")
         mat, scale = self._scaled
-        return Fraction(mat.item(x, y), scale)
+        return fraction(mat.item(x, y), scale)
 
     def index_of(self, label: str) -> int:
         try:
@@ -205,9 +232,16 @@ def distinct_values(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flattened order, the index of its value among them.
 
     This is ``np.unique(array, return_inverse=True)``, which is several
-    times slower than a search on large arrays.
+    times slower than a search on large arrays.  Integer entries in
+    [0, size), as the distances of a diamond stage are, are marked in a
+    table instead of sorted, which is faster again.
     """
     flat = array.ravel()
+    if (flat.dtype.kind in "iu" and flat.size
+            and 0 <= flat.min() and flat.max() < flat.size):
+        present = np.zeros(int(flat.max()) + 1, dtype=bool)
+        present[flat] = True
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[flat]
     values = np.unique(flat)
     return values, np.searchsorted(values, flat)
 
@@ -216,12 +250,12 @@ def fraction_rows(numerators: np.ndarray, denominator: int
                   ) -> list[list[Fraction]]:
     """Rows of ``numerators / denominator`` as ``Fraction`` lists.
 
-    One ``Fraction`` is made per distinct value and shared by every entry
-    that holds it.
+    Each distinct value is looked up once in the shared table, and its
+    object is shared by every entry that holds it.
     """
     values, codes = distinct_values(numerators)
     table = np.empty(len(values), dtype=object)
-    table[:] = [Fraction(int(v), denominator) for v in values.tolist()]
+    table[:] = [fraction(v, denominator) for v in values.tolist()]
     return table[codes].reshape(numerators.shape).tolist()
 
 

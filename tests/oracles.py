@@ -11,7 +11,10 @@ per-summand scan, the box-derivation oracle by subtracting every
 pair of survivors, and the pole-molecule game certificate by the
 recursion that pulls every functional back into the predecessor
 spaces, certifies there, pushes the trees forward again and re-derives
-every target follow-up.
+every target follow-up, and the space reader by parsing every
+distance line on its own (it shares the line cursor and the header and
+value parsers with the library, whose row-at-a-time check it is the
+reference for).
 Slow, obviously correct, and sharing no code with the solvers and
 builders under test.
 """
@@ -25,6 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from diamondlab import BudgetExceededError, MetricSpace
+from diamondlab.diamond import DEFAULT_BUDGET, build_cached
+from diamondlab.io import (_Reader, _check_header, _fields, _spec_from_fields,
+                           parse_fraction)
 from diamondlab.ordinal import ONE, format_ordinal, fundamental_sequence
 
 
@@ -468,3 +475,77 @@ def certify_pole(space, landmarks, depth, family, eta, epsilon):
                                family, eta, epsilon)
     move = Move(hood, gamma, response_node, target_node)
     return GameNode(target, depth, epsilon, (move,))
+
+
+def read_space_reference(path, budget=DEFAULT_BUDGET):
+    """``read_space`` parsing and checking every ``dist`` line on its
+    own, whether or not the file has a construction echo."""
+    with _Reader(path) as rd:
+        _check_header(rd, "space")
+        tokens = rd.expect("spec")[1:]
+        spec = (None if tokens == ["none"]
+                else _spec_from_fields(rd, _fields(rd, tokens)))
+        if spec is not None:
+            space, landmarks = build_cached(spec, budget)
+        count = int(rd.expect("points", 2)[1])
+        if count > budget:
+            raise BudgetExceededError(f"file claims {count} points, "
+                                      f"budget is {budget}", count, budget)
+        base_label = rd.expect("base", 2)[1]
+        labels = []
+        for i in range(count):
+            tokens = rd.expect("point", 3)
+            if int(tokens[1]) != i:
+                raise rd.error("point lines out of order")
+            labels.append(tokens[2])
+        for _ in rd.run("landmark"):
+            pass
+        # Each distinct distance text is parsed once; codes[k] indexes the
+        # value of the k-th dist line in ``values``.
+        parsed: dict[str, int] = {}
+        values: list[Fraction] = []
+        codes = []
+        pairs = itertools.combinations(range(count), 2)
+        for (i, j), tokens in zip(pairs, rd.run("dist")):
+            if len(tokens) != 4:
+                raise rd.error("malformed dist line")
+            if int(tokens[1]) != i or int(tokens[2]) != j:
+                raise rd.error("dist lines out of order")
+            code = parsed.get(tokens[3])
+            if code is None:
+                values.append(parse_fraction(tokens[3]))
+                code = parsed[tokens[3]] = len(values) - 1
+            codes.append(code)
+        if len(codes) < count * (count - 1) // 2:
+            rd.expect("dist")  # the table ends early: refused here
+        rd.expect("end")
+        if base_label not in labels:
+            raise rd.error(f"base label {base_label!r} is not a point")
+        base = labels.index(base_label)
+        rows, cols = np.triu_indices(count, 1)
+        if spec is None:
+            scale = math.lcm(*(v.denominator for v in values))
+            nums = [v.numerator * (scale // v.denominator) for v in values]
+            if any(abs(x) >= 1 << 60 for x in nums):
+                raise rd.error("a stored distance exceeds the int64 scale")
+            mat = np.zeros((count, count), dtype=np.int64)
+            mat[rows, cols] = mat[cols, rows] = np.array(nums,
+                                                         np.int64)[codes]
+            space = MetricSpace.from_scaled(labels, mat, scale, base)
+            space.validate_metric()
+            return space, None, None
+        if list(space.labels) != labels or space.base_point != base:
+            raise rd.error("stored points do not match the spec echo")
+        mat, scale = space.integer_scaled()
+        # A stored value that is not a multiple of 1/scale, or too large to
+        # scale, becomes -1, which no distance of the built space equals.
+        scaled = np.full(len(values), -1, dtype=np.int64)
+        for k, v in enumerate(values):
+            if scale % v.denominator == 0 and abs(v) * scale < 1 << 62:
+                scaled[k] = int(v * scale)
+        mismatch = np.flatnonzero(scaled[codes] != mat[rows, cols])
+        if mismatch.size:
+            k = mismatch[0]
+            raise rd.error(f"stored distance ({rows[k]},{cols[k]}) does not "
+                           f"match the spec echo")
+        return space, landmarks, spec

@@ -4,7 +4,10 @@ Core claims checked here:
   * the Fraction constructor and ``from_scaled`` store the same reduced
     integer matrix and give the same distances and ``Fraction`` view, on
     thirds and on numerators just below 2^60,
-  * the ``Fraction`` view is built once and kept,
+  * the ``Fraction`` view is built once and kept, and takes its objects
+    from the shared table, as distances and closures do,
+  * ``distinct_values`` is ``np.unique`` with inverse codes, on both of
+    its paths,
   * the summing metric, the equivalence constants (with the first pair
     in row order as each witness) and the pole cover equal pair-by-pair
     ``Fraction`` oracles, on random partitions of small stages, the
@@ -17,6 +20,7 @@ Core claims checked here:
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,9 +36,11 @@ from diamondlab import (
     equivalence_constants,
     finest_edges,
     run_check,
+    shortest_path_closure,
     summing_metric,
 )
 from diamondlab import metric
+from diamondlab.io import parse_fraction
 from oracles import (cover_oracle, equivalence_constants_oracle,
                      summing_metric_oracle)
 
@@ -117,6 +123,35 @@ def test_fraction_view_is_built_once(d23):
     sub, _ = space.restrict(range(5), 0)
     assert sub.dist_matrix is sub.dist_matrix
     assert sub.dist_matrix[1][2] is sub.dist_matrix[2][1]
+
+
+def test_equal_values_share_one_fraction(d23):
+    space, _ = d23
+    # A fresh space, so its view and its closure are made side by side.
+    space, _ = space.restrict(range(len(space)), space.base_point)
+    closure = shortest_path_closure(space, finest_edges(space))
+    n = len(space)
+    assert all(space.dist_matrix[i][j] is closure[i][j]
+               for i in range(n) for j in range(n))
+    assert space.distance(0, 1) is space.distance(1, 0)
+    assert space.distance(0, 1) is space.dist_matrix[0][1]
+    assert metric.fraction(6, 4) is metric.fraction(3, 2)
+    assert parse_fraction("3/2") is metric.fraction(3, 2)
+    assert parse_fraction("-6/4") == Fraction(-3, 2)
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[0, 3, 3], [3, 0, 1], [3, 1, 0]]),
+    np.array([[0, 5], [5, 0]]),            # an entry past the size: sorted
+    np.array([2, -1, 2, 0]),               # a negative entry: sorted
+    np.array([[0, 1 << 61], [1 << 61, 0]], dtype=object),
+    np.zeros((0, 0), dtype=np.int64),
+])
+def test_distinct_values_match_unique(array):
+    values, codes = metric.distinct_values(array)
+    expected, inverse = np.unique(array.ravel(), return_inverse=True)
+    assert values.tolist() == expected.tolist()
+    assert codes.tolist() == inverse.tolist()
 
 
 # -- Integer ports against Fraction oracles -------------------------------------

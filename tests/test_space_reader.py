@@ -1,0 +1,210 @@
+"""The row-at-a-time space writer and the echo-checked space reader.
+
+``read_space`` takes a row of ``dist`` lines unparsed when its text is
+the row the writer gives the rebuilt space, and parses line by line
+from the first row that differs.  Checked here: on damaged and
+non-canonical files it agrees with ``oracles.read_space_reference``,
+the reader that parses every line, in the space it returns or in the
+exact ``FormatError`` message; bytes that are not UTF-8 are reported
+where line-by-line reading meets them; the writer's bytes are pinned;
+and a bare file with more distinct values than the shared ``Fraction``
+table holds reads correctly.
+"""
+
+import hashlib
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diamondlab import (DiamondSpec, FormatError, MetricSpace, build_cached,
+                        parse_ordinal)
+from diamondlab.io import read_space, write_space
+from diamondlab.metric import _SHARED_FRACTIONS, _shared
+
+from oracles import read_space_reference
+
+
+@pytest.fixture(scope="module")
+def texts(tmp_path_factory):
+    """Kind -> valid file text, with and without a construction echo."""
+    root = tmp_path_factory.mktemp("rows")
+    spec = DiamondSpec(2, 3)
+    space, lm = build_cached(spec)
+    out = {}
+    for kind, args in (("echo", (space, lm, spec)), ("bare", (space,))):
+        path = root / f"{kind}.txt"
+        write_space(str(path), *args)
+        out[kind] = path.read_text()
+    return root, out
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: the space it binds, or its error."""
+    try:
+        space, landmarks, spec = read(str(path))
+    except FormatError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    mat, scale = space.integer_scaled()
+    return ("read", space.labels, space.base_point, scale, mat.tobytes(),
+            landmarks, spec)
+
+
+def _unreduce(value: str, k: int) -> str:
+    """``p/q`` as ``kp/kq``, or as a plain integer when q = k = 1."""
+    num, _, den = value.partition("/")
+    if den == "1" and k == 1:
+        return num
+    return f"{int(num) * k}/{int(den) * k}"
+
+
+@st.composite
+def _damage(draw, text):
+    """Up to three edits inside the distance table of ``text``."""
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        table = [k for k, line in enumerate(lines) if line.startswith("dist")]
+        if not table:
+            break
+        k = draw(st.sampled_from(table))
+        tokens = lines[k].split(" ")
+        kind = draw(st.sampled_from([
+            "blank", "whitespace", "unreduce", "swap", "delete", "extra",
+            "truncate", "last", "value", "index"]))
+        if kind == "blank":
+            lines.insert(draw(st.integers(table[0], table[-1] + 1)),
+                         draw(st.sampled_from(["", " ", "\t", "  \t "])))
+        elif kind == "whitespace":
+            gap = draw(st.sampled_from(["\t", "  ", " \t"]))
+            at = draw(st.integers(0, len(tokens)))
+            if at in (0, len(tokens)):
+                lines[k] = gap + lines[k] if at == 0 else lines[k] + gap
+            else:
+                lines[k] = (" ".join(tokens[:at]) + gap
+                            + " ".join(tokens[at:]))
+        elif (kind == "unreduce" and len(tokens) == 4
+              and re.fullmatch(r"-?\d+/[1-9]\d*", tokens[3])):
+            tokens[3] = _unreduce(tokens[3], draw(st.integers(1, 4)))
+            lines[k] = " ".join(tokens)
+        elif kind == "swap":
+            other = draw(st.sampled_from(table))
+            lines[k], lines[other] = lines[other], lines[k]
+        elif kind == "delete":
+            del lines[k]
+        elif kind == "extra":
+            lines.insert(k, draw(st.sampled_from(
+                [lines[k], "dist 0 1 1/1", "dist 99 100 1/2", "dist"])))
+        elif kind == "truncate":
+            cut = sum(len(line) + 1 for line in lines[:k])
+            return "\n".join(lines)[:cut + draw(st.integers(0,
+                                                             len(lines[k])))]
+        elif kind in ("last", "value"):
+            at = table[-1] if kind == "last" else k
+            tokens = lines[at].split(" ")
+            tokens[-1] = draw(st.sampled_from(
+                ["1/1", "3/2", "1/4", "0/1", "-1/2", "2/4", "x/1", "1.5",
+                 "1/0", ""]))
+            lines[at] = " ".join(tokens)
+        elif kind == "index" and len(tokens) == 4:
+            t = draw(st.integers(1, 2))
+            tokens[t] = draw(st.sampled_from(
+                ["x", "-1", "0", "1", "2", "21", "22", "23"]))
+            lines[k] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reader_agrees_with_the_line_by_line_reference(texts, data):
+    root, kinds = texts
+    kind = data.draw(st.sampled_from(sorted(kinds)))
+    path = root / "damaged.txt"
+    path.write_text(data.draw(_damage(kinds[kind])))
+    assert _outcome(read_space, path) == _outcome(read_space_reference, path)
+
+
+def test_canonical_files_read_unchanged(texts):
+    root, kinds = texts
+    for kind, text in kinds.items():
+        path = root / f"canonical-{kind}.txt"
+        path.write_text(text)
+        got = _outcome(read_space, path)
+        assert got[0] == "read"
+        assert got == _outcome(read_space_reference, path)
+
+
+@pytest.fixture(scope="module")
+def large_echo(tmp_path_factory):
+    """A spec-echo file of several decoding chunks (131 points)."""
+    spec = DiamondSpec(3, 3)
+    space, lm = build_cached(spec)
+    path = tmp_path_factory.mktemp("utf8") / "space.txt"
+    write_space(str(path), space, lm, spec)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("fraction", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("earlier", ["none", "same-row", "rows-before"])
+def test_bytes_that_are_not_utf8_are_met_where_lines_meet_them(
+        large_echo, tmp_path, fraction, earlier):
+    data = bytearray(large_echo)
+    at = data.index(b"\n", int(len(data) * fraction)) + 1
+    data[at:at] = b"\xff"
+    if earlier != "none":
+        # Damage a line before the bad byte, in its row or well before.
+        back = 2 if earlier == "same-row" else 400
+        line = at
+        for _ in range(back):
+            line = data.rindex(b"\n", 0, line - 1) + 1
+        data[line:line] = b"#"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(bytes(data))
+    got = _outcome(read_space, path)
+    assert got[0] == "error"
+    assert got == _outcome(read_space_reference, path)
+
+
+# -- pinned writer bytes ------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha, branches, digest", [
+    ("w", 4, "49d437c768a97d04a42582a8bcc03e7bb42f138aca3cff5f8512e117a10a4d78"),
+    ("4", 3, "7cf0d38c4311243f5eafc8a8789029b20a2a77b1cee5c90e1afc8ac0ff83981c"),
+])
+def test_space_file_bytes_are_pinned(tmp_path, alpha, branches, digest):
+    spec = DiamondSpec(parse_ordinal(alpha), branches, 3)
+    space, lm = build_cached(spec)
+    path = tmp_path / "space.txt"
+    write_space(str(path), space, lm, spec)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# -- the shared Fraction table ------------------------------------------------
+
+
+def test_bare_file_with_more_values_than_the_table_reads(tmp_path):
+    # Every distance lies in [1, 2), so any such table is a metric; each
+    # pair gets its own value, and there are more pairs than table slots.
+    n = 370
+    assert n * (n - 1) // 2 > _SHARED_FRACTIONS
+    scale = 1 << 20
+    mat = [[0] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            k += 1
+            mat[i][j] = mat[j][i] = scale + k
+    space = MetricSpace.from_scaled([f"p{i}" for i in range(n)], mat,
+                                    scale, 0)
+    path = tmp_path / "many.txt"
+    write_space(str(path), space)
+    read, landmarks, spec = read_space(str(path))
+    assert (landmarks, spec) == (None, None)
+    assert read.labels == space.labels
+    got, got_scale = read.integer_scaled()
+    assert got_scale == scale and got.tolist() == mat
+    assert read.distance(n - 2, n - 1) == Fraction(scale + k, scale)
+    info = _shared.cache_info()
+    assert info.maxsize == _SHARED_FRACTIONS
+    assert info.currsize == _SHARED_FRACTIONS
