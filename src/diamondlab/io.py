@@ -592,9 +592,13 @@ def write_transcript(path: str, doc: TranscriptDocument,
         lines.append(f"adversary kind={adv.kind} count={adv.count} "
                      f"eta={format_fraction(adv.eta)} seed={adv.seed}")
 
-    text = cache(format_fraction)  # each distinct value formatted once
+    # Values are formatted and keyed through their integers: hashing a
+    # Fraction costs more than formatting it.
+    def text(value: Fraction) -> str:
+        return f"{value.numerator}/{value.denominator}"
+
     # Moves share functional tuples, so a family is found by the tuple's
-    # identity; its values are hashed once per distinct tuple object.
+    # identity; its values are keyed once per distinct tuple object.
     family_of: dict[int, int] = {}
     by_value: dict[tuple, int] = {}
     order: list[tuple[LipschitzFunction, ...]] = []
@@ -602,7 +606,8 @@ def write_transcript(path: str, doc: TranscriptDocument,
         for move in node.moves:
             fns = move.neighborhood.functionals
             if id(fns) not in family_of:
-                key = tuple(f.entries for f in fns)
+                key = tuple(tuple((i, v.numerator, v.denominator)
+                                  for i, v in f.entries) for f in fns)
                 if key not in by_value:
                     by_value[key] = len(order)
                     order.append(fns)

@@ -102,9 +102,13 @@ class LipschitzFunction:
         return idx in self._by_index
 
     def shift(self, offset: Fraction) -> "LipschitzFunction":
+        """Add ``offset`` to every value; values are shared ``Fraction``s."""
         off = Fraction(offset)
+        p, q = off.numerator, off.denominator
         return LipschitzFunction._from_sorted(
-            self._space, [(i, v + off) for i, v in self._entries], self._lip)
+            self._space, [(i, fraction(v.numerator * q + p * v.denominator,
+                                       v.denominator * q))
+                          for i, v in self._entries], self._lip)
 
     def shifted_to_vanish(self, idx: int) -> "LipschitzFunction":
         """Subtract the value at ``idx`` so the result vanishes there."""

@@ -87,7 +87,10 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.status != "fail" for r in self.results)
+        """No row failed and at least one passed: a run that skipped
+        every check shows nothing."""
+        statuses = {r.status for r in self.results}
+        return "fail" not in statuses and "pass" in statuses
 
     @property
     def verdict(self) -> str:

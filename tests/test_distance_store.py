@@ -5,7 +5,8 @@ Core claims checked here:
     integer matrix and give the same distances and ``Fraction`` view, on
     thirds and on numerators just below 2^60,
   * the ``Fraction`` view is built once and kept, and takes its objects
-    from the shared table, as distances and closures do,
+    from the shared table, as distances, closures and shifted functionals
+    do,
   * ``distinct_values`` is ``np.unique`` with inverse codes, on both of
     its paths,
   * the summing metric, the equivalence constants (with the first pair
@@ -13,8 +14,8 @@ Core claims checked here:
     ``Fraction`` oracles, on random partitions of small stages, the
     omega stage's bottom half, non-dyadic scaled copies and random
     metrics,
-  * the suite's metric-oracle check, which is ``validate_metric``, names
-    the first pair whose distance disagrees with the edge closure.
+  * the suite's metric-oracle check, which is ``validate_metric``, fails
+    on a planted builder fault and names the violated triangle.
 """
 
 from fractions import Fraction
@@ -33,13 +34,14 @@ from diamondlab import (
     build_cached,
     build_cover,
     cover_partition,
+    distance_functional,
     equivalence_constants,
     finest_edges,
     run_check,
     shortest_path_closure,
     summing_metric,
 )
-from diamondlab import metric
+from diamondlab import diamond, metric
 from diamondlab.io import parse_fraction
 from oracles import (cover_oracle, equivalence_constants_oracle,
                      summing_metric_oracle)
@@ -138,6 +140,9 @@ def test_equal_values_share_one_fraction(d23):
     assert metric.fraction(6, 4) is metric.fraction(3, 2)
     assert parse_fraction("3/2") is metric.fraction(3, 2)
     assert parse_fraction("-6/4") == Fraction(-3, 2)
+    shifted = distance_functional(space, 0).shift(Fraction(-1, 3))
+    assert all(v is metric.fraction(v.numerator, v.denominator)
+               for _, v in shifted.entries)
 
 
 @pytest.mark.parametrize("array", [
@@ -246,12 +251,19 @@ def test_build_cover_matches_oracle_on_random_metrics(space):
 
 
 def test_metric_oracle_names_the_disagreeing_pair(monkeypatch):
-    # Without the finest edge top - mid(1) of the first stage, which
-    # validate_metric reads, its closure distance is 3, not 1.
-    monkeypatch.setattr(metric, "finest_edges",
-                        lambda space: finest_edges(space)[1:])
+    # A planted builder fault: poles 3 apart in the base stage, which
+    # every stage inherits, so top - mid(1) - bottom is shorter.
+    outer = diamond._outer_numerators
+
+    def poles_too_far(n):
+        out = outer(n)
+        out[0, 1] = out[1, 0] = 3
+        return out
+
+    monkeypatch.setattr(diamond, "_outer_numerators", poles_too_far)
+    monkeypatch.setattr(diamond, "_build_cache", {})
     result = run_check("metric-oracle", SuiteConfig(seed=0))
     assert result.status == "fail"
     assert result.details == (
-        "MetricAxiomError: triangle violation: d(0,2) = 1 between top and "
-        "mid(1), but the closure of the finest edges gives 3")
+        "MetricAxiomError: triangle violation: d(0,1) = 3 between top and "
+        "bottom exceeds d(0,2) + d(2,1) = 2 through mid(1)")

@@ -7,10 +7,12 @@ Core claims checked here:
   * ``closure_numerators`` equals dense Floyd-Warshall and a Fraction
     Dijkstra on random edge lists, self-loops, reversed and repeated
     edges included, and both closures refuse disconnected lists,
-  * the edge-closure check can fail: on a table that breaks the
-    triangle inequality the closure of the found edges differs from it,
-    and ``validate_metric``, which is that check, refuses the table while
-    it accepts every graph metric.
+  * the metric check can fail: on a table that breaks the triangle
+    inequality the closure of the dense search's edges differs from it,
+    and ``finest_edges`` and ``validate_metric`` refuse the table,
+  * on random symmetric positive tables, ``finest_edges`` and
+    ``validate_metric`` raise exactly when a dense triangle test finds a
+    violation.
 """
 
 from fractions import Fraction
@@ -91,10 +93,47 @@ def test_closure_check_fails_on_triangle_violations(data):
             mat[i, j] = mat[j, i] = data.draw(st.integers(1, 12))
     assume((mat[:, :, None] > mat[:, None, :] + mat.T[None, :, :]).any())
     space = MetricSpace.from_scaled([str(i) for i in range(n)], mat, 1, 0)
-    closure = closure_numerators(space, finest_edges(space))
+    closure = closure_numerators(space, finest_edges_oracle(space))
     assert not np.array_equal(closure, space.integer_scaled()[0])
     with pytest.raises(MetricAxiomError, match="triangle"):
+        finest_edges(space)
+    with pytest.raises(MetricAxiomError, match="triangle"):
         space.validate_metric()
+
+
+@st.composite
+def symmetric_positive_tables(draw):
+    """A random closure, a closure with one pair moved by one step, or an
+    arbitrary symmetric positive table, over a denominator of 1 to 4."""
+    n = draw(st.integers(2, 9))
+    mat = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = mat[j, i] = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("closure", "perturbed", "arbitrary")))
+    if kind != "arbitrary":
+        for k in range(n):
+            np.minimum(mat, mat[:, k, None] + mat[None, k, :], out=mat)
+    if kind == "perturbed":
+        i, j = draw(st.permutations(range(n)))[:2]
+        mat[i, j] = mat[j, i] = max(1, mat[i, j] + draw(st.sampled_from(
+            (-1, 1))))
+    return MetricSpace.from_scaled([str(i) for i in range(n)], mat,
+                                   draw(st.integers(1, 4)), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_positive_tables())
+def test_metric_check_matches_the_dense_triangle_test(space):
+    mat, _ = space.integer_scaled()
+    if (mat[:, :, None] > mat[:, None, :] + mat.T[None, :, :]).any():
+        with pytest.raises(MetricAxiomError, match="triangle"):
+            finest_edges(space)
+        with pytest.raises(MetricAxiomError, match="triangle"):
+            space.validate_metric()
+    else:
+        space.validate_metric()
+        assert finest_edges(space) == finest_edges_oracle(space)
 
 
 def test_closure_refuses_negative_and_out_of_range_edges():

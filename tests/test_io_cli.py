@@ -794,6 +794,19 @@ def test_report_verdict_consistency(tmp_path):
         read_report(str(path2))
 
 
+def test_report_of_skipped_checks_does_not_pass(tmp_path):
+    rows = (CheckResult("depth-game", "games verify", "skip",
+                        "budget: too small"),)
+    report = SuiteReport("0.1.0", 3, 0, rows)
+    assert report.verdict == "fail"
+    assert SuiteReport("0.1.0", 3, 0, ()).verdict == "fail"
+    path = tmp_path / "report.txt"
+    write_report(str(path), report)
+    path.write_text(path.read_text().replace("verdict fail", "verdict pass"))
+    with pytest.raises(FormatError, match="contradicts"):
+        read_report(str(path))
+
+
 # -- Command line --------------------------------------------------------------------
 
 def test_cli_gen_dist_norm_flow(tmp_path, capsys):
@@ -893,6 +906,17 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget exceeded" in captured.err
+
+
+def test_cli_suite_that_skips_every_check_fails(tmp_path, capsys):
+    report_file = str(tmp_path / "report.txt")
+    code = cli.main(["suite", "--budget-points", "0",
+                     "--report", report_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.count("skip ") == 10
+    assert "verdict: fail" in captured.out
+    assert read_report(report_file).verdict == "fail"
 
 
 def test_cli_usage_errors(tmp_path, capsys):

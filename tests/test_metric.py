@@ -2,13 +2,16 @@
 
 Core claims checked here:
   * axiom validation accepts true metrics and pinpoints each violation,
-    also a single changed entry of a 779-point stage,
+    also a single changed entry of a 779-point stage, where it names the
+    first asymmetric or non-positive pair in row-major order across its
+    row blocks and keeps no temporary near the table's size,
   * restriction preserves distances, labels and the chosen base,
   * integer scaling is exact and random closure matrices validate,
   * a space built from integer numerators equals the one built from
     the same Fractions, with the same reduced integer matrix.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -121,6 +124,39 @@ def test_validate_refuses_one_changed_entry_on_779_points():
                                           space.base_point)
         with pytest.raises(MetricAxiomError, match="triangle"):
             planted.validate_metric()
+
+
+def test_validate_names_the_first_pair_across_row_blocks():
+    space, _ = build_cached(DiamondSpec(4, 3))
+    mat, scale = space.integer_scaled()
+
+    def planted(changes):
+        bad = mat.copy()
+        for (i, j), value in changes:
+            bad[i, j] = value
+        return MetricSpace.from_scaled(space.labels, bad, scale,
+                                       space.base_point)
+
+    # Asymmetry is reported before positivity, whichever row comes first.
+    for changes, message in (
+            ([((700, 100), 5), ((300, 5), 1)], r"asymmetry at \(5,300\)"),
+            ([((7, 200), 0), ((200, 7), 0), ((50, 600), -1),
+              ((600, 50), -1)], r"d\(7,200\) is not positive"),
+            ([((3, 9), 0), ((9, 3), 0), ((700, 100), 5)],
+             r"asymmetry at \(100,700\)")):
+        with pytest.raises(MetricAxiomError, match=message):
+            planted(changes).validate_metric()
+
+
+def test_validation_keeps_no_table_sized_temporary():
+    space, _ = build_cached(DiamondSpec(4, 3))
+    tracemalloc.start()
+    try:
+        space.validate_metric()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < space.integer_scaled()[0].nbytes / 8
 
 
 def test_random_closures_validate():
