@@ -17,6 +17,7 @@ lower bounds and make no completeness claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -27,7 +28,7 @@ from .diamond import DiamondLandmarks
 from .freespace import FreeVector, free_norm, molecule, norm_value
 from .lipschitz import (LipschitzFunction, distance_functional, lip_constant,
                         mcshane_extend)
-from .metric import MetricSpace
+from .metric import MetricSpace, exact
 from .sampling import Sampler
 
 __all__ = [
@@ -68,7 +69,7 @@ class WeakNeighborhood:
     Membership is the closed condition |pair(f, v - center)| <= eta for
     every functional f of the family.  Functionals must be total and
     vanish at the base point so the pairings are well defined on the
-    whole free space.
+    whole free space.  Eta must be an exact positive rational.
     """
 
     __slots__ = ("_functionals", "_center", "_eta", "_center_pairs")
@@ -88,13 +89,13 @@ class WeakNeighborhood:
                 raise ValueError("functionals must be total")
             if f.value(base) != 0:
                 raise ValueError("functionals must vanish at the base point")
-        eta = Fraction(eta)
+        eta = exact(eta)
         if eta <= 0:
             raise ValueError("eta must be positive")
         self._functionals = functionals
         self._center = center
         self._eta = eta
-        self._center_pairs: Optional[tuple[Fraction, ...]] = None
+        self._center_pairs: Optional[tuple[tuple[int, int], ...]] = None
 
     @property
     def functionals(self) -> tuple[LipschitzFunction, ...]:
@@ -114,14 +115,20 @@ class WeakNeighborhood:
 
     def contains(self, vec: FreeVector) -> bool:
         # Pairing is linear, so pair(f, vec - center) is the difference of
-        # the two pairings; the center's are formed on first use.
+        # the two pairings; the center's are formed on first use.  With
+        # pairings a/b and c/d and eta = p/q (positive denominators), the
+        # test |a/b - c/d| <= p/q is |a*d - c*b| * q <= p * b * d.
         if vec.space is not self.space:
             raise ValueError("vector lives over a different space")
         if self._center_pairs is None:
-            self._center_pairs = tuple(self._center.pair(f)
+            self._center_pairs = tuple(self._center._pairing(f)
                                        for f in self._functionals)
-        return all(abs(vec.pair(f) - p) <= self._eta
-                   for f, p in zip(self._functionals, self._center_pairs))
+        p, q = self._eta.numerator, self._eta.denominator
+        for f, (c, d) in zip(self._functionals, self._center_pairs):
+            a, b = vec._pairing(f)
+            if abs(a * d - c * b) * q > p * b * d:
+                return False
+        return True
 
     def recentered(self, center: FreeVector) -> "WeakNeighborhood":
         return WeakNeighborhood(self._functionals, center, self._eta)
@@ -194,12 +201,12 @@ def walk_nodes(node: GameNode, path: str = "root"):
 def collect_vectors(tree) -> tuple[FreeVector, ...]:
     """All targets and responses in first-visit order, deduplicated."""
     root = tree.root if isinstance(tree, GameTranscript) else tree
-    seen: dict[tuple, FreeVector] = {}
+    seen: dict[FreeVector, None] = {}
     for _, node in walk_nodes(root):
-        seen.setdefault(node.target.entries, node.target)
+        seen.setdefault(node.target)
         for move in node.moves:
-            seen.setdefault(move.response.entries, move.response)
-    return tuple(seen.values())
+            seen.setdefault(move.response)
+    return tuple(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +469,7 @@ def prover_certify(space: MetricSpace, landmarks: DiamondLandmarks,
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    epsilon = Fraction(epsilon)
+    epsilon = exact(epsilon)
     height = _stage_height(landmarks)
     if depth > 0:
         if height is None:
@@ -473,7 +480,7 @@ def prover_certify(space: MetricSpace, landmarks: DiamondLandmarks,
                              f"requested {depth}")
     family = adversary_family(space, landmarks, adversary) if depth else ()
     root = _certify_pole(space, landmarks, range(len(space)), depth, family,
-                         Fraction(adversary.eta), epsilon)[-1]
+                         exact(adversary.eta), epsilon)[-1]
     return GameTranscript(space, root, adversary)
 
 
@@ -600,23 +607,34 @@ def relative_derivation_oracle(space: MetricSpace,
     with the round count.
 
     Pairing is linear, so each candidate is paired with each functional
-    once and a box compares those pairings.  Survivors are positions in
-    the deduplicated candidate list and keep its order, so a box's pairs
-    are always (earlier, later) and each pair's distance is solved once
-    per call, whichever boxes and rounds share it.
+    once and a box compares those pairings, in integers: functional k's
+    pairings are brought to one common denominator D_k, and with eta =
+    p/q two candidates share a box when their numerators, times q, differ
+    by at most p * D_k for every k.  Survivors are positions in the
+    deduplicated candidate list and keep its order, so a box's pairs are
+    always (earlier, later) and each pair's distance is solved once per
+    call, whichever boxes and rounds share it.
     """
-    pool: dict[tuple, FreeVector] = {}
+    pool: dict[FreeVector, None] = {}
     for v in candidates:
         if v.space is not space:
             raise ValueError("candidate lives over a different space")
         if norm_value(v) > 1:
             raise ValueError("candidates must lie in the unit ball")
-        pool.setdefault(v.entries, v)
+        pool.setdefault(v)
     for f in functionals:
         if f.space is not space or not f.is_total:
             raise ValueError("functionals must be total on the space")
-    vectors = list(pool.values())
-    pairings = [tuple(v.pair(f) for f in functionals) for v in vectors]
+    vectors = list(pool)
+    eta = exact(eta)
+    columns, bounds = [], []
+    for f in functionals:
+        pairs = [v._pairing(f) for v in vectors]
+        common = math.lcm(*(d for _, d in pairs))
+        columns.append([a * (common // d) * eta.denominator
+                        for a, d in pairs])
+        bounds.append(eta.numerator * common)
+    pairings = list(zip(*columns)) if columns else [()] * len(vectors)
 
     @cache
     def distance(a: int, b: int) -> Fraction:
@@ -630,7 +648,8 @@ def relative_derivation_oracle(space: MetricSpace,
         for v in survivors:
             pv = pairings[v]
             box = [w for w in survivors
-                   if all(abs(p - q) <= eta for p, q in zip(pairings[w], pv))]
+                   if all(abs(a - b) <= bound for a, b, bound
+                          in zip(pairings[w], pv, bounds))]
             diameter = Fraction(0)
             for a in range(len(box)):
                 for b in range(a + 1, len(box)):

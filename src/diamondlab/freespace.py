@@ -8,15 +8,31 @@ computation also builds a feasible dual potential and checks that the
 primal and dual values agree exactly; a failed check raises instead of
 returning a wrong answer.
 
-The solver and the dual run on integers: the space's distance numerators
-over its denominator (``integer_scaled()``) and the vector's mass
-numerators over their common denominator.  ``Fraction`` values are
-formed only for the value, the plan masses and the potential.
+A vector is stored as integers: its support (sorted point indices), one
+numerator per support point, and one positive denominator that shares no
+factor with all the numerators (``FreeVector.integer_scaled()``).  Equal
+vectors therefore have equal integers, and equality, hashing and the norm
+caches work on them.  Sums, differences, negation and scalar multiples
+merge numerators over the least common denominator; pairing with a
+function sums integer products against the function's integer view and
+forms one ``Fraction`` at the end; ``entries`` builds ``(index,
+Fraction)`` pairs on first use, from the shared values of
+:func:`~diamondlab.metric.fraction`.  Coefficients and scalars must be
+exact rationals (``int`` or ``Fraction``); anything else raises
+``TypeError``.
+
+The solver and the dual run on integers too: the space's distance
+numerators over its denominator (``integer_scaled()``) and the vector's
+numerators as masses.  The primal-dual comparison is one integer
+equality, and ``Fraction`` values are formed only for the value and the
+certificate's plan masses and potential.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -25,9 +41,9 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import CertificateError
-from .lipschitz import (LipschitzFunction, _dtype, is_lipschitz_at_most,
-                        mcshane_extend)
-from .metric import MetricSpace
+from .lipschitz import (LipschitzFunction, _dtype, _scaled_values,
+                        is_lipschitz_at_most, mcshane_extend)
+from .metric import MetricSpace, exact, fraction
 
 __all__ = [
     "FreeVector",
@@ -51,99 +67,154 @@ def norm_statistics() -> dict:
     return dict(_stats)
 
 
+def _normalized(space: MetricSpace,
+                ratios: Sequence[tuple[int, int, int]]
+                ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Support, numerators and denominator of the sum of ``(index,
+    numerator, denominator)`` terms, denominators positive: repeated
+    indices add up, zeros and the base point drop out, and the numerators
+    and the denominator share no factor."""
+    den = math.lcm(*(q for _, _, q in ratios))
+    size = len(space)
+    acc: dict[int, int] = {}
+    for idx, p, q in ratios:
+        idx = operator.index(idx)
+        if not 0 <= idx < size:
+            raise IndexError(f"point index {idx} out of range")
+        acc[idx] = acc.get(idx, 0) + p * (den // q)
+    acc.pop(space.base_point, None)
+    support = sorted(i for i, n in acc.items() if n)
+    return _reduced(support, [acc[i] for i in support], den)
+
+
+def _reduced(support: Sequence[int], nums: list[int], den: int
+             ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Divide out the common factor of the numerators and ``den``."""
+    common = math.gcd(den, *nums)
+    if common > 1:
+        nums = [n // common for n in nums]
+        den //= common
+    return tuple(support), tuple(nums), den
+
+
 class FreeVector:
     """Immutable rational combination of point evaluations.
 
-    Entries are kept sorted by point index with zero coefficients and any
-    base-point coefficient removed, so equal vectors have equal entries.
+    A vector is its support, the sorted point indices with a nonzero
+    coefficient (never the base point), and integer numerators over one
+    positive denominator sharing no factor with them all.  Equal vectors
+    have equal integers, so equality, hashing and the norm caches work
+    on them; ``entries`` builds the ``(index, Fraction)`` pairs on first
+    use, as shared values of :func:`~diamondlab.metric.fraction`.
     """
 
-    __slots__ = ("_space", "_entries", "__weakref__")
+    __slots__ = ("_space", "_idx", "_num", "_den", "_entries", "__weakref__")
 
     def __init__(self, space: MetricSpace,
                  entries: Iterable[tuple[int, Fraction]] = ()):
-        acc: dict[int, Fraction] = {}
-        base = space.base_point
+        ratios = []
         for idx, coeff in entries:
-            if not 0 <= idx < len(space):
-                raise IndexError(f"point index {idx} out of range")
-            acc[idx] = acc.get(idx, _ZERO) + Fraction(coeff)
-        cleaned = sorted((i, c) for i, c in acc.items()
-                         if c != 0 and i != base)
+            c = exact(coeff)
+            ratios.append((idx, c.numerator, c.denominator))
+        self._assign(space, *_normalized(space, ratios))
+
+    def _assign(self, space: MetricSpace, support: tuple[int, ...],
+                nums: tuple[int, ...], den: int) -> None:
         self._space = space
-        self._entries = tuple(cleaned)
+        self._idx = support
+        self._num = nums
+        self._den = den
+        self._entries: Optional[tuple[tuple[int, Fraction], ...]] = None
 
     @classmethod
-    def _from_sorted(cls, space: MetricSpace,
-                     entries: Iterable[tuple[int, Fraction]]) -> "FreeVector":
-        """Trusted constructor for results the arithmetic has already
-        formed: ``(index, Fraction)`` pairs sorted by distinct in-range
-        indices, none of them the base point, with nonzero coefficients,
-        taken without checks."""
+    def _from_ratios(cls, space: MetricSpace,
+                     ratios: Sequence[tuple[int, int, int]]) -> "FreeVector":
+        """The vector of ``(index, numerator, denominator)`` terms with
+        positive integer denominators, normalized as by the constructor."""
+        return cls._from_reduced(space, *_normalized(space, ratios))
+
+    @classmethod
+    def _from_reduced(cls, space: MetricSpace, support: tuple[int, ...],
+                      nums: tuple[int, ...], den: int) -> "FreeVector":
+        """Trusted constructor for integers the arithmetic has already
+        normalized, taken without checks."""
         vec = cls.__new__(cls)
-        vec._space = space
-        vec._entries = tuple(entries)
+        vec._assign(space, support, nums, den)
         return vec
 
     @property
     def space(self) -> MetricSpace:
         return self._space
 
+    def integer_scaled(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Support, coefficient numerators and their common denominator."""
+        return self._idx, self._num, self._den
+
     @property
     def entries(self) -> tuple[tuple[int, Fraction], ...]:
+        if self._entries is None:
+            den = self._den
+            self._entries = tuple(zip(self._idx,
+                                      [fraction(n, den) for n in self._num]))
         return self._entries
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._entries)
+        return self._idx
 
     @property
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._idx
 
     @property
     def total_mass(self) -> Fraction:
-        return sum((c for _, c in self._entries), _ZERO)
+        return fraction(sum(self._num), self._den)
 
     def coefficient(self, idx: int) -> Fraction:
-        for i, c in self._entries:
-            if i == idx:
-                return c
+        k = bisect.bisect_left(self._idx, idx)
+        if k < len(self._idx) and self._idx[k] == idx:
+            return fraction(self._num[k], self._den)
         return _ZERO
 
-    def _require_same_space(self, other: "FreeVector") -> None:
+    def _merged(self, other: "FreeVector", sign: int) -> "FreeVector":
+        """This vector plus ``sign`` times ``other``, in one merge pass over
+        numerators brought to the least common denominator."""
         if self._space is not other._space:
             raise ValueError("vectors live over different spaces")
-
-    def _merged(self, b: Sequence[tuple[int, Fraction]]) -> "FreeVector":
-        """This vector plus the sorted entries ``b``, in one merge pass."""
-        a = self._entries
-        out = []
+        a_idx, a_num, b_idx, b_num = self._idx, self._num, other._idx, other._num
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        support: list[int] = []
+        nums: list[int] = []
         i = j = 0
-        while i < len(a) and j < len(b):
-            ia, ca = a[i]
-            ib, cb = b[j]
-            if ia < ib:
-                out.append(a[i])
+        while i < len(a_idx) and j < len(b_idx):
+            x, y = a_idx[i], b_idx[j]
+            if x < y:
+                support.append(x)
+                nums.append(a_num[i] * fa)
                 i += 1
-            elif ib < ia:
-                out.append(b[j])
+            elif y < x:
+                support.append(y)
+                nums.append(b_num[j] * fb)
                 j += 1
             else:
-                c = ca + cb
+                c = a_num[i] * fa + b_num[j] * fb
                 if c:
-                    out.append((ia, c))
+                    support.append(x)
+                    nums.append(c)
                 i += 1
                 j += 1
-        out += a[i:]
-        out += b[j:]
-        return FreeVector._from_sorted(self._space, out)
+        support += a_idx[i:]
+        nums += [n * fa for n in a_num[i:]]
+        support += b_idx[j:]
+        nums += [n * fb for n in b_num[j:]]
+        return FreeVector._from_reduced(self._space,
+                                        *_reduced(support, nums, den))
 
     def __add__(self, other: "FreeVector") -> "FreeVector":
         if not isinstance(other, FreeVector):
             return NotImplemented
-        self._require_same_space(other)
-        return self._merged(other._entries)
+        return self._merged(other, 1)
 
     def __radd__(self, other):
         if other == 0:
@@ -153,53 +224,62 @@ class FreeVector:
     def __sub__(self, other: "FreeVector") -> "FreeVector":
         if not isinstance(other, FreeVector):
             return NotImplemented
-        self._require_same_space(other)
-        return self._merged([(i, -c) for i, c in other._entries])
+        return self._merged(other, -1)
 
     def __neg__(self) -> "FreeVector":
-        return FreeVector._from_sorted(self._space,
-                                       [(i, -c) for i, c in self._entries])
+        return FreeVector._from_reduced(
+            self._space, self._idx, tuple(-n for n in self._num), self._den)
+
+    def _times(self, p: int, q: int) -> "FreeVector":
+        """This vector times p/q, with q positive."""
+        if not p:
+            return FreeVector._from_reduced(self._space, (), (), 1)
+        return FreeVector._from_reduced(self._space, *_reduced(
+            self._idx, [n * p for n in self._num], self._den * q))
 
     def __mul__(self, scalar) -> "FreeVector":
-        fac = Fraction(scalar)
-        if not fac:
-            return FreeVector._from_sorted(self._space, ())
-        return FreeVector._from_sorted(self._space,
-                                       [(i, c * fac) for i, c in self._entries])
+        fac = exact(scalar)
+        return self._times(fac.numerator, fac.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "FreeVector":
-        return self * (Fraction(1) / Fraction(scalar))
+        fac = exact(scalar)
+        if not fac:
+            raise ZeroDivisionError("division of a vector by zero")
+        if fac < 0:
+            return self._times(-fac.denominator, -fac.numerator)
+        return self._times(fac.denominator, fac.numerator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeVector):
             return NotImplemented
-        return self._space is other._space and self._entries == other._entries
+        return (self._space is other._space and self._den == other._den
+                and self._idx == other._idx and self._num == other._num)
 
     def __hash__(self):
-        return hash((id(self._space), self._entries))
+        return hash((id(self._space), self._idx, self._num, self._den))
+
+    def _pairing(self, func: LipschitzFunction) -> tuple[int, int]:
+        """Numerator and (unreduced, positive) denominator of the pairing:
+        the sum of coefficient numerators times value numerators, over the
+        product of the two denominators."""
+        if func.space is not self._space:
+            raise ValueError("function lives over a different space")
+        _, values, den, _ = _scaled_values(func)
+        if not func.is_total:
+            values = dict(zip(func.domain, values))
+        total = sum(map(operator.mul, self._num,
+                        map(values.__getitem__, self._idx)))
+        return total, self._den * den
 
     def pair(self, func: LipschitzFunction) -> Fraction:
         """Evaluate sum of coeff * func(point) over the entries.
 
-        The products are summed as integers over the running least
-        common denominator, and one ``Fraction`` is formed at the end.
+        The products are summed as integers over the product of the two
+        common denominators, and one ``Fraction`` is formed at the end.
         """
-        if func.space is not self._space:
-            raise ValueError("function lives over a different space")
-        value = func.value
-        num, den = 0, 1
-        for i, c in self._entries:
-            v = value(i)
-            top = c.numerator * v.numerator
-            bottom = c.denominator * v.denominator
-            if den % bottom:
-                common = math.lcm(den, bottom)
-                num *= common // den
-                den = common
-            num += top * (den // bottom)
-        return Fraction(num, den)
+        return Fraction(*self._pairing(func))
 
     def mapped(self, target: MetricSpace,
                index_map: Mapping[int, int]) -> "FreeVector":
@@ -210,13 +290,14 @@ class FreeVector:
         point are the caller's responsibility, as with restrictions.
         """
         try:
-            moved = [(index_map[i], c) for i, c in self._entries]
+            moved = [(index_map[i], n, self._den)
+                     for i, n in zip(self._idx, self._num)]
         except KeyError as exc:
             raise ValueError(f"index map misses point {exc.args[0]}")
-        return FreeVector(target, moved)
+        return FreeVector._from_ratios(target, moved)
 
     def __repr__(self) -> str:
-        parts = [f"{c}*[{self._space.label(i)}]" for i, c in self._entries]
+        parts = [f"{c}*[{self._space.label(i)}]" for i, c in self.entries]
         return "FreeVector(" + (" + ".join(parts) if parts else "0") + ")"
 
 
@@ -224,39 +305,38 @@ def molecule(space: MetricSpace, x: int, y: int) -> FreeVector:
     """The normalized two-point vector (delta_x - delta_y) / d(x, y)."""
     if x == y:
         raise ValueError("a molecule needs two distinct points")
-    inv = Fraction(1) / space.distance(x, y)
-    return FreeVector(space, [(x, inv), (y, -inv)])
+    d = space.distance(x, y)
+    if not d:
+        raise ZeroDivisionError("a molecule needs two points at a positive "
+                                "distance")
+    return FreeVector._from_ratios(space, [(x, d.denominator, d.numerator),
+                                           (y, -d.denominator, d.numerator)])
 
 
 def point_mass(space: MetricSpace, x: int, coeff=1) -> FreeVector:
-    return FreeVector(space, [(x, Fraction(coeff))])
+    return FreeVector(space, [(x, coeff)])
 
 
 # ---------------------------------------------------------------------------
 # exact minimum-cost transport
 
 
-def _mass_numerators(parts: list[tuple[int, Fraction]], den: int) -> list[int]:
-    return [m.numerator * (den // m.denominator) for _, m in parts]
-
-
-def _min_cost_transport(space: MetricSpace,
-                        pos: list[tuple[int, Fraction]],
-                        neg: list[tuple[int, Fraction]]
-                        ) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
+def _min_cost_transport(space: MetricSpace, pos: list[tuple[int, int]],
+                        neg: list[tuple[int, int]]
+                        ) -> tuple[int, list[tuple[int, int, int]]]:
     """Cheapest coupling of two equal-mass distributions.
 
-    Successive shortest augmenting paths, found by Bellman-Ford, on the
-    bipartite flow network.  Costs are the space's distance numerators
-    over ``S`` (``integer_scaled()``) and capacities are mass numerators
-    over ``M``, the least common denominator of the masses; both are
-    Python integers.  Scaling by positive constants keeps every
-    comparison, so the augmenting paths and the plan are those of the
-    same solver run on ``Fraction`` values.  Only the returned value
-    ``total / (M * S)`` and the plan masses ``m / M`` are ``Fraction``.
+    Masses are ``(index, numerator)`` pairs over one common denominator
+    ``M``, the vector's.  Successive shortest augmenting paths, found by
+    Bellman-Ford, on the bipartite flow network whose costs are the
+    space's distance numerators over ``S`` (``integer_scaled()``) and
+    whose capacities are the mass numerators; all are Python integers.
+    Scaling by positive constants keeps every comparison, so the
+    augmenting paths and the plan are those of the same solver run on
+    ``Fraction`` values.  Returns the cost numerator over ``M * S`` and
+    the plan as ``(source, target, mass numerator over M)`` triples.
     """
-    mat, scale = space.integer_scaled()
-    den = math.lcm(*(m.denominator for _, m in pos + neg))
+    mat, _ = space.integer_scaled()
     np_, nn = len(pos), len(neg)
     count = np_ + nn + 2
     src, dst = count - 2, count - 1
@@ -273,11 +353,10 @@ def _min_cost_transport(space: MetricSpace,
         cap.extend((capacity, 0))
         cost.extend((weight, -weight))
 
-    supplies = _mass_numerators(pos, den)
-    supply = sum(supplies)
-    for a, m in enumerate(supplies):
+    supply = sum(m for _, m in pos)
+    for a, (_, m) in enumerate(pos):
         link(src, a, m, 0)
-    for b, m in enumerate(_mass_numerators(neg, den)):
+    for b, (_, m) in enumerate(neg):
         link(np_ + b, dst, m, 0)
     rows = mat[np.ix_([i for i, _ in pos], [j for j, _ in neg])].tolist()
     cross = []
@@ -327,14 +406,13 @@ def _min_cost_transport(space: MetricSpace,
 
     if pushed != supply:
         raise CertificateError("transport network failed to route all mass")
-    plan = sorted((i, j, Fraction(cap[back], den))
-                  for i, j, back in cross if cap[back] > 0)
-    return Fraction(total_cost, den * scale), plan
+    plan = sorted((i, j, cap[back]) for i, j, back in cross if cap[back] > 0)
+    return total_cost, plan
 
 
 def _dual_potential(space: MetricSpace, vec: FreeVector,
-                    plan: list[tuple[int, int, Fraction]]
-                    ) -> dict[int, Fraction]:
+                    plan: Sequence[tuple[int, int, int]]
+                    ) -> dict[int, int]:
     """Feasible potential tight on every plan pair, zero at the base.
 
     Shortest distances from the base in the difference-constraint graph
@@ -344,13 +422,14 @@ def _dual_potential(space: MetricSpace, vec: FreeVector,
     dual.  Rounds of Bellman-Ford relax every arc at once on the
     distance numerators; values still changing after ``size`` rounds
     past the first mean a negative cycle, so the plan was not optimal
-    and this raises.
+    and this raises.  Values are numerators over the space's ``S``,
+    keyed in increasing point order.
     """
     base = space.base_point
     nodes = sorted({base, *vec.support,
                     *(x for x, _, _ in plan), *(y for _, y, _ in plan)})
     pos_of = {v: k for k, v in enumerate(nodes)}
-    mat, scale = space.integer_scaled()
+    mat, _ = space.integer_scaled()
     block = mat[np.ix_(nodes, nodes)]
     size = len(nodes)
     # A round lowers a value by at most the largest distance, so no sum
@@ -368,8 +447,7 @@ def _dual_potential(space: MetricSpace, vec: FreeVector,
         dist = relaxed
     else:
         raise CertificateError("transport plan failed the optimality re-check")
-    return {node: Fraction(d, scale)
-            for node, d in zip(nodes, dist.tolist())}
+    return dict(zip(nodes, dist.tolist()))
 
 
 @dataclass
@@ -389,9 +467,12 @@ class TransportCertificate:
 
 
 def _split_parts(vec: FreeVector) -> tuple[list, list]:
-    pos = [(i, c) for i, c in vec.entries if c > 0]
-    neg = [(i, -c) for i, c in vec.entries if c < 0]
-    imbalance = vec.total_mass
+    """Positive and negative parts as ``(index, numerator)`` pairs over the
+    vector's denominator, with the imbalance settled at the base."""
+    support, nums, _ = vec.integer_scaled()
+    pos = [(i, n) for i, n in zip(support, nums) if n > 0]
+    neg = [(i, -n) for i, n in zip(support, nums) if n < 0]
+    imbalance = sum(nums)
     base = vec.space.base_point
     if imbalance > 0:
         neg.append((base, imbalance))
@@ -400,14 +481,18 @@ def _split_parts(vec: FreeVector) -> tuple[list, list]:
     return pos, neg
 
 
-def _gap_check(vec: FreeVector, value: Fraction,
-               fvals: dict[int, Fraction]) -> None:
-    pairing = sum((c * fvals[i] for i, c in vec.entries), _ZERO)
+def _gap_check(vec: FreeVector, cost: int, potential: dict[int, int]) -> None:
+    """The potential must pair with the vector to exactly the plan cost;
+    both are numerators over the vector's denominator times ``S``."""
+    support, nums, den = vec.integer_scaled()
+    pairing = sum(n * potential[i] for i, n in zip(support, nums))
     _stats["gap_checks"] += 1
-    if pairing != value:
+    if pairing != cost:
         _stats["gap_failures"] += 1
+        scale = den * vec.space.integer_scaled()[1]
         raise CertificateError(
-            f"duality gap: transport cost {value} but dual pairing {pairing}")
+            f"duality gap: transport cost {Fraction(cost, scale)} but dual "
+            f"pairing {Fraction(pairing, scale)}")
 
 
 _value_cache: "WeakKeyDictionary[MetricSpace, dict]" = WeakKeyDictionary()
@@ -421,30 +506,33 @@ def clear_norm_caches(space: MetricSpace) -> None:
 
 
 def _solve(vec: FreeVector
-           ) -> tuple[Fraction, list[tuple[int, int, Fraction]],
-                      dict[int, Fraction]]:
-    """Value, optimal plan and dual potential on the support plus base,
+           ) -> tuple[Fraction, list[tuple[int, int, int]], dict[int, int]]:
+    """Value, optimal plan (mass numerators over the vector's denominator)
+    and dual potential numerators over ``S`` on the support plus base,
     after the exact primal-dual comparison."""
     pos, neg = _split_parts(vec)
-    value, plan = _min_cost_transport(vec.space, pos, neg)
-    fvals = _dual_potential(vec.space, vec, plan)
-    _gap_check(vec, value, fvals)
+    cost, plan = _min_cost_transport(vec.space, pos, neg)
+    potential = _dual_potential(vec.space, vec, plan)
+    _gap_check(vec, cost, potential)
     _stats["norms"] += 1
-    return value, plan, fvals
+    scale = vec.space.integer_scaled()[1]
+    return Fraction(cost, vec.integer_scaled()[2] * scale), plan, potential
 
 
 def norm_value(vec: FreeVector) -> Fraction:
     """The norm alone, skipping the total-potential certificate.
 
     Still solves the dual on the support and confirms the exact
-    primal-dual match before returning.
+    primal-dual match before returning.  Norms are cached per space
+    under the vector's integers.
     """
     cache = _value_cache.setdefault(vec.space, {})
-    hit = cache.get(vec.entries)
+    key = vec.integer_scaled()
+    hit = cache.get(key)
     if hit is not None:
         return hit
     value, _, _ = _solve(vec)
-    cache[vec.entries] = value
+    cache[key] = value
     return value
 
 
@@ -455,14 +543,20 @@ def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
     potential on the support plus base.
     """
     cache = _cert_cache.setdefault(vec.space, {})
-    hit = cache.get(vec.entries)
+    key = vec.integer_scaled()
+    hit = cache.get(key)
     if hit is not None:
         return hit.value, hit
-    value, plan, fvals = _solve(vec)
-    potential = mcshane_extend(LipschitzFunction(vec.space, fvals))
-    cert = TransportCertificate(vec, value, tuple(plan), potential)
-    cache[vec.entries] = cert
-    _value_cache.setdefault(vec.space, {})[vec.entries] = value
+    value, plan, potential = _solve(vec)
+    space = vec.space
+    dual = LipschitzFunction._from_numerators(
+        space, np.array(list(potential), dtype=np.intp),
+        list(potential.values()), space.integer_scaled()[1])
+    cert = TransportCertificate(
+        vec, value, tuple((i, j, fraction(m, key[2])) for i, j, m in plan),
+        mcshane_extend(dual))
+    cache[key] = cert
+    _value_cache.setdefault(space, {})[key] = value
     return value, cert
 
 
@@ -489,7 +583,9 @@ def verify_certificate(cert: TransportCertificate) -> bool:
         into[y] = into.get(y, _ZERO) + mass
         cost += mass * space.distance(x, y)
     pos, neg = _split_parts(vec)
-    if out != {i: m for i, m in pos} or into != {j: m for j, m in neg}:
+    den = vec.integer_scaled()[2]
+    if (out != {i: Fraction(m, den) for i, m in pos}
+            or into != {j: Fraction(m, den) for j, m in neg}):
         raise CertificateError("plan marginals do not match the vector")
     if cost != value:
         raise CertificateError(

@@ -39,7 +39,7 @@ from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
 from .decomposition import SummandPartition
 from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
-from .lipschitz import LipschitzFunction
+from .lipschitz import LipschitzFunction, _scaled_values
 from .metric import MetricSpace, distinct_values, fraction
 from .ordinal import format_ordinal, parse_ordinal
 
@@ -70,15 +70,27 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """Numerator and positive denominator of "p/q" or a plain integer, as
+    written (not reduced); no floats."""
+    if not _FRACTION_RE.match(text):
+        raise FormatError(f"not an exact rational: {text!r}")
+    numerator, _, denominator = text.partition("/")
+    return int(numerator), int(denominator or 1)
+
+
 def parse_fraction(text: str) -> Fraction:
     """Exact rational from "p/q" or a plain integer; no floats.
 
     The value is the shared object of :func:`diamondlab.metric.fraction`.
     """
-    if not _FRACTION_RE.match(text):
-        raise FormatError(f"not an exact rational: {text!r}")
-    numerator, _, denominator = text.partition("/")
-    return fraction(int(numerator), int(denominator or 1))
+    return fraction(*_parse_ratio(text))
+
+
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """``numerator / denominator`` in lowest terms, as "p/q"."""
+    common = math.gcd(numerator, denominator)
+    return f"{numerator // common}/{denominator // common}"
 
 
 def _safe_label(label: str) -> str:
@@ -597,8 +609,18 @@ def write_transcript(path: str, doc: TranscriptDocument,
     def text(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
 
+    def vector_lines(head: str, vec: FreeVector) -> Iterator[str]:
+        support, nums, den = vec.integer_scaled()
+        for i, n in zip(support, nums):
+            yield f"{head} {space.label(i)} {_ratio_text(n, den)}"
+
+    def integers(func: LipschitzFunction) -> tuple:
+        _, nums, den, _ = _scaled_values(func)
+        return tuple(nums), den
+
     # Moves share functional tuples, so a family is found by the tuple's
-    # identity; its values are keyed once per distinct tuple object.
+    # identity; its values are keyed once per distinct tuple object, by
+    # the integer views of its functionals (which are total).
     family_of: dict[int, int] = {}
     by_value: dict[tuple, int] = {}
     order: list[tuple[LipschitzFunction, ...]] = []
@@ -606,8 +628,7 @@ def write_transcript(path: str, doc: TranscriptDocument,
         for move in node.moves:
             fns = move.neighborhood.functionals
             if id(fns) not in family_of:
-                key = tuple(tuple((i, v.numerator, v.denominator)
-                                  for i, v in f.entries) for f in fns)
+                key = tuple(map(integers, fns))
                 if key not in by_value:
                     by_value[key] = len(order)
                     order.append(fns)
@@ -616,23 +637,22 @@ def write_transcript(path: str, doc: TranscriptDocument,
     for fid, fns in enumerate(order):
         lines.append(f"family {fid} size {len(fns)}")
         for k, fn in enumerate(fns):
-            for i, v in fn.entries:
-                lines.append(f"fvalue {fid} {k} {space.label(i)} {text(v)}")
+            idx, nums, den, _ = _scaled_values(fn)
+            texts = {n: _ratio_text(n, den) for n in set(nums)}
+            lines += [f"fvalue {fid} {k} {space.label(i)} {texts[n]}"
+                      for i, n in zip(idx.tolist(), nums)]
 
     for node_path, node in walk_nodes(transcript.root):
         lines.append(f"node {node_path} depth={node.depth} "
                      f"epsilon={text(node.epsilon)}")
-        for i, c in node.target.entries:
-            lines.append(f"tentry {node_path} {space.label(i)} {text(c)}")
+        lines += vector_lines(f"tentry {node_path}", node.target)
         status, condition = doc.statuses.get(node_path, ("none", ""))
         lines.append(f"status {node_path} {status} {condition}".rstrip())
         for k, move in enumerate(node.moves):
             fid = family_of[id(move.neighborhood.functionals)]
             lines.append(f"move {node_path} {k} family={fid} "
                          f"eta={text(move.neighborhood.eta)}")
-            for i, c in move.response.entries:
-                lines.append(f"rentry {node_path} {k} {space.label(i)} "
-                             f"{text(c)}")
+            lines += vector_lines(f"rentry {node_path} {k}", move.response)
     lines.append("end")
     _write(path, lines)
 
@@ -662,7 +682,10 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                                         parse_fraction(adv["eta"]),
                                         int(adv["seed"]))
 
-        value = cache(parse_fraction)  # each distinct value text parsed once
+        # Each distinct value text is parsed once: epsilons and etas to
+        # shared Fractions, vector and functional values to integers.
+        value = cache(parse_fraction)
+        ratio = cache(_parse_ratio)
         family_count = int(rd.expect("families", 2)[1])
         families: list[tuple[LipschitzFunction, ...]] = []
         for fid in range(family_count):
@@ -671,21 +694,28 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                 raise rd.error("family lines out of order")
             size = int(tokens[3])
             # Keyed by functional, so a claimed size allocates nothing.
-            values: dict[int, list[tuple[int, Fraction]]] = {}
+            values: dict[int, list[tuple[int, int, int]]] = {}
             for tokens in rd.run("fvalue", 2):
                 if (len(tokens) != 5 or int(tokens[1]) != fid
-                        or not 0 <= int(tokens[2]) < size):
+                        or not 0 <= (k := int(tokens[2])) < size):
                     raise rd.error("malformed fvalue record")
-                values.setdefault(int(tokens[2]), []).append(
-                    (_index_of(rd, space, tokens[3]), value(tokens[4])))
+                i = _index_of(rd, space, tokens[3])
+                values.setdefault(k, []).append((i, *ratio(tokens[4])))
             if len(values) != size:
                 raise rd.error(f"family {fid} lists {len(values)} of its "
                                f"{size} functionals")
-            entries = [sorted(values[k]) for k in range(size)]
-            if any(len(dict(pairs)) < len(pairs) for pairs in entries):
-                raise rd.error(f"a functional of family {fid} repeats a point")
-            families.append(tuple(LipschitzFunction._from_sorted(space, pairs)
-                                  for pairs in entries))
+            functionals = []
+            for k in range(size):
+                triples = sorted(values[k])
+                domain = [i for i, _, _ in triples]
+                if len(set(domain)) < len(domain):
+                    raise rd.error(f"a functional of family {fid} repeats "
+                                   f"a point")
+                den = math.lcm(*{q for _, _, q in triples})
+                functionals.append(LipschitzFunction._from_numerators(
+                    space, np.array(domain, dtype=np.intp),
+                    [p * (den // q) for _, p, q in triples], den))
+            families.append(tuple(functionals))
 
         # Every node read so far, with its status on record.
         statuses: dict[str, tuple[str, str]] = {}
@@ -725,8 +755,8 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
             fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
             depth, epsilon = int(fields["depth"]), value(fields["epsilon"])
             statuses[node_path] = ("none", "")
-            target = FreeVector(space, [
-                (_index_of(rd, space, tokens[2]), value(tokens[3]))
+            target = FreeVector._from_ratios(space, [
+                (_index_of(rd, space, tokens[2]), *ratio(tokens[3]))
                 for tokens in of_node(rd.run("tentry", 4), node_path)])
             for tokens in of_node(rd.run("status", 3), node_path):
                 if tokens[2] not in ("pass", "fail", "none"):
@@ -753,8 +783,8 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                     if int(tokens[2]) < k:
                         raise misplaced(tokens)
                     response.append((_index_of(rd, space, tokens[3]),
-                                     value(tokens[4])))
-                posed.append((hood, FreeVector(space, response)))
+                                     *ratio(tokens[4])))
+                posed.append((hood, FreeVector._from_ratios(space, response)))
             moves = tuple(Move(hood, response,
                                read_node(f"{node_path}.m{k}.r", level + 1),
                                read_node(f"{node_path}.m{k}.t", level + 1))

@@ -3,15 +3,20 @@
 Functions may be partial; :func:`mcshane_extend` produces the largest
 total extension with the same Lipschitz constant.  All values and
 constants are :class:`~fractions.Fraction`, so constants like "exactly 1"
-are meaningful statements, not tolerance checks.
+are meaningful statements, not tolerance checks; values and scalars must
+be ``int`` or ``Fraction``, and anything else raises ``TypeError``.
 
-The kernels (:func:`lip_constant`, :func:`is_lipschitz_at_most`,
-:func:`mcshane_extend`) run on integers: the space's distance numerators
-``mat`` over its denominator ``S`` (``integer_scaled()``) and the
-function's value numerators over their common denominator ``Q``.  Pairs
-are visited in blocks of 32 rows.  Arrays are int64 when a bound
-computed up front proves that no product can overflow, and Python-int
-object arrays otherwise; no floating point is used.
+A function keeps one integer view: its value numerators over their least
+common denominator ``Q``.  It is formed on first use, or handed over by
+the operations that compute in integers (McShane extension, distance
+functionals, ``shift`` and ``scale``), whose values are then shared
+``Fraction`` objects.  The kernels (:func:`lip_constant`,
+:func:`is_lipschitz_at_most`, :func:`mcshane_extend`) and free-vector
+pairing read it, together with the space's distance numerators ``mat``
+over its denominator ``S`` (``integer_scaled()``).  Pairs are visited in
+blocks of 32 rows.  Arrays are int64 when a bound computed up front proves
+that no product can overflow, and Python-int object arrays otherwise; no
+floating point is used.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .metric import MetricSpace, fraction, fraction_rows
+from .metric import MetricSpace, exact, fraction
 
 __all__ = [
     "LipschitzFunction",
@@ -58,12 +63,13 @@ class LipschitzFunction:
             if idx in seen:
                 raise ValueError(f"duplicate value for point {idx}")
             seen.add(idx)
-            entries.append((idx, Fraction(val)))
+            entries.append((idx, exact(val)))
         entries.sort()
         self._space = space
         self._entries = tuple(entries)
         self._by_index = dict(entries)
         self._lip: Optional[Fraction] = None
+        self._ints: Optional[tuple] = None
 
     @classmethod
     def _from_sorted(cls, space: MetricSpace,
@@ -77,6 +83,27 @@ class LipschitzFunction:
         func._entries = tuple(entries)
         func._by_index = dict(func._entries)
         func._lip = lip
+        func._ints = None
+        return func
+
+    @classmethod
+    def _from_numerators(cls, space: MetricSpace, domain: np.ndarray,
+                         nums: list[int], den: int,
+                         lip: Optional[Fraction] = None
+                         ) -> "LipschitzFunction":
+        """Trusted constructor from value numerators over one positive
+        denominator: ``domain`` is an intp array of sorted distinct
+        in-range indices and ``nums`` Python ints.  The values are shared
+        ``Fraction`` objects, and the integers, with their common factor
+        divided out, are kept as the function's integer view."""
+        common = math.gcd(den, *nums)
+        if common > 1:
+            nums = [n // common for n in nums]
+            den //= common
+        shared = {n: fraction(n, den) for n in set(nums)}
+        func = cls._from_sorted(
+            space, zip(domain.tolist(), map(shared.__getitem__, nums)), lip)
+        func._ints = (domain, nums, den, max([1, *map(abs, nums)]))
         return func
 
     @property
@@ -102,23 +129,27 @@ class LipschitzFunction:
         return idx in self._by_index
 
     def shift(self, offset: Fraction) -> "LipschitzFunction":
-        """Add ``offset`` to every value; values are shared ``Fraction``s."""
-        off = Fraction(offset)
+        """Add ``offset`` to every value, on the integer view."""
+        off = exact(offset)
         p, q = off.numerator, off.denominator
-        return LipschitzFunction._from_sorted(
-            self._space, [(i, fraction(v.numerator * q + p * v.denominator,
-                                       v.denominator * q))
-                          for i, v in self._entries], self._lip)
+        idx, nums, den, _ = _scaled_values(self)
+        return LipschitzFunction._from_numerators(
+            self._space, idx, [n * q + p * den for n in nums], den * q,
+            self._lip)
 
     def shifted_to_vanish(self, idx: int) -> "LipschitzFunction":
         """Subtract the value at ``idx`` so the result vanishes there."""
         return self.shift(-self.value(idx))
 
     def scale(self, factor: Fraction) -> "LipschitzFunction":
-        fac = Fraction(factor)
+        """Multiply every value by ``factor``, on the integer view."""
+        fac = exact(factor)
         lip = None if self._lip is None else self._lip * abs(fac)
-        return LipschitzFunction._from_sorted(
-            self._space, [(i, v * fac) for i, v in self._entries], lip)
+        idx, nums, den, _ = _scaled_values(self)
+        p = fac.numerator
+        return LipschitzFunction._from_numerators(
+            self._space, idx, [n * p for n in nums], den * fac.denominator,
+            lip)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LipschitzFunction):
@@ -155,12 +186,16 @@ def _scaled_metric(space: MetricSpace) -> tuple[np.ndarray, int, int]:
 
 def _scaled_values(func: LipschitzFunction
                    ) -> tuple[np.ndarray, list[int], int, int]:
-    """Domain indices, value numerators over their common denominator Q,
-    Q, and the largest numerator magnitude (at least 1, as above)."""
-    den = math.lcm(*(v.denominator for _, v in func.entries))
-    nums = [v.numerator * (den // v.denominator) for _, v in func.entries]
-    idx = np.array(func.domain, dtype=np.intp)
-    return idx, nums, den, max([1, *map(abs, nums)])
+    """The function's integer view: domain indices, value numerators over
+    their least common denominator Q, Q, and the largest numerator
+    magnitude (at least 1, as above).  Formed on first use and kept; the
+    kernels that compute in integers fill it for their results."""
+    if func._ints is None:
+        den = math.lcm(*(v.denominator for _, v in func.entries))
+        nums = [v.numerator * (den // v.denominator) for _, v in func.entries]
+        idx = np.array(func.domain, dtype=np.intp)
+        func._ints = (idx, nums, den, max([1, *map(abs, nums)]))
+    return func._ints
 
 
 def _dtype(*bounds: int):
@@ -180,15 +215,6 @@ def _pair_blocks(mat: np.ndarray, idx: np.ndarray):
         yield start, stop, mat[np.ix_(idx[start:stop], idx[start:])]
 
 
-def _max_by_distance(dist: np.ndarray, gap: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct distances and the largest gap found at each."""
-    order = np.argsort(dist)
-    dist = dist[order]
-    first = np.flatnonzero(np.concatenate(([True], dist[1:] != dist[:-1])))
-    return dist[first], np.maximum.reduceat(gap[order], first)
-
-
 def _inf_convolution(func: LipschitzFunction,
                      lip: Fraction) -> LipschitzFunction:
     """min over the domain of f(s) + lip * d(x, s), at every point x.
@@ -197,54 +223,64 @@ def _inf_convolution(func: LipschitzFunction,
     n_s * q * S + p * Q * mat[x, s], all over the denominator Q * q * S.
     """
     space = func.space
+    every = np.arange(len(space), dtype=np.intp)
     if not func.entries:
-        return LipschitzFunction._from_sorted(
-            space, [(i, _ZERO) for i in range(len(space))])
+        return LipschitzFunction._from_numerators(space, every,
+                                                  [0] * len(space), 1)
     idx, nums, den, peak = _scaled_values(func)
     mat, scale, top = _scaled_metric(space)
     value_factor = lip.denominator * scale
     dist_factor = lip.numerator * den
     dtype = _dtype(peak * value_factor, dist_factor * top)
     vals = np.array(nums, dtype=dtype) * value_factor
-    denominator = den * value_factor
     outside_mask = np.ones(len(space), dtype=bool)
     outside_mask[idx] = False
     outside = np.flatnonzero(outside_mask)
-    values: list[Optional[Fraction]] = [None] * len(space)
-    for i, v in func.entries:
+    values = [0] * len(space)
+    for i, v in zip(idx.tolist(), vals.tolist()):
         values[i] = v
     for start in range(0, len(outside), _BLOCK):
         rows = outside[start:start + _BLOCK]
         dist = mat[np.ix_(rows, idx)].astype(dtype, copy=False)
         reach = (vals[None, :] + dist_factor * dist).min(axis=1)
         for x, num in zip(rows.tolist(), reach.tolist()):
-            values[x] = fraction(num, denominator)
-    return LipschitzFunction._from_sorted(space, enumerate(values))
+            values[x] = num
+    return LipschitzFunction._from_numerators(space, every, values,
+                                              den * value_factor)
 
 
 def lip_constant(func: LipschitzFunction) -> Fraction:
     """Exact Lipschitz constant over the function's domain.
 
-    For each distinct distance the largest value gap is found in
-    integers; only those few ratios become ``Fraction`` values.
+    Dinkelbach's iteration, in integers: with p/q the largest ratio of
+    value gap to distance numerator found so far, each block of pairs is
+    searched for the pair maximizing gap * q - p * dist.  While that is
+    positive, the pair's own gap/dist, which is strictly larger, becomes
+    p/q; a block is done when no pair exceeds it.  Only the final ratio
+    becomes a ``Fraction``.
     """
     if func._lip is not None:
         return func._lip
     idx, nums, den, peak = _scaled_values(func)
-    mat, scale, _ = _scaled_metric(func.space)
-    vals = np.array(nums, dtype=_dtype(2 * peak))
-    dists, gaps = [], []
+    mat, scale, top = _scaled_metric(func.space)
+    # Every gap times a distance, and every gap, stays below the bound.
+    dtype = _dtype(2 * peak * top)
+    vals = np.array(nums, dtype=dtype)
+    p, q = 0, 1
     for start, stop, dist in _pair_blocks(mat, idx):
         gap = np.abs(vals[start:stop, None] - vals[None, start:])
-        d, g = _max_by_distance(dist.ravel(), gap.ravel())
-        dists.append(d)
-        gaps.append(g)
-    best = _ZERO
-    if dists:
-        d, g = _max_by_distance(np.concatenate(dists), np.concatenate(gaps))
-        best = max((Fraction(gi * scale, den * di)
-                    for di, gi in zip(d.tolist(), g.tolist()) if di),
-                   default=_ZERO)
+        dist = dist.astype(dtype, copy=False)
+        while True:
+            excess = gap * q - p * dist
+            k = int(excess.argmax())
+            if excess.flat[k] <= 0:
+                break
+            if not dist.flat[k]:
+                # Distinct points at distance 0 bound nothing.
+                gap = np.where(dist > 0, gap, 0)
+                continue
+            p, q = int(gap.flat[k]), int(dist.flat[k])
+    best = Fraction(p * scale, den * q) if p else _ZERO
     func._lip = best
     return best
 
@@ -254,7 +290,7 @@ def is_lipschitz_at_most(func: LipschitzFunction, bound: Fraction) -> bool:
 
     With bound p/q, every pair must satisfy |dn| * q * S <= p * Q * mat.
     """
-    bound = Fraction(bound)
+    bound = exact(bound)
     idx, nums, den, peak = _scaled_values(func)
     mat, scale, top = _scaled_metric(func.space)
     gap_factor = bound.denominator * scale
@@ -278,7 +314,7 @@ def mcshane_extend(func: LipschitzFunction,
     """
     if constant is None:
         return _inf_convolution(func, lip_constant(func))
-    lip = Fraction(constant)
+    lip = exact(constant)
     if func._lip is not None:
         below = lip < func._lip
     else:
@@ -300,8 +336,8 @@ def distance_functional(space: MetricSpace, anchor: int,
         vanish_at = space.base_point
     mat, scale = space.integer_scaled()
     row = mat[anchor] - mat[anchor, vanish_at]
-    return LipschitzFunction._from_sorted(
-        space, enumerate(fraction_rows(row, scale)))
+    return LipschitzFunction._from_numerators(
+        space, np.arange(len(space), dtype=np.intp), row.tolist(), scale)
 
 
 def pull_to_copy(space: MetricSpace, landmarks, side: str, branch: int,

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = ["MetricSpace", "MetricAxiomError", "finest_edges",
-           "closure_numerators", "fraction"]
+           "closure_numerators", "fraction", "exact"]
 
 _INT64_SAFE = 1 << 60
 # Temporaries of one validation row block or grouped closure step.
@@ -61,6 +62,21 @@ def fraction(numerator: int, denominator: int) -> Fraction:
     """
     common = math.gcd(numerator, denominator)
     return _shared(numerator // common, denominator // common)
+
+
+def exact(value) -> Fraction:
+    """``value`` as a ``Fraction``, accepting only exact rationals.
+
+    ``int`` and ``Fraction`` (any ``numbers.Rational``) pass; a float, a
+    ``Decimal`` or anything else raises ``TypeError`` instead of being
+    rounded to the nearest binary fraction.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
+    raise TypeError(f"expected an exact rational (int or Fraction), got "
+                    f"{type(value).__name__} {value!r}")
 
 
 class MetricAxiomError(ValueError):

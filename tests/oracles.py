@@ -14,7 +14,8 @@ spaces, certifies there, pushes the trees forward again and re-derives
 every target follow-up, and the space reader by parsing every
 distance line on its own (it shares the line cursor and the header and
 value parsers with the library, whose row-at-a-time check it is the
-reference for).
+reference for), and free vectors by sorted ``(index, Fraction)``
+entries with coefficient-by-coefficient ``Fraction`` arithmetic.
 Slow, obviously correct, and sharing no code with the solvers and
 builders under test.
 """
@@ -33,6 +34,54 @@ from diamondlab.diamond import DEFAULT_BUDGET, build_cached
 from diamondlab.io import (_Reader, _check_header, _fields, _spec_from_fields,
                            parse_fraction)
 from diamondlab.ordinal import ONE, format_ordinal, fundamental_sequence
+
+
+class FractionVector:
+    """A free vector as sorted ``(index, Fraction)`` entries, zero and
+    base-point coefficients dropped, with every operation done one
+    ``Fraction`` coefficient at a time."""
+
+    def __init__(self, space, entries=()):
+        acc = {}
+        for idx, coeff in entries:
+            if not 0 <= idx < len(space):
+                raise IndexError(f"point index {idx} out of range")
+            acc[idx] = acc.get(idx, Fraction(0)) + Fraction(coeff)
+        self.space = space
+        self.entries = tuple(sorted((i, c) for i, c in acc.items()
+                                    if c != 0 and i != space.base_point))
+
+    @property
+    def total_mass(self):
+        return sum((c for _, c in self.entries), Fraction(0))
+
+    def coefficient(self, idx):
+        return dict(self.entries).get(idx, Fraction(0))
+
+    def __add__(self, other):
+        return FractionVector(self.space, self.entries + other.entries)
+
+    def __neg__(self):
+        return FractionVector(self.space, [(i, -c) for i, c in self.entries])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        return FractionVector(self.space, [(i, c * Fraction(scalar))
+                                           for i, c in self.entries])
+
+    def __truediv__(self, scalar):
+        return self * (1 / Fraction(scalar))
+
+    def __eq__(self, other):
+        return self.space is other.space and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((id(self.space), self.entries))
+
+    def pair(self, func):
+        return sum((c * func.value(i) for i, c in self.entries), Fraction(0))
 
 
 def split_parts(vec):
