@@ -36,7 +36,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -59,11 +58,13 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-_stats = {"norms": 0, "gap_checks": 0, "gap_failures": 0}
+_stats = {"norms": 0, "gap_checks": 0, "gap_failures": 0, "paths": 0}
 
 
 def norm_statistics() -> dict:
-    """Counters for norm computations and primal-dual agreement checks."""
+    """Counters for norm computations (``norms``), primal-dual agreement
+    checks (``gap_checks``, ``gap_failures``) and the transport solver's
+    shortest-path searches (``paths``, one per augmenting path)."""
     return dict(_stats)
 
 
@@ -327,86 +328,105 @@ def _min_cost_transport(space: MetricSpace, pos: list[tuple[int, int]],
     """Cheapest coupling of two equal-mass distributions.
 
     Masses are ``(index, numerator)`` pairs over one common denominator
-    ``M``, the vector's.  Successive shortest augmenting paths, found by
-    Bellman-Ford, on the bipartite flow network whose costs are the
-    space's distance numerators over ``S`` (``integer_scaled()``) and
-    whose capacities are the mass numerators; all are Python integers.
-    Scaling by positive constants keeps every comparison, so the
-    augmenting paths and the plan are those of the same solver run on
-    ``Fraction`` values.  Returns the cost numerator over ``M * S`` and
-    the plan as ``(source, target, mass numerator over M)`` triples.
+    ``M``, the vector's; costs are the space's distance numerators over
+    ``S`` (``integer_scaled()``); all are Python integers.  Primal-dual
+    successive shortest paths on the dense bipartite network: each
+    augmentation is one Dijkstra search, by a linear scan over the
+    targets, on the reduced costs ``c(a, b) + pi(a) - pi(b) >= 0``, and
+    then raises the potentials ``pi`` by the settled distances.  Among
+    several optimal plans, which one comes out depends on tie-breaking.
+    Returns the cost numerator over ``M * S`` and the plan as ``(source,
+    target, mass numerator over M)`` triples.
+
+    The search starts from every source with mass left; those keep
+    potential 0, so the cheapest reduced arc into each target from them
+    is its column minimum over those sources minus its potential.  The
+    potentials of targets and spent sources are stored less a common
+    ``shift``, the potential of every target with demand left, so a
+    search updates only the nodes it settled.  Labels carry the same
+    shift.  A spent source is reached only backwards over an arc with
+    flow, which is tight, so it takes the label of the target it leaves.
     """
     mat, _ = space.integer_scaled()
     np_, nn = len(pos), len(neg)
-    count = np_ + nn + 2
-    src, dst = count - 2, count - 1
-    # Arc ``e`` runs to ``head[e]``; its reverse arc is ``e ^ 1``.
-    graph: list[list[int]] = [[] for _ in range(count)]
-    head: list[int] = []
-    cap: list[int] = []
-    cost: list[int] = []
-
-    def link(u: int, v: int, capacity: int, weight: int) -> None:
-        graph[u].append(len(head))
-        graph[v].append(len(head) + 1)
-        head.extend((v, u))
-        cap.extend((capacity, 0))
-        cost.extend((weight, -weight))
-
-    supply = sum(m for _, m in pos)
-    for a, (_, m) in enumerate(pos):
-        link(src, a, m, 0)
-    for b, (_, m) in enumerate(neg):
-        link(np_ + b, dst, m, 0)
-    rows = mat[np.ix_([i for i, _ in pos], [j for j, _ in neg])].tolist()
-    cross = []
-    for a, (i, _) in enumerate(pos):
-        for b, (j, _) in enumerate(neg):
-            cross.append((i, j, len(head) + 1))
-            link(a, np_ + b, supply, rows[a][b])
-
-    total_cost = 0
-    pushed = 0
-    while True:
-        dist: list[Optional[int]] = [None] * count
-        dist[src] = 0
-        prev: list[int] = [-1] * count
-        for _ in range(count):
-            changed = False
-            for u in range(count):
-                du = dist[u]
-                if du is None:
-                    continue
-                for e in graph[u]:
-                    if cap[e] <= 0:
-                        continue
-                    cand = du + cost[e]
-                    v = head[e]
-                    dv = dist[v]
-                    if dv is None or cand < dv:
-                        dist[v] = cand
-                        prev[v] = e
-                        changed = True
-            if not changed:
+    rows = mat.take([i for i, _ in pos], 0).take([j for j, _ in neg],
+                                                 1).tolist()
+    cols = list(zip(*rows))
+    supply = [m for _, m in pos]
+    demand = [m for _, m in neg]
+    flow: list[dict[int, int]] = [{} for _ in range(nn)]   # flow[b][a]
+    pot_a = [0] * np_
+    pot_b = [0] * nn
+    live = list(range(np_))
+    col_arg = [min(live, key=col.__getitem__) for col in cols]
+    col_cost = [col[a] for col, a in zip(cols, col_arg)]
+    paths = 0
+    while live:
+        paths += 1
+        label = [c - p for c, p in zip(col_cost, pot_b)]
+        pred_b = col_arg[:]
+        pred_a: dict[int, int] = {}
+        open_b = list(range(nn))
+        done_b = []
+        while True:
+            sink = min(open_b, key=label.__getitem__)
+            if demand[sink]:
                 break
-        if dist[dst] is None:
-            break
-        path = []
-        node = dst
-        while node != src:
-            e = prev[node]
-            path.append(e)
-            node = head[e ^ 1]
-        bottleneck = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= bottleneck
-            cap[e ^ 1] += bottleneck
-        total_cost += bottleneck * dist[dst]
-        pushed += bottleneck
+            open_b.remove(sink)
+            done_b.append(sink)
+            for a in flow[sink]:
+                if supply[a] or a in pred_a:
+                    continue
+                pred_a[a] = sink
+                row, offset = rows[a], label[sink] + pot_a[a]
+                for b in open_b:
+                    cand = row[b] + offset - pot_b[b]
+                    if cand < label[b]:
+                        label[b] = cand
+                        pred_b[b] = a
+        shift = label[sink]
+        for b in done_b:
+            pot_b[b] += label[b] - shift
+        for a, b in pred_a.items():
+            pot_a[a] += label[b] - shift
 
-    if pushed != supply:
+        # Walk back: forward arcs at even steps, backward ones at odd.
+        steps = []
+        b = sink
+        while True:
+            a = pred_b[b]
+            steps.append((a, b))
+            if supply[a]:
+                break
+            b = pred_a[a]
+            steps.append((a, b))
+        source = a
+        delta = min(supply[source], demand[sink],
+                    *(flow[b][a] for a, b in steps[1::2]))
+        for k, (a, b) in enumerate(steps):
+            moved = flow[b].get(a, 0) + (-delta if k % 2 else delta)
+            if moved:
+                flow[b][a] = moved
+            else:
+                del flow[b][a]
+        demand[sink] -= delta
+        supply[source] -= delta
+        if not supply[source]:
+            live.remove(source)
+            pot_a[source] = -shift
+            if live:
+                for b, col in enumerate(cols):
+                    if col_arg[b] == source:
+                        col_arg[b] = a = min(live, key=col.__getitem__)
+                        col_cost[b] = col[a]
+    _stats["paths"] += paths
+
+    if any(demand):
         raise CertificateError("transport network failed to route all mass")
-    plan = sorted((i, j, cap[back]) for i, j, back in cross if cap[back] > 0)
+    total_cost = sum(m * rows[a][b] for b, out in enumerate(flow)
+                     for a, m in out.items())
+    plan = sorted((pos[a][0], neg[b][0], m) for b, out in enumerate(flow)
+                  for a, m in out.items())
     return total_cost, plan
 
 
@@ -495,14 +515,10 @@ def _gap_check(vec: FreeVector, cost: int, potential: dict[int, int]) -> None:
             f"pairing {Fraction(pairing, scale)}")
 
 
-_value_cache: "WeakKeyDictionary[MetricSpace, dict]" = WeakKeyDictionary()
-_cert_cache: "WeakKeyDictionary[MetricSpace, dict]" = WeakKeyDictionary()
-
-
 def clear_norm_caches(space: MetricSpace) -> None:
     """Forget the cached norms and certificates of vectors over ``space``."""
-    _value_cache.pop(space, None)
-    _cert_cache.pop(space, None)
+    space._norm_cache.clear()
+    space._cert_cache.clear()
 
 
 def _solve(vec: FreeVector
@@ -526,7 +542,7 @@ def norm_value(vec: FreeVector) -> Fraction:
     primal-dual match before returning.  Norms are cached per space
     under the vector's integers.
     """
-    cache = _value_cache.setdefault(vec.space, {})
+    cache = vec.space._norm_cache
     key = vec.integer_scaled()
     hit = cache.get(key)
     if hit is not None:
@@ -542,7 +558,7 @@ def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
     The certificate potential is the McShane extension of the dual
     potential on the support plus base.
     """
-    cache = _cert_cache.setdefault(vec.space, {})
+    cache = vec.space._cert_cache
     key = vec.integer_scaled()
     hit = cache.get(key)
     if hit is not None:
@@ -556,7 +572,7 @@ def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
         vec, value, tuple((i, j, fraction(m, key[2])) for i, j, m in plan),
         mcshane_extend(dual))
     cache[key] = cert
-    _value_cache.setdefault(space, {})[key] = value
+    space._norm_cache[key] = value
     return value, cert
 
 

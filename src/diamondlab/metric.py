@@ -134,6 +134,11 @@ class MetricSpace:
             raise OverflowError("scaled distances exceed the int64 range")
         self._scaled = (mat, denominator)
         self._view: Optional[tuple[tuple[Fraction, ...], ...]] = None
+        # The norm and certificate caches of ``freespace``.  They live on
+        # the space because a certificate holds its space: in a table
+        # keyed by the space it would keep its own key alive.
+        self._norm_cache: dict = {}
+        self._cert_cache: dict = {}
 
     # -- basic access ----------------------------------------------------
 

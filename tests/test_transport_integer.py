@@ -13,9 +13,21 @@ Core claims checked here:
   * certificate files for fixed vectors are byte-identical to the ones
     the Fraction solver wrote,
   * the suite's duality-gap check counts only its own solves and fails
-    when a solve skips the primal-dual comparison.
+    when a solve skips the primal-dual comparison,
+  * norms agree exactly with networkx's min-cost flow on supports up to
+    64 of the alpha=3, n=4 stage and on the near-2^60 stage,
+  * the dual, and so the certificate potential, is the same whichever
+    optimal plan it is built from, and a certificate built from another
+    optimal plan verifies,
+  * the ``paths`` counter counts one search per augmentation and
+    nothing on a cache hit,
+  * a space is collected once nothing outside the norm caches holds it.
 """
 
+import gc
+import itertools
+import random
+import weakref
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -31,12 +43,16 @@ from diamondlab import (
     LipschitzFunction,
     MetricAxiomError,
     MetricSpace,
+    TransportCertificate,
+    build,
     build_cached,
     build_cover,
     cover_partition,
     finest_edges,
     free_norm,
     mcshane_extend,
+    molecule,
+    norm_statistics,
     norm_value,
     run_check,
     summing_metric,
@@ -208,3 +224,148 @@ def test_trusted_results_equal_checked_ones(d23):
         checked = LipschitzFunction(space, dict(g.entries))
         assert g == checked
         assert all(g.value(i) == v for i, v in checked.entries)
+
+
+@st.composite
+def wide_vectors(draw):
+    """Up to 64 support points on the alpha=3, n=4 stage, or any support
+    on the near-2^60 stage, with coefficients of one kind."""
+    if draw(st.booleans()):
+        space, _ = build_cached(DiamondSpec(3, 4))
+    else:
+        space = _spaces()["huge"]
+    size = draw(st.integers(1, min(64, len(space) - 1)))
+    points = draw(st.lists(st.integers(0, len(space) - 1), min_size=size,
+                           max_size=size, unique=True))
+    kind = draw(st.sampled_from(["dyadic", "thirds", "huge"]))
+    mags = draw(st.lists(_coefficients(kind), min_size=size, max_size=size))
+    signs = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return FreeVector(space, [(p, m if s else -m)
+                              for p, m, s in zip(points, mags, signs)])
+
+
+def _networkx_cost(nx, vec):
+    """Cheapest flow on the complete digraph over the support plus base,
+    the base absorbing the imbalance, as a numerator over ``M * S``."""
+    space = vec.space
+    mat, _ = space.integer_scaled()
+    support, nums, _ = vec.integer_scaled()
+    base = space.base_point
+    graph = nx.DiGraph()
+    for x, n in zip(support, nums):
+        graph.add_node(x, demand=-n)
+    graph.add_node(base, demand=sum(nums))
+    for x, y in itertools.permutations(graph.nodes, 2):
+        graph.add_edge(x, y, weight=int(mat[x, y]))
+    return nx.min_cost_flow_cost(graph)
+
+
+def _assert_matches_networkx(vec):
+    nx = pytest.importorskip("networkx")
+    _, _, den = vec.integer_scaled()
+    scale = vec.space.integer_scaled()[1]
+    assert norm_value(vec) == Fraction(_networkx_cost(nx, vec), den * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_vectors())
+def test_solver_matches_networkx_min_cost_flow(vec):
+    _assert_matches_networkx(vec)
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "thirds", "huge"])
+def test_solver_matches_networkx_at_support_64(kind):
+    rng = random.Random(kind)
+    space, _ = build_cached(DiamondSpec(3, 4))
+    masses = {"dyadic": lambda: Fraction(rng.randint(1, 64),
+                                         1 << rng.randint(0, 6)),
+              "thirds": lambda: Fraction(rng.randint(1, 90),
+                                         rng.choice([3, 6, 9, 5, 7, 15])),
+              "huge": lambda: Fraction(rng.randint(1, 2 * BIG),
+                                       BIG + rng.randint(-4, 4))}[kind]
+    points = rng.sample([i for i in range(len(space))
+                         if i != space.base_point], 64)
+    vec = FreeVector(space, [(p, rng.choice([-1, 1]) * masses())
+                             for p in points])
+    assert len(vec.support) == 64
+    _assert_matches_networkx(vec)
+
+
+def _tie_swap(space, plan):
+    """Another optimal plan: two pairs of ``plan`` whose crossed pairing
+    costs the same, with the smaller mass moved across; None if no two
+    pairs tie."""
+    for (x1, y1, m1), (x2, y2, m2) in itertools.combinations(plan, 2):
+        if x1 == x2 or y1 == y2:
+            continue
+        straight = space.distance(x1, y1) + space.distance(x2, y2)
+        if space.distance(x1, y2) + space.distance(x2, y1) != straight:
+            continue
+        moved = min(m1, m2)
+        masses = {(x, y): m for x, y, m in plan}
+        for pair, step in (((x1, y1), -moved), ((x2, y2), -moved),
+                           ((x1, y2), moved), ((x2, y1), moved)):
+            masses[pair] = masses.get(pair, 0) + step
+        return tuple(sorted((x, y, m) for (x, y), m in masses.items() if m))
+    return None
+
+
+def _tied_vector(name):
+    """top + bottom - mid(2) - mid(3) on alpha=2 and alpha=3 (the base is
+    mid(1)); on the summing metric, two points of one summand against two
+    of another, so every plan runs through the base and all cost the
+    same."""
+    if name == "summing":
+        space = _spaces()["summing"]
+        plus = ("sum(1)/mid(1)", "sum(1)/mid(2)")
+        minus = ("sum(2)/mid(1)", "sum(2)/mid(2)")
+    else:
+        space = _spaces()["d23"] if name == "d23" else \
+            build_cached(DiamondSpec(3, 3))[0]
+        plus, minus = ("top", "bottom"), ("mid(2)", "mid(3)")
+    return FreeVector(space, [(space.index_of(x), 1) for x in plus]
+                      + [(space.index_of(y), -1) for y in minus])
+
+
+@pytest.mark.parametrize("name", ["d23", "d33", "summing"])
+def test_dual_does_not_depend_on_the_optimal_plan(name):
+    vec = _tied_vector(name)
+    space = vec.space
+    freespace.clear_norm_caches(space)
+    value, cert = free_norm(vec)
+    other = _tie_swap(space, cert.plan)
+    assert other is not None and other != cert.plan
+    assert sum(m * space.distance(x, y) for x, y, m in other) == value
+    dual = freespace._dual_potential(space, vec, other)
+    assert dual == freespace._dual_potential(space, vec, cert.plan)
+    scale = space.integer_scaled()[1]
+    potential = mcshane_extend(LipschitzFunction(
+        space, {i: Fraction(n, scale) for i, n in dual.items()}))
+    assert potential == cert.potential
+    assert verify_certificate(TransportCertificate(vec, value, other,
+                                                   potential))
+
+
+def test_paths_count_one_search_per_augmentation(d23):
+    space, lm = d23
+    freespace.clear_norm_caches(space)
+    tied = _tied_vector("d23")
+    counts = []
+    for vec in (molecule(space, lm.top, lm.bottom), tied, tied):
+        before = norm_statistics()["paths"]
+        norm_value(vec)
+        counts.append(norm_statistics()["paths"] - before)
+    # One source and one target take one path; two and two take two;
+    # a cache hit searches nothing.
+    assert counts == [1, 2, 0]
+    assert set(norm_statistics()) == {"norms", "gap_checks", "gap_failures",
+                                      "paths"}
+
+
+def test_a_space_is_collected_after_free_norm():
+    space, lm = build(DiamondSpec(2, 3))
+    assert free_norm(molecule(space, lm.top, lm.bottom))[0] == 1
+    alive = weakref.ref(space)
+    del space, lm
+    gc.collect()
+    assert alive() is None
