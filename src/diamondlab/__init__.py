@@ -14,15 +14,14 @@ from .decomposition import (Cover, LimitDecomposition, SummandPartition,
                             summing_metric)
 from .derivation import (ADVERSARY_KINDS, MUTATION_KINDS, AdversaryConfig,
                          GameNode, GameTranscript, Move, WeakNeighborhood,
-                         adversary_family, collect_vectors, in_neighborhood,
-                         midpoint_lift, average_lift, mutate_transcript,
+                         adversary_family, collect_vectors, midpoint_lift,
+                         average_lift, mutate_transcript,
                          prover_certify, prover_escape,
                          relative_derivation_oracle, spine_points,
                          verify_transcript, walk_nodes)
 from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
                       PointAddress, build, build_cached, estimate_points,
-                      finest_edges, parse_address, shortest_path_closure,
-                      subcopy_map)
+                      finest_edges, parse_address, shortest_path_closure)
 from .errors import (BudgetExceededError, CertificateError, FormatError,
                      InsufficientBranchingError)
 from .freespace import (FreeVector, TransportCertificate, clear_norm_caches,

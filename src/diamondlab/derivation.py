@@ -40,7 +40,6 @@ __all__ = [
     "ADVERSARY_KINDS",
     "adversary_family",
     "spine_points",
-    "in_neighborhood",
     "prover_escape",
     "prover_certify",
     "average_lift",
@@ -87,7 +86,8 @@ class WeakNeighborhood:
                 raise ValueError("functional lives over a different space")
             if not f.is_total:
                 raise ValueError("functionals must be total")
-            if f.value(base) != 0:
+            # A total function's numerators are in point order.
+            if f.integer_scaled()[1][base]:
                 raise ValueError("functionals must vanish at the base point")
         eta = exact(eta)
         if eta <= 0:
@@ -143,11 +143,6 @@ class WeakNeighborhood:
     def __repr__(self) -> str:
         return (f"WeakNeighborhood({len(self._functionals)} functionals, "
                 f"eta={self._eta})")
-
-
-def in_neighborhood(neighborhood: WeakNeighborhood, vec: FreeVector) -> bool:
-    """Exact membership test; closed conditions, so boundaries count."""
-    return neighborhood.contains(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,20 @@ def adversary_family(space: MetricSpace, landmarks: DiamondLandmarks,
     transcript is challenged with it; this uniformity is what makes the
     box-derivation soundness argument go through.  The adaptive kind
     harvests dual potentials from norm computations of probe molecules.
+    A family is built once per landmarks and configuration and kept on
+    the space beside its norm caches, which
+    :func:`~diamondlab.freespace.clear_norm_caches` empties with it.
     """
+    key = (landmarks, config)
+    family = space._family_cache.get(key)
+    if family is None:
+        family = space._family_cache[key] = _draw_family(space, landmarks,
+                                                         config)
+    return family
+
+
+def _draw_family(space: MetricSpace, landmarks: DiamondLandmarks,
+                 config: AdversaryConfig) -> tuple[LipschitzFunction, ...]:
     sampler = Sampler(config.seed)
     spine = spine_points(space, landmarks)
     family: list[LipschitzFunction] = []
@@ -737,9 +745,14 @@ def mutate_transcript(transcript: GameTranscript, kind: str,
         point, coeff = diff.entries[0]
         delta = (2 * hood.eta + 1) / abs(coeff)
         r = sampler.below(len(hood.functionals))
-        bumped_fn = LipschitzFunction(
-            space, [(i, v + delta if i == point else v)
-                    for i, v in hood.functionals[r].entries])
+        # Neighborhood functionals are total: a point's value sits at its
+        # own index.
+        domain, nums, den = hood.functionals[r].integer_scaled()
+        common = math.lcm(den, delta.denominator)
+        nums = [n * (common // den) for n in nums]
+        nums[point] += delta.numerator * (common // delta.denominator)
+        bumped_fn = LipschitzFunction._from_numerators(space, domain, nums,
+                                                       common)
         family = tuple(bumped_fn if s == r else f
                        for s, f in enumerate(hood.functionals))
         return Move(WeakNeighborhood(family, hood.center, hood.eta),

@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "estimate_points",
     "build",
-    "subcopy_map",
     "finest_edges",
     "build_cached",
     "closure_numerators",
@@ -382,17 +381,6 @@ def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
 
 # ---------------------------------------------------------------------------
 # derived structure
-
-
-def subcopy_map(landmarks: DiamondLandmarks, side: str, branch: int
-                ) -> tuple[int, ...]:
-    """Index injection of the half-scaled copy ``(side, branch)``."""
-    if not landmarks.subcopies:
-        raise ValueError("this stage has no half-scaled subcopies")
-    key = (side, branch)
-    if key not in landmarks.subcopies:
-        raise ValueError(f"no subcopy {side}({branch})")
-    return landmarks.subcopies[key]
 
 
 def shortest_path_closure(space: MetricSpace,

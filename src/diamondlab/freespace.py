@@ -14,12 +14,12 @@ factor with all the numerators (``FreeVector.integer_scaled()``).  Equal
 vectors therefore have equal integers, and equality, hashing and the norm
 caches work on them.  Sums, differences, negation and scalar multiples
 merge numerators over the least common denominator; pairing with a
-function sums integer products against the function's integer view and
-forms one ``Fraction`` at the end; ``entries`` builds ``(index,
-Fraction)`` pairs on first use, from the shared values of
-:func:`~diamondlab.metric.fraction`.  Coefficients and scalars must be
-exact rationals (``int`` or ``Fraction``); anything else raises
-``TypeError``.
+function sums integer products against the function's integers
+(``LipschitzFunction.integer_scaled()``) and forms one ``Fraction`` at
+the end; ``entries`` builds ``(index, Fraction)`` pairs on first use,
+from the shared values of :func:`~diamondlab.metric.fraction`.
+Coefficients and scalars must be exact rationals (``int`` or
+``Fraction``); anything else raises ``TypeError``.
 
 The solver and the dual run on integers too: the space's distance
 numerators over its denominator (``integer_scaled()``) and the vector's
@@ -40,8 +40,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import CertificateError
-from .lipschitz import (LipschitzFunction, _dtype, _scaled_values,
-                        is_lipschitz_at_most, mcshane_extend)
+from .lipschitz import (LipschitzFunction, _dtype, is_lipschitz_at_most,
+                        mcshane_extend)
 from .metric import MetricSpace, exact, fraction
 
 __all__ = [
@@ -267,7 +267,7 @@ class FreeVector:
         product of the two denominators."""
         if func.space is not self._space:
             raise ValueError("function lives over a different space")
-        _, values, den, _ = _scaled_values(func)
+        _, values, den = func.integer_scaled()
         if not func.is_total:
             values = dict(zip(func.domain, values))
         total = sum(map(operator.mul, self._num,
@@ -450,7 +450,7 @@ def _dual_potential(space: MetricSpace, vec: FreeVector,
                     *(x for x, _, _ in plan), *(y for _, y, _ in plan)})
     pos_of = {v: k for k, v in enumerate(nodes)}
     mat, _ = space.integer_scaled()
-    block = mat[np.ix_(nodes, nodes)]
+    block = mat.take(nodes, 0).take(nodes, 1)
     size = len(nodes)
     # A round lowers a value by at most the largest distance, so no sum
     # below reaches (size + 2) times it.
@@ -516,9 +516,11 @@ def _gap_check(vec: FreeVector, cost: int, potential: dict[int, int]) -> None:
 
 
 def clear_norm_caches(space: MetricSpace) -> None:
-    """Forget the cached norms and certificates of vectors over ``space``."""
+    """Forget the cached norms and certificates of vectors over ``space``,
+    and the adversary families built on it."""
     space._norm_cache.clear()
     space._cert_cache.clear()
+    space._family_cache.clear()
 
 
 def _solve(vec: FreeVector

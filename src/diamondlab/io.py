@@ -16,6 +16,19 @@ exactly as without the check, so other valid spellings still read and
 every error keeps its message, line and precedence.  A file without an
 echo is parsed line by line throughout.  Parsed values are the shared
 ``Fraction`` objects of :func:`diamondlab.metric.fraction`.
+
+A transcript is read the same way, in runs of lines that share a prefix.
+A family's ``fvalue`` lines are taken as one block when they start with
+exactly the writer's heads, ``fvalue fid k label`` for every point of
+every functional in order, checked in one pass; each distinct value text
+is parsed once, and each functional is formed from its integers.  A node's
+``tentry`` lines and a move's ``rentry`` lines are taken as one run, and
+each distinct run builds its vector once per read: targets and responses
+repeat down a tree.  A run that does not end at a nonblank record of
+another kind, or that holds anything the block parse does not expect,
+is handed back and read record by record, so other spellings still read
+and errors keep their messages and lines.  The writer formats a family
+table as one join from the functionals' integers.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -39,7 +52,7 @@ from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
 from .decomposition import SummandPartition
 from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
-from .lipschitz import LipschitzFunction, _scaled_values
+from .lipschitz import LipschitzFunction
 from .metric import MetricSpace, distinct_values, fraction
 from .ordinal import format_ordinal, parse_ordinal
 
@@ -63,6 +76,7 @@ __all__ = [
 ]
 
 _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_T = TypeVar("_T")
 
 
 def format_fraction(value: Fraction) -> str:
@@ -111,8 +125,10 @@ class _Reader:
     number from :func:`parse_fraction`, is located the same way.
 
     :meth:`take_text` takes a block of physical lines whole when it is
-    exactly an expected text, and otherwise hands the lines back, so the
-    token records read on as if it had not been called.
+    exactly an expected text, and :meth:`take_run` a run of lines that
+    share a prefix when a parser accepts it; otherwise either hands the
+    lines back, so the token records read on as if it had not been
+    called.
     """
 
     def __init__(self, path: str):
@@ -136,8 +152,10 @@ class _Reader:
                 and not str(exc).startswith(f"{self.path}:")):
             raise self.error(str(exc)) from exc
 
-    def error(self, message: str) -> FormatError:
-        return FormatError(f"{self.path}:{self.lineno}: {message}")
+    def error(self, message: str, line: Optional[int] = None
+              ) -> FormatError:
+        """``message`` located at ``line``, by default the last record's."""
+        return FormatError(f"{self.path}:{line or self.lineno}: {message}")
 
     def _line(self) -> str:
         if self._back:
@@ -186,6 +204,49 @@ class _Reader:
         self._back = lines[::-1]
         self._ahead = None
         return False
+
+    def take_run(self, prefix: str, parse: Callable[[list[str]], _T]
+                 ) -> Optional[_T]:
+        """``parse`` of the physical lines, from the next record on, that
+        start with ``prefix``, taken when the run ends at the end of the
+        file or at a nonblank line of another keyword than the prefix's
+        first word, and ``parse`` does not return None.  Otherwise the
+        lines are handed back and None returned.  As with
+        :meth:`take_text`, once lines were handed back, or at the end of
+        the file, nothing is taken.
+        """
+        if self._back or self._undecodable or self._ahead == []:
+            return None
+        ahead = [] if self._ahead is None else [self._ahead_line]
+        self._read -= len(ahead)
+        self._ahead = None
+        lines: list[str] = []
+        end: Optional[str] = ""  # the line after the run; "" at the end
+        try:
+            for line in itertools.chain(ahead, self._fh):
+                if not line.startswith(prefix):
+                    end = line
+                    break
+                lines.append(line)
+        except UnicodeDecodeError as exc:
+            self._undecodable = exc
+            end = None
+        tokens = end.split() if end else []
+        result = None
+        if end == "" or tokens and tokens[0] != prefix.split()[0]:
+            result = parse(lines)
+        if result is None:
+            self._back = lines[::-1]
+            if end:
+                self._back.insert(0, end)
+            return None
+        if lines:
+            self._read += len(lines)
+            self.lineno = self._read
+        # The line after the run is the lookahead, as ``peek`` leaves it.
+        self._ahead, self._ahead_line = tokens, end
+        self._read += bool(end)
+        return result
 
     def run(self, keyword: str, size: int = 1) -> Iterator[list[str]]:
         """The consecutive ``keyword`` records from here on, each of
@@ -604,43 +665,47 @@ def write_transcript(path: str, doc: TranscriptDocument,
         lines.append(f"adversary kind={adv.kind} count={adv.count} "
                      f"eta={format_fraction(adv.eta)} seed={adv.seed}")
 
-    # Values are formatted and keyed through their integers: hashing a
-    # Fraction costs more than formatting it.
+    # Values are formatted from their integers: hashing a Fraction costs
+    # more than formatting it.
     def text(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
 
-    def vector_lines(head: str, vec: FreeVector) -> Iterator[str]:
-        support, nums, den = vec.integer_scaled()
-        for i, n in zip(support, nums):
-            yield f"{head} {space.label(i)} {_ratio_text(n, den)}"
+    # Targets and responses repeat down a tree: each distinct vector's
+    # ``label value`` texts are formatted once.
+    tails: dict[FreeVector, list[str]] = {}
 
-    def integers(func: LipschitzFunction) -> tuple:
-        _, nums, den, _ = _scaled_values(func)
-        return tuple(nums), den
+    def vector_lines(head: str, vec: FreeVector) -> list[str]:
+        if vec not in tails:
+            support, nums, den = vec.integer_scaled()
+            tails[vec] = [f" {space.label(i)} {_ratio_text(n, den)}"
+                          for i, n in zip(support, nums)]
+        return [head + tail for tail in tails[vec]]
 
     # Moves share functional tuples, so a family is found by the tuple's
-    # identity; its values are keyed once per distinct tuple object, by
-    # the integer views of its functionals (which are total).
+    # identity; a distinct tuple object is keyed once, by value (the
+    # functionals hash and compare on their integers).
     family_of: dict[int, int] = {}
-    by_value: dict[tuple, int] = {}
-    order: list[tuple[LipschitzFunction, ...]] = []
+    by_value: dict[tuple[LipschitzFunction, ...], int] = {}
     for _, node in walk_nodes(transcript.root):
         for move in node.moves:
             fns = move.neighborhood.functionals
             if id(fns) not in family_of:
-                key = tuple(map(integers, fns))
-                if key not in by_value:
-                    by_value[key] = len(order)
-                    order.append(fns)
-                family_of[id(fns)] = by_value[key]
-    lines.append(f"families {len(order)}")
-    for fid, fns in enumerate(order):
+                family_of[id(fns)] = by_value.setdefault(fns, len(by_value))
+    lines.append(f"families {len(by_value)}")
+    # A family's table is one join: per value, its head, label and text.
+    labels = [f"{label} " for label in space.labels]
+    for fid, fns in enumerate(by_value):
         lines.append(f"family {fid} size {len(fns)}")
+        parts: list[str] = []
         for k, fn in enumerate(fns):
-            idx, nums, den, _ = _scaled_values(fn)
-            texts = {n: _ratio_text(n, den) for n in set(nums)}
-            lines += [f"fvalue {fid} {k} {space.label(i)} {texts[n]}"
-                      for i, n in zip(idx.tolist(), nums)]
+            idx, nums, den = fn.integer_scaled()
+            texts = {n: f"{_ratio_text(n, den)}\n" for n in set(nums)}
+            piece = [f"fvalue {fid} {k} "] * (3 * len(nums))
+            piece[1::3] = [labels[i] for i in idx.tolist()]
+            piece[2::3] = [texts[n] for n in nums]
+            parts += piece
+        if parts:
+            lines.append("".join(parts)[:-1])
 
     for node_path, node in walk_nodes(transcript.root):
         lines.append(f"node {node_path} depth={node.depth} "
@@ -686,13 +751,85 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
         # shared Fractions, vector and functional values to integers.
         value = cache(parse_fraction)
         ratio = cache(_parse_ratio)
+        labelled = [f"{label} " for label in space.labels]
+        every = np.arange(len(space), dtype=np.intp)
+
+        def ratios(texts: Iterable[str]) -> Optional[dict[str, tuple]]:
+            """Each distinct value text, as (p, q); None if one is bad."""
+            try:
+                return {text: ratio(text.rstrip("\n")) for text in texts}
+            except FormatError:
+                return None
+
+        def family_table(lines: list[str], fid: int, size: int
+                         ) -> Optional[tuple[LipschitzFunction, ...]]:
+            """Family ``fid`` from its ``fvalue`` lines, when they hold
+            every point of each functional in order, as the writer puts
+            them."""
+            count = len(labelled)
+            if len(lines) != size * count:
+                return None
+            heads = [head for k in range(size) for head in map(
+                f"fvalue {fid} {k} ".__add__, labelled)]
+            if not all(map(str.startswith, lines, heads)):
+                return None
+            texts = list(map(str.removeprefix, lines, heads))
+            parsed = ratios(set(texts))
+            if parsed is None:
+                return None
+            functionals = []
+            for start in range(0, len(texts), count):
+                chunk = texts[start:start + count]
+                terms = {text: parsed[text] for text in set(chunk)}
+                den = math.lcm(*(q for _, q in terms.values()))
+                scaled = {text: p * (den // q)
+                          for text, (p, q) in terms.items()}
+                functionals.append(LipschitzFunction._from_numerators(
+                    space, every, list(map(scaled.__getitem__, chunk)), den))
+            return tuple(functionals)
+
+        # Targets and responses repeat down a tree: each distinct run of
+        # ``label value`` texts is built once.
+        vectors: dict[str, FreeVector] = {}
+
+        def vector(lines: list[str], start: int) -> Optional[FreeVector]:
+            tails = [line[start:] for line in lines]
+            key = "".join(tails)
+            vec = vectors.get(key)
+            if vec is None:
+                try:
+                    pairs = [tail.split() for tail in tails]
+                    points = [space.index_of(label) for label, _ in pairs]
+                except (KeyError, ValueError):
+                    return None
+                parsed = ratios({text for _, text in pairs})
+                if parsed is None:
+                    return None
+                vec = vectors[key] = FreeVector._from_ratios(
+                    space, [(i, *parsed[text])
+                            for i, (_, text) in zip(points, pairs)])
+            return vec
+
+        def vector_run(prefix: str) -> Optional[FreeVector]:
+            """The vector of the run of lines starting with ``prefix``,
+            when each is ``prefix label value``."""
+            return rd.take_run(prefix, lambda lines: vector(lines,
+                                                            len(prefix)))
+
         family_count = int(rd.expect("families", 2)[1])
         families: list[tuple[LipschitzFunction, ...]] = []
+        family_lines: list[int] = []  # where each family is declared
         for fid in range(family_count):
             tokens = rd.expect("family", 4)
             if int(tokens[1]) != fid:
                 raise rd.error("family lines out of order")
+            family_lines.append(rd.lineno)
             size = int(tokens[3])
+            table = rd.take_run(f"fvalue {fid} ",
+                                lambda lines: family_table(lines, fid, size))
+            if table is not None:
+                families.append(table)
+                continue
             # Keyed by functional, so a claimed size allocates nothing.
             values: dict[int, list[tuple[int, int, int]]] = {}
             for tokens in rd.run("fvalue", 2):
@@ -743,6 +880,17 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                     raise misplaced(tokens)
                 yield tokens
 
+        def response_terms(node_path: str, k: int
+                           ) -> Iterator[tuple[int, int, int]]:
+            """The ``rentry`` records of move ``k``, as (index, p, q)."""
+            for tokens in of_node(rd.run("rentry", 5), node_path):
+                if int(tokens[2]) > k:
+                    raise rd.error(f"response for undeclared move "
+                                   f"{int(tokens[2])} of {node_path!r}")
+                if int(tokens[2]) < k:
+                    raise misplaced(tokens)
+                yield _index_of(rd, space, tokens[3]), *ratio(tokens[4])
+
         def read_node(node_path: str, level: int) -> GameNode:
             """The node at ``node_path`` and its subtree, read in the order
             of :func:`write_transcript`."""
@@ -755,9 +903,11 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
             fields = _fields(rd, tokens[2:], ("depth", "epsilon"))
             depth, epsilon = int(fields["depth"]), value(fields["epsilon"])
             statuses[node_path] = ("none", "")
-            target = FreeVector._from_ratios(space, [
-                (_index_of(rd, space, tokens[2]), *ratio(tokens[3]))
-                for tokens in of_node(rd.run("tentry", 4), node_path)])
+            target = vector_run(f"tentry {node_path} ")
+            if target is None:
+                target = FreeVector._from_ratios(space, [
+                    (_index_of(rd, space, tokens[2]), *ratio(tokens[3]))
+                    for tokens in of_node(rd.run("tentry", 4), node_path)])
             for tokens in of_node(rd.run("status", 3), node_path):
                 if tokens[2] not in ("pass", "fail", "none"):
                     raise rd.error(f"unknown status {tokens[2]!r}")
@@ -773,28 +923,29 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
                 fid = int(fields["family"])
                 if not 0 <= fid < len(families):
                     raise rd.error(f"move references unknown family {fid}")
+                referenced.add(fid)
                 hood = WeakNeighborhood(families[fid], target,
                                         value(fields["eta"]))
-                response = []
-                for tokens in of_node(rd.run("rentry", 5), node_path):
-                    if int(tokens[2]) > k:
-                        raise rd.error(f"response for undeclared move "
-                                       f"{int(tokens[2])} of {node_path!r}")
-                    if int(tokens[2]) < k:
-                        raise misplaced(tokens)
-                    response.append((_index_of(rd, space, tokens[3]),
-                                     *ratio(tokens[4])))
-                posed.append((hood, FreeVector._from_ratios(space, response)))
+                response = vector_run(f"rentry {node_path} {k} ")
+                if response is None:
+                    response = FreeVector._from_ratios(
+                        space, list(response_terms(node_path, k)))
+                posed.append((hood, response))
             moves = tuple(Move(hood, response,
                                read_node(f"{node_path}.m{k}.r", level + 1),
                                read_node(f"{node_path}.m{k}.t", level + 1))
                           for k, (hood, response) in enumerate(posed))
             return GameNode(target, depth, epsilon, moves)
 
+        referenced: set[int] = set()
         root = read_node("root", 0)
         tokens = rd.next()
         if tokens[0] != "end":
             raise misplaced(tokens)
+        for fid, line in enumerate(family_lines):
+            if fid not in referenced:
+                raise rd.error(f"family {fid} is referenced by no move",
+                               line)
         transcript = GameTranscript(space, root, adversary)
         return TranscriptDocument(transcript, statuses, spec), space, landmarks
 

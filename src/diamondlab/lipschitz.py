@@ -6,22 +6,27 @@ constants are :class:`~fractions.Fraction`, so constants like "exactly 1"
 are meaningful statements, not tolerance checks; values and scalars must
 be ``int`` or ``Fraction``, and anything else raises ``TypeError``.
 
-A function keeps one integer view: its value numerators over their least
-common denominator ``Q``.  It is formed on first use, or handed over by
-the operations that compute in integers (McShane extension, distance
-functionals, ``shift`` and ``scale``), whose values are then shared
-``Fraction`` objects.  The kernels (:func:`lip_constant`,
-:func:`is_lipschitz_at_most`, :func:`mcshane_extend`) and free-vector
-pairing read it, together with the space's distance numerators ``mat``
-over its denominator ``S`` (``integer_scaled()``).  Pairs are visited in
-blocks of 32 rows.  Arrays are int64 when a bound computed up front proves
-that no product can overflow, and Python-int object arrays otherwise; no
-floating point is used.
+A function is stored as integers only: its sorted domain, value
+numerators and one denominator ``Q`` sharing no factor with them all
+(:meth:`LipschitzFunction.integer_scaled`).  The public constructor
+converts the values it is given; the operations that compute in integers
+(McShane extension, distance functionals, ``shift``, ``scale``, transport
+duals and the transcript reader) hand theirs over.  ``(index,
+Fraction)`` entries and values are formed on demand, as shared objects
+of :func:`~diamondlab.metric.fraction`.  The kernels
+(:func:`lip_constant`, :func:`is_lipschitz_at_most`,
+:func:`mcshane_extend`) and free-vector pairing read the integers,
+together with the space's distance numerators ``mat`` over its
+denominator ``S`` (``MetricSpace.integer_scaled()``).  Pairs are visited
+in blocks of 32 rows.  Arrays are int64 when a bound computed up front
+proves that no product can overflow, and Python-int object arrays
+otherwise; no floating point is used.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 from weakref import WeakKeyDictionary
@@ -50,41 +55,52 @@ _INT64_BOUND = 1 << 62
 
 
 class LipschitzFunction:
-    """A rational-valued function on a subset of a metric space."""
+    """A rational-valued function on a subset of a metric space.
+
+    A function is its sorted domain (an intp array), integer value
+    numerators and one positive denominator sharing no factor with them
+    all (:meth:`integer_scaled`).  Equal functions have equal integers,
+    so equality and hashing work on them; ``entries`` and the by-index
+    map behind ``value`` are built on first use, from the shared values
+    of :func:`~diamondlab.metric.fraction`.
+    """
+
+    __slots__ = ("_space", "_idx", "_num", "_den", "_peak", "_lip",
+                 "_entries", "_by_index")
 
     def __init__(self, space: MetricSpace,
                  values: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]]):
         items = values.items() if isinstance(values, Mapping) else values
-        entries = []
+        ratios = []
         seen = set()
         for idx, val in items:
+            idx = operator.index(idx)
             if not 0 <= idx < len(space):
                 raise IndexError(f"point index {idx} out of range")
             if idx in seen:
                 raise ValueError(f"duplicate value for point {idx}")
             seen.add(idx)
-            entries.append((idx, exact(val)))
-        entries.sort()
-        self._space = space
-        self._entries = tuple(entries)
-        self._by_index = dict(entries)
-        self._lip: Optional[Fraction] = None
-        self._ints: Optional[tuple] = None
+            v = exact(val)
+            ratios.append((idx, v.numerator, v.denominator))
+        ratios.sort()
+        den = math.lcm(*(q for _, _, q in ratios))
+        self._assign(space, np.array([i for i, _, _ in ratios], dtype=np.intp),
+                     [p * (den // q) for _, p, q in ratios], den, None)
 
-    @classmethod
-    def _from_sorted(cls, space: MetricSpace,
-                     entries: Iterable[tuple[int, Fraction]],
-                     lip: Optional[Fraction] = None) -> "LipschitzFunction":
-        """Trusted constructor for results the kernels have already
-        formed: ``(index, Fraction)`` pairs sorted by distinct in-range
-        indices, taken without checks, and a known constant or None."""
-        func = cls.__new__(cls)
-        func._space = space
-        func._entries = tuple(entries)
-        func._by_index = dict(func._entries)
-        func._lip = lip
-        func._ints = None
-        return func
+    def _assign(self, space: MetricSpace, domain: np.ndarray, nums: list[int],
+                den: int, lip: Optional[Fraction]) -> None:
+        common = math.gcd(den, *nums)
+        if common > 1:
+            nums = [n // common for n in nums]
+            den //= common
+        self._space = space
+        self._idx = domain
+        self._num = tuple(nums)
+        self._den = den
+        self._peak: Optional[int] = None
+        self._lip = lip
+        self._entries: Optional[tuple[tuple[int, Fraction], ...]] = None
+        self._by_index: Optional[dict[int, int]] = None
 
     @classmethod
     def _from_numerators(cls, space: MetricSpace, domain: np.ndarray,
@@ -93,74 +109,93 @@ class LipschitzFunction:
                          ) -> "LipschitzFunction":
         """Trusted constructor from value numerators over one positive
         denominator: ``domain`` is an intp array of sorted distinct
-        in-range indices and ``nums`` Python ints.  The values are shared
-        ``Fraction`` objects, and the integers, with their common factor
-        divided out, are kept as the function's integer view."""
-        common = math.gcd(den, *nums)
-        if common > 1:
-            nums = [n // common for n in nums]
-            den //= common
-        shared = {n: fraction(n, den) for n in set(nums)}
-        func = cls._from_sorted(
-            space, zip(domain.tolist(), map(shared.__getitem__, nums)), lip)
-        func._ints = (domain, nums, den, max([1, *map(abs, nums)]))
+        in-range indices and ``nums`` Python ints, taken without checks
+        and with their common factor divided out; ``lip`` is a known
+        constant or None."""
+        func = cls.__new__(cls)
+        func._assign(space, domain, nums, den, lip)
         return func
 
     @property
     def space(self) -> MetricSpace:
         return self._space
 
+    def integer_scaled(self) -> tuple[np.ndarray, tuple[int, ...], int]:
+        """Domain indices, value numerators and their common denominator."""
+        return self._idx, self._num, self._den
+
     @property
     def entries(self) -> tuple[tuple[int, Fraction], ...]:
+        if self._entries is None:
+            den = self._den
+            shared = {n: fraction(n, den) for n in set(self._num)}
+            self._entries = tuple(zip(self._idx.tolist(),
+                                      map(shared.__getitem__, self._num)))
         return self._entries
 
     @property
     def domain(self) -> tuple[int, ...]:
-        return tuple(idx for idx, _ in self._entries)
+        return tuple(self._idx.tolist())
 
     @property
     def is_total(self) -> bool:
-        return len(self._entries) == len(self._space)
+        return len(self._num) == len(self._space)
+
+    def _position(self, idx: int) -> Optional[int]:
+        """Where ``idx`` sits in the domain, or None outside it.  A total
+        function's domain is every index in order; a partial one looks
+        its points up in the by-index map, built on first use."""
+        if self.is_total:
+            return idx if 0 <= idx < len(self._num) else None
+        if self._by_index is None:
+            self._by_index = dict(zip(self._idx.tolist(),
+                                      range(len(self._num))))
+        return self._by_index.get(idx)
 
     def value(self, idx: int) -> Fraction:
-        return self._by_index[idx]
+        pos = self._position(idx)
+        if pos is None:
+            raise KeyError(idx)
+        return fraction(self._num[pos], self._den)
 
     def defined_at(self, idx: int) -> bool:
-        return idx in self._by_index
+        return self._position(idx) is not None
 
     def shift(self, offset: Fraction) -> "LipschitzFunction":
-        """Add ``offset`` to every value, on the integer view."""
+        """Add ``offset`` to every value, on the integers."""
         off = exact(offset)
         p, q = off.numerator, off.denominator
-        idx, nums, den, _ = _scaled_values(self)
+        den = self._den
         return LipschitzFunction._from_numerators(
-            self._space, idx, [n * q + p * den for n in nums], den * q,
-            self._lip)
+            self._space, self._idx, [n * q + p * den for n in self._num],
+            den * q, self._lip)
 
     def shifted_to_vanish(self, idx: int) -> "LipschitzFunction":
         """Subtract the value at ``idx`` so the result vanishes there."""
         return self.shift(-self.value(idx))
 
     def scale(self, factor: Fraction) -> "LipschitzFunction":
-        """Multiply every value by ``factor``, on the integer view."""
+        """Multiply every value by ``factor``, on the integers."""
         fac = exact(factor)
         lip = None if self._lip is None else self._lip * abs(fac)
-        idx, nums, den, _ = _scaled_values(self)
         p = fac.numerator
         return LipschitzFunction._from_numerators(
-            self._space, idx, [n * p for n in nums], den * fac.denominator,
-            lip)
+            self._space, self._idx, [n * p for n in self._num],
+            self._den * fac.denominator, lip)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LipschitzFunction):
             return NotImplemented
-        return self._space is other._space and self._entries == other._entries
+        # Equal numerators on a total function leave one possible domain.
+        return (self._space is other._space and self._den == other._den
+                and self._num == other._num
+                and (self.is_total or np.array_equal(self._idx, other._idx)))
 
     def __hash__(self):
-        return hash((id(self._space), self._entries))
+        return hash((id(self._space), self._num, self._den))
 
     def __repr__(self) -> str:
-        return (f"LipschitzFunction({len(self._entries)} of "
+        return (f"LipschitzFunction({len(self._num)} of "
                 f"{len(self._space)} points)")
 
 
@@ -185,17 +220,13 @@ def _scaled_metric(space: MetricSpace) -> tuple[np.ndarray, int, int]:
 
 
 def _scaled_values(func: LipschitzFunction
-                   ) -> tuple[np.ndarray, list[int], int, int]:
-    """The function's integer view: domain indices, value numerators over
-    their least common denominator Q, Q, and the largest numerator
-    magnitude (at least 1, as above).  Formed on first use and kept; the
-    kernels that compute in integers fill it for their results."""
-    if func._ints is None:
-        den = math.lcm(*(v.denominator for _, v in func.entries))
-        nums = [v.numerator * (den // v.denominator) for _, v in func.entries]
-        idx = np.array(func.domain, dtype=np.intp)
-        func._ints = (idx, nums, den, max([1, *map(abs, nums)]))
-    return func._ints
+                   ) -> tuple[np.ndarray, tuple[int, ...], int, int]:
+    """:meth:`LipschitzFunction.integer_scaled`, values over Q, and the
+    largest numerator magnitude (at least 1, as above), found on first
+    use."""
+    if func._peak is None:
+        func._peak = max([1, *map(abs, func._num)])
+    return func._idx, func._num, func._den, func._peak
 
 
 def _dtype(*bounds: int):
@@ -212,7 +243,7 @@ def _pair_blocks(mat: np.ndarray, idx: np.ndarray):
     """
     for start in range(0, len(idx), _BLOCK):
         stop = start + _BLOCK
-        yield start, stop, mat[np.ix_(idx[start:stop], idx[start:])]
+        yield start, stop, mat.take(idx[start:stop], 0).take(idx[start:], 1)
 
 
 def _inf_convolution(func: LipschitzFunction,
@@ -224,7 +255,7 @@ def _inf_convolution(func: LipschitzFunction,
     """
     space = func.space
     every = np.arange(len(space), dtype=np.intp)
-    if not func.entries:
+    if not func._num:
         return LipschitzFunction._from_numerators(space, every,
                                                   [0] * len(space), 1)
     idx, nums, den, peak = _scaled_values(func)
@@ -241,7 +272,7 @@ def _inf_convolution(func: LipschitzFunction,
         values[i] = v
     for start in range(0, len(outside), _BLOCK):
         rows = outside[start:start + _BLOCK]
-        dist = mat[np.ix_(rows, idx)].astype(dtype, copy=False)
+        dist = mat.take(rows, 0).take(idx, 1).astype(dtype, copy=False)
         reach = (vals[None, :] + dist_factor * dist).min(axis=1)
         for x, num in zip(rows.tolist(), reach.tolist()):
             values[x] = num

@@ -35,7 +35,7 @@ import functools
 import math
 import numbers
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -134,11 +134,13 @@ class MetricSpace:
             raise OverflowError("scaled distances exceed the int64 range")
         self._scaled = (mat, denominator)
         self._view: Optional[tuple[tuple[Fraction, ...], ...]] = None
-        # The norm and certificate caches of ``freespace``.  They live on
-        # the space because a certificate holds its space: in a table
-        # keyed by the space it would keep its own key alive.
+        # The norm and certificate caches of ``freespace`` and the
+        # adversary families of ``derivation``.  They live on the space
+        # because their values hold the space: in a table keyed by the
+        # space they would keep their own key alive.
         self._norm_cache: dict = {}
         self._cert_cache: dict = {}
+        self._family_cache: dict = {}
 
     # -- basic access ----------------------------------------------------
 
@@ -174,10 +176,6 @@ class MetricSpace:
 
     def label(self, x: int) -> str:
         return self._labels[x]
-
-    def set_distance(self, x: int, subset: Iterable[int]) -> Optional[Fraction]:
-        """min distance from x to a point set; None when the set is empty."""
-        return min((self.distance(x, y) for y in subset), default=None)
 
     # -- derived structures ------------------------------------------------
 

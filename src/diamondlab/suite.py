@@ -24,7 +24,7 @@ from .decomposition import (decompose_limit, ell1_additivity_check,
                             projection_identity_check)
 from .derivation import (ADVERSARY_KINDS, MUTATION_KINDS, AdversaryConfig,
                          WeakNeighborhood, adversary_family, collect_vectors,
-                         in_neighborhood, midpoint_lift, mutate_transcript,
+                         midpoint_lift, mutate_transcript,
                          prover_certify, prover_escape,
                          relative_derivation_oracle, verify_transcript)
 from .diamond import DEFAULT_BUDGET, DiamondSpec, build_cached
@@ -230,7 +230,7 @@ def check_escape_neighborhood(cfg: SuiteConfig) -> tuple[str, str]:
             fns.append(distance_functional(space, anchor).scale(scale))
         hood = WeakNeighborhood(fns, target, eta)
         gamma = prover_escape(space, lm, hood)
-        if not in_neighborhood(hood, gamma):
+        if not hood.contains(gamma):
             return "fail", f"family {trial}: escape left the neighborhood"
         if norm_value(gamma - target) != 1:
             return ("fail", f"family {trial}: escape separation is not "
@@ -405,6 +405,8 @@ def check_determinism_roundtrip(cfg: SuiteConfig) -> tuple[str, str]:
 
     adv = AdversaryConfig("adaptive_dual", 3, Fraction(1, 8), cfg.seed + 1)
     first = prover_certify(space, lm, 2, adv)
+    # The second proof draws its family and its norms afresh.
+    clear_norm_caches(space)
     second = prover_certify(space, lm, 2, adv)
     doc1 = dio.TranscriptDocument(first).with_report(
         verify_transcript(space, first))

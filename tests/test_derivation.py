@@ -15,9 +15,13 @@ Core claims checked here:
     roots equal the pull-back/push-forward recursion's, with one escape
     search per certified pole molecule and every molecule formed in the
     stage itself,
-  * every planted mutation is caught by the verifier.
+  * every planted mutation is caught by the verifier,
+  * an adversary family is built once per space and configuration until
+    the norm caches are cleared, and the determinism check still sees a
+    family that changes between builds.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -37,13 +41,14 @@ from diamondlab import (
     LipschitzFunction,
     Move,
     Sampler,
+    SuiteConfig,
     WeakNeighborhood,
     adversary_family,
     average_lift,
     build_cached,
+    clear_norm_caches,
     collect_vectors,
     distance_functional,
-    in_neighborhood,
     is_lipschitz_at_most,
     lip_constant,
     midpoint_lift,
@@ -54,6 +59,7 @@ from diamondlab import (
     prover_certify,
     prover_escape,
     relative_derivation_oracle,
+    run_check,
     spine_points,
     verify_transcript,
     walk_nodes,
@@ -86,7 +92,7 @@ def test_neighborhood_membership_is_closed(d13):
     f = distance_functional(space, lm.top)
     hood = WeakNeighborhood([f], FreeVector(space), HALF)
     exact = point_mass(space, lm.bottom, HALF)
-    assert hood.contains(exact) and in_neighborhood(hood, exact)
+    assert hood.contains(exact)
     over = point_mass(space, lm.bottom, HALF + Fraction(1, 100))
     assert not hood.contains(over)
 
@@ -175,6 +181,7 @@ def test_adversary_families_are_deterministic_and_normalized(d23):
     for kind in ADVERSARY_KINDS:
         cfg = AdversaryConfig(kind, count=4, eta=ETA, seed=5)
         fam1 = adversary_family(space, lm, cfg)
+        clear_norm_caches(space)
         fam2 = adversary_family(space, lm, cfg)
         assert fam1 == fam2
         assert len(fam1) == 4
@@ -185,6 +192,33 @@ def test_adversary_families_are_deterministic_and_normalized(d23):
         other = adversary_family(
             space, lm, AdversaryConfig(kind, count=4, eta=ETA, seed=6))
         assert len(other) == 4
+
+
+def test_adversary_family_is_built_once_per_space(d23):
+    space, lm = d23
+    for kind in ADVERSARY_KINDS:
+        cfg = AdversaryConfig(kind, count=3, eta=ETA, seed=9)
+        first = adversary_family(space, lm, cfg)
+        assert adversary_family(space, lm, cfg) is first
+        clear_norm_caches(space)
+        fresh = adversary_family(space, lm, cfg)
+        assert fresh == first
+        assert all(f is not g for f, g in zip(fresh, first))
+
+
+def test_determinism_roundtrip_sees_a_family_that_changes(monkeypatch):
+    # Every family build draws from a new seed, so equal configurations
+    # give different families; the check must notice, memo or not.
+    builds = itertools.count()
+
+    class Drifting(Sampler):
+        def __init__(self, seed):
+            super().__init__(seed + next(builds))
+
+    monkeypatch.setattr(derivation, "Sampler", Drifting)
+    result = run_check("determinism-roundtrip", SuiteConfig())
+    assert result.status == "fail"
+    assert result.details == "equal seeds produced different transcript bytes"
 
 
 # -- Escapes -----------------------------------------------------------------------

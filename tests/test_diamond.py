@@ -32,7 +32,6 @@ from diamondlab import (
     parse_address,
     parse_ordinal,
     shortest_path_closure,
-    subcopy_map,
 )
 
 from oracles import (diamond_graph, dijkstra_closure, graph_closure,
@@ -153,7 +152,7 @@ def test_subcopy_injections_are_half_isometries(d23):
     pred_space, _ = lm.predecessor
     for side in ("+", "-"):
         for branch in (1, 2, 3):
-            inj = subcopy_map(lm, side, branch)
+            inj = lm.subcopies[(side, branch)]
             assert len(inj) == len(pred_space)
             for p in range(len(pred_space)):
                 for q in range(len(pred_space)):
@@ -164,21 +163,19 @@ def test_subcopy_injections_are_half_isometries(d23):
 def test_subcopy_endpoint_identification(d23):
     space, lm = d23
     pred_space, pred_lm = lm.predecessor
-    inj_plus = subcopy_map(lm, "+", 2)
-    inj_minus = subcopy_map(lm, "-", 2)
+    inj_plus = lm.subcopies[("+", 2)]
+    inj_minus = lm.subcopies[("-", 2)]
     mid2 = space.index_of("mid(2)")
     assert inj_plus[pred_lm.top] == lm.top
     assert inj_plus[pred_lm.bottom] == mid2
     assert inj_minus[pred_lm.top] == mid2
     assert inj_minus[pred_lm.bottom] == lm.bottom
-    with pytest.raises(ValueError):
-        subcopy_map(lm, "+", 4)
+    assert ("+", 4) not in lm.subcopies
 
 
 def test_no_subcopies_on_base_or_limit(d13, dw33):
     for _, lm in (d13, dw33):
-        with pytest.raises(ValueError):
-            subcopy_map(lm, "+", 1)
+        assert lm.subcopies == {}
 
 
 def test_cross_copy_distances_frozen(d23):

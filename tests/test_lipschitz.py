@@ -23,7 +23,6 @@ from diamondlab import (
     lip_constant,
     mcshane_extend,
     pull_to_copy,
-    subcopy_map,
 )
 
 ONE = Fraction(1)
@@ -165,7 +164,7 @@ def test_pull_to_copy_halves_values(d23):
     pred_space, pred_lm = lm.predecessor
     f = distance_functional(pred_space, pred_lm.top)
     piece = pull_to_copy(space, lm, "-", 3, f)
-    inj = subcopy_map(lm, "-", 3)
+    inj = lm.subcopies[("-", 3)]
     assert piece.domain == tuple(sorted(inj))
     for p in range(len(pred_space)):
         assert piece.value(inj[p]) == f.value(p) / 2

@@ -72,12 +72,6 @@ def test_constructor_rejections():
         _space([[0, 1], [1, 0]], base=2)
 
 
-def test_set_distance():
-    assert PATH3.set_distance(0, [1, 2]) == 1
-    assert PATH3.set_distance(0, [2]) == 2
-    assert PATH3.set_distance(0, []) is None
-
-
 # -- Validation -----------------------------------------------------------------
 
 def test_validate_accepts_true_metric():

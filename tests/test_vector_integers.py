@@ -8,7 +8,9 @@ Core claims checked here:
   * weak-neighborhood membership is the closed condition: a vector whose
     pairing differs from the center's by exactly eta is inside, one just
     beyond it is outside, and the box oracle draws the same line,
-  * equal vectors however formed are one norm-cache entry,
+  * equal vectors however formed are one norm-cache entry, and equal
+    functionals however formed have equal integers and hashes, while
+    equal numerators on another domain are another function,
   * verifying the golden transcripts hashes no ``Fraction``,
   * floats and other inexact scalars are refused at every entry point.
 """
@@ -202,6 +204,34 @@ def test_equal_vectors_share_one_cache_entry(d23):
     assert norm_statistics()["norms"] == before + 1
     assert len({free_norm(v)[0] for v in forms}) == 1
     assert norm_statistics()["norms"] == before + 2
+
+
+def test_equal_functions_share_their_integers(d23):
+    space, lm = d23
+    f = distance_functional(space, lm.top)
+    every, nums, den = f.integer_scaled()
+    forms = [LipschitzFunction(space, f.entries),
+             LipschitzFunction(space, dict(f.entries)),
+             f.scale(3).scale(Fraction(1, 3)),
+             f.shift(Fraction(1, 7)).shift(Fraction(-1, 7)),
+             LipschitzFunction._from_numerators(space, every,
+                                                [6 * n for n in nums],
+                                                6 * den)]
+    for g in forms:
+        assert g == f and hash(g) == hash(f)
+        assert g.integer_scaled()[1:] == (nums, den)
+    partial = LipschitzFunction(space, {3: Fraction(2, 6), 1: Fraction(-1, 2)})
+    idx, nums, den = partial.integer_scaled()
+    assert (idx.tolist(), nums, den) == ([1, 3], (-3, 2), 6)
+    assert partial.entries == ((1, Fraction(-1, 2)), (3, Fraction(1, 3)))
+    assert partial.value(3) == Fraction(1, 3)
+    assert not partial.defined_at(2) and partial.defined_at(1)
+    with pytest.raises(KeyError):
+        partial.value(2)
+    with pytest.raises(KeyError):
+        f.value(len(space))
+    moved = LipschitzFunction(space, {2: Fraction(-1, 2), 3: Fraction(1, 3)})
+    assert moved.integer_scaled()[1:] == (nums, den) and moved != partial
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
