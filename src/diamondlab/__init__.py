@@ -15,8 +15,7 @@ from .decomposition import (Cover, LimitDecomposition, SummandPartition,
 from .derivation import (ADVERSARY_KINDS, MUTATION_KINDS, AdversaryConfig,
                          GameNode, GameTranscript, Move, WeakNeighborhood,
                          adversary_family, collect_vectors, midpoint_lift,
-                         average_lift, mutate_transcript,
-                         prover_certify, prover_escape,
+                         mutate_transcript, prover_certify, prover_escape,
                          relative_derivation_oracle, spine_points,
                          verify_transcript, walk_nodes)
 from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,

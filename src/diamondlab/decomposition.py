@@ -89,7 +89,9 @@ def summing_metric(space: MetricSpace,
     wedge sum at the base of the summand-plus-base subspaces, and holds
     each of them isometrically, so it is a metric exactly when each of
     them is.  Each is checked against the metric axioms before the
-    result is returned.
+    result is returned; when ``space`` passed
+    :meth:`MetricSpace.validate_metric`, each piece is a restriction of
+    it, already validated, and the check costs nothing.
     """
     check_partition(space, partition)
     base = partition.base

@@ -42,7 +42,6 @@ __all__ = [
     "spine_points",
     "prover_escape",
     "prover_certify",
-    "average_lift",
     "midpoint_lift",
     "verify_transcript",
     "VerificationReport",
@@ -340,7 +339,15 @@ def prover_escape(space: MetricSpace, landmarks: DiamondLandmarks,
     return _escape_pair(space, landmarks, place, neighborhood)[2]
 
 
-def _combine(a: GameNode, b: GameNode) -> GameNode:
+def _combine(a: GameNode, b: GameNode, memo: dict) -> GameNode:
+    """The average of two certificates of one shape, answering the same
+    challenges.  ``memo`` maps the identities of a pair already averaged
+    to the pair and its average, so a subtree shared down a tower is
+    averaged once; it holds the pair, so no identity is reused.
+    """
+    hit = memo.get((id(a), id(b)))
+    if hit is not None:
+        return hit[2]
     if a.depth != b.depth:
         raise ValueError("mismatched depths")
     if a.epsilon != b.epsilon:
@@ -357,41 +364,11 @@ def _combine(a: GameNode, b: GameNode) -> GameNode:
         moves.append(Move(
             ma.neighborhood.recentered(target),
             response,
-            _combine(ma.response_subtree, mb.response_subtree),
-            _combine(ma.target_subtree, mb.target_subtree)))
-    return GameNode(target, a.depth, a.epsilon, tuple(moves))
-
-
-def _supported_within(node: GameNode, allowed: frozenset[int]) -> bool:
-    return all(set(v.support) <= allowed for v in collect_vectors(node))
-
-
-def average_lift(space: MetricSpace, landmarks: DiamondLandmarks,
-                 plus_branch: int, node_plus: GameNode,
-                 minus_branch: int, node_minus: GameNode) -> GameNode:
-    """Average two one-copy certificates into one for the half-sum.
-
-    The inputs must live in the copies hanging at ``plus_branch`` (from
-    the top pole) and ``minus_branch`` (to the bottom pole), with
-    distinct branches >= 2, equal depths, epsilons, and challenge
-    families.  Each combined response averages the sub-responses; its
-    pairings then deviate by at most the same eta, and the separation of
-    the average is the average of the separations because the two halves
-    live in copies joined only through poles.
-    """
-    if plus_branch < 2 or minus_branch < 2:
-        raise ValueError("branch 1 carries the base point and cannot be used")
-    if plus_branch == minus_branch:
-        raise ValueError("the two copies must hang from distinct branches")
-    plus_inj = landmarks.subcopies.get(("+", plus_branch))
-    minus_inj = landmarks.subcopies.get(("-", minus_branch))
-    if plus_inj is None or minus_inj is None:
-        raise ValueError("branch out of range for this stage")
-    if not _supported_within(node_plus, frozenset(plus_inj)):
-        raise ValueError("support leaks outside the designated top copy")
-    if not _supported_within(node_minus, frozenset(minus_inj)):
-        raise ValueError("support leaks outside the designated bottom copy")
-    return _combine(node_plus, node_minus)
+            _combine(ma.response_subtree, mb.response_subtree, memo),
+            _combine(ma.target_subtree, mb.target_subtree, memo)))
+    node = GameNode(target, a.depth, a.epsilon, tuple(moves))
+    memo[id(a), id(b)] = (a, b, node)
+    return node
 
 
 def midpoint_lift(node: GameNode, shift: FreeVector) -> GameNode:
@@ -432,14 +409,17 @@ def _stage_height(landmarks: DiamondLandmarks) -> Optional[int]:
 def _certify_pole(space: MetricSpace, landmarks: DiamondLandmarks,
                   place: Sequence[int], depth: int,
                   family: tuple[LipschitzFunction, ...],
-                  eta: Fraction, epsilon: Fraction) -> list[GameNode]:
+                  eta: Fraction, epsilon: Fraction,
+                  memo: dict) -> list[GameNode]:
     """Pole-molecule certificates for depths 0 to ``depth`` of the
     sub-stage described by ``landmarks``, built in ``space`` at the points
     ``place`` (``place[x]`` is the stage index of sub-stage point x):
     element k's move has element k - 1 as target follow-up, and as
     response the leaf at the escape vector (k = 1) or the average of
     element k - 1 of the towers placed in the escape vector's two copies,
-    whose placements compose ``place`` with the copy injections."""
+    whose placements compose ``place`` with the copy injections.
+    ``memo`` is the averaging memo of :func:`_combine`, shared by the
+    whole proof."""
     target = _pole_molecule(space, landmarks, place)
     tower = [GameNode(target, 0, epsilon, ())]
     if depth == 0:
@@ -452,9 +432,9 @@ def _certify_pole(space: MetricSpace, landmarks: DiamondLandmarks,
         plus, minus = (
             _certify_pole(space, pred_lm,
                           [place[x] for x in landmarks.subcopies[copy]],
-                          depth - 1, family, eta, epsilon)[1:]
+                          depth - 1, family, eta, epsilon, memo)[1:]
             for copy in (("+", j), ("-", i)))
-        responses += map(_combine, plus, minus)
+        responses += (_combine(a, b, memo) for a, b in zip(plus, minus))
     for k, response_node in enumerate(responses, start=1):
         move = Move(hood, gamma, response_node, tower[k - 1])
         tower.append(GameNode(target, k, epsilon, (move,)))
@@ -488,7 +468,7 @@ def prover_certify(space: MetricSpace, landmarks: DiamondLandmarks,
                              f"requested {depth}")
     family = adversary_family(space, landmarks, adversary) if depth else ()
     root = _certify_pole(space, landmarks, range(len(space)), depth, family,
-                         exact(adversary.eta), epsilon)[-1]
+                         exact(adversary.eta), epsilon, {})[-1]
     return GameTranscript(space, root, adversary)
 
 

@@ -8,14 +8,15 @@ raising :class:`~diamondlab.errors.FormatError` with a line otherwise.
 
 A space table is written a row at a time, each row of ``dist`` lines as
 one joined text.  When a space file's construction echo rebuilds the
-stored points, :func:`read_space` compares each row's physical lines,
-as one text, with the row the writer gives the rebuilt space, and takes
-the row unparsed when they are identical.  At the first row that
-differs it hands those lines back and parses every line from there on,
-exactly as without the check, so other valid spellings still read and
-every error keeps its message, line and precedence.  A file without an
-echo is parsed line by line throughout.  Parsed values are the shared
-``Fraction`` objects of :func:`diamondlab.metric.fraction`.
+stored points, :func:`read_space` compares the file, by characters and
+a few thousand at a time, with the row the writer gives the rebuilt
+space, and takes the row unparsed when they are identical; the file is
+not split into lines.  At the first row that differs it splits what it
+read into physical lines, hands them back and parses every line from
+there on, exactly as without the check, so other valid spellings still
+read and every error keeps its message, line and precedence.  A file
+without an echo is parsed line by line throughout.  Parsed values are
+the shared ``Fraction`` objects of :func:`diamondlab.metric.fraction`.
 
 A transcript is read the same way, in runs of lines that share a prefix.
 A family's ``fvalue`` lines are taken as one block when they start with
@@ -76,6 +77,12 @@ __all__ = [
 ]
 
 _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# Characters per read in ``_Reader.take_text``.  A read of n characters
+# decodes chunks of max(8192, b·n) bytes, where b <= 4 is the last
+# chunk's bytes per character, so reads of 2048 decode the same 8192-byte
+# chunks as ``readline``, and bytes that are not UTF-8 raise the same
+# error, at the same position, either way.
+_TEXT_PIECE = 2048
 _T = TypeVar("_T")
 
 
@@ -185,25 +192,68 @@ class _Reader:
 
     def take_text(self, text: str, count: int) -> bool:
         """Take the next ``count`` physical lines, starting at the next
-        record, if together they are exactly ``text``; otherwise hand them
-        back and return False.  Once lines were handed back, or at the
-        end of the file, nothing is taken.
+        record, if together they are exactly ``text``; otherwise hand back
+        what was read and return False.  Once lines were handed back, or
+        at the end of the file, nothing is taken.
+
+        The file is read for as many characters as ``text`` holds, in
+        pieces of ``_TEXT_PIECE``, and compared with it once; it is not
+        split into lines.  On a difference, what was read is split into
+        physical lines, the last one finished with ``readline``, and
+        handed back, so the records read on from the same lines, with the
+        same numbers and decoding errors, as if this had not been called.
+        A read that meets bytes that are not UTF-8 has the lines read
+        again one at a time instead (:meth:`_reread`).
         """
         if self._back or self._undecodable or self._ahead == []:
             return False
-        lines = [] if self._ahead is None else [self._ahead_line]
-        self._read -= len(lines)
+        got = "" if self._ahead is None else self._ahead_line
+        self._read -= self._ahead is not None
+        self._ahead = None
+        if text.startswith(got):
+            read = self._fh.read
+            pieces, rest = divmod(len(text) - len(got), _TEXT_PIECE)
+            try:
+                got = "".join([got, *(read(_TEXT_PIECE)
+                                      for _ in range(pieces)), read(rest)])
+            except UnicodeDecodeError:
+                self._back = self._reread(count)[::-1]
+                return False
+        if got == text:
+            self._read += count
+            self.lineno = self._read
+            return True
+        lines = got.split("\n")
+        last = lines.pop()
+        lines = [line + "\n" for line in lines]
+        if last:
+            try:
+                lines.append(last + self._fh.readline())
+            except UnicodeDecodeError as exc:
+                self._undecodable = exc
+        self._back = lines[::-1]
+        return False
+
+    def _reread(self, count: int) -> list[str]:
+        """Up to ``count`` lines from the next physical line on, read
+        again one at a time from a fresh handle.
+
+        A failed ``read`` drops what it had decoded, but ``readline``
+        returns every line before the bytes it cannot decode.  Both
+        decode the same chunks, so the line reading ends with the error
+        that line-by-line reading meets, which is kept for later.
+        """
+        self._fh.close()
+        self._fh = open(self.path, "r", encoding="utf-8")
+        for _ in range(self._read):
+            self._fh.readline()
+        lines: list[str] = []
         try:
-            lines.extend(itertools.islice(self._fh, count - len(lines)))
+            while len(lines) < count and (line := self._fh.readline()):
+                lines.append(line)
         except UnicodeDecodeError as exc:
             self._undecodable = exc
-        if not self._undecodable and "".join(lines) == text:
-            self._read += count
-            self.lineno, self._ahead = self._read, None
-            return True
-        self._back = lines[::-1]
-        self._ahead = None
-        return False
+        return lines
 
     def take_run(self, prefix: str, parse: Callable[[list[str]], _T]
                  ) -> Optional[_T]:
@@ -490,7 +540,10 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
         if base_label not in labels:
             raise rd.error(f"base label {base_label!r} is not a point")
         base = labels.index(base_label)
-        rows, cols = np.triu_indices(count, 1)
+        # The pairs of the rows parsed line by line, in file order.
+        rows, cols = np.triu_indices(count - start, 1)
+        rows += start
+        cols += start
         if spec is None:
             scale = math.lcm(*(v.denominator for v in values))
             nums = [v.numerator * (scale // v.denominator) for v in values]
@@ -511,8 +564,6 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
         for k, v in enumerate(values):
             if scale % v.denominator == 0 and abs(v) * scale < 1 << 62:
                 scaled[k] = int(v * scale)
-        skipped = len(rows) - len(codes)  # the pairs of the rows taken whole
-        rows, cols = rows[skipped:], cols[skipped:]
         mismatch = np.flatnonzero(scaled[codes] != mat[rows, cols])
         if mismatch.size:
             k = mismatch[0]

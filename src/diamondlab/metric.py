@@ -23,6 +23,14 @@ object, and comparing two equal tables short-circuits on identity.  The
 objects are immutable, so sharing them is safe; a value that has left
 the table is simply made again.
 
+The numerator matrix is read-only, so a space never changes after it
+is made, and two results are kept on it once known: the finest edges
+(:func:`finest_edges` scans once per space) and a pass of
+:meth:`MetricSpace.validate_metric`, after which the check returns at
+once.  A restriction of a validated space is validated too, since every
+axiom on a sub-table with distinct indices is an axiom of the parent
+table.
+
 :meth:`MetricSpace.from_scaled` builds a space from numerators; the
 diamond builder and :meth:`MetricSpace.restrict` construct spaces this
 way.  The plain constructor takes ``Fraction`` rows and converts them
@@ -132,8 +140,14 @@ class MetricSpace:
             denominator //= common
         if int(mat.max()) >= _INT64_SAFE:
             raise OverflowError("scaled distances exceed the int64 range")
+        # Read-only, so no write can make the memos below stale.
+        mat.flags.writeable = False
         self._scaled = (mat, denominator)
         self._view: Optional[tuple[tuple[Fraction, ...], ...]] = None
+        # The result of ``finest_edges``, and whether ``validate_metric``
+        # passed; both are kept once known.
+        self._edges: Optional[tuple[tuple[int, int], ...]] = None
+        self._validated = False
         # The norm and certificate caches of ``freespace`` and the
         # adversary families of ``derivation``.  They live on the space
         # because their values hold the space: in a table keyed by the
@@ -185,6 +199,8 @@ class MetricSpace:
 
         ``base`` must be one of the indices and becomes the subspace base.
         Returns the subspace and the index map (new index -> old index).
+        A restriction of a validated space is validated: its axioms are
+        axioms of this space.
         """
         idx = tuple(indices)
         if len(set(idx)) != len(idx):
@@ -195,6 +211,7 @@ class MetricSpace:
         mat, scale = self._scaled
         sub = MetricSpace.from_scaled(labels, mat[np.ix_(idx, idx)], scale,
                                       idx.index(base))
+        sub._validated = self._validated
         return sub, idx
 
     def integer_scaled(self) -> tuple[np.ndarray, int]:
@@ -210,7 +227,10 @@ class MetricSpace:
         """Check the metric axioms exactly: the diagonal, symmetry and
         positivity a block of rows at a time, naming the first failing
         pair in row-major order, then triangles in :func:`finest_edges`.
+        A pass is kept: later calls return at once.
         """
+        if self._validated:
+            return
         n = len(self)
         mat, _ = self._scaled
         d = self.distance
@@ -231,6 +251,7 @@ class MetricSpace:
                 raise MetricAxiomError("d({},{}) is not positive".format(
                     *divmod(lo * n + int(wrong.argmax()), n)))
         finest_edges(self)
+        self._validated = True
 
     def __repr__(self) -> str:
         return (f"MetricSpace({len(self)} points, "
@@ -282,7 +303,17 @@ def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
     distance, and the tested inequalities along any such path show none
     is shorter.  So the table is the shortest-path closure of the picked
     arcs, a metric, and a metric passes every test.
+
+    The result is kept on the space and returned by later calls; a scan
+    that raises keeps nothing.
     """
+    if space._edges is None:
+        space._edges = _scan_edges(space)
+    return space._edges
+
+
+def _scan_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
+    """The scan of :func:`finest_edges`, run afresh."""
     mat, _ = space.integer_scaled()
     n = len(space)
     blocked = np.iinfo(np.int64).max

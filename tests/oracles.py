@@ -10,8 +10,9 @@ cover by pair-by-pair Fraction loops, the pole cover's slices by a
 per-summand scan, the box-derivation oracle by subtracting every
 pair of survivors, and the pole-molecule game certificate by the
 recursion that pulls every functional back into the predecessor
-spaces, certifies there, pushes the trees forward again and re-derives
-every target follow-up, and the space reader by parsing every
+spaces, certifies there, pushes the trees forward again, averages the
+two copies' trees node by node and re-derives every target follow-up,
+and the space reader by parsing every
 distance line on its own (it shares the line cursor and the header and
 value parsers with the library, whose row-at-a-time check it is the
 reference for), and free vectors by sorted ``(index, Fraction)``
@@ -477,6 +478,62 @@ def _push_node(node, ambient, injection, family, eta):
     return GameNode(target, node.depth, node.epsilon, moves)
 
 
+def _average(a, b):
+    """The average of two certificates of one shape, node by node."""
+    from diamondlab.derivation import GameNode, Move
+
+    if a.depth != b.depth:
+        raise ValueError("mismatched depths")
+    if a.epsilon != b.epsilon:
+        raise ValueError("mismatched epsilons")
+    if len(a.moves) != len(b.moves):
+        raise ValueError("mismatched move counts")
+    target = (a.target + b.target) * Fraction(1, 2)
+    moves = []
+    for ma, mb in zip(a.moves, b.moves):
+        if (ma.neighborhood.functionals != mb.neighborhood.functionals
+                or ma.neighborhood.eta != mb.neighborhood.eta):
+            raise ValueError("paired moves answer different challenges")
+        moves.append(Move(ma.neighborhood.recentered(target),
+                          (ma.response + mb.response) * Fraction(1, 2),
+                          _average(ma.response_subtree, mb.response_subtree),
+                          _average(ma.target_subtree, mb.target_subtree)))
+    return GameNode(target, a.depth, a.epsilon, tuple(moves))
+
+
+def _supported_within(node, allowed):
+    from diamondlab.derivation import collect_vectors
+
+    return all(set(v.support) <= allowed for v in collect_vectors(node))
+
+
+def average_lift(space, landmarks, plus_branch, node_plus, minus_branch,
+                 node_minus):
+    """Average two one-copy certificates into one for the half-sum.
+
+    The inputs must live in the copies hanging at ``plus_branch`` (from
+    the top pole) and ``minus_branch`` (to the bottom pole), with
+    distinct branches >= 2, equal depths, epsilons, and challenge
+    families.  Each combined response averages the sub-responses; its
+    pairings then deviate by at most the same eta, and the separation of
+    the average is the average of the separations because the two halves
+    live in copies joined only through poles.
+    """
+    if plus_branch < 2 or minus_branch < 2:
+        raise ValueError("branch 1 carries the base point and cannot be used")
+    if plus_branch == minus_branch:
+        raise ValueError("the two copies must hang from distinct branches")
+    plus_inj = landmarks.subcopies.get(("+", plus_branch))
+    minus_inj = landmarks.subcopies.get(("-", minus_branch))
+    if plus_inj is None or minus_inj is None:
+        raise ValueError("branch out of range for this stage")
+    if not _supported_within(node_plus, frozenset(plus_inj)):
+        raise ValueError("support leaks outside the designated top copy")
+    if not _supported_within(node_minus, frozenset(minus_inj)):
+        raise ValueError("support leaks outside the designated bottom copy")
+    return _average(node_plus, node_minus)
+
+
 def certify_pole(space, landmarks, depth, family, eta, epsilon):
     """The pole-molecule certificate at one depth, by plain recursion over
     the predecessor spaces: each functional is pulled back into a copy's
@@ -484,7 +541,6 @@ def certify_pole(space, landmarks, depth, family, eta, epsilon):
     follow-up and both predecessor certificates are each derived afresh,
     so every escape search and pullback is repeated."""
     from diamondlab.derivation import GameNode, Move, WeakNeighborhood
-    from diamondlab.derivation import average_lift
     from diamondlab.freespace import molecule
 
     top, bottom, mids = landmarks.top, landmarks.bottom, landmarks.mids

@@ -44,7 +44,6 @@ from diamondlab import (
     SuiteConfig,
     WeakNeighborhood,
     adversary_family,
-    average_lift,
     build_cached,
     clear_norm_caches,
     collect_vectors,
@@ -390,7 +389,7 @@ def test_average_lift_combines_pushed_poles(d23):
                               (space.index_of("mid(3)"), -ONE)])
     minus = FreeVector(space, [(space.index_of("mid(2)"), ONE),
                                (lm.bottom, -ONE)])
-    combined = average_lift(space, lm, 3, GameNode(plus, 0, ONE),
+    combined = oracles.average_lift(space, lm, 3, GameNode(plus, 0, ONE),
                             2, GameNode(minus, 0, ONE))
     gamma = (molecule(space, lm.top, space.index_of("mid(3)"))
              + molecule(space, space.index_of("mid(2)"), lm.bottom)) * HALF
@@ -401,11 +400,11 @@ def test_average_lift_rejects_bad_branches(d23):
     space, lm = d23
     node = GameNode(FreeVector(space), 0, ONE)
     with pytest.raises(ValueError, match="branch 1"):
-        average_lift(space, lm, 1, node, 2, node)
+        oracles.average_lift(space, lm, 1, node, 2, node)
     with pytest.raises(ValueError, match="distinct"):
-        average_lift(space, lm, 2, node, 2, node)
+        oracles.average_lift(space, lm, 2, node, 2, node)
     with pytest.raises(ValueError, match="out of range"):
-        average_lift(space, lm, 2, node, 4, node)
+        oracles.average_lift(space, lm, 2, node, 4, node)
 
 
 def test_average_lift_rejects_support_leak(d23):
@@ -413,7 +412,7 @@ def test_average_lift_rejects_support_leak(d23):
     leak = GameNode(_pole(space, lm), 0, ONE)
     inside = GameNode(FreeVector(space), 0, ONE)
     with pytest.raises(ValueError, match="leaks"):
-        average_lift(space, lm, 2, leak, 3, inside)
+        oracles.average_lift(space, lm, 2, leak, 3, inside)
 
 
 def test_midpoint_lift_halves_epsilon(d23):
@@ -601,7 +600,7 @@ def test_tower_matches_recursive_certificates(d33, kind):
     config = _config(kind)
     family = adversary_family(space, lm, config)
     tower = derivation._certify_pole(space, lm, range(len(space)), 3, family,
-                                     config.eta, ONE)
+                                     config.eta, ONE, {})
     assert [node.depth for node in tower] == [0, 1, 2, 3]
     for depth, node in enumerate(tower):
         expected = oracles.certify_pole(space, lm, depth, family,
@@ -619,6 +618,31 @@ def test_depth_four_tower_matches_recursive_certificate(kind):
     family = adversary_family(space, lm, config)
     expected = oracles.certify_pole(space, lm, 4, family, config.eta, ONE)
     assert prover_certify(space, lm, 4, config).root == expected
+
+
+def test_prover_averages_each_node_pair_once(monkeypatch):
+    # Towers share subtrees, so a proof meets the same (plus, minus) pair
+    # more than once; every later meeting returns the first average.
+    space, lm = build_cached(DiamondSpec(4, 3))
+    calls = []
+    combine = derivation._combine
+
+    def spy(a, b, memo):
+        node = combine(a, b, memo)
+        calls.append((a, b, node))
+        return node
+
+    monkeypatch.setattr(derivation, "_combine", spy)
+    root = prover_certify(space, lm, 4, _config()).root
+    first = {}
+    for a, b, node in calls:
+        assert first.setdefault((id(a), id(b)), node) is node
+    assert len(first) < len(calls)
+    assert len({id(node) for node in first.values()}) == len(first)
+    assert root == oracles.certify_pole(space, lm, 4,
+                                        adversary_family(space, lm,
+                                                         _config()),
+                                        ETA, ONE)
 
 
 def test_prover_forms_every_molecule_in_the_stage(monkeypatch):

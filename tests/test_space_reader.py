@@ -165,6 +165,89 @@ def test_bytes_that_are_not_utf8_are_met_where_lines_meet_them(
     assert got == _outcome(read_space_reference, path)
 
 
+# -- fixed damage to one canonical row ----------------------------------------
+
+
+def _row_span(text: str, row: int) -> tuple[int, int]:
+    """Start and end offsets of the ``dist`` lines of ``row``, the end
+    just past its last line's last character."""
+    start = text.index(f"dist {row} {row + 1} ")
+    nxt = text.find(f"dist {row + 1} ", start)
+    end = (text.index("\nend", start) if nxt < 0 else nxt - 1)
+    return start, end
+
+
+def _damaged_row(text: str, kind: str, row: int) -> bytes:
+    start, end = _row_span(text, row)
+    if kind == "first":
+        text = text[:start] + "x" + text[start + 1:]
+    elif kind == "last":
+        digit = "5" if text[end - 1] == "7" else "7"
+        text = text[:end - 1] + digit + text[end:]
+    elif kind == "truncate":
+        text = text[:(start + end) // 2]
+    elif kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    return text.encode()
+
+
+@pytest.mark.parametrize("kind", ["first", "last", "truncate", "crlf"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_one_damaged_row_reads_as_line_by_line(texts, kind, where):
+    root, kinds = texts
+    text = kinds["echo"]
+    count = text.count("\npoint ")
+    row = {"first": 0, "middle": count // 2, "last": count - 2}[where]
+    path = root / f"row-{kind}-{where}.txt"
+    path.write_bytes(_damaged_row(text, kind, row))
+    got = _outcome(read_space, path)
+    assert got[0] == ("read" if kind == "crlf" else "error")
+    assert got == _outcome(read_space_reference, path)
+
+
+@pytest.mark.parametrize("at", [0, 0.5, 1])
+def test_bytes_that_are_not_utf8_in_the_first_row_taken_whole(texts, at):
+    root, kinds = texts
+    text = kinds["echo"]
+    start, end = _row_span(text, 0)
+    cut = len(text[:start + int(at * (end - start))].encode())
+    data = text.encode()
+    path = root / f"row-utf8-{at}.txt"
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    got = _outcome(read_space, path)
+    assert got[0] == "error" and "not UTF-8" in got[2]
+    assert got == _outcome(read_space_reference, path)
+
+
+@pytest.mark.parametrize("before", ["none", "same-row", "respelled-row"])
+def test_bytes_that_are_not_utf8_past_a_decoding_chunk(tmp_path, before):
+    # Rows of the 779-point stage are up to 13,000 characters, longer than
+    # one 8192-byte decoding chunk.  The bad byte sits 10,000 characters
+    # into a row; before it, either nothing, a damaged line of the same
+    # row (reported first), or a row spelled with a double space, which
+    # reads on line by line from there.
+    spec = DiamondSpec(4, 3)
+    space, lm = build_cached(spec)
+    path = tmp_path / "space.txt"
+    write_space(str(path), space, lm, spec)
+    data = bytearray(path.read_bytes())
+    row = 2 if before == "respelled-row" else 0
+    start = data.index(b"dist %d %d " % (row, row + 1))
+    at = data.index(b"\n", start + 10000) + 1
+    data[at:at] = b"\xff"
+    if before == "same-row":
+        line = data.index(b"\n", start + 3000) + 1
+        data[line:line] = b"#"
+    elif before == "respelled-row":
+        line = data.index(b"dist 1 2 ")
+        data[line:line + 4] = b"dist "
+    path.write_bytes(bytes(data))
+    got = _outcome(read_space, path)
+    assert got[0] == "error"
+    assert ("not UTF-8" in got[2]) == (before != "same-row")
+    assert got == _outcome(read_space_reference, path)
+
+
 # -- pinned writer bytes ------------------------------------------------------
 
 
