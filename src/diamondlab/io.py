@@ -3,33 +3,26 @@
 Every writer emits a deterministic byte sequence for equal in-memory
 values: entries are ordered by point index, fractions appear in lowest
 terms with an explicit denominator, and files end with an ``end`` line.
-Readers stream a file and accept exactly what writers emit, in order,
-raising :class:`~diamondlab.errors.FormatError` with a line otherwise.
+Readers parse records, the whitespace-separated tokens of a line, in
+writer order; blank lines are skipped and a fraction need not be in
+lowest terms, so files spelled other than the writer spells them still
+read.  Anything else raises :class:`~diamondlab.errors.FormatError`
+with a line.  Parsed values are the shared ``Fraction`` objects of
+:func:`diamondlab.metric.fraction`.
 
-A space table is written a row at a time, each row of ``dist`` lines as
-one joined text.  When a space file's construction echo rebuilds the
-stored points, :func:`read_space` compares the file, by characters and
-a few thousand at a time, with the row the writer gives the rebuilt
-space, and takes the row unparsed when they are identical; the file is
-not split into lines.  At the first row that differs it splits what it
-read into physical lines, hands them back and parses every line from
-there on, exactly as without the check, so other valid spellings still
-read and every error keeps its message, line and precedence.  A file
-without an echo is parsed line by line throughout.  Parsed values are
-the shared ``Fraction`` objects of :func:`diamondlab.metric.fraction`.
-
-A transcript is read the same way, in runs of lines that share a prefix.
-A family's ``fvalue`` lines are taken as one block when they start with
-exactly the writer's heads, ``fvalue fid k label`` for every point of
-every functional in order, checked in one pass; each distinct value text
-is parsed once, and each functional is formed from its integers.  A node's
-``tentry`` lines and a move's ``rentry`` lines are taken as one run, and
-each distinct run builds its vector once per read: targets and responses
-repeat down a tree.  A run that does not end at a nonblank record of
-another kind, or that holds anything the block parse does not expect,
-is handed back and read record by record, so other spellings still read
-and errors keep their messages and lines.  The writer formats a family
-table as one join from the functionals' integers.
+Two readers first try the writer's exact spelling, and on anything else
+read the file again from its first line on the record parser, so other
+spellings read and every error keeps its message, line and precedence.
+:func:`read_space` compares a file that has a construction echo, byte
+for byte, with the text the writer gives the rebuilt stage, and returns
+the rebuilt space when they are identical.  :func:`read_transcript`
+takes a run of lines that share a prefix as one block when it is the
+writer's: a family's ``fvalue`` lines, checked against the writer's
+heads in one pass and each distinct value text parsed once, and a
+node's ``tentry`` or a move's ``rentry`` lines, each distinct run built
+into its vector once per read, since targets and responses repeat down
+a tree.  The writer formats a family table as one join from the
+functionals' integers.
 """
 
 from __future__ import annotations
@@ -77,12 +70,6 @@ __all__ = [
 ]
 
 _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-# Characters per read in ``_Reader.take_text``.  A read of n characters
-# decodes chunks of max(8192, b·n) bytes, where b <= 4 is the last
-# chunk's bytes per character, so reads of 2048 decode the same 8192-byte
-# chunks as ``readline``, and bytes that are not UTF-8 raise the same
-# error, at the same position, either way.
-_TEXT_PIECE = 2048
 _T = TypeVar("_T")
 
 
@@ -120,6 +107,11 @@ def _safe_label(label: str) -> str:
     return label
 
 
+class _NotAsWritten(Exception):
+    """A run of lines was read but is not the writer's; the lines cannot
+    be read again, so the read starts over with runs off."""
+
+
 class _Reader:
     """Streaming token-line cursor with one-line lookahead and located
     errors.
@@ -131,23 +123,16 @@ class _Reader:
     ``FormatError`` that does not name the file yet, such as a bad
     number from :func:`parse_fraction`, is located the same way.
 
-    :meth:`take_text` takes a block of physical lines whole when it is
-    exactly an expected text, and :meth:`take_run` a run of lines that
-    share a prefix when a parser accepts it; otherwise either hands the
-    lines back, so the token records read on as if it had not been
-    called.
+    With ``runs`` on, :meth:`take_run` takes a run of lines that share a
+    prefix as one block; with it off, every line is read as a record.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, runs: bool = True):
         self.path = path
+        self.runs = runs
         self._fh = open(path, "r", encoding="utf-8")
         self._read = 0  # physical lines read so far
         self._ahead: Optional[list[str]] = None  # [] at end of file
-        self._ahead_line = ""  # the lookahead's physical line
-        self._back: list[str] = []  # lines handed back, last one first
-        # A decoding error met ahead of the lines handed back: raised when
-        # reading gets past them, where reading line by line meets it.
-        self._undecodable: Optional[UnicodeDecodeError] = None
         self.lineno = 0  # physical line of the last record taken
 
     def __enter__(self) -> "_Reader":
@@ -164,18 +149,11 @@ class _Reader:
         """``message`` located at ``line``, by default the last record's."""
         return FormatError(f"{self.path}:{line or self.lineno}: {message}")
 
-    def _line(self) -> str:
-        if self._back:
-            return self._back.pop()
-        if self._undecodable is not None:
-            raise self._undecodable
-        return self._fh.readline()
-
     def peek(self) -> Optional[list[str]]:
         """The next record's tokens, or None at end of file."""
         try:
             while self._ahead is None:
-                line = self._ahead_line = self._line()
+                line = self._fh.readline()
                 self._read += 1
                 # A blank line leaves None, to read on; end of file gives [].
                 self._ahead = line.split() or (None if line else [])
@@ -190,111 +168,40 @@ class _Reader:
         self.lineno, self._ahead = self._read, None
         return tokens
 
-    def take_text(self, text: str, count: int) -> bool:
-        """Take the next ``count`` physical lines, starting at the next
-        record, if together they are exactly ``text``; otherwise hand back
-        what was read and return False.  Once lines were handed back, or
-        at the end of the file, nothing is taken.
-
-        The file is read for as many characters as ``text`` holds, in
-        pieces of ``_TEXT_PIECE``, and compared with it once; it is not
-        split into lines.  On a difference, what was read is split into
-        physical lines, the last one finished with ``readline``, and
-        handed back, so the records read on from the same lines, with the
-        same numbers and decoding errors, as if this had not been called.
-        A read that meets bytes that are not UTF-8 has the lines read
-        again one at a time instead (:meth:`_reread`).
-        """
-        if self._back or self._undecodable or self._ahead == []:
-            return False
-        got = "" if self._ahead is None else self._ahead_line
-        self._read -= self._ahead is not None
-        self._ahead = None
-        if text.startswith(got):
-            read = self._fh.read
-            pieces, rest = divmod(len(text) - len(got), _TEXT_PIECE)
-            try:
-                got = "".join([got, *(read(_TEXT_PIECE)
-                                      for _ in range(pieces)), read(rest)])
-            except UnicodeDecodeError:
-                self._back = self._reread(count)[::-1]
-                return False
-        if got == text:
-            self._read += count
-            self.lineno = self._read
-            return True
-        lines = got.split("\n")
-        last = lines.pop()
-        lines = [line + "\n" for line in lines]
-        if last:
-            try:
-                lines.append(last + self._fh.readline())
-            except UnicodeDecodeError as exc:
-                self._undecodable = exc
-        self._back = lines[::-1]
-        return False
-
-    def _reread(self, count: int) -> list[str]:
-        """Up to ``count`` lines from the next physical line on, read
-        again one at a time from a fresh handle.
-
-        A failed ``read`` drops what it had decoded, but ``readline``
-        returns every line before the bytes it cannot decode.  Both
-        decode the same chunks, so the line reading ends with the error
-        that line-by-line reading meets, which is kept for later.
-        """
-        self._fh.close()
-        self._fh = open(self.path, "r", encoding="utf-8")
-        for _ in range(self._read):
-            self._fh.readline()
-        lines: list[str] = []
-        try:
-            while len(lines) < count and (line := self._fh.readline()):
-                lines.append(line)
-        except UnicodeDecodeError as exc:
-            self._undecodable = exc
-        return lines
-
     def take_run(self, prefix: str, parse: Callable[[list[str]], _T]
                  ) -> Optional[_T]:
-        """``parse`` of the physical lines, from the next record on, that
-        start with ``prefix``, taken when the run ends at the end of the
-        file or at a nonblank line of another keyword than the prefix's
-        first word, and ``parse`` does not return None.  Otherwise the
-        lines are handed back and None returned.  As with
-        :meth:`take_text`, once lines were handed back, or at the end of
-        the file, nothing is taken.
+        """``parse`` of the physical lines, from the next one on, that
+        start with ``prefix``.  Returns None, having read nothing, when
+        runs are off or the next record was already looked at.
+
+        The run must end at the end of the file or at a nonblank line of
+        another keyword than the prefix's first word, and ``parse`` must
+        not return None; otherwise, or at bytes that are not UTF-8, the
+        lines read are lost and :class:`_NotAsWritten` is raised.
         """
-        if self._back or self._undecodable or self._ahead == []:
+        if not self.runs or self._ahead is not None:
             return None
-        ahead = [] if self._ahead is None else [self._ahead_line]
-        self._read -= len(ahead)
-        self._ahead = None
         lines: list[str] = []
-        end: Optional[str] = ""  # the line after the run; "" at the end
+        end = ""  # the line after the run; "" at the end of the file
         try:
-            for line in itertools.chain(ahead, self._fh):
+            for line in self._fh:
                 if not line.startswith(prefix):
                     end = line
                     break
                 lines.append(line)
-        except UnicodeDecodeError as exc:
-            self._undecodable = exc
-            end = None
-        tokens = end.split() if end else []
-        result = None
-        if end == "" or tokens and tokens[0] != prefix.split()[0]:
-            result = parse(lines)
+        except UnicodeDecodeError:
+            raise _NotAsWritten from None
+        tokens = end.split()
+        if end and (not tokens or tokens[0] == prefix.split()[0]):
+            raise _NotAsWritten  # a blank or respelled line of the run
+        result = parse(lines)
         if result is None:
-            self._back = lines[::-1]
-            if end:
-                self._back.insert(0, end)
-            return None
+            raise _NotAsWritten
         if lines:
             self._read += len(lines)
             self.lineno = self._read
         # The line after the run is the lookahead, as ``peek`` leaves it.
-        self._ahead, self._ahead_line = tokens, end
+        self._ahead = tokens
         self._read += bool(end)
         return result
 
@@ -316,25 +223,44 @@ class _Reader:
         raise self.error(f"expected {keyword!r}, found {found!r}")
 
 
+def _blocks(lines: Iterable[str], per_block: int) -> Iterator[str]:
+    """The text of ``lines``, each ended by a newline, joined
+    ``per_block`` lines at a time; a "line" may be a block of several."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, per_block)):
+        yield "\n".join(chunk) + "\n"
+
+
 def _write(path: str, lines: Iterable[str], per_write: int = 1 << 15
            ) -> None:
     """Stream ``lines`` into a file beside ``path`` and rename it over
     ``path``, so a writer that fails leaves no partial file behind.
 
     Lines are joined ``per_write`` at a time (about a megabyte for the
-    default); a "line" may be a block of several.
+    default).
     """
     temporary = f"{path}.{os.getpid()}.tmp"
     fh = open(temporary, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            lines = iter(lines)
-            while chunk := list(itertools.islice(lines, per_write)):
-                fh.write("\n".join(chunk) + "\n")
+            for block in _blocks(lines, per_write):
+                fh.write(block)
         os.replace(temporary, path)
     except BaseException:
         os.remove(temporary)
         raise
+
+
+def _holds(path: str, lines: Iterable[str], per_block: int = 1 << 15
+           ) -> bool:
+    """Whether the file at ``path`` is exactly what :func:`_write` writes
+    for ``lines``, compared ``per_block`` lines at a time."""
+    with open(path, "rb") as fh:
+        for block in _blocks(lines, per_block):
+            data = block.encode()
+            if fh.read(len(data)) != data:
+                return False
+        return not fh.read(1)
 
 
 def _header(kind: str) -> str:
@@ -457,24 +383,36 @@ def _dist_rows(space: MetricSpace) -> Iterator[str]:
         yield "".join(parts)
 
 
+def _space_lines(space: MetricSpace,
+                 landmarks: Optional[DiamondLandmarks],
+                 spec: Optional[DiamondSpec]) -> Iterator[str]:
+    """The lines of a space file, each row of ``dist`` lines as one."""
+    n = len(space)
+    yield from (_header("space"), _spec_line(spec), f"points {n}",
+                f"base {_safe_label(space.label(space.base_point))}")
+    for i in range(n):
+        yield f"point {i} {_safe_label(space.label(i))}"
+    if landmarks is not None:
+        for name, i in (("top", landmarks.top), ("bottom", landmarks.bottom),
+                        ("ell", landmarks.ell)):
+            yield f"landmark {name} {space.label(i)}"
+        for k, m in enumerate(landmarks.mids, start=1):
+            yield f"landmark mid {k} {space.label(m)}"
+    yield from _dist_rows(space)
+    yield "end"
+
+
+def _rows_per_block(n: int) -> int:
+    """Rows of an n-point table to join at a time: a row holds up to n
+    lines, so a block holds about 32768."""
+    return max(1, (1 << 15) // max(n, 1))
+
+
 def write_space(path: str, space: MetricSpace,
                 landmarks: Optional[DiamondLandmarks] = None,
                 spec: Optional[DiamondSpec] = None) -> None:
-    n = len(space)
-    head = [_header("space"), _spec_line(spec), f"points {n}",
-            f"base {_safe_label(space.label(space.base_point))}"]
-    points = (f"point {i} {_safe_label(space.label(i))}" for i in range(n))
-    marks = []
-    if landmarks is not None:
-        marks = [f"landmark {name} {space.label(i)}" for name, i
-                 in (("top", landmarks.top), ("bottom", landmarks.bottom),
-                     ("ell", landmarks.ell))]
-        marks += [f"landmark mid {k} {space.label(m)}"
-                  for k, m in enumerate(landmarks.mids, start=1)]
-    # A row holds up to n lines: join about 32768 lines per write.
-    _write(path, itertools.chain(head, points, marks, _dist_rows(space),
-                                 ["end"]),
-           per_write=max(1, (1 << 15) // max(n, 1)))
+    _write(path, _space_lines(space, landmarks, spec),
+           _rows_per_block(len(space)))
 
 
 def read_space(path: str, budget: int = DEFAULT_BUDGET
@@ -487,9 +425,9 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
     against the file bind to the shared space object.  Without one, the
     stored table must pass :meth:`MetricSpace.validate_metric`.
 
-    When the stored labels are the rebuilt ones, rows of ``dist`` lines
-    that are exactly the writer's text are taken unparsed, up to the
-    first row that differs (see the module docstring).
+    A file that is byte for byte what :func:`write_space` writes for the
+    rebuilt stage is not parsed further; any other file is parsed record
+    by record from its ``points`` line on.
     """
     with _Reader(path) as rd:
         _check_header(rd, "space")
@@ -498,6 +436,9 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
                 else _spec_from_fields(rd, _fields(rd, tokens)))
         if spec is not None:
             space, landmarks = build_cached(spec, budget)
+            if _holds(path, _space_lines(space, landmarks, spec),
+                      _rows_per_block(len(space))):
+                return space, landmarks, spec
         count = int(rd.expect("points", 2)[1])
         if count > budget:
             raise BudgetExceededError(f"file claims {count} points, "
@@ -511,19 +452,12 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
             labels.append(tokens[2])
         for _ in rd.run("landmark"):
             pass
-        # Rows before ``start`` are taken whole, by their text.
-        start = 0
-        if spec is not None and labels == list(space.labels):
-            for text in _dist_rows(space):
-                if not rd.take_text(text + "\n", count - 1 - start):
-                    break
-                start += 1
         # Each distinct distance text is parsed once; codes[k] indexes the
-        # value of the k-th parsed dist line in ``values``.
+        # value of the k-th dist line in ``values``.
         parsed: dict[str, int] = {}
         values: list[Fraction] = []
         codes = []
-        pairs = itertools.combinations(range(start, count), 2)
+        pairs = itertools.combinations(range(count), 2)
         for (i, j), tokens in zip(pairs, rd.run("dist")):
             if len(tokens) != 4:
                 raise rd.error("malformed dist line")
@@ -534,16 +468,13 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
                 values.append(parse_fraction(tokens[3]))
                 code = parsed[tokens[3]] = len(values) - 1
             codes.append(code)
-        if len(codes) < (count - start) * (count - start - 1) // 2:
+        if len(codes) < count * (count - 1) // 2:
             rd.expect("dist")  # the table ends early: refused here
         rd.expect("end")
         if base_label not in labels:
             raise rd.error(f"base label {base_label!r} is not a point")
         base = labels.index(base_label)
-        # The pairs of the rows parsed line by line, in file order.
-        rows, cols = np.triu_indices(count - start, 1)
-        rows += start
-        cols += start
+        rows, cols = np.triu_indices(count, 1)
         if spec is None:
             scale = math.lcm(*(v.denominator for v in values))
             nums = [v.numerator * (scale // v.denominator) for v in values]
@@ -784,8 +715,22 @@ def read_transcript(path: str, space: Optional[MetricSpace] = None,
     one, the file must carry a construction echo.  Records must come in
     writer order, and nodes nested deeper than a quarter of the
     interpreter's recursion limit are refused.
+
+    Runs of lines are taken as blocks while they are the writer's; at the
+    first that is not, the file is read again record by record.
     """
-    with _Reader(path) as rd:
+    try:
+        return _read_transcript(path, space, landmarks, budget, runs=True)
+    except _NotAsWritten:
+        return _read_transcript(path, space, landmarks, budget, runs=False)
+
+
+def _read_transcript(path: str, space: Optional[MetricSpace],
+                     landmarks: Optional[DiamondLandmarks], budget: int,
+                     runs: bool) -> tuple[TranscriptDocument, MetricSpace,
+                                          Optional[DiamondLandmarks]]:
+    """:func:`read_transcript`, taking runs as blocks if ``runs``."""
+    with _Reader(path, runs) as rd:
         _check_header(rd, "transcript")
         space, landmarks, spec = _read_space_line(rd, space, landmarks,
                                                   budget)

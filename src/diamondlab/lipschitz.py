@@ -29,7 +29,6 @@ import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -203,9 +202,6 @@ class LipschitzFunction:
 # integer kernels
 
 
-_peaks: "WeakKeyDictionary[MetricSpace, int]" = WeakKeyDictionary()
-
-
 def _scaled_metric(space: MetricSpace) -> tuple[np.ndarray, int, int]:
     """Distance numerators, their denominator S and their largest entry.
 
@@ -213,10 +209,7 @@ def _scaled_metric(space: MetricSpace) -> tuple[np.ndarray, int, int]:
     also covers the factor it multiplies.
     """
     mat, scale = space.integer_scaled()
-    peak = _peaks.get(space)
-    if peak is None:
-        peak = _peaks[space] = int(mat.max(initial=1))
-    return mat, scale, peak
+    return mat, scale, space._peak
 
 
 def _scaled_values(func: LipschitzFunction

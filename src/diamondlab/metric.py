@@ -138,8 +138,12 @@ class MetricSpace:
         if common > 1:
             mat //= common
             denominator //= common
-        if int(mat.max()) >= _INT64_SAFE:
+        peak = int(mat.max())
+        if peak >= _INT64_SAFE:
             raise OverflowError("scaled distances exceed the int64 range")
+        # The largest numerator, at least 1, for the overflow bounds of
+        # the ``lipschitz`` kernels.
+        self._peak = max(1, peak)
         # Read-only, so no write can make the memos below stale.
         mat.flags.writeable = False
         self._scaled = (mat, denominator)

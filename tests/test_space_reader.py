@@ -1,14 +1,15 @@
-"""The row-at-a-time space writer and the echo-checked space reader.
+"""The space writer and the echo-checked space reader.
 
-``read_space`` takes a row of ``dist`` lines unparsed when its text is
-the row the writer gives the rebuilt space, and parses line by line
-from the first row that differs.  Checked here: on damaged and
-non-canonical files it agrees with ``oracles.read_space_reference``,
-the reader that parses every line, in the space it returns or in the
-exact ``FormatError`` message; bytes that are not UTF-8 are reported
-where line-by-line reading meets them; the writer's bytes are pinned;
-and a bare file with more distinct values than the shared ``Fraction``
-table holds reads correctly.
+``read_space`` returns the rebuilt space when a file with a construction
+echo is byte for byte the writer's text for that stage, and otherwise
+parses every line.  Checked here: on damaged and non-canonical files,
+inside the distance table and outside it, it agrees with
+``oracles.read_space_reference``, the reader that parses every line, in
+the space it returns or in the exact ``FormatError`` message; a
+canonical echo file is not parsed past its ``spec`` line; bytes that
+are not UTF-8 are reported where line-by-line reading meets them; the
+writer's bytes are pinned; and a bare file with more distinct values
+than the shared ``Fraction`` table holds reads correctly.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from diamondlab import (DiamondSpec, FormatError, MetricSpace, build_cached,
                         parse_ordinal)
+from diamondlab import io as dio
 from diamondlab.io import read_space, write_space
 from diamondlab.metric import _SHARED_FRACTIONS, _shared
 
@@ -59,19 +61,51 @@ def _unreduce(value: str, k: int) -> str:
     return f"{int(num) * k}/{int(den) * k}"
 
 
+# Lines put in place of, or before, a line of each kind outside the
+# table; the ``end`` ones go after the ``end`` line.
+_OUTSIDE = {
+    "spec": ["spec none", "spec alpha=2 branches=3 limit-width=3",
+             "spec alpha=1 branches=3 limit-width=3",
+             "spec alpha=2 branches=2 limit-width=3",
+             "spec  alpha=2 branches=3 limit-width=3",
+             "spec limit-width=3 branches=3 alpha=2", "spec alpha=2"],
+    "points": ["points 22", "points 24", "points  23", "points x", "points"],
+    "base": ["base top", "base  mid(1)", "base nowhere", "base"],
+    "point": ["point 0 top", "point 2 nowhere", "point 5  +(1)/mid(1)",
+              "point 3 mid(2)", "point x top", ""],
+    "landmark": ["landmark top top", "landmark  ell mid(1)",
+                 "landmark mid 9 nowhere", ""],
+    "end": ["end", "x", "dist 0 1 1/1", " "],
+}
+
+
 @st.composite
 def _damage(draw, text):
-    """Up to three edits inside the distance table of ``text``."""
+    """Up to three edits of ``text``: inside the distance table, to the
+    lines before it, or after its ``end`` line."""
     lines = text.split("\n")
     for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([
+            "blank", "whitespace", "unreduce", "swap", "delete", "extra",
+            "truncate", "last", "value", "index", *_OUTSIDE]))
+        if kind in _OUTSIDE:
+            at = [k for k, line in enumerate(lines)
+                  if line.split(" ")[0] == kind]
+            if at:
+                k = draw(st.sampled_from(at))
+                line = draw(st.sampled_from(_OUTSIDE[kind]))
+                if kind == "end":
+                    lines.insert(k + 1, line)
+                elif draw(st.booleans()):
+                    lines[k] = line
+                else:
+                    lines.insert(k, line)
+            continue
         table = [k for k, line in enumerate(lines) if line.startswith("dist")]
         if not table:
             break
         k = draw(st.sampled_from(table))
         tokens = lines[k].split(" ")
-        kind = draw(st.sampled_from([
-            "blank", "whitespace", "unreduce", "swap", "delete", "extra",
-            "truncate", "last", "value", "index"]))
         if kind == "blank":
             lines.insert(draw(st.integers(table[0], table[-1] + 1)),
                          draw(st.sampled_from(["", " ", "\t", "  \t "])))
@@ -130,6 +164,30 @@ def test_canonical_files_read_unchanged(texts):
         path = root / f"canonical-{kind}.txt"
         path.write_text(text)
         got = _outcome(read_space, path)
+        assert got[0] == "read"
+        assert got == _outcome(read_space_reference, path)
+
+
+def test_only_files_not_as_written_reach_the_dist_records(texts,
+                                                         monkeypatch):
+    root, kinds = texts
+    keywords = []
+    run = dio._Reader.run
+
+    def spy(self, keyword, size=1):
+        keywords.append(keyword)
+        return run(self, keyword, size)
+
+    monkeypatch.setattr(dio._Reader, "run", spy)
+    text = kinds["echo"]
+    respelled = text.replace("\ndist 3 4 ", "\ndist 3  4 ", 1)
+    assert respelled != text
+    path = root / "spied.txt"
+    for content, parsed in ((text, False), (respelled, True)):
+        path.write_text(content)
+        keywords.clear()
+        got = _outcome(read_space, path)
+        assert ("dist" in keywords) == parsed
         assert got[0] == "read"
         assert got == _outcome(read_space_reference, path)
 

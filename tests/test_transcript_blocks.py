@@ -6,6 +6,9 @@ Core claims checked here:
     that way equals the one read record by record (a blank line or a
     respaced line inside every block forces that path), for every
     adversary kind and every mutation kind;
+  * a run that is not the writer's, even the last one after blocks were
+    taken, or one holding bytes that are not UTF-8, restarts the read
+    record by record, which gives the record reader's document or error;
   * a damaged value inside a block is still reported at its own line;
   * a family that no move references is refused at its own line.
 """
@@ -53,7 +56,8 @@ def _broken(text, how):
 
 @pytest.fixture
 def taken_runs(monkeypatch):
-    """Counts of the runs ``take_run`` takes as blocks and hands back."""
+    """Counts of the runs ``take_run`` takes as blocks, and of its calls
+    that take none (a read with runs off)."""
     counts = {"taken": 0, "handed back": 0}
     original = dio._Reader.take_run
 
@@ -94,6 +98,15 @@ def _same(a, b):
     assert a.spec == b.spec
 
 
+def _read_by_records(monkeypatch, path):
+    """``read_transcript`` with ``take_run`` taking no run: the reference
+    read, record by record."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dio._Reader, "take_run",
+                      lambda self, prefix, parse: None)
+        return read_transcript(str(path))
+
+
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
 def test_block_reading_equals_record_reading(tmp_path, d23, taken_runs,
                                              kind):
@@ -125,6 +138,70 @@ def test_block_reading_equals_record_reading_on_mutants(tmp_path, d23,
     # A file states no centers: read neighborhoods are centered at their
     # node's target, so a tampered subtree target reads back recentered.
     assert not verify_transcript(space, blocked.transcript).passed
+
+
+def test_a_last_run_not_as_written_restarts_after_blocks(tmp_path, d23,
+                                                         taken_runs,
+                                                         monkeypatch):
+    space, lm = d23
+    transcript = prover_certify(space, lm, 2, AdversaryConfig(
+        "adaptive_dual", 3, ETA, 5))
+    path = tmp_path / "game.txt"
+    write_transcript(str(path), TranscriptDocument(transcript),
+                     DiamondSpec(2, 3))
+    lines = path.read_text().split("\n")
+    last = max(k for k, line in enumerate(lines) if line.startswith("rentry "))
+    assert _run_key(lines[last - 1]) == _run_key(lines[last])
+    lines[last] = lines[last].replace(" ", "  ", 1)
+    path.write_text("\n".join(lines))
+    got = read_transcript(str(path))[0]
+    # Blocks were taken up to the last run; the second read took none.
+    assert taken_runs["taken"] > 0 and taken_runs["handed back"] > 0
+    _same(got, _read_by_records(monkeypatch, path)[0])
+    assert got.transcript.root == transcript.root
+
+
+@pytest.mark.parametrize("kind", ["fvalue", "tentry", "rentry"])
+def test_bytes_that_are_not_utf8_inside_a_run_fail_as_records_do(
+        tmp_path, d33, monkeypatch, kind):
+    space, lm = d33
+    transcript = prover_certify(space, lm, 3, AdversaryConfig(
+        "adaptive_dual", 3, ETA, 5))
+    path = tmp_path / "game.txt"
+    write_transcript(str(path), TranscriptDocument(transcript),
+                     DiamondSpec(3, 3))
+    lines = path.read_bytes().split(b"\n")
+    run = [k for k, line in enumerate(lines)
+           if line.startswith(kind.encode() + b" ")]
+    k = [k for k in run if k - 1 in run][-1]
+    start = k - 1
+    while start - 1 in run:
+        start -= 1
+    # Trailing spaces on the record before the run move line k to start
+    # 10 bytes before an 8192-byte decoding chunk ends, so the bad byte
+    # at its end is decoded while the run is read.
+    offset = sum(len(line) + 1 for line in lines[:k])
+    lines[start - 1] += b" " * ((8192 - 10 - offset) % 8192)
+    lines[k] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    restarted = []
+    take_run = dio._Reader.take_run
+
+    def spy(self, prefix, parse):
+        try:
+            return take_run(self, prefix, parse)
+        except dio._NotAsWritten:
+            restarted.append(prefix)
+            raise
+
+    monkeypatch.setattr(dio._Reader, "take_run", spy)
+    with pytest.raises(FormatError) as got:
+        read_transcript(str(path))
+    assert [prefix.split()[0] for prefix in restarted] == [kind]
+    with pytest.raises(FormatError) as expected:
+        _read_by_records(monkeypatch, path)
+    assert "not UTF-8" in str(got.value)
+    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("kind", ["fvalue", "tentry", "rentry"])
