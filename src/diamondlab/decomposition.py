@@ -20,7 +20,7 @@ import numpy as np
 
 from .diamond import DiamondLandmarks
 from .freespace import FreeVector, norm_value
-from .metric import MetricAxiomError, MetricSpace
+from .metric import MetricAxiomError, MetricSpace, wider
 
 __all__ = [
     "SummandPartition",
@@ -38,6 +38,9 @@ __all__ = [
     "ProjectionReport",
     "projection_identity_check",
 ]
+
+# Rows of a summing metric formed at a time.
+_BLOCK = 256
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
@@ -109,9 +112,17 @@ def summing_metric(space: MetricSpace,
         owner[list(members)] = m
     # The base owns no summand, but its pairs keep their distance anyway:
     # d(x, base) + d(base, base) = d(x, base).
-    cross = owner[:, None] != owner[None, :]
-    mat, scale = space.integer_scaled()
-    rerouted = np.where(cross, mat[:, base, None] + mat[None, base, :], mat)
+    mat, scale = space._stored()
+    # A rerouted entry is a sum of two distances, formed a block of rows
+    # at a time.
+    wide = wider(mat.dtype)
+    to_base, from_base = mat[:, base].astype(wide), mat[base].astype(wide)
+    rerouted = np.empty(mat.shape, dtype=wide)
+    for lo in range(0, len(space), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        cross = owner[rows, None] != owner[None, :]
+        rerouted[rows] = np.where(cross, to_base[rows, None] + from_base,
+                                  mat[rows])
     return MetricSpace.from_scaled(space.labels, rerouted, scale, base)
 
 
@@ -139,9 +150,10 @@ def equivalence_constants(original: MetricSpace,
     if n < 2:
         return EquivalenceReport(Fraction(1), Fraction(1), None, None)
     rows, cols = np.triu_indices(n, 1)
-    top, top_scale = original.integer_scaled()
-    bottom, bottom_scale = summing.integer_scaled()
-    a, b = top[rows, cols], bottom[rows, cols]
+    top, top_scale = original._stored()
+    bottom, bottom_scale = summing._stored()
+    a = top[rows, cols].astype(np.int64)
+    b = bottom[rows, cols].astype(np.int64)
     if b.min() <= 0:
         raise ValueError("the summing metric has a non-positive distance")
     # Pair k has ratio (a[k] / b[k]) * bottom_scale / top_scale.  In lowest
@@ -199,15 +211,16 @@ def build_cover(space: MetricSpace, landmarks: DiamondLandmarks) -> Cover:
     """
     if not landmarks.summands:
         raise ValueError("the pole cover is defined for limit stages only")
-    mat, scale = space.integer_scaled()
+    mat, scale = space._stored()
     # d < 3/2 is 2 * numerator < 3 * scale.
-    halves = [2 * mat[:, pole] < 3 * scale
+    halves = [2 * mat[:, pole].astype(np.int64) < 3 * scale
               for pole in (landmarks.bottom, landmarks.top)]
     if any(inside.all() for inside in halves):
         separation = dict.fromkeys(range(len(space)))
     else:
         # Distance from each point to each half's complement, summed.
-        margin = sum(mat[:, ~inside].min(axis=1) for inside in halves)
+        margin = sum(mat[:, ~inside].min(axis=1).astype(np.int64)
+                     for inside in halves)
         separation = {z: Fraction(v, scale)
                       for z, v in enumerate(margin.tolist())}
     return Cover(*(tuple(np.flatnonzero(inside).tolist())

@@ -13,11 +13,18 @@ outermost name, so addresses are unique; the point order (poles, midpoints,
 then copies in ``(side, branch)`` order) is part of the format contract.
 
 All construction distances are dyadic.  Each stage is therefore built as
-an int64 numerator matrix over a power-of-two denominator and handed to
+a numerator matrix over a power-of-two denominator and handed to
 :meth:`MetricSpace.from_scaled`.  A successor stage doubles its
 predecessor's denominator, so the copies keep the predecessor's
 numerators; the rest of its matrix is block-broadcast pole detours.  A
 limit stage rescales its summands to the largest summand denominator.
+
+Every point lies on a geodesic between the poles, which are 2 apart, so
+no distance exceeds 2: going round through the nearer pole costs at
+most 2.  Each matrix is therefore written in the narrowest dtype that
+holds twice its denominator (int8 through height 6), and its pole
+detours, sums of two distances, are computed a block at a time in the
+dtype that holds twice that (int16).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .metric import (MetricSpace, closure_numerators, finest_edges,
-                     fraction_rows)
+                     fraction_rows, narrowest)
 from .ordinal import (OrdinalNotation, ZERO, ONE, format_ordinal,
                       fundamental_sequence, parse_ordinal)
 
@@ -52,10 +59,13 @@ __all__ = [
 ]
 
 # The default budget admits an int64 matrix of at most _MATRIX_BYTES
-# (16,384 points).  A build peaks at about twice its matrix (measured at
-# 4,667 points), so the largest admitted build stays well under 8 GB.
+# (16,384 points), whatever dtype the store takes.  A build peaks at about
+# twice its matrix, so the largest admitted build stays well under 8 GB.
+# _MATRIX_BYTES also caps the stores that ``build_cached`` keeps.
 _MATRIX_BYTES = 2 << 30
 DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
+# Temporaries of one block of limit-stage pole detours.
+_DETOUR_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # specs and addresses
@@ -214,6 +224,8 @@ def build(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
     return _build(spec)
 
 
+# Built stages by spec, least recently used first; their stores together
+# hold at most _MATRIX_BYTES, beyond the newest.
 _build_cache: dict[DiamondSpec, tuple[MetricSpace, DiamondLandmarks]] = {}
 
 
@@ -224,12 +236,22 @@ def build_cached(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
     Sharing the object lets norm caches keyed on space identity carry
     over between commands and checks.  The budget guard applies even on
     a cache hit, so behaviour does not depend on cache warmth.
+
+    The cache keeps the most recently used stages whose stores sum to at
+    most ``_MATRIX_BYTES`` (the stores of a stage's predecessors and
+    summands, which its landmarks hold, are smaller than its own).  A
+    stage evicted to make room is built afresh, as a new object, when it
+    is asked for again.
     """
     _check_budget(spec, budget)
-    hit = _build_cache.get(spec)
+    hit = _build_cache.pop(spec, None)
     if hit is None:
         hit = _build(spec)
-        _build_cache[spec] = hit
+    _build_cache[spec] = hit
+    held = sum(space._stored()[0].nbytes for space, _ in _build_cache.values())
+    while held > _MATRIX_BYTES and len(_build_cache) > 1:
+        oldest = next(iter(_build_cache))
+        held -= _build_cache.pop(oldest)[0]._stored()[0].nbytes
     return hit
 
 
@@ -239,6 +261,12 @@ def _build(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     if spec.alpha.is_successor:
         return _build_successor(spec)
     return _build_limit(spec)
+
+
+def _dtypes(scale: int) -> tuple:
+    """The matrix dtype of a stage over ``scale``, holding its diameter
+    2 * scale, and the dtype of its detour sums, holding twice that."""
+    return narrowest(0, 2 * scale), narrowest(0, 4 * scale)
 
 
 def _outer_labels(n: int) -> list[str]:
@@ -267,7 +295,7 @@ def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     pred_space, pred_lm = _build(pred_spec)
     p_top, p_bot = pred_lm.top, pred_lm.bottom
     interior = [p for p in range(len(pred_space)) if p not in (p_top, p_bot)]
-    pred_mat, pred_scale = pred_space.integer_scaled()
+    pred_mat, pred_scale = pred_space._stored()
 
     # Copy (side, branch) replaces the outer edge between its two ends;
     # outer vertices are 0 = top, 1 = bottom and 1 + i = mid(i).
@@ -293,17 +321,19 @@ def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
 
     # Numerators over 2 * pred_scale: copies keep the predecessor's
     # numerators, which halves their distances; outer distances double.
+    dtype, wide = _dtypes(2 * pred_scale)
     ix = np.array(interior, dtype=np.intp)
     inner = pred_mat[np.ix_(ix, ix)]
-    dt = pred_mat[ix, p_top]
-    db = pred_mat[ix, p_bot]
-    dist = np.empty((size, size), dtype=np.int64)
-    dist[:n_outer, :n_outer] = _outer_numerators(n) * (2 * pred_scale)
+    dt = pred_mat[ix, p_top].astype(wide)
+    db = pred_mat[ix, p_bot].astype(wide)
+    outer = (_outer_numerators(n) * (2 * pred_scale)).astype(wide)
+    dist = np.empty((size, size), dtype=dtype)
+    dist[:n_outer, :n_outer] = outer
     # Outer vertex to a copy point: through the nearer copy pole.
     for k, (te, be) in enumerate(ends):
         block = slice(n_outer + k * m, n_outer + (k + 1) * m)
-        dist[:n_outer, block] = np.minimum(
-            dist[:n_outer, te, None] + dt, dist[:n_outer, be, None] + db)
+        dist[:n_outer, block] = np.minimum(outer[:, te, None] + dt,
+                                           outer[:, be, None] + db)
     dist[n_outer:, :n_outer] = dist[:n_outer, n_outer:].T
     # A copy point leaves its copy through one of its poles, so its row is
     # the better of the two pole rows; that is the minimum of the four
@@ -312,8 +342,8 @@ def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     for k, (te, be) in enumerate(ends):
         block = slice(n_outer + k * m, n_outer + (k + 1) * m)
         rows = dist[block, n_outer:]
-        np.minimum(dt[:, None] + dist[te, n_outer:],
-                   db[:, None] + dist[be, n_outer:], out=rows)
+        np.minimum(dt[:, None] + dist[te, n_outer:].astype(wide),
+                   db[:, None] + dist[be, n_outer:].astype(wide), out=rows)
         rows[:, k * m:(k + 1) * m] = inner
 
     landmarks = DiamondLandmarks(
@@ -329,7 +359,8 @@ def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     builds = [_build(DiamondSpec(beta, spec.branches, spec.limit_width))
               for beta in betas]
     # Summand denominators are powers of two, so the largest is common.
-    scale = max(bspace.integer_scaled()[1] for bspace, _ in builds)
+    scale = max(bspace._stored()[1] for bspace, _ in builds)
+    dtype, wide = _dtypes(scale)
 
     labels = ["top", "bottom"]
     injections: list[tuple[int, ...]] = []
@@ -346,20 +377,26 @@ def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
             inj[p] = next_idx
             next_idx += 1
         injections.append(tuple(inj))
-        bmat, bscale = bspace.integer_scaled()
+        bmat, bscale = bspace._stored()
         ix = np.array([blm.top, blm.bottom] + inner, dtype=np.intp)
-        blocks.append(bmat[np.ix_(ix, ix)] * (scale // bscale))
+        block = bmat[np.ix_(ix, ix)].astype(dtype)
+        block *= scale // bscale
+        blocks.append(block)
 
     size = next_idx
-    dtop = np.concatenate([b[2:, 0] for b in blocks])
-    dbot = np.concatenate([b[2:, 1] for b in blocks])
-    dist = np.empty((size, size), dtype=np.int64)
+    dtop = np.concatenate([b[2:, 0] for b in blocks]).astype(wide)
+    dbot = np.concatenate([b[2:, 1] for b in blocks]).astype(wide)
+    dist = np.empty((size, size), dtype=dtype)
     dist[:2, :2] = [[0, 2 * scale], [2 * scale, 0]]
     dist[2:, 0] = dist[0, 2:] = dtop
     dist[2:, 1] = dist[1, 2:] = dbot
     # Summands share only the poles, so a cross-summand pair takes the
     # shorter pole detour; within a summand its own distances hold.
-    np.minimum(dtop[:, None] + dtop, dbot[:, None] + dbot, out=dist[2:, 2:])
+    step = max(1, _DETOUR_BYTES // (np.dtype(wide).itemsize * size))
+    for lo in range(0, size - 2, step):
+        hi = lo + step
+        np.minimum(dtop[lo:hi, None] + dtop, dbot[lo:hi, None] + dbot,
+                   out=dist[2 + lo:2 + hi, 2:])
     start = 2
     for b in blocks:
         stop = start + len(b) - 2
@@ -387,5 +424,5 @@ def shortest_path_closure(space: MetricSpace,
                           edges: Sequence[tuple[int, int]]
                           ) -> list[list[Fraction]]:
     """:func:`closure_numerators` as exact ``Fraction`` rows."""
-    return fraction_rows(closure_numerators(space, edges),
-                         space.integer_scaled()[1])
+    return list(fraction_rows(closure_numerators(space, edges),
+                              space._stored()[1]))

@@ -21,8 +21,9 @@ from the shared values of :func:`~diamondlab.metric.fraction`.
 Coefficients and scalars must be exact rationals (``int`` or
 ``Fraction``); anything else raises ``TypeError``.
 
-The solver and the dual run on integers too: the space's distance
-numerators over its denominator (``integer_scaled()``) and the vector's
+The solver and the dual run on integers too: the space's stored distance
+numerators over its denominator, widened to Python ints (the solver) or
+to a safe dtype (the dual) as a block is read, and the vector's
 numerators as masses.  The primal-dual comparison is one integer
 equality, and ``Fraction`` values are formed only for the value and the
 certificate's plan masses and potential.
@@ -329,7 +330,7 @@ def _min_cost_transport(space: MetricSpace, pos: list[tuple[int, int]],
 
     Masses are ``(index, numerator)`` pairs over one common denominator
     ``M``, the vector's; costs are the space's distance numerators over
-    ``S`` (``integer_scaled()``); all are Python integers.  Primal-dual
+    its denominator ``S``; all are Python integers.  Primal-dual
     successive shortest paths on the dense bipartite network: each
     augmentation is one Dijkstra search, by a linear scan over the
     targets, on the reduced costs ``c(a, b) + pi(a) - pi(b) >= 0``, and
@@ -347,7 +348,7 @@ def _min_cost_transport(space: MetricSpace, pos: list[tuple[int, int]],
     shift.  A spent source is reached only backwards over an arc with
     flow, which is tight, so it takes the label of the target it leaves.
     """
-    mat, _ = space.integer_scaled()
+    mat, _ = space._stored()
     np_, nn = len(pos), len(neg)
     rows = mat.take([i for i, _ in pos], 0).take([j for j, _ in neg],
                                                  1).tolist()
@@ -449,7 +450,7 @@ def _dual_potential(space: MetricSpace, vec: FreeVector,
     nodes = sorted({base, *vec.support,
                     *(x for x, _, _ in plan), *(y for _, y, _ in plan)})
     pos_of = {v: k for k, v in enumerate(nodes)}
-    mat, _ = space.integer_scaled()
+    mat, _ = space._stored()
     block = mat.take(nodes, 0).take(nodes, 1)
     size = len(nodes)
     # A round lowers a value by at most the largest distance, so no sum
@@ -509,7 +510,7 @@ def _gap_check(vec: FreeVector, cost: int, potential: dict[int, int]) -> None:
     _stats["gap_checks"] += 1
     if pairing != cost:
         _stats["gap_failures"] += 1
-        scale = den * vec.space.integer_scaled()[1]
+        scale = den * vec.space._stored()[1]
         raise CertificateError(
             f"duality gap: transport cost {Fraction(cost, scale)} but dual "
             f"pairing {Fraction(pairing, scale)}")
@@ -533,7 +534,7 @@ def _solve(vec: FreeVector
     potential = _dual_potential(vec.space, vec, plan)
     _gap_check(vec, cost, potential)
     _stats["norms"] += 1
-    scale = vec.space.integer_scaled()[1]
+    scale = vec.space._stored()[1]
     return Fraction(cost, vec.integer_scaled()[2] * scale), plan, potential
 
 
@@ -569,7 +570,7 @@ def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
     space = vec.space
     dual = LipschitzFunction._from_numerators(
         space, np.array(list(potential), dtype=np.intp),
-        list(potential.values()), space.integer_scaled()[1])
+        list(potential.values()), space._stored()[1])
     cert = TransportCertificate(
         vec, value, tuple((i, j, fraction(m, key[2])) for i, j, m in plan),
         mcshane_extend(dual))

@@ -6,8 +6,9 @@ terms with an explicit denominator, and files end with an ``end`` line.
 Readers parse records, the whitespace-separated tokens of a line, in
 writer order; blank lines are skipped and a fraction need not be in
 lowest terms, so files spelled other than the writer spells them still
-read.  Anything else raises :class:`~diamondlab.errors.FormatError`
-with a line.  Parsed values are the shared ``Fraction`` objects of
+read.  Only blank lines may follow the ``end`` line.  Anything else
+raises :class:`~diamondlab.errors.FormatError` with a line.  Parsed
+values are the shared ``Fraction`` objects of
 :func:`diamondlab.metric.fraction`.
 
 Two readers first try the writer's exact spelling, and on anything else
@@ -47,7 +48,7 @@ from .decomposition import SummandPartition
 from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
 from .lipschitz import LipschitzFunction
-from .metric import MetricSpace, distinct_values, fraction
+from .metric import MetricSpace, fraction, value_lookup
 from .ordinal import format_ordinal, parse_ordinal
 
 __all__ = [
@@ -214,6 +215,18 @@ class _Reader:
                 raise self.error(f"truncated {keyword!r} line")
             yield tokens
 
+    def end(self) -> None:
+        """The ``end`` record, which must be the last nonblank line."""
+        self.expect("end")
+        self.last()
+
+    def last(self) -> None:
+        """Refuse any record after the ``end`` record just taken; blank
+        lines may follow it."""
+        if self.peek() is not None:
+            keyword = self.next()[0]  # taken, so the error names its line
+            raise self.error(f"{keyword!r} record after 'end'")
+
     def expect(self, keyword: str, size: int = 1) -> list[str]:
         """The next record, which must be a ``keyword`` record of at
         least ``size`` tokens."""
@@ -228,7 +241,8 @@ def _blocks(lines: Iterable[str], per_block: int) -> Iterator[str]:
     ``per_block`` lines at a time; a "line" may be a block of several."""
     lines = iter(lines)
     while chunk := list(itertools.islice(lines, per_block)):
-        yield "\n".join(chunk) + "\n"
+        chunk.append("")  # so the join ends with a newline
+        yield "\n".join(chunk)
 
 
 def _write(path: str, lines: Iterable[str], per_write: int = 1 << 15
@@ -365,21 +379,17 @@ def _dist_rows(space: MetricSpace) -> Iterator[str]:
     """The ``dist`` lines of each row i < n - 1, as one text per row.
 
     Each distinct value is formatted once, and a row is one join of its
-    pieces, so a row costs O(n) temporaries beyond the value codes.
+    pieces, so a row costs O(n) temporaries.
     """
     n = len(space)
-    mat, scale = space.integer_scaled()
-    values, codes = distinct_values(mat)
-    codes = codes.reshape(n, n)
-    texts = [format_fraction(fraction(v, scale)) for v in values.tolist()]
-    ends = np.array([f"{text}\n" for text in texts], dtype=object)
+    mat, scale = space._stored()
+    ends = value_lookup(mat, lambda v: f"{_ratio_text(v, scale)}\n")
     heads = [f"{j} " for j in range(n)]
     for i in range(n - 1):
-        row = codes[i, i + 1:]
-        parts = [f"dist {i} "] * (3 * len(row))
+        parts = [f"dist {i} "] * (3 * (n - 1 - i))
         parts[1::3] = heads[i + 1:]
-        parts[2::3] = ends[row].tolist()
-        parts[-1] = texts[row[-1]]  # the row's last line has no newline
+        parts[2::3] = ends(mat[i, i + 1:]).tolist()
+        parts[-1] = parts[-1][:-1]  # the row's last line has no newline
         yield "".join(parts)
 
 
@@ -404,8 +414,8 @@ def _space_lines(space: MetricSpace,
 
 def _rows_per_block(n: int) -> int:
     """Rows of an n-point table to join at a time: a row holds up to n
-    lines, so a block holds about 32768."""
-    return max(1, (1 << 15) // max(n, 1))
+    lines, so a block holds about 8192 (some 150 KB of text)."""
+    return max(1, (1 << 13) // max(n, 1))
 
 
 def write_space(path: str, space: MetricSpace,
@@ -470,7 +480,7 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
             codes.append(code)
         if len(codes) < count * (count - 1) // 2:
             rd.expect("dist")  # the table ends early: refused here
-        rd.expect("end")
+        rd.end()
         if base_label not in labels:
             raise rd.error(f"base label {base_label!r} is not a point")
         base = labels.index(base_label)
@@ -488,7 +498,7 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
             return space, None, None
         if list(space.labels) != labels or space.base_point != base:
             raise rd.error("stored points do not match the spec echo")
-        mat, scale = space.integer_scaled()
+        mat, scale = space._stored()
         # A stored value that is not a multiple of 1/scale, or too large to
         # scale, becomes -1, which no distance of the built space equals.
         scaled = np.full(len(values), -1, dtype=np.int64)
@@ -520,7 +530,7 @@ def read_vector(path: str, space: MetricSpace) -> FreeVector:
         _check_header(rd, "vector")
         _read_space_line(rd, space)
         entries = _read_labelled(rd, space, "entry")
-        rd.expect("end")
+        rd.end()
         return FreeVector(space, entries)
 
 
@@ -541,7 +551,7 @@ def read_function(path: str, space: MetricSpace) -> LipschitzFunction:
         if marker not in ("total", "partial"):
             raise rd.error(f"unknown domain marker {marker!r}")
         values = _read_labelled(rd, space, "value")
-        rd.expect("end")
+        rd.end()
         func = LipschitzFunction(space, values)
         if marker == "total" and not func.is_total:
             raise rd.error("file claims a total function but misses points")
@@ -573,7 +583,7 @@ def read_certificate(path: str, space: MetricSpace) -> TransportCertificate:
                       parse_fraction(tokens[3]))
                      for tokens in rd.run("plan", 4))
         potential = _read_labelled(rd, space, "potential")
-        rd.expect("end")
+        rd.end()
         return TransportCertificate(FreeVector(space, entries), value, plan,
                                     LipschitzFunction(space, potential))
 
@@ -606,7 +616,7 @@ def read_partition(path: str, space: MetricSpace) -> SummandPartition:
                 raise rd.error("summand lines out of order")
             summands.append(tuple(_index_of(rd, space, lab)
                                   for lab in tokens[2:]))
-        rd.expect("end")
+        rd.end()
         return SummandPartition(base, tuple(summands))
 
 
@@ -938,6 +948,7 @@ def _read_transcript(path: str, space: Optional[MetricSpace],
         tokens = rd.next()
         if tokens[0] != "end":
             raise misplaced(tokens)
+        rd.last()
         for fid, line in enumerate(family_lines):
             if fid not in referenced:
                 raise rd.error(f"family {fid} is referenced by no move",

@@ -16,11 +16,11 @@ Fraction)`` entries and values are formed on demand, as shared objects
 of :func:`~diamondlab.metric.fraction`.  The kernels
 (:func:`lip_constant`, :func:`is_lipschitz_at_most`,
 :func:`mcshane_extend`) and free-vector pairing read the integers,
-together with the space's distance numerators ``mat`` over its
-denominator ``S`` (``MetricSpace.integer_scaled()``).  Pairs are visited
-in blocks of 32 rows.  Arrays are int64 when a bound computed up front
-proves that no product can overflow, and Python-int object arrays
-otherwise; no floating point is used.
+together with the space's stored distance numerators ``mat`` over its
+denominator ``S``.  Pairs are visited in blocks of 32 rows, and each
+block of ``mat`` is widened before any arithmetic: to int64 when a bound
+computed up front proves that no product can overflow, and to Python-int
+object arrays otherwise; no floating point is used.
 """
 
 from __future__ import annotations
@@ -203,12 +203,14 @@ class LipschitzFunction:
 
 
 def _scaled_metric(space: MetricSpace) -> tuple[np.ndarray, int, int]:
-    """Distance numerators, their denominator S and their largest entry.
+    """Stored distance numerators, their denominator S and their largest
+    entry.
 
-    The largest entry is reported as at least 1, so a bound built from it
-    also covers the factor it multiplies.
+    The numerators are in the store's narrow dtype: widen a block before
+    computing with it.  The largest entry is reported as at least 1, so a
+    bound built from it also covers the factor it multiplies.
     """
-    mat, scale = space.integer_scaled()
+    mat, scale = space._stored()
     return mat, scale, space._peak
 
 
@@ -227,16 +229,18 @@ def _dtype(*bounds: int):
     return np.int64 if max(bounds) < _INT64_BOUND else object
 
 
-def _pair_blocks(mat: np.ndarray, idx: np.ndarray):
+def _pair_blocks(mat: np.ndarray, idx: np.ndarray, dtype):
     """Row blocks covering every pair of domain points.
 
     Yields ``(start, stop, dist)``: ``dist`` holds the distance numerators
-    from domain rows ``start:stop`` to domain columns ``start:``.  Each
-    unordered pair appears at least once; the diagonal has distance 0.
+    from domain rows ``start:stop`` to domain columns ``start:``, widened
+    to ``dtype``.  Each unordered pair appears at least once; the diagonal
+    has distance 0.
     """
     for start in range(0, len(idx), _BLOCK):
         stop = start + _BLOCK
-        yield start, stop, mat.take(idx[start:stop], 0).take(idx[start:], 1)
+        block = mat.take(idx[start:stop], 0).take(idx[start:], 1)
+        yield start, stop, block.astype(dtype)
 
 
 def _inf_convolution(func: LipschitzFunction,
@@ -265,7 +269,7 @@ def _inf_convolution(func: LipschitzFunction,
         values[i] = v
     for start in range(0, len(outside), _BLOCK):
         rows = outside[start:start + _BLOCK]
-        dist = mat.take(rows, 0).take(idx, 1).astype(dtype, copy=False)
+        dist = mat.take(rows, 0).take(idx, 1).astype(dtype)
         reach = (vals[None, :] + dist_factor * dist).min(axis=1)
         for x, num in zip(rows.tolist(), reach.tolist()):
             values[x] = num
@@ -291,9 +295,8 @@ def lip_constant(func: LipschitzFunction) -> Fraction:
     dtype = _dtype(2 * peak * top)
     vals = np.array(nums, dtype=dtype)
     p, q = 0, 1
-    for start, stop, dist in _pair_blocks(mat, idx):
+    for start, stop, dist in _pair_blocks(mat, idx, dtype):
         gap = np.abs(vals[start:stop, None] - vals[None, start:])
-        dist = dist.astype(dtype, copy=False)
         while True:
             excess = gap * q - p * dist
             k = int(excess.argmax())
@@ -321,9 +324,9 @@ def is_lipschitz_at_most(func: LipschitzFunction, bound: Fraction) -> bool:
     dist_factor = bound.numerator * den
     dtype = _dtype(2 * peak * gap_factor, abs(dist_factor) * top)
     vals = np.array(nums, dtype=dtype) * gap_factor
-    for start, stop, dist in _pair_blocks(mat, idx):
+    for start, stop, dist in _pair_blocks(mat, idx, dtype):
         gap = np.abs(vals[start:stop, None] - vals[None, start:])
-        if (gap > dist_factor * dist.astype(dtype, copy=False)).any():
+        if (gap > dist_factor * dist).any():
             return False
     return True
 
@@ -358,8 +361,8 @@ def distance_functional(space: MetricSpace, anchor: int,
     """
     if vanish_at is None:
         vanish_at = space.base_point
-    mat, scale = space.integer_scaled()
-    row = mat[anchor] - mat[anchor, vanish_at]
+    mat, scale = space._stored()
+    row = mat[anchor].astype(np.int64) - int(mat[anchor, vanish_at])
     return LipschitzFunction._from_numerators(
         space, np.arange(len(space), dtype=np.intp), row.tolist(), scale)
 

@@ -4,12 +4,17 @@ Points are indexed 0..n-1 and carry string labels (canonical addresses for
 diamond constructions, arbitrary names otherwise).  Distances are exact:
 no floating point is used anywhere.
 
-A space stores its distances once, as ``integer_scaled()``: int64
-numerators over one common denominator, reduced so that no factor is
-shared by every entry and the denominator.  Every pass runs on it:
-validation, edges, closures, restriction, summing metrics and cover
-margins, space files, the Lipschitz kernels (constant, bound check,
-McShane extension), and the transport solver with its dual potential.
+A space stores its distances once: integer numerators over one common
+denominator, reduced so that no factor is shared by every entry and the
+denominator, in the narrowest signed integer dtype that holds them all.
+Every diamond stage through height 6 fits int8.  Every pass reads this
+store through ``MetricSpace._stored()``: validation, edges, closures,
+restriction, summing metrics and cover margins, space files, the
+Lipschitz kernels (constant, bound check, McShane extension), and the
+transport solver with its dual potential.  NumPy arithmetic on a narrow
+dtype wraps silently (a sum of two int8 entries can), so each pass
+widens a block of entries before it computes with them.
+``integer_scaled()`` is the public view of the store: a fresh int64 copy.
 ``distance(x, y)`` forms one ``Fraction`` on demand, and ``dist_matrix``
 is a read-only ``Fraction`` table for the API boundary, built on first
 access and then kept.
@@ -43,7 +48,7 @@ import functools
 import math
 import numbers
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,9 +58,30 @@ __all__ = ["MetricSpace", "MetricAxiomError", "finest_edges",
 _INT64_SAFE = 1 << 60
 # Temporaries of one validation row block or grouped closure step.
 _GROUP_BYTES = 1 << 18
+# Integer tables with entries in [0, _TABLE_VALUES) convert them through
+# one table indexed by value (see ``value_lookup``).
+_TABLE_VALUES = 1 << 16
+_NARROW = (np.int8, np.int16, np.int32, np.int64)
 # Distinct values the shared Fraction table keeps, least recently used
 # first out.
 _SHARED_FRACTIONS = 1 << 16
+
+
+def narrowest(low: int, high: int):
+    """The narrowest signed integer dtype holding every value in
+    [low, high]; object (Python ints) when int64 does not."""
+    for dtype in _NARROW:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return dtype
+    return object
+
+
+def wider(dtype):
+    """The dtype with twice the bits of a store's ``dtype`` (int64 for
+    int64): its entries are at most half its range, so a sum or
+    difference of three of them fits."""
+    return _NARROW[min(_NARROW.index(np.dtype(dtype).type) + 1, 3)]
 
 
 @functools.lru_cache(maxsize=_SHARED_FRACTIONS)
@@ -126,7 +152,11 @@ class MetricSpace:
         if len(set(self._labels)) != n:
             raise ValueError("point labels must be distinct")
         self._index = {lab: i for i, lab in enumerate(self._labels)}
-        mat = np.array(numerators, dtype=np.int64)
+        # An integer array keeps its dtype, so a narrow table is copied
+        # without widening; anything else is read as int64.
+        given = (numerators.dtype if isinstance(numerators, np.ndarray)
+                 and numerators.dtype.kind == "i" else np.int64)
+        mat = np.array(numerators, dtype=given)
         if mat.shape != (n, n):
             raise ValueError("distance matrix shape does not match points")
         if not 0 <= base_point < n:
@@ -138,12 +168,13 @@ class MetricSpace:
         if common > 1:
             mat //= common
             denominator //= common
-        peak = int(mat.max())
+        low, peak = int(mat.min()), int(mat.max())
         if peak >= _INT64_SAFE:
             raise OverflowError("scaled distances exceed the int64 range")
         # The largest numerator, at least 1, for the overflow bounds of
         # the ``lipschitz`` kernels.
         self._peak = max(1, peak)
+        mat = mat.astype(narrowest(low, peak), copy=False)
         # Read-only, so no write can make the memos below stale.
         mat.flags.writeable = False
         self._scaled = (mat, denominator)
@@ -222,6 +253,20 @@ class MetricSpace:
         """Distance matrix as int64 numerators over a common denominator.
 
         Every entry is below 2^60, so a sum of a few entries fits int64.
+        The matrix is a read-only, C-order copy of the store, allocated
+        on each call; the library itself reads the store in place.
+        """
+        mat, scale = self._scaled
+        wide = mat.astype(np.int64, order="C")
+        wide.flags.writeable = False
+        return wide, scale
+
+    def _stored(self) -> tuple[np.ndarray, int]:
+        """The stored numerators and their denominator, without a copy.
+
+        The matrix is read-only and in the narrowest signed integer dtype
+        holding its entries, where NumPy arithmetic wraps silently: widen
+        a block before computing with it.
         """
         return self._scaled
 
@@ -262,36 +307,50 @@ class MetricSpace:
                 f"base={self._labels[self._base]!r})")
 
 
-def distinct_values(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct entries of ``array``, and for each entry, in
-    flattened order, the index of its value among them.
+def value_lookup(array: np.ndarray, make: Callable[[int], object]
+                 ) -> Callable[[np.ndarray], np.ndarray]:
+    """A map from blocks of ``array`` to object arrays holding
+    ``make(v)`` at each entry ``v``.
 
-    This is ``np.unique(array, return_inverse=True)``, which is several
-    times slower than a search on large arrays.  Integer entries in
-    [0, size), as the distances of a diamond stage are, are marked in a
-    table instead of sorted, which is faster again.
+    Integer entries in [0, ``_TABLE_VALUES``), as the distances of every
+    diamond stage are, index a table directly: one pass over ``array``, a
+    block of rows at a time, marks the values present, and ``make`` runs
+    once for each.  Other blocks are sorted, and ``make`` runs once per
+    distinct value of each block.
     """
-    flat = array.ravel()
-    if (flat.dtype.kind in "iu" and flat.size
-            and 0 <= flat.min() and flat.max() < flat.size):
-        present = np.zeros(int(flat.max()) + 1, dtype=bool)
-        present[flat] = True
-        return np.flatnonzero(present), (np.cumsum(present) - 1)[flat]
-    values = np.unique(flat)
-    return values, np.searchsorted(values, flat)
+    if (array.dtype.kind == "i" and array.size and array.min() >= 0
+            and array.max() < _TABLE_VALUES):
+        present = np.zeros(int(array.max()) + 1, dtype=bool)
+        step = max(1, _GROUP_BYTES // (8 * array[0].size))
+        for lo in range(0, len(array), step):
+            present[array[lo:lo + step]] = True
+        table = np.empty(len(present), dtype=object)
+        for v in np.flatnonzero(present).tolist():
+            table[v] = make(v)
+        return table.__getitem__
+
+    def lookup(block: np.ndarray) -> np.ndarray:
+        values, codes = np.unique(block, return_inverse=True)
+        table = np.empty(len(values), dtype=object)
+        for k, v in enumerate(values.tolist()):
+            table[k] = make(v)
+        return table[codes.reshape(block.shape)]
+
+    return lookup
 
 
 def fraction_rows(numerators: np.ndarray, denominator: int
-                  ) -> list[list[Fraction]]:
+                  ) -> Iterator[list[Fraction]]:
     """Rows of ``numerators / denominator`` as ``Fraction`` lists.
 
     Each distinct value is looked up once in the shared table, and its
-    object is shared by every entry that holds it.
+    object is shared by every entry that holds it.  Rows are converted a
+    block at a time, so the temporaries stay at a block.
     """
-    values, codes = distinct_values(numerators)
-    table = np.empty(len(values), dtype=object)
-    table[:] = [fraction(v, denominator) for v in values.tolist()]
-    return table[codes].reshape(numerators.shape).tolist()
+    lookup = value_lookup(numerators, lambda v: fraction(v, denominator))
+    step = max(1, _GROUP_BYTES // (8 * max(1, numerators.shape[-1])))
+    for lo in range(0, len(numerators), step):
+        yield from lookup(numerators[lo:lo + step]).tolist()
 
 
 def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
@@ -318,12 +377,13 @@ def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
 
 def _scan_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
     """The scan of :func:`finest_edges`, run afresh."""
-    mat, _ = space.integer_scaled()
+    mat, _ = space._stored()
     n = len(space)
-    blocked = np.iinfo(np.int64).max
+    wide = wider(mat.dtype)
+    blocked = np.iinfo(wide).max
     out = []
     for i in range(n):
-        row = mat[i]
+        row = mat[i].astype(wide)
         live = row.copy()
         live[i] = blocked
         while True:
@@ -332,7 +392,8 @@ def _scan_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
                 break
             if z > i:
                 out.append((i, z))
-            through = row[z] + mat[z]
+            through = mat[z].astype(wide)
+            through += row[z]
             j = int((through - row).argmin())
             if through[j] < row[j]:
                 d, label = space.distance, space.label
@@ -354,7 +415,12 @@ def closure_numerators(space: MetricSpace,
     An edge ``(i, j)`` has length ``d(i, j)``; self-loops add nothing and
     the lightest of repeated edges counts.  Raises ``ValueError`` when
     the edges do not connect the space or one has a negative length.
-    The rows are int64, or Python ints where a path could reach 2^60.
+    The sweeps run in the narrowest signed integer dtype holding a bound
+    above every simple path (int16 at 779 points, int32 at 4,667), or on
+    Python ints where that bound reaches 2^60.  An integer result comes
+    back in the narrowest dtype holding its entries, as a store does
+    (int8 on diamond stages through height 6), so widen it before
+    computing with it.
 
     Label-correcting sweeps: every row starts at 0 on the diagonal and
     unreachable elsewhere, and a sweep lowers each row in turn to the best
@@ -365,11 +431,11 @@ def closure_numerators(space: MetricSpace,
     A sweep costs O(|E|·n) time with O(deg·n) temporaries; a few sweeps
     suffice on diamond stages.
     """
-    mat, _ = space.integer_scaled()
+    mat, _ = space._stored()
     n = len(space)
-    # Longer than any simple path.
-    inf = (int(mat.max()) + 1) * (n + 1)
-    dtype = np.int64 if inf < _INT64_SAFE else object
+    # Longer than any simple path; a relaxation adds one more edge.
+    inf = (space._peak + 1) * (n + 1)
+    dtype = narrowest(0, inf + space._peak) if inf < _INT64_SAFE else object
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     if ends.size and (ends.min() < 0 or ends.max() >= n):
         raise IndexError("edge endpoint out of range")
@@ -400,7 +466,7 @@ def closure_numerators(space: MetricSpace,
     # one group: none reads another's row, so a group step is exactly its
     # rows' steps in sweep order.  A group's temporaries stay under
     # _GROUP_BYTES, or one row's deg x n when that is larger.
-    group_arcs = max(1, _GROUP_BYTES // (8 * n))
+    group_arcs = max(1, _GROUP_BYTES // (np.dtype(dtype).itemsize * n))
     groups, rows, inside = [], [], set()
     for v in visit:
         deg = len(near[v])
@@ -429,4 +495,6 @@ def closure_numerators(space: MetricSpace,
                 d[rows] = np.minimum(current, best)
                 lowered = True
         groups.reverse()
-    return d
+    if dtype is object:
+        return d
+    return d.astype(narrowest(0, int(d.max(initial=0))), copy=False)

@@ -623,7 +623,7 @@ def read_space_reference(path, budget=DEFAULT_BUDGET):
             codes.append(code)
         if len(codes) < count * (count - 1) // 2:
             rd.expect("dist")  # the table ends early: refused here
-        rd.expect("end")
+        rd.end()
         if base_label not in labels:
             raise rd.error(f"base label {base_label!r} is not a point")
         base = labels.index(base_label)

@@ -7,8 +7,9 @@ Core claims checked here:
   * the ``Fraction`` view is built once and kept, and takes its objects
     from the shared table, as distances, closures and shifted functionals
     do,
-  * ``distinct_values`` is ``np.unique`` with inverse codes, on both of
-    its paths,
+  * ``value_lookup`` maps every entry through its distinct value as
+    ``np.unique`` does, on both of its paths, making each value once per
+    table or once per block,
   * the summing metric, the equivalence constants (with the first pair
     in row order as each witness) and the pole cover equal pair-by-pair
     ``Fraction`` oracles, on random partitions of small stages, the
@@ -151,12 +152,26 @@ def test_equal_values_share_one_fraction(d23):
     np.array([2, -1, 2, 0]),               # a negative entry: sorted
     np.array([[0, 1 << 61], [1 << 61, 0]], dtype=object),
     np.zeros((0, 0), dtype=np.int64),
+    np.array([[0, 1 << 40], [1 << 40, 0]]),  # a wide span: sorted
 ])
 def test_distinct_values_match_unique(array):
-    values, codes = metric.distinct_values(array)
-    expected, inverse = np.unique(array.ravel(), return_inverse=True)
-    assert values.tolist() == expected.tolist()
-    assert codes.tolist() == inverse.tolist()
+    made = []
+
+    def make(v):
+        made.append(v)
+        return f"v{v}"
+
+    lookup = metric.value_lookup(array, make)
+    expected = np.unique(array.ravel()).tolist()
+    for blocks in (1, 2):
+        got = lookup(array)
+        assert got.shape == array.shape
+        assert got.ravel().tolist() == [f"v{v}" for v in array.flat]
+    # The table path makes each value once over both calls; sorting makes
+    # each value once per call.
+    table = array.dtype.kind == "i" and array.size and 0 <= array.min() \
+        and array.max() < 99
+    assert made == expected * (1 if table else 2)
 
 
 # -- Integer ports against Fraction oracles -------------------------------------

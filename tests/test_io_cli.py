@@ -635,6 +635,55 @@ def test_reader_errors_name_physical_lines(tmp_path, d13, d23, kind,
     assert str(info.value).startswith(f"{path}:{k + 5}: ")
 
 
+READERS = ["space", "vector", "function", "certificate", "partition",
+           "transcript"]
+
+
+@pytest.mark.parametrize("trailer", ["dist 0 1 1/1", "x", "end"])
+@pytest.mark.parametrize("kind", READERS)
+def test_readers_refuse_records_after_end(tmp_path, d13, d23, kind,
+                                          trailer):
+    # A writer's file ends at its ``end`` line; the first nonblank record
+    # after it is refused at its physical line, past the blank ones.
+    path, reader = _written(tmp_path, kind, d13, d23)
+    text = path.read_text()
+    path.write_text(text + "\n \t\n" + trailer + "\n")
+    with pytest.raises(FormatError) as info:
+        reader(str(path))
+    line = text.count("\n") + 3
+    assert str(info.value) == (f"{path}:{line}: {trailer.split()[0]!r} "
+                               f"record after 'end'")
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_readers_accept_blank_lines_after_end(tmp_path, d13, d23, kind):
+    path, reader = _written(tmp_path, kind, d13, d23)
+    expected = reader(str(path))
+    path.write_text(path.read_text() + "\n \t\n\n")
+    got = reader(str(path))
+    if kind == "transcript":
+        (doc, space, _), (want, _, _) = got, expected
+        assert space is d23[0] and doc.statuses == want.statuses
+        assert verify_transcript(space, doc.transcript).passed
+    else:
+        assert got == expected
+
+
+def test_cli_refuses_records_after_end_with_exit_2(tmp_path, capsys, d23):
+    space_file = tmp_path / "d13.txt"
+    cli.main(["gen", "--alpha", "1", "--branches", "3",
+              "--out", str(space_file)])
+    capsys.readouterr()
+    space_file.write_text(space_file.read_text() + "dist 0 1 1/1\n")
+    assert cli.main(["dist", "--space", str(space_file),
+                     "--x", "top", "--y", "bottom"]) == 2
+    assert "'dist' record after 'end'" in capsys.readouterr().err
+    path, text = _transcript_text(tmp_path, d23)
+    path.write_text(text + "end\n")
+    assert cli.main(["verify", "--transcript", str(path)]) == 2
+    assert "'end' record after 'end'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("echo", [False, True])
 def test_space_reader_refuses_budget_before_the_table(tmp_path, capsys,
                                                       echo):

@@ -14,6 +14,7 @@ Core claims checked here:
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from diamondlab import (DiamondSpec, MetricAxiomError, MetricSpace, Sampler,
@@ -189,7 +190,12 @@ def test_integer_scaled_exact():
     for i in range(3):
         for j in range(3):
             assert Fraction(int(mat[i, j]), scale) == space.distance(i, j)
-    assert space.integer_scaled() is space.integer_scaled()
+    # Each call is a fresh read-only, C-order int64 copy of the store.
+    again, _ = space.integer_scaled()
+    assert again is not mat and np.array_equal(again, mat)
+    assert mat.dtype == np.int64 and mat.flags.c_contiguous
+    assert not mat.flags.writeable
+    assert space._stored()[0].dtype == np.int8
 
 
 def test_from_scaled_matches_fraction_constructor():
