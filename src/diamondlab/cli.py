@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import io as dio
-from .decomposition import (decompose_limit, ell1_additivity_check,
-                            projection_identity_check)
+from .decomposition import decompose_limit, identity_failures
 from .derivation import (ADVERSARY_KINDS, AdversaryConfig, prover_certify,
                          verify_transcript)
 from .diamond import DEFAULT_BUDGET, DiamondSpec, build_cached
@@ -243,20 +242,12 @@ def _cmd_decomp(args) -> int:
 
     summing, partition = dec.summing, dec.partition
     sampler = Sampler(args.seed)
-    bad_add = bad_proj = 0
-    for _ in range(args.count):
-        entries = []
-        for members in partition.summands:
-            if members:
-                entries.append((members[sampler.below(len(members))],
-                                sampler.nonzero_fraction()))
-        vec = FreeVector(summing, entries)
-        if vec.is_zero:
-            continue
-        if not ell1_additivity_check(summing, partition, vec).passed:
-            bad_add += 1
-        if not projection_identity_check(partition, vec).passed:
-            bad_proj += 1
+    # One point of each nonempty slice per vector.
+    vectors = (FreeVector(summing, [
+        (members[sampler.below(len(members))], sampler.nonzero_fraction())
+        for members in partition.summands if members])
+        for _ in range(args.count))
+    bad_add, bad_proj = identity_failures(summing, partition, vectors)
     rows.append(CheckResult(
         "decomp-additivity", "summing norm splits exactly across summands",
         "pass" if bad_add == 0 else "fail",

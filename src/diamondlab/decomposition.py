@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "ell1_additivity_check",
     "ProjectionReport",
     "projection_identity_check",
+    "identity_failures",
 ]
 
 # Rows of a summing metric formed at a time.
@@ -123,7 +124,7 @@ def summing_metric(space: MetricSpace,
         cross = owner[rows, None] != owner[None, :]
         rerouted[rows] = np.where(cross, to_base[rows, None] + from_base,
                                   mat[rows])
-    return MetricSpace.from_scaled(space.labels, rerouted, scale, base)
+    return MetricSpace._adopt(space.labels, rerouted, scale, base)
 
 
 @dataclass(frozen=True)
@@ -369,3 +370,15 @@ def projection_identity_check(partition: SummandPartition,
         if total != lhs + rhs:
             ok = False
     return ProjectionReport(tuple(rows), ok)
+
+
+def identity_failures(summing: MetricSpace, partition: SummandPartition,
+                      vectors: Iterable[FreeVector]) -> tuple[int, int]:
+    """How many of ``vectors`` fail l1-additivity and how many fail the
+    projection identity, each over the summing metric; a zero vector is
+    skipped.  The ``decomp`` command and the suite share this loop."""
+    vectors = [vec for vec in vectors if not vec.is_zero]
+    return (sum(not ell1_additivity_check(summing, partition, vec).passed
+                for vec in vectors),
+            sum(not projection_identity_check(partition, vec).passed
+                for vec in vectors))

@@ -12,19 +12,23 @@ Every point carries a canonical address.  Identified poles resolve to the
 outermost name, so addresses are unique; the point order (poles, midpoints,
 then copies in ``(side, branch)`` order) is part of the format contract.
 
-All construction distances are dyadic.  Each stage is therefore built as
-a numerator matrix over a power-of-two denominator and handed to
-:meth:`MetricSpace.from_scaled`.  A successor stage doubles its
-predecessor's denominator, so the copies keep the predecessor's
-numerators; the rest of its matrix is block-broadcast pole detours.  A
-limit stage rescales its summands to the largest summand denominator.
+All construction distances are dyadic.  Each stage is therefore built
+as a numerator matrix over a power-of-two denominator and handed to the
+private :meth:`MetricSpace._adopt`, which keeps it without a copy.  A
+successor stage doubles its predecessor's denominator, so the copies
+keep the predecessor's numerators; the rest of its matrix is pole
+detours.  A limit stage rescales its summands to the largest summand
+denominator.  The poles are points 0 and 1 of every stage, so a stage's
+interior is its matrix from row and column 2 on.
 
 Every point lies on a geodesic between the poles, which are 2 apart, so
 no distance exceeds 2: going round through the nearer pole costs at
 most 2.  Each matrix is therefore written in the narrowest dtype that
-holds twice its denominator (int8 through height 6), and its pole
-detours, sums of two distances, are computed a block at a time in the
-dtype that holds twice that (int16).
+holds twice its denominator (int8 through height 6).  Its pole detours,
+sums of two distances, are formed by one kernel for both kinds of stage
+(:func:`_detours`), in the dtype that holds twice that (int16), a block
+of rows at a time.  So a build peaks at its matrix, the smaller matrices
+its landmarks keep (predecessors or summands), and one block.
 """
 
 from __future__ import annotations
@@ -59,12 +63,13 @@ __all__ = [
 ]
 
 # The default budget admits an int64 matrix of at most _MATRIX_BYTES
-# (16,384 points), whatever dtype the store takes.  A build peaks at about
-# twice its matrix, so the largest admitted build stays well under 8 GB.
-# _MATRIX_BYTES also caps the stores that ``build_cached`` keeps.
+# (16,384 points), whatever dtype the store takes.  A build peaks at its
+# store, the smaller stores its landmarks keep and one detour block, so
+# the largest admitted build stays well under 8 GB.  _MATRIX_BYTES also
+# caps the stores that ``build_cached`` keeps.
 _MATRIX_BYTES = 2 << 30
 DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
-# Temporaries of one block of limit-stage pole detours.
+# Temporaries of one block of pole detours.
 _DETOUR_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
@@ -285,17 +290,32 @@ def _outer_numerators(n: int) -> np.ndarray:
 def _build_base(n: int) -> tuple[MetricSpace, DiamondLandmarks]:
     landmarks = DiamondLandmarks(
         top=0, bottom=1, ell=2, mids=tuple(range(2, n + 2)))
-    return (MetricSpace.from_scaled(_outer_labels(n), _outer_numerators(n),
-                                    1, base_point=2), landmarks)
+    return (MetricSpace._adopt(_outer_labels(n), _outer_numerators(n),
+                               1, base_point=2), landmarks)
+
+
+def _detours(out: np.ndarray, to_a: np.ndarray, from_a: np.ndarray,
+             to_b: np.ndarray, from_b: np.ndarray) -> None:
+    """Fill ``out`` with the shorter of two pole detours: entry (i, j) is
+    min(to_a[i] + from_a[j], to_b[i] + from_b[j]).
+
+    The four vectors are already widened to a dtype that holds the sums.
+    The sums are formed a block of rows at a time, so the temporaries
+    stay under ``_DETOUR_BYTES`` (or one row, when that is larger).
+    """
+    step = max(1, _DETOUR_BYTES // (to_a.itemsize * out.shape[1]))
+    for lo in range(0, len(out), step):
+        hi = lo + step
+        np.minimum(to_a[lo:hi, None] + from_a, to_b[lo:hi, None] + from_b,
+                   out=out[lo:hi])
 
 
 def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     n = spec.branches
     pred_spec = DiamondSpec(spec.alpha.predecessor(), n, spec.limit_width)
     pred_space, pred_lm = _build(pred_spec)
-    p_top, p_bot = pred_lm.top, pred_lm.bottom
-    interior = [p for p in range(len(pred_space)) if p not in (p_top, p_bot)]
     pred_mat, pred_scale = pred_space._stored()
+    m = len(pred_space) - 2  # the predecessor's interior, from point 2 on
 
     # Copy (side, branch) replaces the outer edge between its two ends;
     # outer vertices are 0 = top, 1 = bottom and 1 + i = mid(i).
@@ -305,35 +325,28 @@ def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
             for side, br in copies]
 
     n_outer = n + 2
-    m = len(interior)
     size = n_outer + len(copies) * m
     labels = _outer_labels(n)
-    pred_labels = [pred_space.label(p) for p in interior]
+    pred_labels = pred_space.labels[2:]
     injections: dict[tuple, tuple[int, ...]] = {}
     for k, copy in enumerate(copies):
         prefix = _segment_text(copy) + "/"
         labels += [prefix + lab for lab in pred_labels]
-        inj = [0] * len(pred_space)
-        inj[p_top], inj[p_bot] = ends[k]
-        for offset, p in enumerate(interior):
-            inj[p] = n_outer + k * m + offset
-        injections[copy] = tuple(inj)
+        start = n_outer + k * m
+        injections[copy] = (*ends[k], *range(start, start + m))
 
     # Numerators over 2 * pred_scale: copies keep the predecessor's
     # numerators, which halves their distances; outer distances double.
     dtype, wide = _dtypes(2 * pred_scale)
-    ix = np.array(interior, dtype=np.intp)
-    inner = pred_mat[np.ix_(ix, ix)]
-    dt = pred_mat[ix, p_top].astype(wide)
-    db = pred_mat[ix, p_bot].astype(wide)
+    dt = pred_mat[2:, 0].astype(wide)
+    db = pred_mat[2:, 1].astype(wide)
     outer = (_outer_numerators(n) * (2 * pred_scale)).astype(wide)
     dist = np.empty((size, size), dtype=dtype)
     dist[:n_outer, :n_outer] = outer
     # Outer vertex to a copy point: through the nearer copy pole.
     for k, (te, be) in enumerate(ends):
         block = slice(n_outer + k * m, n_outer + (k + 1) * m)
-        dist[:n_outer, block] = np.minimum(outer[:, te, None] + dt,
-                                           outer[:, be, None] + db)
+        _detours(dist[:n_outer, block], outer[:, te], dt, outer[:, be], db)
     dist[n_outer:, :n_outer] = dist[:n_outer, n_outer:].T
     # A copy point leaves its copy through one of its poles, so its row is
     # the better of the two pole rows; that is the minimum of the four
@@ -341,16 +354,15 @@ def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     # predecessor's interior block.
     for k, (te, be) in enumerate(ends):
         block = slice(n_outer + k * m, n_outer + (k + 1) * m)
-        rows = dist[block, n_outer:]
-        np.minimum(dt[:, None] + dist[te, n_outer:].astype(wide),
-                   db[:, None] + dist[be, n_outer:].astype(wide), out=rows)
-        rows[:, k * m:(k + 1) * m] = inner
+        _detours(dist[block, n_outer:], dt, dist[te, n_outer:].astype(wide),
+                 db, dist[be, n_outer:].astype(wide))
+        dist[block, block] = pred_mat[2:, 2:]
 
     landmarks = DiamondLandmarks(
         top=0, bottom=1, ell=2, mids=tuple(range(2, n + 2)),
         subcopies=injections, predecessor=(pred_space, pred_lm))
-    return (MetricSpace.from_scaled(labels, dist, 2 * pred_scale,
-                                    base_point=2), landmarks)
+    return (MetricSpace._adopt(labels, dist, 2 * pred_scale, base_point=2),
+            landmarks)
 
 
 def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
@@ -359,49 +371,36 @@ def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     builds = [_build(DiamondSpec(beta, spec.branches, spec.limit_width))
               for beta in betas]
     # Summand denominators are powers of two, so the largest is common.
-    scale = max(bspace._stored()[1] for bspace, _ in builds)
+    scale = max(bspace._scale for bspace, _ in builds)
     dtype, wide = _dtypes(scale)
 
     labels = ["top", "bottom"]
     injections: list[tuple[int, ...]] = []
-    blocks: list[np.ndarray] = []
-    next_idx = 2
-    for (bspace, blm), beta in zip(builds, betas):
-        inner = [p for p in range(len(bspace))
-                 if p not in (blm.top, blm.bottom)]
+    # Each summand's interior distances to the two poles, rescaled.
+    tops, bottoms = [], []
+    for (bspace, _), beta in zip(builds, betas):
         prefix = _segment_text(("sum", beta)) + "/"
-        labels += [prefix + bspace.label(p) for p in inner]
-        inj = [0] * len(bspace)
-        inj[blm.top], inj[blm.bottom] = 0, 1
-        for p in inner:
-            inj[p] = next_idx
-            next_idx += 1
-        injections.append(tuple(inj))
+        start = len(labels)
+        labels += [prefix + lab for lab in bspace.labels[2:]]
+        injections.append((0, 1, *range(start, len(labels))))
         bmat, bscale = bspace._stored()
-        ix = np.array([blm.top, blm.bottom] + inner, dtype=np.intp)
-        block = bmat[np.ix_(ix, ix)].astype(dtype)
-        block *= scale // bscale
-        blocks.append(block)
+        tops.append(bmat[2:, 0].astype(wide) * (scale // bscale))
+        bottoms.append(bmat[2:, 1].astype(wide) * (scale // bscale))
+    dtop, dbot = np.concatenate(tops), np.concatenate(bottoms)
 
-    size = next_idx
-    dtop = np.concatenate([b[2:, 0] for b in blocks]).astype(wide)
-    dbot = np.concatenate([b[2:, 1] for b in blocks]).astype(wide)
+    size = len(labels)
     dist = np.empty((size, size), dtype=dtype)
     dist[:2, :2] = [[0, 2 * scale], [2 * scale, 0]]
     dist[2:, 0] = dist[0, 2:] = dtop
     dist[2:, 1] = dist[1, 2:] = dbot
     # Summands share only the poles, so a cross-summand pair takes the
     # shorter pole detour; within a summand its own distances hold.
-    step = max(1, _DETOUR_BYTES // (np.dtype(wide).itemsize * size))
-    for lo in range(0, size - 2, step):
-        hi = lo + step
-        np.minimum(dtop[lo:hi, None] + dtop, dbot[lo:hi, None] + dbot,
-                   out=dist[2 + lo:2 + hi, 2:])
-    start = 2
-    for b in blocks:
-        stop = start + len(b) - 2
-        dist[start:stop, start:stop] = b[2:, 2:]
-        start = stop
+    _detours(dist[2:, 2:], dtop, dtop, dbot, dbot)
+    for (bspace, _), inj in zip(builds, injections):
+        bmat, bscale = bspace._stored()
+        inner = slice(inj[2], inj[2] + len(bspace) - 2)
+        dist[inner, inner] = bmat[2:, 2:]
+        dist[inner, inner] *= scale // bscale
 
     first_lm = builds[0][1]
     inj0 = injections[0]
@@ -412,8 +411,8 @@ def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
         summands=tuple(
             SummandInfo(beta, inj, bspace, blm)
             for beta, inj, (bspace, blm) in zip(betas, injections, builds)))
-    return (MetricSpace.from_scaled(labels, dist, scale,
-                                    base_point=landmarks.ell), landmarks)
+    return (MetricSpace._adopt(labels, dist, scale,
+                               base_point=landmarks.ell), landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -425,4 +424,4 @@ def shortest_path_closure(space: MetricSpace,
                           ) -> list[list[Fraction]]:
     """:func:`closure_numerators` as exact ``Fraction`` rows."""
     return list(fraction_rows(closure_numerators(space, edges),
-                              space._stored()[1]))
+                              space._scale))

@@ -21,12 +21,13 @@ from the shared values of :func:`~diamondlab.metric.fraction`.
 Coefficients and scalars must be exact rationals (``int`` or
 ``Fraction``); anything else raises ``TypeError``.
 
-The solver and the dual run on integers too: the space's stored distance
-numerators over its denominator, widened to Python ints (the solver) or
-to a safe dtype (the dual) as a block is read, and the vector's
-numerators as masses.  The primal-dual comparison is one integer
-equality, and ``Fraction`` values are formed only for the value and the
-certificate's plan masses and potential.
+The solver and the dual run on integers too: the space's distance
+numerators over its denominator, read as one block over the support
+(``MetricSpace._block``) and taken as Python ints (the solver) or in a
+dtype that holds every sum (the dual), and the vector's numerators as
+masses.  The primal-dual comparison is one integer equality, and
+``Fraction`` values are formed only for the value and the certificate's
+plan masses and potential.
 """
 
 from __future__ import annotations
@@ -348,10 +349,8 @@ def _min_cost_transport(space: MetricSpace, pos: list[tuple[int, int]],
     shift.  A spent source is reached only backwards over an arc with
     flow, which is tight, so it takes the label of the target it leaves.
     """
-    mat, _ = space._stored()
     np_, nn = len(pos), len(neg)
-    rows = mat.take([i for i, _ in pos], 0).take([j for j, _ in neg],
-                                                 1).tolist()
+    rows = space._block([i for i, _ in pos], [j for j, _ in neg]).tolist()
     cols = list(zip(*rows))
     supply = [m for _, m in pos]
     demand = [m for _, m in neg]
@@ -450,13 +449,10 @@ def _dual_potential(space: MetricSpace, vec: FreeVector,
     nodes = sorted({base, *vec.support,
                     *(x for x, _, _ in plan), *(y for _, y, _ in plan)})
     pos_of = {v: k for k, v in enumerate(nodes)}
-    mat, _ = space._stored()
-    block = mat.take(nodes, 0).take(nodes, 1)
     size = len(nodes)
     # A round lowers a value by at most the largest distance, so no sum
     # below reaches (size + 2) times it.
-    dtype = _dtype((size + 2) * int(block.max(initial=1)))
-    weight = block.astype(dtype)
+    weight = space._block(nodes, nodes, _dtype((size + 2) * space._peak))
     for x, y, _ in plan:
         weight[pos_of[x], pos_of[y]] *= -1
     dist = weight[pos_of[base]].copy()
@@ -510,7 +506,7 @@ def _gap_check(vec: FreeVector, cost: int, potential: dict[int, int]) -> None:
     _stats["gap_checks"] += 1
     if pairing != cost:
         _stats["gap_failures"] += 1
-        scale = den * vec.space._stored()[1]
+        scale = den * vec.space._scale
         raise CertificateError(
             f"duality gap: transport cost {Fraction(cost, scale)} but dual "
             f"pairing {Fraction(pairing, scale)}")
@@ -534,7 +530,7 @@ def _solve(vec: FreeVector
     potential = _dual_potential(vec.space, vec, plan)
     _gap_check(vec, cost, potential)
     _stats["norms"] += 1
-    scale = vec.space._stored()[1]
+    scale = vec.space._scale
     return Fraction(cost, vec.integer_scaled()[2] * scale), plan, potential
 
 
@@ -570,7 +566,7 @@ def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
     space = vec.space
     dual = LipschitzFunction._from_numerators(
         space, np.array(list(potential), dtype=np.intp),
-        list(potential.values()), space._stored()[1])
+        list(potential.values()), space._scale)
     cert = TransportCertificate(
         vec, value, tuple((i, j, fraction(m, key[2])) for i, j, m in plan),
         mcshane_extend(dual))

@@ -462,11 +462,21 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
             labels.append(tokens[2])
         for _ in rd.run("landmark"):
             pass
-        # Each distinct distance text is parsed once; codes[k] indexes the
-        # value of the k-th dist line in ``values``.
+        # One pass over the ``dist`` records, a row at a time.  Each
+        # distinct text is parsed once: code k stands for ``values[k]``,
+        # and code 0 for the diagonal's 0.  A file without an echo fills
+        # an int64 table with codes; a file with one has each row compared
+        # with the rebuilt stage's, where a value that is not a multiple
+        # of 1/scale, or too large to scale, becomes -1, which no distance
+        # of the stage equals.
         parsed: dict[str, int] = {}
-        values: list[Fraction] = []
-        codes = []
+        values, scaled = [Fraction(0)], [0]
+        if spec is None:
+            table = np.zeros((count, count), dtype=np.int64)
+        else:
+            stage, scale = space._stored()
+            compare = list(space.labels) == labels
+        taken, row, wrong = 0, [], None
         pairs = itertools.combinations(range(count), 2)
         for (i, j), tokens in zip(pairs, rd.run("dist")):
             if len(tokens) != 4:
@@ -475,41 +485,46 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
                 raise rd.error("dist lines out of order")
             code = parsed.get(tokens[3])
             if code is None:
-                values.append(parse_fraction(tokens[3]))
-                code = parsed[tokens[3]] = len(values) - 1
-            codes.append(code)
-        if len(codes) < count * (count - 1) // 2:
+                v = parse_fraction(tokens[3])
+                code = parsed[tokens[3]] = len(values)
+                values.append(v)
+                if spec is not None:
+                    fits = (scale % v.denominator == 0
+                            and abs(v) * scale < 1 << 62)
+                    scaled.append(int(v * scale) if fits else -1)
+            row.append(code)
+            taken += 1
+            if j == count - 1:
+                if spec is None:
+                    table[i, i + 1:] = table[i + 1:, i] = row
+                elif compare and wrong is None:
+                    differs = np.flatnonzero(
+                        np.array([scaled[c] for c in row]) != stage[i, i + 1:])
+                    if differs.size:
+                        wrong = (i, i + 1 + int(differs[0]))
+                row = []
+        if taken < count * (count - 1) // 2:
             rd.expect("dist")  # the table ends early: refused here
         rd.end()
         if base_label not in labels:
             raise rd.error(f"base label {base_label!r} is not a point")
         base = labels.index(base_label)
-        rows, cols = np.triu_indices(count, 1)
         if spec is None:
             scale = math.lcm(*(v.denominator for v in values))
             nums = [v.numerator * (scale // v.denominator) for v in values]
             if any(abs(x) >= 1 << 60 for x in nums):
                 raise rd.error("a stored distance exceeds the int64 scale")
-            mat = np.zeros((count, count), dtype=np.int64)
-            mat[rows, cols] = mat[cols, rows] = np.array(nums,
-                                                         np.int64)[codes]
-            space = MetricSpace.from_scaled(labels, mat, scale, base)
+            lookup = np.array(nums, dtype=np.int64)
+            for line in table:  # codes to numerators, a row at a time
+                line[:] = lookup[line]
+            space = MetricSpace._adopt(labels, table, scale, base)
             space.validate_metric()
             return space, None, None
         if list(space.labels) != labels or space.base_point != base:
             raise rd.error("stored points do not match the spec echo")
-        mat, scale = space._stored()
-        # A stored value that is not a multiple of 1/scale, or too large to
-        # scale, becomes -1, which no distance of the built space equals.
-        scaled = np.full(len(values), -1, dtype=np.int64)
-        for k, v in enumerate(values):
-            if scale % v.denominator == 0 and abs(v) * scale < 1 << 62:
-                scaled[k] = int(v * scale)
-        mismatch = np.flatnonzero(scaled[codes] != mat[rows, cols])
-        if mismatch.size:
-            k = mismatch[0]
-            raise rd.error(f"stored distance ({rows[k]},{cols[k]}) does not "
-                           f"match the spec echo")
+        if wrong is not None:
+            raise rd.error(f"stored distance ({wrong[0]},{wrong[1]}) does "
+                           f"not match the spec echo")
         return space, landmarks, spec
 
 

@@ -16,11 +16,11 @@ Fraction)`` entries and values are formed on demand, as shared objects
 of :func:`~diamondlab.metric.fraction`.  The kernels
 (:func:`lip_constant`, :func:`is_lipschitz_at_most`,
 :func:`mcshane_extend`) and free-vector pairing read the integers,
-together with the space's stored distance numerators ``mat`` over its
-denominator ``S``.  Pairs are visited in blocks of 32 rows, and each
-block of ``mat`` is widened before any arithmetic: to int64 when a bound
-computed up front proves that no product can overflow, and to Python-int
-object arrays otherwise; no floating point is used.
+together with the space's distance numerators over its denominator
+``S``.  Pairs are visited in blocks of 32 rows, each read as a fresh
+block (``MetricSpace._block``): int64 when a bound computed up front
+proves that no product can overflow, and Python-int object arrays
+otherwise; no floating point is used.
 """
 
 from __future__ import annotations
@@ -202,18 +202,6 @@ class LipschitzFunction:
 # integer kernels
 
 
-def _scaled_metric(space: MetricSpace) -> tuple[np.ndarray, int, int]:
-    """Stored distance numerators, their denominator S and their largest
-    entry.
-
-    The numerators are in the store's narrow dtype: widen a block before
-    computing with it.  The largest entry is reported as at least 1, so a
-    bound built from it also covers the factor it multiplies.
-    """
-    mat, scale = space._stored()
-    return mat, scale, space._peak
-
-
 def _scaled_values(func: LipschitzFunction
                    ) -> tuple[np.ndarray, tuple[int, ...], int, int]:
     """:meth:`LipschitzFunction.integer_scaled`, values over Q, and the
@@ -229,18 +217,17 @@ def _dtype(*bounds: int):
     return np.int64 if max(bounds) < _INT64_BOUND else object
 
 
-def _pair_blocks(mat: np.ndarray, idx: np.ndarray, dtype):
+def _pair_blocks(space: MetricSpace, idx: np.ndarray, dtype):
     """Row blocks covering every pair of domain points.
 
     Yields ``(start, stop, dist)``: ``dist`` holds the distance numerators
-    from domain rows ``start:stop`` to domain columns ``start:``, widened
-    to ``dtype``.  Each unordered pair appears at least once; the diagonal
+    from domain rows ``start:stop`` to domain columns ``start:``, in
+    ``dtype``.  Each unordered pair appears at least once; the diagonal
     has distance 0.
     """
     for start in range(0, len(idx), _BLOCK):
         stop = start + _BLOCK
-        block = mat.take(idx[start:stop], 0).take(idx[start:], 1)
-        yield start, stop, block.astype(dtype)
+        yield start, stop, space._block(idx[start:stop], idx[start:], dtype)
 
 
 def _inf_convolution(func: LipschitzFunction,
@@ -256,7 +243,7 @@ def _inf_convolution(func: LipschitzFunction,
         return LipschitzFunction._from_numerators(space, every,
                                                   [0] * len(space), 1)
     idx, nums, den, peak = _scaled_values(func)
-    mat, scale, top = _scaled_metric(space)
+    scale, top = space._scale, space._peak
     value_factor = lip.denominator * scale
     dist_factor = lip.numerator * den
     dtype = _dtype(peak * value_factor, dist_factor * top)
@@ -269,7 +256,7 @@ def _inf_convolution(func: LipschitzFunction,
         values[i] = v
     for start in range(0, len(outside), _BLOCK):
         rows = outside[start:start + _BLOCK]
-        dist = mat.take(rows, 0).take(idx, 1).astype(dtype)
+        dist = space._block(rows, idx, dtype)
         reach = (vals[None, :] + dist_factor * dist).min(axis=1)
         for x, num in zip(rows.tolist(), reach.tolist()):
             values[x] = num
@@ -290,12 +277,12 @@ def lip_constant(func: LipschitzFunction) -> Fraction:
     if func._lip is not None:
         return func._lip
     idx, nums, den, peak = _scaled_values(func)
-    mat, scale, top = _scaled_metric(func.space)
+    scale, top = func.space._scale, func.space._peak
     # Every gap times a distance, and every gap, stays below the bound.
     dtype = _dtype(2 * peak * top)
     vals = np.array(nums, dtype=dtype)
     p, q = 0, 1
-    for start, stop, dist in _pair_blocks(mat, idx, dtype):
+    for start, stop, dist in _pair_blocks(func.space, idx, dtype):
         gap = np.abs(vals[start:stop, None] - vals[None, start:])
         while True:
             excess = gap * q - p * dist
@@ -319,12 +306,12 @@ def is_lipschitz_at_most(func: LipschitzFunction, bound: Fraction) -> bool:
     """
     bound = exact(bound)
     idx, nums, den, peak = _scaled_values(func)
-    mat, scale, top = _scaled_metric(func.space)
+    scale, top = func.space._scale, func.space._peak
     gap_factor = bound.denominator * scale
     dist_factor = bound.numerator * den
     dtype = _dtype(2 * peak * gap_factor, abs(dist_factor) * top)
     vals = np.array(nums, dtype=dtype) * gap_factor
-    for start, stop, dist in _pair_blocks(mat, idx, dtype):
+    for start, stop, dist in _pair_blocks(func.space, idx, dtype):
         gap = np.abs(vals[start:stop, None] - vals[None, start:])
         if (gap > dist_factor * dist).any():
             return False
@@ -361,10 +348,11 @@ def distance_functional(space: MetricSpace, anchor: int,
     """
     if vanish_at is None:
         vanish_at = space.base_point
-    mat, scale = space._stored()
-    row = mat[anchor].astype(np.int64) - int(mat[anchor, vanish_at])
+    row = space._rows(anchor)
+    row -= row[vanish_at]
     return LipschitzFunction._from_numerators(
-        space, np.arange(len(space), dtype=np.intp), row.tolist(), scale)
+        space, np.arange(len(space), dtype=np.intp), row.tolist(),
+        space._scale)
 
 
 def pull_to_copy(space: MetricSpace, landmarks, side: str, branch: int,

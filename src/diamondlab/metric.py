@@ -7,17 +7,19 @@ no floating point is used anywhere.
 A space stores its distances once: integer numerators over one common
 denominator, reduced so that no factor is shared by every entry and the
 denominator, in the narrowest signed integer dtype that holds them all.
-Every diamond stage through height 6 fits int8.  Every pass reads this
-store through ``MetricSpace._stored()``: validation, edges, closures,
-restriction, summing metrics and cover margins, space files, the
-Lipschitz kernels (constant, bound check, McShane extension), and the
-transport solver with its dual potential.  NumPy arithmetic on a narrow
-dtype wraps silently (a sum of two int8 entries can), so each pass
-widens a block of entries before it computes with them.
-``integer_scaled()`` is the public view of the store: a fresh int64 copy.
-``distance(x, y)`` forms one ``Fraction`` on demand, and ``dist_matrix``
-is a read-only ``Fraction`` table for the API boundary, built on first
-access and then kept.
+Every diamond stage through height 6 fits int8.  NumPy arithmetic on a
+narrow dtype wraps silently (a sum of two int8 entries can), so the
+store stays behind ``MetricSpace``.  Passes that compute on a few rows
+or a block read fresh int64 numerators through ``MetricSpace._rows`` and
+``MetricSpace._block``: the transport solver and its dual, the Lipschitz
+kernels and distance functionals.  Only whole-table passes read the
+narrow store itself, through ``MetricSpace._stored()``, and widen each
+block before computing: validation, the edge scan, the closure, the
+builders, space files, summing metrics, their constants and the pole
+cover.  ``integer_scaled()`` is the public whole-table read, a fresh
+read-only int64 copy.  ``distance(x, y)`` forms one ``Fraction`` on
+demand, and ``dist_matrix`` is a read-only ``Fraction`` table for the
+API boundary, built on first access and then kept.
 
 Exact values cross into ``Fraction`` through :func:`fraction`, a bounded
 process-wide table from a reduced (numerator, denominator) pair to one
@@ -36,10 +38,12 @@ once.  A restriction of a validated space is validated too, since every
 axiom on a sub-table with distinct indices is an axiom of the parent
 table.
 
-:meth:`MetricSpace.from_scaled` builds a space from numerators; the
-diamond builder and :meth:`MetricSpace.restrict` construct spaces this
-way.  The plain constructor takes ``Fraction`` rows and converts them
-once, over the least common multiple of their denominators.
+:meth:`MetricSpace.from_scaled` builds a space from a copy of the
+numerators it is given, and the plain constructor converts ``Fraction``
+rows once, over the least common multiple of their denominators.  The
+diamond builders, :meth:`MetricSpace.restrict`, summing metrics and the
+space-file reader hand their freshly made arrays to the private
+``MetricSpace._adopt``, which keeps them without a copy.
 """
 
 from __future__ import annotations
@@ -127,36 +131,46 @@ class MetricSpace:
             raise ValueError("distance matrix shape does not match points")
         rows = [[Fraction(v) for v in row] for row in dist]
         scale = math.lcm(*(v.denominator for row in rows for v in row))
-        self._store(labels, [[v.numerator * (scale // v.denominator)
-                              for v in row] for row in rows],
-                    scale, base_point)
+        self._store(labels, np.array([[v.numerator * (scale // v.denominator)
+                                       for v in row] for row in rows],
+                                     dtype=np.int64), scale, base_point)
 
     @classmethod
     def from_scaled(cls, labels: Sequence[str], numerators,
                     denominator: int, base_point: int) -> "MetricSpace":
         """Space with distances ``numerators[i][j] / denominator``.
 
-        The greatest common divisor of every entry and the denominator is
-        divided out, so equal distances give an equal stored pair however
-        they were scaled.  Raises ``OverflowError`` when a reduced entry
-        needs 60 bits or more.
+        The numerators are copied, so the caller's array stays its own;
+        an integer array keeps its dtype and anything else is read as
+        int64.  The greatest common divisor of every entry and the
+        denominator is divided out, so equal distances give an equal
+        stored pair however they were scaled.  Raises ``OverflowError``
+        when a reduced entry needs 60 bits or more.
         """
+        given = (numerators.dtype if isinstance(numerators, np.ndarray)
+                 and numerators.dtype.kind == "i" else np.int64)
+        return cls._adopt(labels, np.array(numerators, dtype=given,
+                                           order="C"),
+                          denominator, base_point)
+
+    @classmethod
+    def _adopt(cls, labels: Sequence[str], mat: np.ndarray,
+               denominator: int, base_point: int) -> "MetricSpace":
+        """:meth:`from_scaled` without the copy: ``mat`` is a fresh
+        C-order integer array that the caller hands over and no longer
+        uses.  It is reduced in place, copied only when a narrower dtype
+        holds its entries, and made read-only."""
         space = cls.__new__(cls)
-        space._store(labels, numerators, denominator, base_point)
+        space._store(labels, mat, denominator, base_point)
         return space
 
-    def _store(self, labels: Sequence[str], numerators, denominator: int,
-               base_point: int) -> None:
+    def _store(self, labels: Sequence[str], mat: np.ndarray,
+               denominator: int, base_point: int) -> None:
         self._labels = tuple(str(x) for x in labels)
         n = len(self._labels)
         if len(set(self._labels)) != n:
             raise ValueError("point labels must be distinct")
         self._index = {lab: i for i, lab in enumerate(self._labels)}
-        # An integer array keeps its dtype, so a narrow table is copied
-        # without widening; anything else is read as int64.
-        given = (numerators.dtype if isinstance(numerators, np.ndarray)
-                 and numerators.dtype.kind == "i" else np.int64)
-        mat = np.array(numerators, dtype=given)
         if mat.shape != (n, n):
             raise ValueError("distance matrix shape does not match points")
         if not 0 <= base_point < n:
@@ -244,8 +258,8 @@ class MetricSpace:
             raise ValueError("base must belong to the restriction")
         labels = [self._labels[i] for i in idx]
         mat, scale = self._scaled
-        sub = MetricSpace.from_scaled(labels, mat[np.ix_(idx, idx)], scale,
-                                      idx.index(base))
+        sub = MetricSpace._adopt(labels, mat[np.ix_(idx, idx)], scale,
+                                 idx.index(base))
         sub._validated = self._validated
         return sub, idx
 
@@ -254,19 +268,37 @@ class MetricSpace:
 
         Every entry is below 2^60, so a sum of a few entries fits int64.
         The matrix is a read-only, C-order copy of the store, allocated
-        on each call; the library itself reads the store in place.
+        on each call.
         """
-        mat, scale = self._scaled
-        wide = mat.astype(np.int64, order="C")
+        wide = self._rows()
         wide.flags.writeable = False
-        return wide, scale
+        return wide, self._scale
+
+    @property
+    def _scale(self) -> int:
+        """The denominator of the stored numerators."""
+        return self._scaled[1]
+
+    def _rows(self, idx=None) -> np.ndarray:
+        """Rows ``idx`` of the numerators (one row for an int, every row
+        by default) as a fresh, writable, C-order int64 array."""
+        mat = self._scaled[0]
+        return (mat if idx is None else mat.take(idx, 0)).astype(np.int64)
+
+    def _block(self, rows, cols, dtype=np.int64) -> np.ndarray:
+        """The numerators from ``rows`` to ``cols`` as a fresh, writable
+        int64 array, or an object array of Python ints for ``dtype``
+        object."""
+        return self._scaled[0].take(rows, 0).take(cols, 1).astype(dtype)
 
     def _stored(self) -> tuple[np.ndarray, int]:
-        """The stored numerators and their denominator, without a copy.
+        """The stored numerators and their denominator, without a copy,
+        for the whole-table passes.
 
         The matrix is read-only and in the narrowest signed integer dtype
         holding its entries, where NumPy arithmetic wraps silently: widen
-        a block before computing with it.
+        a block before computing with it.  Reading a few rows or a block
+        goes through :meth:`_rows` or :meth:`_block` instead.
         """
         return self._scaled
 
@@ -281,7 +313,7 @@ class MetricSpace:
         if self._validated:
             return
         n = len(self)
-        mat, _ = self._scaled
+        mat, _ = self._stored()
         d = self.distance
         if np.diagonal(mat).any():
             i = int(np.flatnonzero(np.diagonal(mat))[0])

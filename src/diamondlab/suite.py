@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import io as dio
-from .decomposition import (decompose_limit, ell1_additivity_check,
-                            projection_identity_check)
+from .decomposition import decompose_limit, identity_failures
 from .derivation import (ADVERSARY_KINDS, MUTATION_KINDS, AdversaryConfig,
                          WeakNeighborhood, adversary_family, collect_vectors,
                          midpoint_lift, mutate_transcript,
@@ -377,19 +376,15 @@ def check_summing_constants(cfg: SuiteConfig) -> tuple[str, str]:
     if not dec.bounded:
         return ("fail", f"equivalence constants ({eq.c_low}, {eq.c_high}) "
                 f"leave [1/3, 1]")
-    summing, partition = dec.summing, dec.partition
+    summing = dec.summing
     sampler = Sampler(cfg.seed)
-    for trial in range(30):
-        vec = _random_vector(sampler, summing, 8)
-        report = ell1_additivity_check(summing, partition, vec)
-        if not report.passed:
-            return ("fail", f"additivity trial {trial}: {report.total} != "
-                    f"sum{report.parts}")
-    for trial in range(30):
-        vec = _random_vector(sampler, summing, 8)
-        report = projection_identity_check(partition, vec)
-        if not report.passed:
-            return "fail", f"projection trial {trial} broke the identity"
+    bad_additivity, bad_projection = identity_failures(
+        summing, dec.partition,
+        [_random_vector(sampler, summing, 8) for _ in range(30)])
+    if bad_additivity:
+        return "fail", f"{bad_additivity} of 30 additivity identities broke"
+    if bad_projection:
+        return "fail", f"{bad_projection} of 30 projection identities broke"
     return "pass", (f"cover complete, separation minimum {minimum}, "
                     f"constants ({eq.c_low}, {eq.c_high}) within [1/3, 1], "
                     f"30 additivity and 30 projection identities exact")
