@@ -20,6 +20,7 @@ import numpy as np
 
 from .diamond import DiamondLandmarks
 from .freespace import FreeVector, norm_value
+from .lipschitz import _dtype, _largest_ratio, _pair_blocks
 from .metric import MetricAxiomError, MetricSpace, wider
 
 __all__ = [
@@ -141,42 +142,45 @@ def equivalence_constants(original: MetricSpace,
                           summing: MetricSpace) -> EquivalenceReport:
     """Exact Lipschitz-equivalence constants between the two metrics.
 
-    c_low and c_high bound d/d1 from below and above, each with a
-    witnessing pair.  A space with fewer than two points compares as
-    (1, 1) with no witnesses.
+    c_low and c_high bound d/d1 from below and above, each with its
+    first witnessing pair i < j in row order.  A space with fewer than
+    two points compares as (1, 1) with no witnesses.  Both come from the
+    Dinkelbach kernel of :func:`~diamondlab.lipschitz.lip_constant`:
+    c_high is the largest a/b and c_low minus the largest -a/b, over
+    blocks of rows of the two numerator tables a and b, so no n×n
+    temporary is formed.
     """
     if original.labels != summing.labels:
         raise ValueError("the two metrics must carry the same point set")
     n = len(original)
     if n < 2:
         return EquivalenceReport(Fraction(1), Fraction(1), None, None)
-    rows, cols = np.triu_indices(n, 1)
-    top, top_scale = original._stored()
-    bottom, bottom_scale = summing._stored()
-    a = top[rows, cols].astype(np.int64)
-    b = bottom[rows, cols].astype(np.int64)
-    if b.min() <= 0:
-        raise ValueError("the summing metric has a non-positive distance")
-    # Pair k has ratio (a[k] / b[k]) * bottom_scale / top_scale.  In lowest
-    # terms, equal ratios are equal pairs, so each distinct ratio is
-    # compared once, by cross-multiplication, and keeps its first pair in
-    # row order as its witness.
-    g = np.gcd(a, b)
-    ratios, first = np.unique(np.stack([a // g, b // g], axis=1), axis=0,
-                              return_index=True)
-    ratios = ratios.tolist()
-    low = high = 0
-    for m, (x, y) in enumerate(ratios):
-        if x * ratios[low][1] < ratios[low][0] * y:
-            low = m
-        if x * ratios[high][1] > ratios[high][0] * y:
-            high = m
-    (lx, ly), (hx, hy) = ratios[low], ratios[high]
-    return EquivalenceReport(
-        Fraction(lx * bottom_scale, ly * top_scale),
-        Fraction(hx * bottom_scale, hy * top_scale),
-        (int(rows[first[low]]), int(cols[first[low]])),
-        (int(rows[first[high]]), int(cols[first[high]])))
+    # With b >= 1 and 0 <= a <= peak, every ratio a/b and -a/b exceeds
+    # the start -(peak + 1), and every product of the iteration stays
+    # below the bound.
+    start = -original._peak - 1
+    dtype = _dtype(-start * summing._peak)
+
+    def pairs(sign: int):
+        """Blocks of (sign * a, b) over the pairs i < j, with a and b the
+        numerators of d and d1; every other entry is (0, 0)."""
+        for lo, a, b in _pair_blocks(np.arange(n), dtype, original, summing):
+            below = np.tri(*b.shape, dtype=bool)
+            if ((b <= 0) & ~below).any():
+                raise ValueError(
+                    "the summing metric has a non-positive distance")
+            a[below] = b[below] = 0
+            yield lo, sign * a, b
+
+    def extreme(sign: int) -> tuple[Fraction, tuple[int, int]]:
+        """sign times the largest sign * d/d1, and its first pair."""
+        p, q, (lo, i, j) = _largest_ratio(pairs(sign), start)
+        # Pair (i, j) has ratio (a / b) * summing scale / original scale.
+        return (sign * Fraction(p * summing._scale, q * original._scale),
+                (lo + i, lo + j))
+
+    (c_low, low_pair), (c_high, high_pair) = extreme(-1), extreme(1)
+    return EquivalenceReport(c_low, c_high, low_pair, high_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +320,22 @@ def ell1_additivity_check(summing: MetricSpace, partition: SummandPartition,
 
     Each slice part is the vector's restriction to one summand, measured
     inside that summand plus the base (imbalances settle at the base).
-    Equality is exact or the report fails; nothing is raised.
+    The norm reads only distances on its support plus the base, which
+    the summing metric keeps from that subspace, so each part is
+    measured on the summing space itself.  Equality is exact or the
+    report fails; nothing is raised.
     """
     if vec.space is not summing:
         raise ValueError("vector must live over the summing-metric space")
     check_partition(summing, partition)
+    if partition.base != summing.base_point:
+        raise ValueError("partition and summing space differ in base point")
     total = norm_value(vec)
     parts = []
     for members in partition.summands:
-        chunk = [(i, c) for i, c in vec.entries if i in set(members)]
-        if not chunk:
-            parts.append(Fraction(0))
-            continue
-        order = sorted(set(members) | {partition.base})
-        sub, kept = summing.restrict(order, partition.base)
-        back = {old: new for new, old in enumerate(kept)}
-        part = FreeVector(sub, [(back[i], c) for i, c in chunk])
-        parts.append(norm_value(part))
+        inside = set(members)
+        parts.append(norm_value(FreeVector(
+            summing, [(i, c) for i, c in vec.entries if i in inside])))
     return AdditivityReport(total, tuple(parts),
                             total == sum(parts, Fraction(0)))
 

@@ -27,8 +27,15 @@ most 2.  Each matrix is therefore written in the narrowest dtype that
 holds twice its denominator (int8 through height 6).  Its pole detours,
 sums of two distances, are formed by one kernel for both kinds of stage
 (:func:`_detours`), in the dtype that holds twice that (int16), a block
-of rows at a time.  So a build peaks at its matrix, the smaller matrices
-its landmarks keep (predecessors or summands), and one block.
+of rows at a time.
+
+Landmarks hold predecessor stores only: a successor stage keeps its
+predecessor, and a limit stage keeps each summand's landmarks and
+injection but not the summand's store, so what its summands' landmarks
+keep are their own predecessors.  A successor build therefore peaks at
+its matrix, the smaller stores its landmarks keep, and one block.  A
+limit build peaks while its summands coexist with its new matrix, and
+holds less once it returns.
 """
 
 from __future__ import annotations
@@ -64,9 +71,10 @@ __all__ = [
 
 # The default budget admits an int64 matrix of at most _MATRIX_BYTES
 # (16,384 points), whatever dtype the store takes.  A build peaks at its
-# store, the smaller stores its landmarks keep and one detour block, so
-# the largest admitted build stays well under 8 GB.  _MATRIX_BYTES also
-# caps the stores that ``build_cached`` keeps.
+# store, the smaller stores its landmarks keep (or, for a limit, its
+# summands) and one detour block, so the largest admitted build stays
+# well under 8 GB.  _MATRIX_BYTES also caps the stores that
+# ``build_cached`` keeps.
 _MATRIX_BYTES = 2 << 30
 DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
 # Temporaries of one block of pole detours.
@@ -152,11 +160,13 @@ def parse_address(text: str) -> PointAddress:
 
 @dataclass(frozen=True)
 class SummandInfo:
-    """One materialized limit-stage summand and its embedding."""
+    """One materialized limit-stage summand: its ordinal, the injection
+    of its points (in the summand's own order) into the limit stage, and
+    its landmarks.  The summand's store is not kept: its distances are
+    the limit stage's own on the injection's image."""
 
     ordinal: OrdinalNotation
     injection: tuple[int, ...]
-    space: MetricSpace
     landmarks: "DiamondLandmarks"
 
 
@@ -243,10 +253,9 @@ def build_cached(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
     a cache hit, so behaviour does not depend on cache warmth.
 
     The cache keeps the most recently used stages whose stores sum to at
-    most ``_MATRIX_BYTES`` (the stores of a stage's predecessors and
-    summands, which its landmarks hold, are smaller than its own).  A
-    stage evicted to make room is built afresh, as a new object, when it
-    is asked for again.
+    most ``_MATRIX_BYTES`` (the predecessor stores that a stage's
+    landmarks hold are smaller than its own).  A stage evicted to make
+    room is built afresh, as a new object, when it is asked for again.
     """
     _check_budget(spec, budget)
     hit = _build_cache.pop(spec, None)
@@ -409,8 +418,8 @@ def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
         ell=inj0[first_lm.ell],
         mids=tuple(inj0[p] for p in first_lm.mids),
         summands=tuple(
-            SummandInfo(beta, inj, bspace, blm)
-            for beta, inj, (bspace, blm) in zip(betas, injections, builds)))
+            SummandInfo(beta, inj, blm)
+            for beta, inj, (_, blm) in zip(betas, injections, builds)))
     return (MetricSpace._adopt(labels, dist, scale,
                                base_point=landmarks.ell), landmarks)
 

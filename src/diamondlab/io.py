@@ -48,7 +48,7 @@ from .decomposition import SummandPartition
 from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
 from .lipschitz import LipschitzFunction
-from .metric import MetricSpace, fraction, value_lookup
+from .metric import MetricSpace, fraction, narrowest, value_lookup
 from .ordinal import format_ordinal, parse_ordinal
 
 __all__ = [
@@ -465,14 +465,15 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
         # One pass over the ``dist`` records, a row at a time.  Each
         # distinct text is parsed once: code k stands for ``values[k]``,
         # and code 0 for the diagonal's 0.  A file without an echo fills
-        # an int64 table with codes; a file with one has each row compared
-        # with the rebuilt stage's, where a value that is not a multiple
-        # of 1/scale, or too large to scale, becomes -1, which no distance
-        # of the stage equals.
+        # a table with codes, in the narrowest dtype that holds them,
+        # widened when a new code needs it; a file with one has each row
+        # compared with the rebuilt stage's, where a value that is not a
+        # multiple of 1/scale, or too large to scale, becomes -1, which
+        # no distance of the stage equals.
         parsed: dict[str, int] = {}
         values, scaled = [Fraction(0)], [0]
         if spec is None:
-            table = np.zeros((count, count), dtype=np.int64)
+            table = np.zeros((count, count), dtype=np.int8)
         else:
             stage, scale = space._stored()
             compare = list(space.labels) == labels
@@ -492,6 +493,8 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
                     fits = (scale % v.denominator == 0
                             and abs(v) * scale < 1 << 62)
                     scaled.append(int(v * scale) if fits else -1)
+                elif code > np.iinfo(table.dtype).max:
+                    table = table.astype(narrowest(0, code))
             row.append(code)
             taken += 1
             if j == count - 1:
@@ -514,10 +517,11 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
             nums = [v.numerator * (scale // v.denominator) for v in values]
             if any(abs(x) >= 1 << 60 for x in nums):
                 raise rd.error("a stored distance exceeds the int64 scale")
-            lookup = np.array(nums, dtype=np.int64)
-            for line in table:  # codes to numerators, a row at a time
-                line[:] = lookup[line]
-            space = MetricSpace._adopt(labels, table, scale, base)
+            lookup = np.array(nums, dtype=narrowest(min(nums), max(nums)))
+            stored = np.empty(table.shape, dtype=lookup.dtype)
+            for i, line in enumerate(table):  # a row of codes at a time
+                stored[i] = lookup[line]
+            space = MetricSpace._adopt(labels, stored, scale, base)
             space.validate_metric()
             return space, None, None
         if list(space.labels) != labels or space.base_point != base:

@@ -217,17 +217,50 @@ def _dtype(*bounds: int):
     return np.int64 if max(bounds) < _INT64_BOUND else object
 
 
-def _pair_blocks(space: MetricSpace, idx: np.ndarray, dtype):
+def _pair_blocks(idx: np.ndarray, dtype, *spaces: MetricSpace):
     """Row blocks covering every pair of domain points.
 
-    Yields ``(start, stop, dist)``: ``dist`` holds the distance numerators
-    from domain rows ``start:stop`` to domain columns ``start:``, in
-    ``dtype``.  Each unordered pair appears at least once; the diagonal
+    Yields ``(start, dist, ...)``: one ``dist`` per space, holding its
+    distance numerators from domain rows ``start:start + _BLOCK`` to
+    domain columns ``start:``, in ``dtype``.  Each unordered pair appears
+    at least once, first at or above the block's diagonal; the diagonal
     has distance 0.
     """
     for start in range(0, len(idx), _BLOCK):
-        stop = start + _BLOCK
-        yield start, stop, space._block(idx[start:stop], idx[start:], dtype)
+        yield (start, *(space._block(idx[start:start + _BLOCK], idx[start:],
+                                     dtype) for space in spaces))
+
+
+def _largest_ratio(blocks, p: int = 0, q: int = 1) -> tuple:
+    """The largest ratio num/den over blocks, by Dinkelbach's iteration.
+
+    ``blocks`` yields ``(key, num, den)`` with equal-shaped integer
+    arrays; ``p/q`` (q > 0) is the starting ratio.  Each block is
+    searched for the entry maximizing num * q - p * den.  While that is
+    positive, the entry's own num/den, which is strictly larger, becomes
+    p/q; a block is done when no entry exceeds it.  An entry with den 0
+    bounds nothing.  Returns p, q and the first entry attaining p/q, as
+    ``(key, row, col)``, or None when the start was never exceeded.  That
+    entry lies in the block where the ratio was last raised: every
+    earlier entry is below it, so one search there finds it.
+    """
+    last = None
+    for key, num, den in blocks:
+        while True:
+            excess = num * q - p * den
+            k = int(excess.argmax())
+            if excess.flat[k] <= 0:
+                break
+            if not den.flat[k]:
+                num = np.where(den > 0, num, 0)
+                continue
+            p, q = int(num.flat[k]), int(den.flat[k])
+            last = key, num, den
+    if last is None:
+        return p, q, None
+    key, num, den = last
+    k = int(((num * q == p * den) & (den > 0)).argmax())
+    return p, q, (key, *divmod(k, num.shape[1]))
 
 
 def _inf_convolution(func: LipschitzFunction,
@@ -267,12 +300,9 @@ def _inf_convolution(func: LipschitzFunction,
 def lip_constant(func: LipschitzFunction) -> Fraction:
     """Exact Lipschitz constant over the function's domain.
 
-    Dinkelbach's iteration, in integers: with p/q the largest ratio of
-    value gap to distance numerator found so far, each block of pairs is
-    searched for the pair maximizing gap * q - p * dist.  While that is
-    positive, the pair's own gap/dist, which is strictly larger, becomes
-    p/q; a block is done when no pair exceeds it.  Only the final ratio
-    becomes a ``Fraction``.
+    The largest ratio of value gap to distance numerator, by the shared
+    Dinkelbach kernel :func:`_largest_ratio`, in integers; only the final
+    ratio becomes a ``Fraction``.
     """
     if func._lip is not None:
         return func._lip
@@ -281,19 +311,10 @@ def lip_constant(func: LipschitzFunction) -> Fraction:
     # Every gap times a distance, and every gap, stays below the bound.
     dtype = _dtype(2 * peak * top)
     vals = np.array(nums, dtype=dtype)
-    p, q = 0, 1
-    for start, stop, dist in _pair_blocks(func.space, idx, dtype):
-        gap = np.abs(vals[start:stop, None] - vals[None, start:])
-        while True:
-            excess = gap * q - p * dist
-            k = int(excess.argmax())
-            if excess.flat[k] <= 0:
-                break
-            if not dist.flat[k]:
-                # Distinct points at distance 0 bound nothing.
-                gap = np.where(dist > 0, gap, 0)
-                continue
-            p, q = int(gap.flat[k]), int(dist.flat[k])
+    p, q, _ = _largest_ratio(
+        (start, np.abs(vals[start:start + _BLOCK, None] - vals[None, start:]),
+         dist)
+        for start, dist in _pair_blocks(idx, dtype, func.space))
     best = Fraction(p * scale, den * q) if p else _ZERO
     func._lip = best
     return best
@@ -311,8 +332,8 @@ def is_lipschitz_at_most(func: LipschitzFunction, bound: Fraction) -> bool:
     dist_factor = bound.numerator * den
     dtype = _dtype(2 * peak * gap_factor, abs(dist_factor) * top)
     vals = np.array(nums, dtype=dtype) * gap_factor
-    for start, stop, dist in _pair_blocks(func.space, idx, dtype):
-        gap = np.abs(vals[start:stop, None] - vals[None, start:])
+    for start, dist in _pair_blocks(idx, dtype, func.space):
+        gap = np.abs(vals[start:start + _BLOCK, None] - vals[None, start:])
         if (gap > dist_factor * dist).any():
             return False
     return True

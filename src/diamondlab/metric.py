@@ -12,14 +12,15 @@ narrow dtype wraps silently (a sum of two int8 entries can), so the
 store stays behind ``MetricSpace``.  Passes that compute on a few rows
 or a block read fresh int64 numerators through ``MetricSpace._rows`` and
 ``MetricSpace._block``: the transport solver and its dual, the Lipschitz
-kernels and distance functionals.  Only whole-table passes read the
-narrow store itself, through ``MetricSpace._stored()``, and widen each
-block before computing: validation, the edge scan, the closure, the
-builders, space files, summing metrics, their constants and the pole
-cover.  ``integer_scaled()`` is the public whole-table read, a fresh
-read-only int64 copy.  ``distance(x, y)`` forms one ``Fraction`` on
-demand, and ``dist_matrix`` is a read-only ``Fraction`` table for the
-API boundary, built on first access and then kept.
+kernels and distance functionals, and the equivalence constants of
+summing metrics.  Only whole-table passes read the narrow store itself,
+through ``MetricSpace._stored()``, and widen each block before
+computing: validation, the edge scan, the closure, the builders, space
+files, summing metrics and the pole cover.  ``integer_scaled()`` is the
+public whole-table read, a fresh read-only int64 copy.
+``distance(x, y)`` forms one ``Fraction`` on demand, and
+``dist_matrix`` is a read-only ``Fraction`` table for the API boundary,
+built on first access and then kept.
 
 Exact values cross into ``Fraction`` through :func:`fraction`, a bounded
 process-wide table from a reduced (numerator, denominator) pair to one
@@ -246,12 +247,15 @@ class MetricSpace:
                  ) -> tuple["MetricSpace", tuple[int, ...]]:
         """Subspace on ``indices`` (kept in the given order).
 
-        ``base`` must be one of the indices and becomes the subspace base.
-        Returns the subspace and the index map (new index -> old index).
-        A restriction of a validated space is validated: its axioms are
-        axioms of this space.
+        ``base`` must be one of the indices and becomes the subspace base;
+        an index outside 0..n-1 raises ``IndexError``, as in
+        :meth:`distance`.  Returns the subspace and the index map (new
+        index -> old index).  A restriction of a validated space is
+        validated: its axioms are axioms of this space.
         """
         idx = tuple(indices)
+        if not all(0 <= i < len(self._labels) for i in idx):
+            raise IndexError("point index out of range")
         if len(set(idx)) != len(idx):
             raise ValueError("restriction indices must be distinct")
         if base not in idx:

@@ -569,7 +569,7 @@ def read_report(path: str) -> SuiteReport:
                 raise rd.error(f"unknown status {status!r}")
             rows.append(CheckResult(check_id, claim, status, details))
         verdict = rd.expect("verdict", 2)[1]
-        rd.expect("end")
+        rd.end()
     report = SuiteReport(version, seed, budget, tuple(rows))
     if report.verdict != verdict:
         raise FormatError(f"{path}: stored verdict {verdict!r} contradicts "

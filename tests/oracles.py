@@ -6,7 +6,8 @@ and McShane extensions by pairwise Fraction loops, shortest paths by
 heap Dijkstra over Fractions, finest edges by the dense per-row search
 and the edge closure by Floyd-Warshall on integer numerators, diamond
 stages as graphs grown by edge substitution, and the summing metric, equivalence constants and pole
-cover by pair-by-pair Fraction loops, the pole cover's slices by a
+cover by pair-by-pair Fraction loops, the l1 slice norms by restricting
+to each summand plus the base, the pole cover's slices by a
 per-summand scan, the box-derivation oracle by subtracting every
 pair of survivors, and the pole-molecule game certificate by the
 recursion that pulls every functional back into the predecessor
@@ -369,6 +370,22 @@ def equivalence_constants_oracle(original, summing):
     if low is None:
         return Fraction(1), Fraction(1), None, None
     return low[0], high[0], low[1], high[1]
+
+
+def ell1_parts_oracle(summing, partition, vec):
+    """The slice norms of ``vec``: each summand's entries, measured in the
+    restriction of ``summing`` to that summand plus the base, where the
+    base is the subspace's base point."""
+    from diamondlab.freespace import FreeVector, norm_value
+
+    parts = []
+    for members in partition.summands:
+        order = sorted(set(members) | {partition.base})
+        sub, kept = summing.restrict(order, partition.base)
+        back = {old: new for new, old in enumerate(kept)}
+        parts.append(norm_value(FreeVector(
+            sub, [(back[i], c) for i, c in vec.entries if i in members])))
+    return tuple(parts)
 
 
 def cover_oracle(space, bottom, top):

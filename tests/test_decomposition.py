@@ -8,7 +8,10 @@ Core claims checked here:
   * equivalence constants on the bottom half are exactly 7/9 and 1,
   * l1-additivity and the projection identities hold exactly over the
     summing metric, and the projection identity genuinely fails for a
-    witnessed pair under the original metric.
+    witnessed pair under the original metric,
+  * each slice norm is measured on the summing space itself, with no
+    restriction, and equals the one measured in its summand plus the
+    base.
 """
 
 import dataclasses
@@ -36,7 +39,7 @@ from diamondlab import (
     projection_identity_check,
     summing_metric,
 )
-from oracles import cover_slices_oracle
+from oracles import cover_slices_oracle, ell1_parts_oracle
 
 
 # -- Helpers ----------------------------------------------------------------
@@ -251,6 +254,39 @@ def test_random_vectors_are_additive(dw33):
         vec = _random_sub_vector(sampler, summing)
         report = ell1_additivity_check(summing, partition, vec)
         assert report.passed, (vec, report)
+
+
+def test_slice_norms_need_no_restriction(dw33, monkeypatch):
+    space, lm, cover, sub, kept, partition = _bottom_half(dw33)
+    summing = summing_metric(sub, partition)
+    sampler = Sampler(73)
+    vectors = [_random_sub_vector(sampler, summing, 8) for _ in range(20)]
+    expected = [ell1_parts_oracle(summing, partition, vec)
+                for vec in vectors]
+    calls = []
+    restrict = MetricSpace.restrict
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return restrict(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricSpace, "restrict", spy)
+    for vec, parts in zip(vectors, expected):
+        report = ell1_additivity_check(summing, partition, vec)
+        assert report.parts == parts and report.passed
+    assert calls == []
+
+
+def test_additivity_refuses_a_partition_on_another_base(dw33):
+    space, lm, cover, sub, kept, partition = _bottom_half(dw33)
+    summing = summing_metric(sub, partition)
+    moved = SummandPartition(partition.summands[0][0], (
+        (partition.base, *partition.summands[0][1:]),
+        *partition.summands[1:]))
+    check_partition(summing, moved)
+    with pytest.raises(ValueError, match="differ in base point"):
+        ell1_additivity_check(summing, moved,
+                              molecule(summing, *moved.summands[1][:2]))
 
 
 def test_projection_identity_rows(dw33):

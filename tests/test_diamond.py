@@ -195,8 +195,12 @@ def test_summand_injections_are_isometries(dw33):
     space, lm = dw33
     assert len(lm.summands) == 3
     for info in lm.summands:
-        sub = info.space
+        sub, sub_lm = build(DiamondSpec(info.ordinal, 3, 3))
+        assert sub_lm.top == info.landmarks.top
+        assert sub.labels[2:] == tuple(
+            space.label(p).split("/", 1)[1] for p in info.injection[2:])
         inj = info.injection
+        assert len(inj) == len(sub)
         for p in range(len(sub)):
             for q in range(len(sub)):
                 assert space.distance(inj[p], inj[q]) == sub.distance(p, q)
@@ -224,9 +228,9 @@ def test_cross_summand_routes_through_poles(dw33):
     for ia in range(len(infos)):
         for ib in range(ia + 1, len(infos)):
             sa, sb = infos[ia], infos[ib]
-            interior_a = [sa.injection[p] for p in range(len(sa.space))
+            interior_a = [sa.injection[p] for p in range(len(sa.injection))
                           if sa.injection[p] not in (lm.top, lm.bottom)]
-            interior_b = [sb.injection[p] for p in range(len(sb.space))
+            interior_b = [sb.injection[p] for p in range(len(sb.injection))
                           if sb.injection[p] not in (lm.top, lm.bottom)]
             for a in interior_a[:6]:
                 for b in interior_b[:6]:

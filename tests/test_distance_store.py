@@ -213,6 +213,30 @@ def test_equivalence_witness_is_the_first_pair_in_row_order():
         report.c_low, report.c_high, report.low_pair, report.high_pair)
 
 
+def test_equivalence_witness_in_a_later_row_block():
+    # All distances 2 but d1(35, 36) = 1: the largest ratio 2 is first
+    # reached in the second block of 32 rows, after (0, 1) set 1.
+    labels = [f"p{i}" for i in range(40)]
+    flat = [[0 if i == j else 2 for j in range(40)] for i in range(40)]
+    original = MetricSpace(labels, flat, 0)
+    flat[35][36] = flat[36][35] = 1
+    summing = MetricSpace(labels, flat, 0)
+    report = equivalence_constants(original, summing)
+    assert (report.c_high, report.high_pair) == (2, (35, 36))
+    assert (report.c_low, report.low_pair) == (1, (0, 1))
+    assert equivalence_constants_oracle(original, summing) == (
+        report.c_low, report.c_high, report.low_pair, report.high_pair)
+
+
+def test_equivalence_constants_read_only_pairs_i_below_j():
+    # d(1, 0) = 4 on an asymmetric table is never a pair i < j.
+    original = MetricSpace("abc", [[0, 1, 1], [4, 0, 1], [1, 1, 0]], 0)
+    ones = MetricSpace("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]], 0)
+    report = equivalence_constants(original, ones)
+    assert (report.c_low, report.c_high, report.low_pair,
+            report.high_pair) == (1, 1, (0, 1), (0, 1))
+
+
 def test_equivalence_constants_refuse_a_zero_distance():
     original = MetricSpace("ab", [[0, 1], [1, 0]], 0)
     flat = MetricSpace("ab", [[0, 0], [0, 0]], 0)

@@ -843,6 +843,20 @@ def test_report_verdict_consistency(tmp_path):
         read_report(str(path2))
 
 
+@pytest.mark.parametrize("extra", ["check x pass | claim | details",
+                                   "verdict pass"])
+def test_report_refuses_records_after_end(tmp_path, extra):
+    path = tmp_path / "report.txt"
+    write_report(str(path), _toy_report())
+    text = path.read_text()
+    path.write_text(f"{text}\n{extra}\nverdict pass\n")
+    line = len(text.splitlines()) + 2  # past the blank line
+    keyword = extra.split()[0]
+    with pytest.raises(FormatError,
+                       match=f":{line}: '{keyword}' record after 'end'"):
+        read_report(str(path))
+
+
 def test_report_of_skipped_checks_does_not_pass(tmp_path):
     rows = (CheckResult("depth-game", "games verify", "skip",
                         "budget: too small"),)

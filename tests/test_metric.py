@@ -179,6 +179,19 @@ def test_restrict_rejections():
         PATH3.restrict([0, 1], base=2)
 
 
+@pytest.mark.parametrize("indices", [[-1, 0], [0, 3], [0, -4]])
+def test_restrict_refuses_indices_out_of_range(indices):
+    # A negative index would wrap to a point from the end.
+    with pytest.raises(IndexError, match="point index out of range"):
+        PATH3.restrict(indices, base=0)
+
+
+def test_restrict_refuses_a_wrapped_index_on_a_stage():
+    space, _ = build_cached(DiamondSpec(1, 3))
+    with pytest.raises(IndexError, match="point index out of range"):
+        space.restrict([-1, 0], 0)
+
+
 # -- Integer scaling ----------------------------------------------------------------
 
 def test_integer_scaled_exact():

@@ -10,13 +10,19 @@ Core claims checked here:
     pulls and pole gluing, prove and verify for every adversary kind,
     and the box oracle,
   * a build adopts its matrix: the traced peak of the α=5 build stays
-    within 1.3 times its store,
+    within 1.3 times its store, and a limit build keeps no summand store:
+    what the ω build (n=4, width 4) leaves allocated stays within 1.25
+    times its store,
+  * the equivalence constants read pair blocks: on the 1,985-point
+    bottom half of that ω stage their traced peak stays within half of
+    one n×n int64 table,
   * ``from_scaled`` copies: the caller's array stays writable and its
     own, and ``integer_scaled()`` is a fresh read-only int64 copy,
   * ``read_space`` parses a 779-point file a row of ``dist`` records at
     a time: the traced peak beyond what it keeps stays under a quarter
-    of one n×n int64 table for a respelled echo file, and under 1.25
-    tables for a file with no echo, which fills one int64 table.
+    of one n×n int64 table for a respelled echo file, and under half a
+    table for a file with no echo, whose value codes and numerators
+    each fill a table in the narrowest dtype that holds them.
 """
 
 import ast
@@ -26,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from diamondlab import (ADVERSARY_KINDS, AdversaryConfig, DiamondSpec,
+from diamondlab import (ADVERSARY_KINDS, OMEGA, AdversaryConfig, DiamondSpec,
                         LipschitzFunction, MetricSpace, adversary_family,
                         build, build_cached, collect_vectors,
-                        distance_functional, free_norm, glue_poles,
+                        decompose_limit, distance_functional,
+                        equivalence_constants, free_norm, glue_poles,
                         is_lipschitz_at_most, lip_constant, mcshane_extend,
                         molecule, norm_value, prover_certify, pull_to_copy,
                         relative_derivation_oracle, verify_certificate,
@@ -50,7 +57,6 @@ WHOLE_TABLE_PASSES = {
     "io._dist_rows",                       # space-file rows, written
     "io.read_space",                       # and compared
     "decomposition.summing_metric",
-    "decomposition.equivalence_constants",
     "decomposition.build_cover",
 }
 
@@ -148,6 +154,23 @@ def test_a_build_peaks_near_its_store():
     assert peak <= 1.3 * store
 
 
+def test_a_limit_build_keeps_no_summand_store():
+    (space, lm), _, left = _traced(lambda: build(DiamondSpec(OMEGA, 4, 4)))
+    store = space._stored()[0].nbytes
+    assert len(lm.summands) == 4
+    assert left <= 1.25 * store
+
+
+def test_equivalence_constants_read_pair_blocks():
+    space, lm = build(DiamondSpec(OMEGA, 4, 4))
+    dec = decompose_limit(space, lm)
+    sub, summing = dec.sub, dec.summing
+    assert len(sub) == 1985
+    report, peak, _ = _traced(lambda: equivalence_constants(sub, summing))
+    assert report == dec.constants
+    assert peak <= len(sub) ** 2 * 8 / 2
+
+
 def test_from_scaled_copies_the_callers_array():
     # The common factor 2 is divided out of the space's numerators.
     mat = np.array([[0, 2, 4], [2, 0, 2], [4, 2, 0]], dtype=np.int64)
@@ -179,4 +202,4 @@ def test_read_space_parses_a_row_at_a_time(tmp_path):
     assert read is space and peak - left <= table / 4
     (read, _, _), peak, left = _traced(lambda: read_space(str(bare)))
     assert read.dist_matrix == space.dist_matrix
-    assert peak - left <= 1.25 * table
+    assert peak - left <= table / 2
