@@ -1,33 +1,15 @@
 """Finitely supported vectors over a pointed metric space and their norms.
 
-A vector assigns rational coefficients to points; the base point carries
-no information and is dropped from every vector.  The norm is the cost of
-the cheapest transport plan moving the positive part onto the negative
-part, with any imbalance routed through the base point.  Every norm
-computation also builds a feasible dual potential and checks that the
-primal and dual values agree exactly; a failed check raises instead of
-returning a wrong answer.
-
-A vector is stored as integers: its support (sorted point indices), one
-numerator per support point, and one positive denominator that shares no
-factor with all the numerators (``FreeVector.integer_scaled()``).  Equal
-vectors therefore have equal integers, and equality, hashing and the norm
-caches work on them.  Sums, differences, negation and scalar multiples
-merge numerators over the least common denominator; pairing with a
-function sums integer products against the function's integers
-(``LipschitzFunction.integer_scaled()``) and forms one ``Fraction`` at
-the end; ``entries`` builds ``(index, Fraction)`` pairs on first use,
-from the shared values of :func:`~diamondlab.metric.fraction`.
-Coefficients and scalars must be exact rationals (``int`` or
-``Fraction``); anything else raises ``TypeError``.
-
-The solver and the dual run on integers too: the space's distance
-numerators over its denominator, read as one block over the support
-(``MetricSpace._block``) and taken as Python ints (the solver) or in a
-dtype that holds every sum (the dual), and the vector's numerators as
-masses.  The primal-dual comparison is one integer equality, and
-``Fraction`` values are formed only for the value and the certificate's
-plan masses and potential.
+A vector (:class:`FreeVector`) holds integer numerators over one
+denominator on points other than the base.  Its norm is the cost of the
+cheapest transport plan moving the positive part onto the negative part,
+with any imbalance routed through the base point.  The solver and its
+dual potential run on the space's distance numerators, read as one block
+(``MetricSpace._block``), with the vector's numerators as masses.  Every
+solve and every :func:`verify_certificate` call runs one integer check of
+plan and potential on the support and the base (:func:`_check_plan`); a
+failed check raises instead of returning a wrong answer.  ``Fraction``
+values are formed only for the value, the certificate and error messages.
 """
 
 from __future__ import annotations
@@ -64,9 +46,9 @@ _stats = {"norms": 0, "gap_checks": 0, "gap_failures": 0, "paths": 0}
 
 
 def norm_statistics() -> dict:
-    """Counters for norm computations (``norms``), primal-dual agreement
-    checks (``gap_checks``, ``gap_failures``) and the transport solver's
-    shortest-path searches (``paths``, one per augmenting path)."""
+    """Counters for norm computations (``norms``), the certificate checks
+    run on them (``gap_checks``, ``gap_failures``) and the transport
+    solver's shortest-path searches (``paths``, one per augmenting path)."""
     return dict(_stats)
 
 
@@ -105,10 +87,13 @@ class FreeVector:
 
     A vector is its support, the sorted point indices with a nonzero
     coefficient (never the base point), and integer numerators over one
-    positive denominator sharing no factor with them all.  Equal vectors
-    have equal integers, so equality, hashing and the norm caches work
-    on them; ``entries`` builds the ``(index, Fraction)`` pairs on first
-    use, as shared values of :func:`~diamondlab.metric.fraction`.
+    positive denominator sharing no factor with them all.  Sums,
+    differences, negation and scalar multiples merge numerators over the
+    least common denominator; pairing sums integer products against the
+    function's integers and forms one ``Fraction``; ``entries`` builds
+    the ``(index, Fraction)`` pairs on first use, as shared values of
+    :func:`~diamondlab.metric.fraction`.  Coefficients and scalars must be
+    ``int`` or ``Fraction``; anything else raises ``TypeError``.
     """
 
     __slots__ = ("_space", "_idx", "_num", "_den", "_entries", "__weakref__")
@@ -329,25 +314,23 @@ def _min_cost_transport(space: MetricSpace, pos: list[tuple[int, int]],
                         ) -> tuple[int, list[tuple[int, int, int]]]:
     """Cheapest coupling of two equal-mass distributions.
 
-    Masses are ``(index, numerator)`` pairs over one common denominator
-    ``M``, the vector's; costs are the space's distance numerators over
-    its denominator ``S``; all are Python integers.  Primal-dual
-    successive shortest paths on the dense bipartite network: each
-    augmentation is one Dijkstra search, by a linear scan over the
-    targets, on the reduced costs ``c(a, b) + pi(a) - pi(b) >= 0``, and
-    then raises the potentials ``pi`` by the settled distances.  Among
-    several optimal plans, which one comes out depends on tie-breaking.
-    Returns the cost numerator over ``M * S`` and the plan as ``(source,
-    target, mass numerator over M)`` triples.
+    Masses are ``(index, numerator)`` pairs over the vector's denominator
+    ``M``, costs the space's distance numerators over its ``S``, all
+    Python integers.  Primal-dual successive shortest paths on the dense
+    bipartite network: each augmentation is one Dijkstra search, by a
+    linear scan over the targets, on the reduced costs ``c(a, b) + pi(a)
+    - pi(b) >= 0``, then raises the potentials ``pi`` by the settled
+    distances.  Tie-breaking picks among optimal plans.  Returns the cost
+    numerator over ``M * S`` and ``(source, target, mass numerator over
+    M)`` triples.
 
-    The search starts from every source with mass left; those keep
-    potential 0, so the cheapest reduced arc into each target from them
-    is its column minimum over those sources minus its potential.  The
-    potentials of targets and spent sources are stored less a common
-    ``shift``, the potential of every target with demand left, so a
-    search updates only the nodes it settled.  Labels carry the same
-    shift.  A spent source is reached only backwards over an arc with
-    flow, which is tight, so it takes the label of the target it leaves.
+    A search starts from every source with mass left, at potential 0, so
+    the cheapest reduced arc into a target is its column minimum over
+    them minus its potential.  Potentials of targets and spent sources
+    are stored less a common ``shift``, that of every target with demand
+    left, as are labels, so a search updates only the nodes it settled.
+    A spent source is reached only backwards over a tight arc with flow,
+    so it takes the label of the target it leaves.
     """
     np_, nn = len(pos), len(neg)
     rows = space._block([i for i, _ in pos], [j for j, _ in neg]).tolist()
@@ -420,9 +403,6 @@ def _min_cost_transport(space: MetricSpace, pos: list[tuple[int, int]],
                         col_arg[b] = a = min(live, key=col.__getitem__)
                         col_cost[b] = col[a]
     _stats["paths"] += paths
-
-    if any(demand):
-        raise CertificateError("transport network failed to route all mass")
     total_cost = sum(m * rows[a][b] for b, out in enumerate(flow)
                      for a, m in out.items())
     plan = sorted((pos[a][0], neg[b][0], m) for b, out in enumerate(flow)
@@ -436,18 +416,15 @@ def _dual_potential(space: MetricSpace, vec: FreeVector,
     """Feasible potential tight on every plan pair, zero at the base.
 
     Shortest distances from the base in the difference-constraint graph
-    on the base and the support: distance arcs both ways between every
-    two points, and a negative-weight arc ``-d(x, y)`` per plan pair
-    forcing tightness.  The result is the pointwise-largest optimal
-    dual.  Rounds of Bellman-Ford relax every arc at once on the
-    distance numerators; values still changing after ``size`` rounds
-    past the first mean a negative cycle, so the plan was not optimal
-    and this raises.  Values are numerators over the space's ``S``,
-    keyed in increasing point order.
+    on the base and the support: distance arcs both ways, and an arc
+    ``-d(x, y)`` per plan pair forcing tightness, so the result is the
+    pointwise-largest optimal dual.  Bellman-Ford rounds relax every arc
+    at once; values still changing after ``size`` rounds mean a negative
+    cycle, a plan that was not optimal, and raise.  Values are numerators
+    over the space's ``S``, keyed in increasing point order.
     """
     base = space.base_point
-    nodes = sorted({base, *vec.support,
-                    *(x for x, _, _ in plan), *(y for _, y, _ in plan)})
+    nodes = sorted((base, *vec.support))
     pos_of = {v: k for k, v in enumerate(nodes)}
     size = len(nodes)
     # A round lowers a value by at most the largest distance, so no sum
@@ -472,9 +449,8 @@ class TransportCertificate:
     """Matched primal plan and dual potential for one norm value.
 
     ``plan`` lists (source index, target index, mass) triples; the
-    potential is a total function on the space, vanishes at the base
-    point, has Lipschitz constant at most 1, and pairs with the vector to
-    exactly the plan cost.
+    potential is total, 1-Lipschitz, zero at the base point, and pairs
+    with the vector to exactly the plan cost.
     """
 
     vector: FreeVector
@@ -498,18 +474,70 @@ def _split_parts(vec: FreeVector) -> tuple[list, list]:
     return pos, neg
 
 
-def _gap_check(vec: FreeVector, cost: int, potential: dict[int, int]) -> None:
-    """The potential must pair with the vector to exactly the plan cost;
-    both are numerators over the vector's denominator times ``S``."""
-    support, nums, den = vec.integer_scaled()
-    pairing = sum(n * potential[i] for i, n in zip(support, nums))
+def _check_plan(vec: FreeVector, plan: Sequence[tuple[int, int, int]],
+                den: int, value: tuple[int, int],
+                potential: Mapping[int, int] | Sequence[int],
+                pden: int) -> None:
+    """Raise :class:`CertificateError` unless ``plan`` (masses over
+    ``den``, a multiple of the vector's denominator) and ``potential``
+    (numerators over ``pden`` on the support and the base) certify
+    ``value`` (numerator, denominator) as the norm of ``vec``.  Matching
+    marginals keep the plan on the support and the base, so a point out
+    of range fails before any distance is read, and one distance block
+    serves the cost and the 1-Lipschitz test.
+    """
+    space = vec.space
+    support, nums, vden = vec.integer_scaled()
+    scale, base = space._scale, space.base_point
+    out, into = {}, {}
+    for x, y, m in plan:
+        if m <= 0:
+            raise CertificateError("plan contains a non-positive mass")
+        out[x] = out.get(x, 0) + m
+        into[y] = into.get(y, 0) + m
+    pos, neg = _split_parts(vec)
+    unit = den // vden
+    if (out != {i: m * unit for i, m in pos}
+            or into != {j: m * unit for j, m in neg}):
+        raise CertificateError("plan marginals do not match the vector")
+    nodes = (base, *support)
+    at = {v: k for k, v in enumerate(nodes)}
+    vals = [potential[v] for v in nodes]
+    dtype = _dtype(2 * max(map(abs, vals)) * scale, space._peak * pden)
+    dist = space._block(nodes, nodes, dtype)
+    cost = sum(m * dist.item(at[x], at[y]) for x, y, m in plan)
+    if cost * value[1] != value[0] * den * scale:
+        raise CertificateError(f"plan cost {Fraction(cost, den * scale)} "
+                               f"differs from claimed value "
+                               f"{Fraction(*value)}")
+    if vals[0]:
+        raise CertificateError("potential does not vanish at the base point")
+    gaps = np.array(vals, dtype=dtype) * scale
+    dist *= pden
+    if (gaps[:, None] - gaps > dist).any():
+        raise CertificateError("potential is not 1-Lipschitz")
+    # With these marginals, f(base) = 0 and f 1-Lipschitz, cost minus
+    # pairing is the sum over the plan of m * (d(x, y) - f(x) + f(y)),
+    # each term at least 0: equal cost and pairing leave every pair of
+    # positive mass tight, so tightness needs no check of its own.
+    pairing = sum(map(operator.mul, nums, vals[1:]))
+    if pairing * value[1] != value[0] * vden * pden:
+        raise CertificateError(f"potential pairs to "
+                               f"{Fraction(pairing, vden * pden)}, not to "
+                               f"{Fraction(*value)}")
+
+
+def _gap_check(vec: FreeVector, cost: int, plan: list[tuple[int, int, int]],
+               potential: dict[int, int]) -> None:
+    """:func:`_check_plan` on a solve, counted; the cost is over the
+    vector's denominator times ``S`` and the potential over ``S``."""
+    den, scale = vec.integer_scaled()[2], vec.space._scale
     _stats["gap_checks"] += 1
-    if pairing != cost:
+    try:
+        _check_plan(vec, plan, den, (cost, den * scale), potential, scale)
+    except CertificateError:
         _stats["gap_failures"] += 1
-        scale = den * vec.space._scale
-        raise CertificateError(
-            f"duality gap: transport cost {Fraction(cost, scale)} but dual "
-            f"pairing {Fraction(pairing, scale)}")
+        raise
 
 
 def clear_norm_caches(space: MetricSpace) -> None:
@@ -524,23 +552,18 @@ def _solve(vec: FreeVector
            ) -> tuple[Fraction, list[tuple[int, int, int]], dict[int, int]]:
     """Value, optimal plan (mass numerators over the vector's denominator)
     and dual potential numerators over ``S`` on the support plus base,
-    after the exact primal-dual comparison."""
-    pos, neg = _split_parts(vec)
-    cost, plan = _min_cost_transport(vec.space, pos, neg)
+    once :func:`_gap_check` has passed them."""
+    cost, plan = _min_cost_transport(vec.space, *_split_parts(vec))
     potential = _dual_potential(vec.space, vec, plan)
-    _gap_check(vec, cost, potential)
+    _gap_check(vec, cost, plan, potential)
     _stats["norms"] += 1
-    scale = vec.space._scale
-    return Fraction(cost, vec.integer_scaled()[2] * scale), plan, potential
+    den = vec.integer_scaled()[2] * vec.space._scale
+    return Fraction(cost, den), plan, potential
 
 
 def norm_value(vec: FreeVector) -> Fraction:
-    """The norm alone, skipping the total-potential certificate.
-
-    Still solves the dual on the support and confirms the exact
-    primal-dual match before returning.  Norms are cached per space
-    under the vector's integers.
-    """
+    """The norm alone, checked on the support with no total potential;
+    cached per space under the vector's integers."""
     cache = vec.space._norm_cache
     key = vec.integer_scaled()
     hit = cache.get(key)
@@ -552,11 +575,8 @@ def norm_value(vec: FreeVector) -> Fraction:
 
 
 def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
-    """The norm together with a verifiable optimality certificate.
-
-    The certificate potential is the McShane extension of the dual
-    potential on the support plus base.
-    """
+    """The norm with a verifiable certificate, whose potential is the
+    McShane extension of the dual potential on the support plus base."""
     cache = vec.space._cert_cache
     key = vec.integer_scaled()
     hit = cache.get(key)
@@ -576,49 +596,22 @@ def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
 
 
 def verify_certificate(cert: TransportCertificate) -> bool:
-    """Recheck a certificate from scratch, without the solver.
-
-    Confirms plan feasibility (marginals match the vector with imbalance
-    routed through the base), the cost, that the potential is total,
-    1-Lipschitz, vanishes at the base, pairs to the claimed value, and is
-    tight on every plan pair.  Raises :class:`CertificateError` with the
-    first violated condition.
-    """
-    vec, value = cert.vector, cert.value
-    space = vec.space
-    base = space.base_point
-
-    out: dict[int, Fraction] = {}
-    into: dict[int, Fraction] = {}
-    cost = _ZERO
-    for x, y, mass in cert.plan:
-        if mass <= 0:
-            raise CertificateError("plan contains a non-positive mass")
-        out[x] = out.get(x, _ZERO) + mass
-        into[y] = into.get(y, _ZERO) + mass
-        cost += mass * space.distance(x, y)
-    pos, neg = _split_parts(vec)
-    den = vec.integer_scaled()[2]
-    if (out != {i: Fraction(m, den) for i, m in pos}
-            or into != {j: Fraction(m, den) for j, m in neg}):
-        raise CertificateError("plan marginals do not match the vector")
-    if cost != value:
-        raise CertificateError(
-            f"plan cost {cost} differs from claimed value {value}")
-
-    f = cert.potential
-    if f.space is not space:
+    """Recheck a certificate from scratch, without the solver: a total
+    potential on the vector's space, every solve's :func:`_check_plan` on
+    the plan and value as integers, and a potential 1-Lipschitz
+    everywhere.  Raises :class:`CertificateError` at the first violated
+    condition."""
+    vec, value, f = cert.vector, cert.value, cert.potential
+    plan = [(x, y, Fraction(m)) for x, y, m in cert.plan]
+    den = math.lcm(vec.integer_scaled()[2], *(m.denominator for *_, m in plan))
+    plan = [(x, y, m.numerator * (den // m.denominator)) for x, y, m in plan]
+    if f.space is not vec.space:
         raise CertificateError("potential lives over a different space")
     if not f.is_total:
         raise CertificateError("potential is not a total function")
-    if f.value(base) != 0:
-        raise CertificateError("potential does not vanish at the base point")
+    _, values, pden = f.integer_scaled()
+    _check_plan(vec, plan, den, Fraction(value).as_integer_ratio(), values,
+                pden)
     if not is_lipschitz_at_most(f, Fraction(1)):
         raise CertificateError("potential is not 1-Lipschitz")
-    if vec.pair(f) != value:
-        raise CertificateError(
-            f"potential pairs to {vec.pair(f)}, not to {value}")
-    for x, y, _ in cert.plan:
-        if f.value(x) - f.value(y) != space.distance(x, y):
-            raise CertificateError("potential is slack on a plan pair")
     return True

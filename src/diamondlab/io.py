@@ -254,7 +254,11 @@ def _write(path: str, lines: Iterable[str], per_write: int = 1 << 15
     default).
     """
     temporary = f"{path}.{os.getpid()}.tmp"
-    fh = open(temporary, "w", encoding="utf-8", newline="\n")
+    try:
+        fh = open(temporary, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        # Name the file the caller asked for, not the temporary beside it.
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             for block in _blocks(lines, per_write):

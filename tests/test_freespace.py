@@ -204,7 +204,8 @@ def test_tampered_value_rejected(d23):
     _, cert = free_norm(molecule(space, 0, 1))
     bad = TransportCertificate(cert.vector, cert.value + 1, cert.plan,
                                cert.potential)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="plan cost 1 differs from "
+                                               "claimed value 2"):
         verify_certificate(bad)
 
 
@@ -215,7 +216,7 @@ def test_tampered_plan_rejected(d23):
     bad_plan = ((x, y, mass * 2),) + cert.plan[1:]
     bad = TransportCertificate(cert.vector, cert.value, bad_plan,
                                cert.potential)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="marginals do not match"):
         verify_certificate(bad)
 
 
@@ -228,7 +229,7 @@ def test_tampered_potential_rejected(d23):
         verify_certificate(shifted)
     scaled = TransportCertificate(cert.vector, cert.value, cert.plan,
                                   cert.potential.scale(2))
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="not 1-Lipschitz"):
         verify_certificate(scaled)
 
 

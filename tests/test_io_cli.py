@@ -903,6 +903,15 @@ def test_cli_gen_writes_dot(tmp_path, capsys):
     assert "graph diamond" in open(dot_file).read()
 
 
+def test_cli_gen_into_a_missing_directory_names_the_target(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "s.txt")
+    assert cli.main(["gen", "--alpha", "2", "--branches", "3",
+                     "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {out!r}\n")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_extend(tmp_path, capsys):
     space_file = str(tmp_path / "d13.txt")
     cli.main(["gen", "--alpha", "1", "--branches", "3", "--out", space_file])
