@@ -14,12 +14,14 @@ then copies in ``(side, branch)`` order) is part of the format contract.
 
 All construction distances are dyadic.  Each stage is therefore built
 as a numerator matrix over a power-of-two denominator and handed to the
-private :meth:`MetricSpace._adopt`, which keeps it without a copy.  A
-successor stage doubles its predecessor's denominator, so the copies
-keep the predecessor's numerators; the rest of its matrix is pole
-detours.  A limit stage rescales its summands to the largest summand
-denominator.  The poles are points 0 and 1 of every stage, so a stage's
-interior is its matrix from row and column 2 on.
+private :meth:`MetricSpace._adopt`, which keeps it without a copy.  One
+assembler (:func:`_stage`) writes every stage: outer vertices plus
+pieces hung between two of them.  A successor stage's pieces are the
+copies of its predecessor; it doubles its predecessor's denominator, so
+the copies keep the predecessor's numerators.  A limit stage's pieces
+are its summands, rescaled to the largest summand denominator.  The rest
+of either matrix is pole detours.  The poles are points 0 and 1 of every
+stage, so a stage's interior is its matrix from row and column 2 on.
 
 Every point lies on a geodesic between the poles, which are 2 apart, so
 no distance exceeds 2: going round through the nearer pole costs at
@@ -31,18 +33,21 @@ of rows at a time.
 
 Landmarks hold predecessor stores only: a successor stage keeps its
 predecessor, and a limit stage keeps each summand's landmarks and
-injection but not the summand's store, so what its summands' landmarks
-keep are their own predecessors.  A successor build therefore peaks at
-its matrix, the smaller stores its landmarks keep, and one block.  A
-limit build peaks while its summands coexist with its new matrix, and
-holds less once it returns.
+injection, so what its summands' landmarks keep are their own
+predecessors.  A limit writes each summand straight into the summand's
+diagonal block of its own matrix and rescales it there, so no summand
+ever has a store.  Every build therefore peaks at its matrix, the
+smaller stores its landmarks keep, and one detour block.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -51,7 +56,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .metric import (MetricSpace, closure_numerators, finest_edges,
                      fraction_rows, narrowest)
-from .ordinal import (OrdinalNotation, ZERO, ONE, format_ordinal,
+from .ordinal import (OrdinalNotation, ONE, format_ordinal,
                       fundamental_sequence, parse_ordinal)
 
 __all__ = [
@@ -71,10 +76,9 @@ __all__ = [
 
 # The default budget admits an int64 matrix of at most _MATRIX_BYTES
 # (16,384 points), whatever dtype the store takes.  A build peaks at its
-# store, the smaller stores its landmarks keep (or, for a limit, its
-# summands) and one detour block, so the largest admitted build stays
-# well under 8 GB.  _MATRIX_BYTES also caps the stores that
-# ``build_cached`` keeps.
+# store, the smaller stores its landmarks keep and one detour block, so
+# the largest admitted build stays well under 8 GB.  _MATRIX_BYTES also
+# caps the stores that ``build_cached`` keeps.
 _MATRIX_BYTES = 2 << 30
 DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
 # Temporaries of one block of pole detours.
@@ -93,9 +97,13 @@ class DiamondSpec:
     limit_width: int = 3
 
     def __post_init__(self):
-        if isinstance(self.alpha, int):
-            object.__setattr__(self, "alpha",
-                               OrdinalNotation.from_int(self.alpha))
+        # Integer fields pass through ``operator.index``: NumPy integers
+        # become ints, and floats and strings raise TypeError.
+        if not isinstance(self.alpha, OrdinalNotation):
+            object.__setattr__(self, "alpha", OrdinalNotation.from_int(
+                operator.index(self.alpha)))
+        for name in ("branches", "limit_width"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.alpha.is_zero:
             raise ValueError("alpha must be positive")
         if self.branches < 2:
@@ -193,27 +201,36 @@ class DiamondLandmarks:
 # size estimation
 
 
+def _summands(spec: DiamondSpec) -> list[DiamondSpec]:
+    """The specs of a limit stage's summands, in order."""
+    return [replace(spec, alpha=fundamental_sequence(spec.alpha, m))
+            for m in range(1, spec.limit_width + 1)]
+
+
+# Bounded, so a process that sizes many specs does not grow it for good.
+@functools.lru_cache(maxsize=1 << 16)
+def _shape(spec: DiamondSpec) -> tuple[int, int]:
+    """Point count and denominator of the stage of ``spec``.
+
+    A successor doubles its predecessor's denominator.  A limit takes
+    its largest summand denominator, which is common to its summands,
+    since every denominator is a power of two.  Nested limits share
+    summands, so the recursion is memoized per spec.
+    """
+    n = spec.branches
+    if spec.alpha == ONE:
+        return n + 2, 1
+    if spec.alpha.is_successor:
+        points, scale = _shape(replace(spec, alpha=spec.alpha.predecessor()))
+        return 2 + n + 2 * n * (points - 2), 2 * scale
+    shapes = [_shape(sub) for sub in _summands(spec)]
+    return (2 + sum(points - 2 for points, _ in shapes),
+            max(scale for _, scale in shapes))
+
+
 def estimate_points(spec: DiamondSpec) -> int:
     """Exact point count of ``build(spec)`` without building it."""
-    memo: dict[OrdinalNotation, int] = {}
-
-    def count(alpha: OrdinalNotation) -> int:
-        got = memo.get(alpha)
-        if got is not None:
-            return got
-        if alpha == ONE:
-            val = spec.branches + 2
-        elif alpha.is_successor:
-            val = 2 + spec.branches + 2 * spec.branches * (
-                count(alpha.predecessor()) - 2)
-        else:
-            val = 2 + sum(
-                count(fundamental_sequence(alpha, m)) - 2
-                for m in range(1, spec.limit_width + 1))
-        memo[alpha] = val
-        return val
-
-    return count(spec.alpha)
+    return _shape(spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +287,9 @@ def build_cached(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
 
 
 def _build(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
-    if spec.alpha == ONE:
-        return _build_base(spec.branches)
-    if spec.alpha.is_successor:
-        return _build_successor(spec)
-    return _build_limit(spec)
-
-
-def _dtypes(scale: int) -> tuple:
-    """The matrix dtype of a stage over ``scale``, holding its diameter
-    2 * scale, and the dtype of its detour sums, holding twice that."""
-    return narrowest(0, 2 * scale), narrowest(0, 4 * scale)
+    labels, landmarks, mat = _stage(spec)
+    return (MetricSpace._adopt(labels, mat, _shape(spec)[1],
+                               base_point=landmarks.ell), landmarks)
 
 
 def _outer_labels(n: int) -> list[str]:
@@ -296,13 +305,6 @@ def _outer_numerators(n: int) -> np.ndarray:
     return out
 
 
-def _build_base(n: int) -> tuple[MetricSpace, DiamondLandmarks]:
-    landmarks = DiamondLandmarks(
-        top=0, bottom=1, ell=2, mids=tuple(range(2, n + 2)))
-    return (MetricSpace._adopt(_outer_labels(n), _outer_numerators(n),
-                               1, base_point=2), landmarks)
-
-
 def _detours(out: np.ndarray, to_a: np.ndarray, from_a: np.ndarray,
              to_b: np.ndarray, from_b: np.ndarray) -> None:
     """Fill ``out`` with the shorter of two pole detours: entry (i, j) is
@@ -312,116 +314,106 @@ def _detours(out: np.ndarray, to_a: np.ndarray, from_a: np.ndarray,
     The sums are formed a block of rows at a time, so the temporaries
     stay under ``_DETOUR_BYTES`` (or one row, when that is larger).
     """
-    step = max(1, _DETOUR_BYTES // (to_a.itemsize * out.shape[1]))
+    step = max(1, _DETOUR_BYTES // (to_a.itemsize * max(1, out.shape[1])))
     for lo in range(0, len(out), step):
         hi = lo + step
         np.minimum(to_a[lo:hi, None] + from_a, to_b[lo:hi, None] + from_b,
                    out=out[lo:hi])
 
 
-def _build_successor(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
-    n = spec.branches
-    pred_spec = DiamondSpec(spec.alpha.predecessor(), n, spec.limit_width)
-    pred_space, pred_lm = _build(pred_spec)
-    pred_mat, pred_scale = pred_space._stored()
-    m = len(pred_space) - 2  # the predecessor's interior, from point 2 on
+def _stage(spec: DiamondSpec, out: Optional[np.ndarray] = None
+           ) -> tuple[list[str], DiamondLandmarks, np.ndarray]:
+    """Write the numerators of the stage of ``spec``, over its
+    denominator, into ``out`` (a new matrix when None); return its
+    labels, its landmarks and the matrix.
 
-    # Copy (side, branch) replaces the outer edge between its two ends;
-    # outer vertices are 0 = top, 1 = bottom and 1 + i = mid(i).
-    copies = [("+", j) for j in range(1, n + 1)]
-    copies += [("-", i) for i in range(1, n + 1)]
-    ends = [(0, 1 + br) if side == "+" else (1 + br, 1)
-            for side, br in copies]
+    A stage is outer vertices plus pieces, each hung between two outer
+    ends.  A successor's outer vertices are the base stage's, and its
+    pieces are the 2n copies of its predecessor; a limit's outer vertices
+    are the poles, and its pieces are its summands.  A piece meets the
+    rest of the stage only at its ends, so every distance outside the
+    pieces' diagonal blocks is the shorter of two end detours.
+    """
+    points, scale = _shape(spec)
+    # The matrix holds the diameter 2 * scale; detour sums, twice that.
+    wide = narrowest(0, 4 * scale)
+    if out is None:
+        out = np.empty((points, points), dtype=narrowest(0, 2 * scale))
+    n, alpha = spec.branches, spec.alpha
+    # Each piece: its diagonal block lo:hi, its two ends, and its
+    # points' distances to those ends, widened.
+    pieces = []
+    if alpha.is_limit:
+        # A summand is written straight into its diagonal block, with its
+        # poles on the two rows and columns before the block.  Those are
+        # the poles or the previous summand's last points, so summands are
+        # built last first.  Only its pole columns are kept, and the block
+        # is rescaled in place to the common denominator.
+        outer = np.array([[0, 2], [2, 0]]) * scale
+        subs = _summands(spec)
+        his = list(itertools.accumulate(
+            (_shape(sub)[0] - 2 for sub in subs), initial=2))
+        labels = ["top", "bottom"] + [""] * (points - 2)
+        summands = [None] * len(subs)
+        for k in reversed(range(len(subs))):
+            sub, lo, hi = subs[k], his[k], his[k + 1]
+            sub_labels, sub_lm, block = _stage(sub, out[lo - 2:hi, lo - 2:hi])
+            factor = scale // _shape(sub)[1]
+            pieces.append(((lo, hi), (0, 1),
+                           block[2:, 0].astype(wide) * factor,
+                           block[2:, 1].astype(wide) * factor))
+            if factor > 1:
+                block[2:, 2:] *= factor
+            prefix = _segment_text(("sum", sub.alpha)) + "/"
+            labels[lo:hi] = [prefix + lab for lab in sub_labels[2:]]
+            summands[k] = SummandInfo(sub.alpha, (0, 1, *range(lo, hi)),
+                                      sub_lm)
+        first = summands[0]
+        landmarks = DiamondLandmarks(
+            top=0, bottom=1, ell=first.injection[first.landmarks.ell],
+            mids=tuple(first.injection[p] for p in first.landmarks.mids),
+            summands=tuple(summands))
+    else:
+        # Copies keep the predecessor's numerators over twice its
+        # denominator, which halves their distances.
+        outer = _outer_numerators(n) * scale
+        labels, subcopies, predecessor = _outer_labels(n), {}, None
+        if alpha != ONE:
+            pred_space, _ = predecessor = _build(
+                replace(spec, alpha=alpha.predecessor()))
+            pred_mat = pred_space._stored()[0]
+            m = len(pred_space) - 2
+            to_top = pred_mat[2:, 0].astype(wide)
+            to_bottom = pred_mat[2:, 1].astype(wide)
+            # Copy (side, branch) replaces the outer edge between its
+            # ends; outer vertices are 0 = top, 1 = bottom, 1 + i = mid(i).
+            copies = [("+", j) for j in range(1, n + 1)]
+            copies += [("-", i) for i in range(1, n + 1)]
+            for k, (side, br) in enumerate(copies):
+                ends = (0, 1 + br) if side == "+" else (1 + br, 1)
+                lo = n + 2 + k * m
+                prefix = _segment_text((side, br)) + "/"
+                labels += [prefix + lab for lab in pred_space.labels[2:]]
+                subcopies[side, br] = (*ends, *range(lo, lo + m))
+                out[lo:lo + m, lo:lo + m] = pred_mat[2:, 2:]
+                pieces.append(((lo, lo + m), ends, to_top, to_bottom))
+        landmarks = DiamondLandmarks(
+            top=0, bottom=1, ell=2, mids=tuple(range(2, n + 2)),
+            subcopies=subcopies, predecessor=predecessor)
 
-    n_outer = n + 2
-    size = n_outer + len(copies) * m
-    labels = _outer_labels(n)
-    pred_labels = pred_space.labels[2:]
-    injections: dict[tuple, tuple[int, ...]] = {}
-    for k, copy in enumerate(copies):
-        prefix = _segment_text(copy) + "/"
-        labels += [prefix + lab for lab in pred_labels]
-        start = n_outer + k * m
-        injections[copy] = (*ends[k], *range(start, start + m))
-
-    # Numerators over 2 * pred_scale: copies keep the predecessor's
-    # numerators, which halves their distances; outer distances double.
-    dtype, wide = _dtypes(2 * pred_scale)
-    dt = pred_mat[2:, 0].astype(wide)
-    db = pred_mat[2:, 1].astype(wide)
-    outer = (_outer_numerators(n) * (2 * pred_scale)).astype(wide)
-    dist = np.empty((size, size), dtype=dtype)
-    dist[:n_outer, :n_outer] = outer
-    # Outer vertex to a copy point: through the nearer copy pole.
-    for k, (te, be) in enumerate(ends):
-        block = slice(n_outer + k * m, n_outer + (k + 1) * m)
-        _detours(dist[:n_outer, block], outer[:, te], dt, outer[:, be], db)
-    dist[n_outer:, :n_outer] = dist[:n_outer, n_outer:].T
-    # A copy point leaves its copy through one of its poles, so its row is
-    # the better of the two pole rows; that is the minimum of the four
-    # pole-detour terms on every other copy.  Its own copy is the
-    # predecessor's interior block.
-    for k, (te, be) in enumerate(ends):
-        block = slice(n_outer + k * m, n_outer + (k + 1) * m)
-        _detours(dist[block, n_outer:], dt, dist[te, n_outer:].astype(wide),
-                 db, dist[be, n_outer:].astype(wide))
-        dist[block, block] = pred_mat[2:, 2:]
-
-    landmarks = DiamondLandmarks(
-        top=0, bottom=1, ell=2, mids=tuple(range(2, n + 2)),
-        subcopies=injections, predecessor=(pred_space, pred_lm))
-    return (MetricSpace._adopt(labels, dist, 2 * pred_scale, base_point=2),
-            landmarks)
-
-
-def _build_limit(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
-    betas = [fundamental_sequence(spec.alpha, m)
-             for m in range(1, spec.limit_width + 1)]
-    builds = [_build(DiamondSpec(beta, spec.branches, spec.limit_width))
-              for beta in betas]
-    # Summand denominators are powers of two, so the largest is common.
-    scale = max(bspace._scale for bspace, _ in builds)
-    dtype, wide = _dtypes(scale)
-
-    labels = ["top", "bottom"]
-    injections: list[tuple[int, ...]] = []
-    # Each summand's interior distances to the two poles, rescaled.
-    tops, bottoms = [], []
-    for (bspace, _), beta in zip(builds, betas):
-        prefix = _segment_text(("sum", beta)) + "/"
-        start = len(labels)
-        labels += [prefix + lab for lab in bspace.labels[2:]]
-        injections.append((0, 1, *range(start, len(labels))))
-        bmat, bscale = bspace._stored()
-        tops.append(bmat[2:, 0].astype(wide) * (scale // bscale))
-        bottoms.append(bmat[2:, 1].astype(wide) * (scale // bscale))
-    dtop, dbot = np.concatenate(tops), np.concatenate(bottoms)
-
-    size = len(labels)
-    dist = np.empty((size, size), dtype=dtype)
-    dist[:2, :2] = [[0, 2 * scale], [2 * scale, 0]]
-    dist[2:, 0] = dist[0, 2:] = dtop
-    dist[2:, 1] = dist[1, 2:] = dbot
-    # Summands share only the poles, so a cross-summand pair takes the
-    # shorter pole detour; within a summand its own distances hold.
-    _detours(dist[2:, 2:], dtop, dtop, dbot, dbot)
-    for (bspace, _), inj in zip(builds, injections):
-        bmat, bscale = bspace._stored()
-        inner = slice(inj[2], inj[2] + len(bspace) - 2)
-        dist[inner, inner] = bmat[2:, 2:]
-        dist[inner, inner] *= scale // bscale
-
-    first_lm = builds[0][1]
-    inj0 = injections[0]
-    landmarks = DiamondLandmarks(
-        top=0, bottom=1,
-        ell=inj0[first_lm.ell],
-        mids=tuple(inj0[p] for p in first_lm.mids),
-        summands=tuple(
-            SummandInfo(beta, inj, blm)
-            for beta, inj, (_, blm) in zip(betas, injections, builds)))
-    return (MetricSpace._adopt(labels, dist, scale,
-                               base_point=landmarks.ell), landmarks)
+    n_outer = len(outer)
+    out[:n_outer, :n_outer] = outer
+    outer = outer.astype(wide)
+    for (lo, hi), (a, b), to_a, to_b in pieces:
+        _detours(out[:n_outer, lo:hi], outer[:, a], to_a, outer[:, b], to_b)
+    out[n_outer:, :n_outer] = out[:n_outer, n_outer:].T
+    # A piece point leaves its piece through one of its ends, so its row
+    # off its own block is the better of the two end rows.
+    for (lo, hi), (a, b), to_a, to_b in pieces:
+        for cols in (slice(n_outer, lo), slice(hi, points)):
+            _detours(out[lo:hi, cols], to_a, out[a, cols].astype(wide),
+                     to_b, out[b, cols].astype(wide))
+    return labels, landmarks, out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ Core claims checked here:
     edge substitution, a generator sharing no code with the builder,
   * the integer matrix a stage is built with is the one its Fraction
     distances scale to,
-  * budgets reject oversized specs before building anything.
+  * budgets reject oversized specs before building anything,
+  * spec fields are integers: floats and strings are refused, and NumPy
+    integers become ints.
 """
 
 from fractions import Fraction
@@ -52,6 +54,22 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         DiamondSpec(OMEGA, 3, limit_width=0)
     assert DiamondSpec(2, 3).alpha == OrdinalNotation.from_int(2)
+
+
+def test_spec_fields_are_integers():
+    import numpy as np
+
+    # A float width or branch count is refused whether or not the cache
+    # holds the integer spec it would equal.
+    build_cached(DiamondSpec(2, 3))
+    for args in ((2, 3.0), (2, 2.5), (OMEGA, 3, 3.0), ("2", 3), (2.0, 3)):
+        with pytest.raises(TypeError):
+            DiamondSpec(*args)
+    spec = DiamondSpec(np.int64(2), np.int64(3), np.int8(2))
+    assert spec == DiamondSpec(2, 3, 2) and hash(spec) == hash(
+        DiamondSpec(2, 3, 2))
+    assert type(spec.branches) is int and type(spec.limit_width) is int
+    assert estimate_points(spec) == 23
 
 
 def test_point_counts_frozen():
@@ -282,10 +300,18 @@ def test_metric_axioms_hold(d24, dw33):
 
 STAGES = [DiamondSpec(parse_ordinal(alpha), branches)
           for alpha in ("1", "2", "3", "w", "w+1") for branches in (2, 3)]
+# A one-summand limit and a wider one; a limit summand built inside a
+# limit (w*2); and w^(2), whose last summand w*2 keeps its scale.
+STAGES += [DiamondSpec(OMEGA, 2, 1), DiamondSpec(OMEGA, 2, 4),
+           DiamondSpec(parse_ordinal("w*2"), 2, 2),
+           DiamondSpec(parse_ordinal("w^(2)"), 2, 2)]
 
 
 def _stage_id(spec):
-    return f"{format_ordinal(spec.alpha)},{spec.branches}"
+    """``alpha,branches``, with ``,width=k`` when the width is not the
+    default 3."""
+    width = "" if spec.limit_width == 3 else f",width={spec.limit_width}"
+    return f"{format_ordinal(spec.alpha)},{spec.branches}{width}"
 
 
 @pytest.mark.parametrize("spec", STAGES, ids=_stage_id)

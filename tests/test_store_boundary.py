@@ -10,9 +10,10 @@ Core claims checked here:
     pulls and pole gluing, prove and verify for every adversary kind,
     and the box oracle,
   * a build adopts its matrix: the traced peak of the α=5 build stays
-    within 1.3 times its store, and a limit build keeps no summand store:
-    what the ω build (n=4, width 4) leaves allocated stays within 1.25
-    times its store,
+    within 1.3 times its store, and that of the ω build (n=3, width 5)
+    within 1.25 times, since its summands are built inside its matrix;
+    a limit build keeps no summand store: what the ω build (n=4, width
+    4) leaves allocated stays within 1.25 times its store,
   * the equivalence constants read pair blocks: on the 1,985-point
     bottom half of that ω stage their traced peak stays within half of
     one n×n int64 table,
@@ -52,8 +53,7 @@ WHOLE_TABLE_PASSES = {
     "metric._scan_edges",                  # the finest-edge scan
     "metric.closure_numerators",           # the closure's edge lengths
     "diamond.build_cached",                # the cache counts store bytes
-    "diamond._build_successor",            # builders copy whole tables
-    "diamond._build_limit",
+    "diamond._stage",                      # the assembler copies tables
     "io._dist_rows",                       # space-file rows, written
     "io.read_space",                       # and compared
     "decomposition.summing_metric",
@@ -152,6 +152,14 @@ def test_a_build_peaks_near_its_store():
     store = space._stored()[0].nbytes
     assert store == len(space) ** 2  # int8
     assert peak <= 1.3 * store
+
+
+def test_a_limit_build_peaks_near_its_store():
+    # Summands are built inside the limit's matrix, never as stores.
+    (space, _), peak, _ = _traced(lambda: build(DiamondSpec(OMEGA, 3, 5)))
+    store = space._stored()[0].nbytes
+    assert len(space) == 5597 and store == len(space) ** 2  # int8
+    assert peak <= 1.25 * store
 
 
 def test_a_limit_build_keeps_no_summand_store():
