@@ -55,6 +55,10 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
+# Families a space keeps, least recently used first out: more than a
+# suite check or a benchmark round reads (at most 18), at 40-50 KB each
+# on 779 points.
+_FAMILIES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +261,17 @@ def adversary_family(space: MetricSpace, landmarks: DiamondLandmarks,
     box-derivation soundness argument go through.  The adaptive kind
     harvests dual potentials from norm computations of probe molecules.
     A family is built once per landmarks and configuration and kept on
-    the space beside its norm caches, which
-    :func:`~diamondlab.freespace.clear_norm_caches` empties with it.
+    the space beside its solves, which
+    :func:`~diamondlab.freespace.clear_norm_caches` empties with it; the
+    space keeps its ``_FAMILIES`` most recently used families.
     """
-    key = (landmarks, config)
-    family = space._family_cache.get(key)
+    cache, key = space._family_cache, (landmarks, config)
+    family = cache.pop(key, None)
     if family is None:
-        family = space._family_cache[key] = _draw_family(space, landmarks,
-                                                         config)
+        family = _draw_family(space, landmarks, config)
+    cache[key] = family
+    if len(cache) > _FAMILIES:
+        del cache[next(iter(cache))]
     return family
 
 

@@ -214,18 +214,23 @@ def _shape(spec: DiamondSpec) -> tuple[int, int]:
 
     A successor doubles its predecessor's denominator.  A limit takes
     its largest summand denominator, which is common to its summands,
-    since every denominator is a power of two.  Nested limits share
-    summands, so the recursion is memoized per spec.
+    since every denominator is a power of two.  The successor chain down
+    to the base stage or a limit is walked in a loop, so no height needs
+    a recursion depth of its own; nested limits share summands, so the
+    recursion into them is memoized per spec.
     """
-    n = spec.branches
-    if spec.alpha == ONE:
-        return n + 2, 1
-    if spec.alpha.is_successor:
-        points, scale = _shape(replace(spec, alpha=spec.alpha.predecessor()))
-        return 2 + n + 2 * n * (points - 2), 2 * scale
-    shapes = [_shape(sub) for sub in _summands(spec)]
-    return (2 + sum(points - 2 for points, _ in shapes),
-            max(scale for _, scale in shapes))
+    n, alpha, steps = spec.branches, spec.alpha, 0
+    while alpha != ONE and alpha.is_successor:
+        alpha, steps = alpha.predecessor(), steps + 1
+    if alpha == ONE:
+        points, scale = n + 2, 1
+    else:
+        shapes = [_shape(sub) for sub in _summands(replace(spec, alpha=alpha))]
+        points = 2 + sum(p - 2 for p, _ in shapes)
+        scale = max(s for _, s in shapes)
+    for _ in range(steps):
+        points, scale = 2 + n + 2 * n * (points - 2), 2 * scale
+    return points, scale
 
 
 def estimate_points(spec: DiamondSpec) -> int:
@@ -265,9 +270,9 @@ def build_cached(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
                  ) -> tuple[MetricSpace, DiamondLandmarks]:
     """Like :func:`build`, but reuse one space object per spec.
 
-    Sharing the object lets norm caches keyed on space identity carry
-    over between commands and checks.  The budget guard applies even on
-    a cache hit, so behaviour does not depend on cache warmth.
+    Sharing the object lets the solves and families kept on the space
+    carry over between commands and checks.  The budget guard applies
+    even on a cache hit, so behaviour does not depend on cache warmth.
 
     The cache keeps the most recently used stages whose stores sum to at
     most ``_MATRIX_BYTES`` (the predecessor stores that a stage's

@@ -10,6 +10,12 @@ solve and every :func:`verify_certificate` call runs one integer check of
 plan and potential on the support and the base (:func:`_check_plan`); a
 failed check raises instead of returning a wrong answer.  ``Fraction``
 values are formed only for the value, the certificate and error messages.
+
+Each space keeps one solve per vector, keyed on its integers: the value,
+the plan and the dual on the support plus base.  :func:`norm_value`
+returns the value, and :func:`free_norm` builds its certificate from the
+solve the first time it is asked and keeps it there, so a vector is
+solved once until :func:`clear_norm_caches`, whichever asks first.
 """
 
 from __future__ import annotations
@@ -541,58 +547,62 @@ def _gap_check(vec: FreeVector, cost: int, plan: list[tuple[int, int, int]],
 
 
 def clear_norm_caches(space: MetricSpace) -> None:
-    """Forget the cached norms and certificates of vectors over ``space``,
-    and the adversary families built on it."""
-    space._norm_cache.clear()
-    space._cert_cache.clear()
+    """Forget the solves of vectors over ``space``, with their
+    certificates, and the adversary families built on it."""
+    space._solve_cache.clear()
     space._family_cache.clear()
 
 
-def _solve(vec: FreeVector
-           ) -> tuple[Fraction, list[tuple[int, int, int]], dict[int, int]]:
-    """Value, optimal plan (mass numerators over the vector's denominator)
-    and dual potential numerators over ``S`` on the support plus base,
-    once :func:`_gap_check` has passed them."""
-    cost, plan = _min_cost_transport(vec.space, *_split_parts(vec))
-    potential = _dual_potential(vec.space, vec, plan)
-    _gap_check(vec, cost, plan, potential)
-    _stats["norms"] += 1
-    den = vec.integer_scaled()[2] * vec.space._scale
-    return Fraction(cost, den), plan, potential
+@dataclass(slots=True)
+class _Solved:
+    """One solve: the value, the optimal plan (mass numerators over the
+    vector's denominator), the dual potential numerators over ``S`` on
+    the support plus base, and the certificate once one is asked for."""
+
+    value: Fraction
+    plan: list[tuple[int, int, int]]
+    potential: dict[int, int]
+    cert: Optional[TransportCertificate] = None
+
+
+def _solve(vec: FreeVector) -> _Solved:
+    """The solve of ``vec``, once :func:`_gap_check` has passed it; kept
+    per space under the vector's integers, so each vector is solved once
+    whether :func:`norm_value` or :func:`free_norm` asks first."""
+    cache = vec.space._solve_cache
+    key = vec.integer_scaled()
+    solved = cache.get(key)
+    if solved is None:
+        cost, plan = _min_cost_transport(vec.space, *_split_parts(vec))
+        potential = _dual_potential(vec.space, vec, plan)
+        _gap_check(vec, cost, plan, potential)
+        _stats["norms"] += 1
+        solved = cache[key] = _Solved(
+            Fraction(cost, key[2] * vec.space._scale), plan, potential)
+    return solved
 
 
 def norm_value(vec: FreeVector) -> Fraction:
-    """The norm alone, checked on the support with no total potential;
-    cached per space under the vector's integers."""
-    cache = vec.space._norm_cache
-    key = vec.integer_scaled()
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    value, _, _ = _solve(vec)
-    cache[key] = value
-    return value
+    """The norm alone, checked on the support with no total potential."""
+    return _solve(vec).value
 
 
 def free_norm(vec: FreeVector) -> tuple[Fraction, TransportCertificate]:
     """The norm with a verifiable certificate, whose potential is the
-    McShane extension of the dual potential on the support plus base."""
-    cache = vec.space._cert_cache
-    key = vec.integer_scaled()
-    hit = cache.get(key)
-    if hit is not None:
-        return hit.value, hit
-    value, plan, potential = _solve(vec)
-    space = vec.space
-    dual = LipschitzFunction._from_numerators(
-        space, np.array(list(potential), dtype=np.intp),
-        list(potential.values()), space._scale)
-    cert = TransportCertificate(
-        vec, value, tuple((i, j, fraction(m, key[2])) for i, j, m in plan),
-        mcshane_extend(dual))
-    cache[key] = cert
-    space._norm_cache[key] = value
-    return value, cert
+    McShane extension of the dual potential on the support plus base;
+    built from the solve when first asked for, and kept with it."""
+    solved = _solve(vec)
+    if solved.cert is None:
+        space, potential = vec.space, solved.potential
+        dual = LipschitzFunction._from_numerators(
+            space, np.array(list(potential), dtype=np.intp),
+            list(potential.values()), space._scale)
+        den = vec.integer_scaled()[2]
+        solved.cert = TransportCertificate(
+            vec, solved.value,
+            tuple((i, j, fraction(m, den)) for i, j, m in solved.plan),
+            mcshane_extend(dual))
+    return solved.value, solved.cert
 
 
 def verify_certificate(cert: TransportCertificate) -> bool:

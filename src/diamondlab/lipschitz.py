@@ -17,10 +17,11 @@ of :func:`~diamondlab.metric.fraction`.  The kernels
 (:func:`lip_constant`, :func:`is_lipschitz_at_most`,
 :func:`mcshane_extend`) and free-vector pairing read the integers,
 together with the space's distance numerators over its denominator
-``S``.  Pairs are visited in blocks of 32 rows, each read as a fresh
-block (``MetricSpace._block``): int64 when a bound computed up front
-proves that no product can overflow, and Python-int object arrays
-otherwise; no floating point is used.
+``S``.  Pairs, and the points an extension fills, are visited in blocks
+of rows sized from ``metric._GROUP_BYTES`` and the bytes of a stored
+row, each read as a fresh block (``MetricSpace._block``): int64 when a
+bound computed up front proves that no product can overflow, and
+Python-int object arrays otherwise; no floating point is used.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .metric import MetricSpace, exact, fraction
+from .metric import _GROUP_BYTES, MetricSpace, exact, fraction
 
 __all__ = [
     "LipschitzFunction",
@@ -47,8 +48,6 @@ __all__ = [
 _HALF = Fraction(1, 2)
 _ZERO = Fraction(0)
 
-# Rows per vectorized pass: temporaries stay at _BLOCK x n entries.
-_BLOCK = 32
 # Every int64 operand stays below this, so one sum of two cannot overflow.
 _INT64_BOUND = 1 << 62
 
@@ -217,17 +216,31 @@ def _dtype(*bounds: int):
     return np.int64 if max(bounds) < _INT64_BOUND else object
 
 
+def _rows_per_block(width: int, *spaces: MetricSpace) -> int:
+    """Rows per block on ``width`` columns, at least one, so that each
+    temporary of a block, at eight bytes an entry (an int64, or an
+    object array's pointer), and the whole rows of each of ``spaces``
+    that ``MetricSpace._block`` copies take at most half of
+    ``_GROUP_BYTES``.  Blocks twice as large slowed the Dinkelbach
+    kernel on 294 points, and blocks half as large the equivalence
+    constants on 1,985."""
+    row = max(8 * width, *(space._row_bytes() for space in spaces))
+    return max(1, _GROUP_BYTES // (2 * row))
+
+
 def _pair_blocks(idx: np.ndarray, dtype, *spaces: MetricSpace):
     """Row blocks covering every pair of domain points.
 
     Yields ``(start, dist, ...)``: one ``dist`` per space, holding its
-    distance numerators from domain rows ``start:start + _BLOCK`` to
-    domain columns ``start:``, in ``dtype``.  Each unordered pair appears
-    at least once, first at or above the block's diagonal; the diagonal
-    has distance 0.
+    distance numerators from domain rows ``start:start + len(dist)`` to
+    domain columns ``start:``, in ``dtype``; blocks take
+    :func:`_rows_per_block` rows, the last fewer.
+    Each unordered pair appears at least once, first at or above the
+    block's diagonal; the diagonal has distance 0.
     """
-    for start in range(0, len(idx), _BLOCK):
-        yield (start, *(space._block(idx[start:start + _BLOCK], idx[start:],
+    step = _rows_per_block(len(idx), *spaces)
+    for start in range(0, len(idx), step):
+        yield (start, *(space._block(idx[start:start + step], idx[start:],
                                      dtype) for space in spaces))
 
 
@@ -268,7 +281,10 @@ def _inf_convolution(func: LipschitzFunction,
     """min over the domain of f(s) + lip * d(x, s), at every point x.
 
     With lip = p/q the minimum is taken over the integers
-    n_s * q * S + p * Q * mat[x, s], all over the denominator Q * q * S.
+    n_s * q * S + p * Q * mat[x, s], all over the denominator Q * q * S,
+    for blocks of :func:`_rows_per_block` points outside the domain at a
+    time.  The domain keeps its values, and one array holding every value
+    is converted to Python ints once.
     """
     space = func.space
     every = np.arange(len(space), dtype=np.intp)
@@ -281,19 +297,15 @@ def _inf_convolution(func: LipschitzFunction,
     dist_factor = lip.numerator * den
     dtype = _dtype(peak * value_factor, dist_factor * top)
     vals = np.array(nums, dtype=dtype) * value_factor
-    outside_mask = np.ones(len(space), dtype=bool)
-    outside_mask[idx] = False
-    outside = np.flatnonzero(outside_mask)
-    values = [0] * len(space)
-    for i, v in zip(idx.tolist(), vals.tolist()):
-        values[i] = v
-    for start in range(0, len(outside), _BLOCK):
-        rows = outside[start:start + _BLOCK]
-        dist = space._block(rows, idx, dtype)
-        reach = (vals[None, :] + dist_factor * dist).min(axis=1)
-        for x, num in zip(rows.tolist(), reach.tolist()):
-            values[x] = num
-    return LipschitzFunction._from_numerators(space, every, values,
+    values = np.empty(len(space), dtype=dtype)
+    values[idx] = vals
+    outside = np.setdiff1d(every, idx, assume_unique=True)
+    step = _rows_per_block(len(idx), space)
+    for start in range(0, len(outside), step):
+        rows = outside[start:start + step]
+        values[rows] = (vals + dist_factor
+                        * space._block(rows, idx, dtype)).min(axis=1)
+    return LipschitzFunction._from_numerators(space, every, values.tolist(),
                                               den * value_factor)
 
 
@@ -312,8 +324,8 @@ def lip_constant(func: LipschitzFunction) -> Fraction:
     dtype = _dtype(2 * peak * top)
     vals = np.array(nums, dtype=dtype)
     p, q, _ = _largest_ratio(
-        (start, np.abs(vals[start:start + _BLOCK, None] - vals[None, start:]),
-         dist)
+        (start, np.abs(vals[start:start + len(dist), None]
+                       - vals[None, start:]), dist)
         for start, dist in _pair_blocks(idx, dtype, func.space))
     best = Fraction(p * scale, den * q) if p else _ZERO
     func._lip = best
@@ -333,7 +345,7 @@ def is_lipschitz_at_most(func: LipschitzFunction, bound: Fraction) -> bool:
     dtype = _dtype(2 * peak * gap_factor, abs(dist_factor) * top)
     vals = np.array(nums, dtype=dtype) * gap_factor
     for start, dist in _pair_blocks(idx, dtype, func.space):
-        gap = np.abs(vals[start:start + _BLOCK, None] - vals[None, start:])
+        gap = np.abs(vals[start:start + len(dist), None] - vals[None, start:])
         if (gap > dist_factor * dist).any():
             return False
     return True

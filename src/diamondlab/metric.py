@@ -61,7 +61,8 @@ __all__ = ["MetricSpace", "MetricAxiomError", "finest_edges",
            "closure_numerators", "fraction", "exact"]
 
 _INT64_SAFE = 1 << 60
-# Temporaries of one validation row block or grouped closure step.
+# Temporaries of one row block: validation, the common factor of a new
+# store, grouped closure steps and the ``lipschitz`` kernels.
 _GROUP_BYTES = 1 << 18
 # Integer tables with entries in [0, _TABLE_VALUES) convert them through
 # one table indexed by value (see ``value_lookup``).
@@ -179,7 +180,14 @@ class MetricSpace:
         self._base = base_point
         if denominator < 1:
             raise ValueError("denominator must be positive")
-        common = math.gcd(denominator, int(np.gcd.reduce(mat.ravel())))
+        # The common factor, a block of rows at a time, stopping once it
+        # is 1, as it is in the first block of every diamond stage.
+        common, step = denominator, max(1, _GROUP_BYTES // (8 * n))
+        for lo in range(0, n, step):
+            if common == 1:
+                break
+            common = math.gcd(common, int(np.gcd.reduce(mat[lo:lo + step],
+                                                        axis=None)))
         if common > 1:
             mat //= common
             denominator //= common
@@ -198,12 +206,12 @@ class MetricSpace:
         # passed; both are kept once known.
         self._edges: Optional[tuple[tuple[int, int], ...]] = None
         self._validated = False
-        # The norm and certificate caches of ``freespace`` and the
+        # The solves of ``freespace`` (one per vector, with its
+        # certificate once asked for) and the most recently used
         # adversary families of ``derivation``.  They live on the space
         # because their values hold the space: in a table keyed by the
         # space they would keep their own key alive.
-        self._norm_cache: dict = {}
-        self._cert_cache: dict = {}
+        self._solve_cache: dict = {}
         self._family_cache: dict = {}
 
     # -- basic access ----------------------------------------------------
@@ -294,6 +302,12 @@ class MetricSpace:
         int64 array, or an object array of Python ints for ``dtype``
         object."""
         return self._scaled[0].take(rows, 0).take(cols, 1).astype(dtype)
+
+    def _row_bytes(self) -> int:
+        """Bytes of one stored row: :meth:`_block` copies its rows whole
+        before it takes their columns."""
+        mat = self._scaled[0]
+        return mat.shape[1] * mat.itemsize
 
     def _stored(self) -> tuple[np.ndarray, int]:
         """The stored numerators and their denominator, without a copy,

@@ -252,7 +252,7 @@ def test_a_planted_solver_fault_raises(monkeypatch, name):
     after = norm_statistics()
     assert after["gap_checks"] - before["gap_checks"] == 2
     assert after["gap_failures"] - before["gap_failures"] == 2
-    assert not space._norm_cache and not space._cert_cache
+    assert not space._solve_cache
     monkeypatch.undo()
     assert norm_value(vec) == honest
 

@@ -205,6 +205,23 @@ def test_adversary_family_is_built_once_per_space(d23):
         assert all(f is not g for f, g in zip(fresh, first))
 
 
+def test_a_space_keeps_its_most_recently_used_families(d23):
+    space, lm = d23
+    clear_norm_caches(space)
+    configs = [_config(seed=seed) for seed in range(derivation._FAMILIES + 1)]
+    first = adversary_family(space, lm, configs[0])
+    for cfg in configs[1:-1]:
+        adversary_family(space, lm, cfg)
+    # A hit makes the first family the newest, so the next draw evicts
+    # the second.
+    assert adversary_family(space, lm, configs[0]) is first
+    adversary_family(space, lm, configs[-1])
+    held = space._family_cache
+    assert len(held) == derivation._FAMILIES
+    assert (lm, configs[0]) in held and (lm, configs[1]) not in held
+    assert adversary_family(space, lm, configs[0]) is first
+
+
 def test_determinism_roundtrip_sees_a_family_that_changes(monkeypatch):
     # Every family build draws from a new seed, so equal configurations
     # give different families; the check must notice, memo or not.

@@ -112,6 +112,14 @@ def test_default_budget_refuses_from_the_estimate():
         assert info.value.budget == DEFAULT_BUDGET
 
 
+def test_a_tall_successor_chain_is_sized_without_recursion():
+    # With two branches a stage has 2 + (2 * 4^alpha - 2) / 3 points.
+    spec = DiamondSpec(5000, 2)
+    assert estimate_points(spec) == 2 + (2 * 4 ** 5000 - 2) // 3
+    with pytest.raises(BudgetExceededError):
+        build(spec)
+
+
 def test_build_cached_shares_objects():
     a, la = build_cached(DiamondSpec(2, 3))
     b, lb = build_cached(DiamondSpec(2, 3))

@@ -4,6 +4,8 @@ Core claims checked here:
   * the Fraction constructor and ``from_scaled`` store the same reduced
     integer matrix and give the same distances and ``Fraction`` view, on
     thirds and on numerators just below 2^60,
+  * ``from_scaled`` divides out the common factor of a table whose
+    factor breaks only in its last row block, or holds throughout,
   * the ``Fraction`` view is built once and kept, and takes its objects
     from the shared table, as distances, closures and shifted functionals
     do,
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondlab import lipschitz
 from diamondlab import (
     OMEGA,
     DiamondSpec,
@@ -121,6 +124,25 @@ def test_both_constructors_refuse_60_bit_numerators():
                                 3, 0)
 
 
+@pytest.mark.parametrize("factor, bump, common", [(4, 2, 2), (4, 1, 1),
+                                                   (2, 0, 2)])
+def test_from_scaled_reduces_across_row_blocks(factor, bump, common):
+    # The common factor is taken a row block at a time: here it holds
+    # through every block but the last, or through all of them.
+    stage, _ = build_cached(DiamondSpec(4, 3))
+    nums, scale = stage.integer_scaled()
+    n = len(stage)
+    assert n > 2 * (metric._GROUP_BYTES // (8 * n))
+    mat = nums * factor
+    mat[-1, -2] += bump
+    den = 3 * factor * scale
+    assert common == np.gcd(den, np.gcd.reduce(mat.ravel()))
+    space = MetricSpace.from_scaled(stage.labels, mat, den, 0)
+    stored, reduced = space.integer_scaled()
+    assert reduced == den // common
+    assert stored.tolist() == (mat // common).tolist()
+
+
 def test_fraction_view_is_built_once(d23):
     space, _ = d23
     sub, _ = space.restrict(range(5), 0)
@@ -214,15 +236,18 @@ def test_equivalence_witness_is_the_first_pair_in_row_order():
 
 
 def test_equivalence_witness_in_a_later_row_block():
-    # All distances 2 but d1(35, 36) = 1: the largest ratio 2 is first
-    # reached in the second block of 32 rows, after (0, 1) set 1.
-    labels = [f"p{i}" for i in range(40)]
-    flat = [[0 if i == j else 2 for j in range(40)] for i in range(40)]
+    # All distances 2 but d1(150, 151) = 1: the largest ratio 2 is first
+    # reached in the second block of rows, after (0, 1) set 1.
+    n = 200
+    labels = [f"p{i}" for i in range(n)]
+    flat = [[0 if i == j else 2 for j in range(n)] for i in range(n)]
     original = MetricSpace(labels, flat, 0)
-    flat[35][36] = flat[36][35] = 1
+    flat[150][151] = flat[151][150] = 1
     summing = MetricSpace(labels, flat, 0)
+    rows = lipschitz._rows_per_block(n, original, summing)
+    assert rows <= 150 < 2 * rows < n
     report = equivalence_constants(original, summing)
-    assert (report.c_high, report.high_pair) == (2, (35, 36))
+    assert (report.c_high, report.high_pair) == (2, (150, 151))
     assert (report.c_low, report.low_pair) == (1, (0, 1))
     assert equivalence_constants_oracle(original, summing) == (
         report.c_low, report.c_high, report.low_pair, report.high_pair)

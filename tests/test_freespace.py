@@ -26,6 +26,7 @@ from diamondlab import (
     Sampler,
     TransportCertificate,
     build_cached,
+    clear_norm_caches,
     free_norm,
     molecule,
     norm_statistics,
@@ -268,6 +269,30 @@ def test_norm_cache_hits(d13):
     assert first == again
     assert mid == before + 1
     assert after == mid
+
+
+@pytest.mark.parametrize("first", ["norm_value", "free_norm"])
+def test_one_solve_serves_value_and_certificate(d23, first):
+    space, lm = d23
+    clear_norm_caches(space)
+    vec = FreeVector(space, [(lm.top, Fraction(3, 4)), (5, Fraction(-1, 3)),
+                             (9, Fraction(2, 7))])
+    before = norm_statistics()["norms"]
+    if first == "norm_value":
+        value = norm_value(vec)
+        got, cert = free_norm(FreeVector(space, vec.entries))
+    else:
+        got, cert = free_norm(vec)
+        value = norm_value(FreeVector(space, vec.entries))
+    assert norm_statistics()["norms"] == before + 1
+    assert got == value == cert.value
+    again = free_norm(vec * 1)
+    assert again[0] == value and again[1] is cert
+    assert verify_certificate(cert)
+    assert norm_statistics()["norms"] == before + 1
+    clear_norm_caches(space)
+    assert free_norm(vec)[1] is not cert
+    assert norm_statistics()["norms"] == before + 2
 
 
 def test_gap_counters_advance(d13):

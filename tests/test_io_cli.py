@@ -980,6 +980,16 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     assert "budget exceeded" in captured.err
 
 
+@pytest.mark.parametrize("alpha", ["900", "2000"])
+def test_cli_refuses_a_tall_stage_by_its_budget(tmp_path, capsys, alpha):
+    out = tmp_path / "tall.txt"
+    code = cli.main(["gen", "--alpha", alpha, "--branches", "2",
+                     "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    assert not out.exists()
+
+
 def test_cli_suite_that_skips_every_check_fails(tmp_path, capsys):
     report_file = str(tmp_path / "report.txt")
     code = cli.main(["suite", "--budget-points", "0",

@@ -17,6 +17,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondlab import lipschitz
 from diamondlab import (
     OMEGA,
     DiamondSpec,
@@ -154,6 +155,27 @@ def test_object_path_on_a_large_stage():
     assert not is_lipschitz_at_most(f, constant * (1 - Fraction(1, BIG)))
     assert ([v for _, v in mcshane_extend(f).entries]
             == mcshane_oracle(space, f.entries, constant))
+
+
+@pytest.mark.parametrize("values", ["dyadic", "huge"])
+def test_mcshane_matches_oracle_on_one_point_and_many_blocks(values):
+    # On 779 points, a third of them as the domain needs several
+    # byte-bounded blocks of pairs and of extended points.
+    space, _ = build_cached(DiamondSpec(4, 3))
+    many = list(range(0, len(space), 3))
+    outside = len(space) - len(many)
+    assert outside > 2 * lipschitz._rows_per_block(len(many), space)
+    assert len(many) > 2 * lipschitz._rows_per_block(len(many), space)
+    den = 8 if values == "dyadic" else BIG
+    for domain, lip in (([len(space) // 2], Fraction(1, 3)), (many, None)):
+        entries = [(x, Fraction((x * 37) % 23 - 11, den)) for x in domain]
+        f = LipschitzFunction(space, entries)
+        constant = lip_constant_oracle(space, f.entries)
+        assert lip_constant(f) == constant
+        total = mcshane_extend(f, lip)
+        assert total.is_total
+        assert ([v for _, v in total.entries] == mcshane_oracle(
+            space, f.entries, constant if lip is None else lip))
 
 
 def test_shift_and_scale_keep_the_known_constant(d23):

@@ -169,6 +169,18 @@ def test_a_limit_build_keeps_no_summand_store():
     assert left <= 1.25 * store
 
 
+def test_an_extension_from_few_anchors_reads_few_rows_at_a_time():
+    # Blocks on a few anchors are sized from the whole rows they copy,
+    # not from their columns: the traced peak stays far below the store.
+    space, lm = build_cached(DiamondSpec(5, 3))
+    f = LipschitzFunction(space, {lm.top: Fraction(0),
+                                  lm.bottom: Fraction(1, 2),
+                                  lm.ell: Fraction(1, 4)})
+    total, peak, _ = _traced(lambda: mcshane_extend(f, Fraction(1)))
+    assert total.is_total and total.value(lm.ell) == Fraction(1, 4)
+    assert peak <= space._stored()[0].nbytes / 16
+
+
 def test_equivalence_constants_read_pair_blocks():
     space, lm = build(DiamondSpec(OMEGA, 4, 4))
     dec = decompose_limit(space, lm)

@@ -203,7 +203,7 @@ def test_equal_vectors_share_one_cache_entry(d23):
     assert len({norm_value(v) for v in forms}) == 1
     assert norm_statistics()["norms"] == before + 1
     assert len({free_norm(v)[0] for v in forms}) == 1
-    assert norm_statistics()["norms"] == before + 2
+    assert norm_statistics()["norms"] == before + 1
 
 
 def test_equal_functions_share_their_integers(d23):
