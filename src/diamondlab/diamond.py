@@ -48,14 +48,13 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .metric import (MetricSpace, closure_numerators, finest_edges,
-                     fraction_rows, narrowest)
+from .metric import (MetricSpace, _FractionRows, closure_numerators,
+                     finest_edges, narrowest)
 from .ordinal import (OrdinalNotation, ONE, format_ordinal,
                       fundamental_sequence, parse_ordinal)
 
@@ -246,8 +245,24 @@ def _check_budget(spec: DiamondSpec, budget: int) -> None:
     estimate = estimate_points(spec)
     if estimate > budget:
         raise BudgetExceededError(
-            f"spec needs {estimate} points, budget is {budget}",
+            f"spec needs {_count_text(estimate)} points, budget is {budget}",
             estimate=estimate, budget=budget)
+
+
+def _count_text(count: int) -> str:
+    """A positive ``count`` in digits, or past 18 digits as a lower bound
+    on its order of magnitude, such as "at least 8.7e1204", formed
+    without a decimal conversion of the whole integer."""
+    if count < 10 ** 18:
+        return str(count)
+    # floor(log10(count)), with the float's rounding corrected.
+    exponent = int(math.log10(count))
+    while 10 ** exponent > count:
+        exponent -= 1
+    while 10 ** (exponent + 1) <= count:
+        exponent += 1
+    lead = count // 10 ** (exponent - 1)
+    return f"at least {lead // 10}.{lead % 10}e{exponent}"
 
 
 def build(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
@@ -427,7 +442,9 @@ def _stage(spec: DiamondSpec, out: Optional[np.ndarray] = None
 
 def shortest_path_closure(space: MetricSpace,
                           edges: Sequence[tuple[int, int]]
-                          ) -> list[list[Fraction]]:
-    """:func:`closure_numerators` as exact ``Fraction`` rows."""
-    return list(fraction_rows(closure_numerators(space, edges),
-                              space._scale))
+                          ) -> _FractionRows:
+    """:func:`closure_numerators` as a read-only table of exact
+    ``Fraction`` lists, formed a row at a time as they are read (see
+    ``MetricSpace.dist_matrix``)."""
+    return _FractionRows(closure_numerators(space, edges), space._scale,
+                         list)

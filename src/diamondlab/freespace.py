@@ -15,7 +15,9 @@ Each space keeps one solve per vector, keyed on its integers: the value,
 the plan and the dual on the support plus base.  :func:`norm_value`
 returns the value, and :func:`free_norm` builds its certificate from the
 solve the first time it is asked and keeps it there, so a vector is
-solved once until :func:`clear_norm_caches`, whichever asks first.
+solved once, whichever asks first, while its solve stays among the
+space's ``_SOLVES`` most recently used and until
+:func:`clear_norm_caches`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+# Solves a space keeps, least recently used first out: more than a
+# benchmark round (at most 54) or the pole-gluing check (149) solves.
+# The molecule-norms check asks 506 molecules of one stage once each, so
+# it evicts only solves that nothing asks for again.  A record with a
+# certificate on 779 points holds about 14 KB.
+_SOLVES = 256
 
 _stats = {"norms": 0, "gap_checks": 0, "gap_failures": 0, "paths": 0}
 
@@ -567,18 +575,22 @@ class _Solved:
 
 def _solve(vec: FreeVector) -> _Solved:
     """The solve of ``vec``, once :func:`_gap_check` has passed it; kept
-    per space under the vector's integers, so each vector is solved once
-    whether :func:`norm_value` or :func:`free_norm` asks first."""
+    per space under the vector's integers, among its ``_SOLVES`` most
+    recently used, so a vector is solved once whether :func:`norm_value`
+    or :func:`free_norm` asks first."""
     cache = vec.space._solve_cache
     key = vec.integer_scaled()
-    solved = cache.get(key)
+    solved = cache.pop(key, None)
     if solved is None:
         cost, plan = _min_cost_transport(vec.space, *_split_parts(vec))
         potential = _dual_potential(vec.space, vec, plan)
         _gap_check(vec, cost, plan, potential)
         _stats["norms"] += 1
-        solved = cache[key] = _Solved(
-            Fraction(cost, key[2] * vec.space._scale), plan, potential)
+        solved = _Solved(Fraction(cost, key[2] * vec.space._scale), plan,
+                         potential)
+    cache[key] = solved
+    if len(cache) > _SOLVES:
+        del cache[next(iter(cache))]
     return solved
 
 

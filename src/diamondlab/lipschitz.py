@@ -254,13 +254,20 @@ def _largest_ratio(blocks, p: int = 0, q: int = 1) -> tuple:
     p/q; a block is done when no entry exceeds it.  An entry with den 0
     bounds nothing.  Returns p, q and the first entry attaining p/q, as
     ``(key, row, col)``, or None when the start was never exceeded.  That
-    entry lies in the block where the ratio was last raised: every
-    earlier entry is below it, so one search there finds it.
+    entry lies in the block where the ratio was last raised, since every
+    earlier entry is below it, and is that block's first entry with
+    positive den whose last excess is zero.  Each block's products are
+    formed in place, in two arrays made once for the block, and no block
+    is kept once the next one is formed.
     """
-    last = None
+    found = None
     for key, num, den in blocks:
+        excess = np.empty(num.shape, np.result_type(num, den))
+        scaled = np.empty_like(excess)
+        raised = False
         while True:
-            excess = num * q - p * den
+            np.multiply(num, q, out=excess)
+            excess -= np.multiply(den, p, out=scaled)
             k = int(excess.argmax())
             if excess.flat[k] <= 0:
                 break
@@ -268,12 +275,12 @@ def _largest_ratio(blocks, p: int = 0, q: int = 1) -> tuple:
                 num = np.where(den > 0, num, 0)
                 continue
             p, q = int(num.flat[k]), int(den.flat[k])
-            last = key, num, den
-    if last is None:
-        return p, q, None
-    key, num, den = last
-    k = int(((num * q == p * den) & (den > 0)).argmax())
-    return p, q, (key, *divmod(k, num.shape[1]))
+            raised = True
+        if raised:
+            k = int(((excess == 0) & (den > 0)).argmax())
+            found = (key, *divmod(k, num.shape[1]))
+        del excess, scaled
+    return p, q, found
 
 
 def _inf_convolution(func: LipschitzFunction,
@@ -324,12 +331,18 @@ def lip_constant(func: LipschitzFunction) -> Fraction:
     dtype = _dtype(2 * peak * top)
     vals = np.array(nums, dtype=dtype)
     p, q, _ = _largest_ratio(
-        (start, np.abs(vals[start:start + len(dist), None]
-                       - vals[None, start:]), dist)
+        (start, _gaps(vals, start, len(dist)), dist)
         for start, dist in _pair_blocks(idx, dtype, func.space))
     best = Fraction(p * scale, den * q) if p else _ZERO
     func._lip = best
     return best
+
+
+def _gaps(vals: np.ndarray, start: int, rows: int) -> np.ndarray:
+    """|vals[i] - vals[j]| for i in rows ``start:start + rows`` and j in
+    ``start:``, in one array."""
+    gap = vals[start:start + rows, None] - vals[None, start:]
+    return np.abs(gap, out=gap)
 
 
 def is_lipschitz_at_most(func: LipschitzFunction, bound: Fraction) -> bool:
@@ -345,8 +358,7 @@ def is_lipschitz_at_most(func: LipschitzFunction, bound: Fraction) -> bool:
     dtype = _dtype(2 * peak * gap_factor, abs(dist_factor) * top)
     vals = np.array(nums, dtype=dtype) * gap_factor
     for start, dist in _pair_blocks(idx, dtype, func.space):
-        gap = np.abs(vals[start:start + len(dist), None] - vals[None, start:])
-        if (gap > dist_factor * dist).any():
+        if (_gaps(vals, start, len(dist)) > dist_factor * dist).any():
             return False
     return True
 

@@ -18,9 +18,11 @@ through ``MetricSpace._stored()``, and widen each block before
 computing: validation, the edge scan, the closure, the builders, space
 files, summing metrics and the pole cover.  ``integer_scaled()`` is the
 public whole-table read, a fresh read-only int64 copy.
-``distance(x, y)`` forms one ``Fraction`` on demand, and
-``dist_matrix`` is a read-only ``Fraction`` table for the API boundary,
-built on first access and then kept.
+``distance(x, y)`` forms one ``Fraction`` on demand.  ``dist_matrix``,
+the ``Fraction`` table of the API boundary, is a read-only view of the
+store: it forms its rows when they are read, a block at a time, and
+keeps only the store, its denominator and one ``Fraction`` per distinct
+value, so it costs O(n) and not n² objects.
 
 Exact values cross into ``Fraction`` through :func:`fraction`, a bounded
 process-wide table from a reduced (numerator, denominator) pair to one
@@ -52,8 +54,10 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -201,14 +205,14 @@ class MetricSpace:
         # Read-only, so no write can make the memos below stale.
         mat.flags.writeable = False
         self._scaled = (mat, denominator)
-        self._view: Optional[tuple[tuple[Fraction, ...], ...]] = None
+        self._view: Optional[_FractionRows] = None
         # The result of ``finest_edges``, and whether ``validate_metric``
         # passed; both are kept once known.
         self._edges: Optional[tuple[tuple[int, int], ...]] = None
         self._validated = False
-        # The solves of ``freespace`` (one per vector, with its
-        # certificate once asked for) and the most recently used
-        # adversary families of ``derivation``.  They live on the space
+        # The most recently used solves of ``freespace`` (one per
+        # vector, with its certificate once asked for) and adversary
+        # families of ``derivation``.  They live on the space
         # because their values hold the space: in a table keyed by the
         # space they would keep their own key alive.
         self._solve_cache: dict = {}
@@ -225,10 +229,15 @@ class MetricSpace:
         return self._base
 
     @property
-    def dist_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """All distances as ``Fraction`` rows, built once on first use."""
+    def dist_matrix(self) -> _FractionRows:
+        """All distances as a read-only table of ``Fraction`` tuples.
+
+        The table is a view of the store, made once and kept: each row
+        is formed when it is read, and two views of equal stores
+        compare without forming any.
+        """
         if self._view is None:
-            self._view = tuple(map(tuple, fraction_rows(*self._scaled)))
+            self._view = _FractionRows(*self._scaled)
         return self._view
 
     def __len__(self) -> int:
@@ -389,18 +398,67 @@ def value_lookup(array: np.ndarray, make: Callable[[int], object]
     return lookup
 
 
-def fraction_rows(numerators: np.ndarray, denominator: int
-                  ) -> Iterator[list[Fraction]]:
-    """Rows of ``numerators / denominator`` as ``Fraction`` lists.
+class _FractionRows(Sequence):
+    """A read-only table of ``numerators / denominator`` as ``row_type``
+    (``tuple`` or ``list``) rows of ``Fraction`` values.
 
-    Each distinct value is looked up once in the shared table, and its
-    object is shared by every entry that holds it.  Rows are converted a
-    block at a time, so the temporaries stay at a block.
+    ``view[i]`` forms row ``i``, and iteration a block of rows at a time,
+    from one shared :func:`fraction` object per distinct value that the
+    first read looks up through :func:`value_lookup`.  Views over equal
+    numerators and denominators are equal without forming a row; any
+    other table of rows compares row by row on its values.
     """
-    lookup = value_lookup(numerators, lambda v: fraction(v, denominator))
-    step = max(1, _GROUP_BYTES // (8 * max(1, numerators.shape[-1])))
-    for lo in range(0, len(numerators), step):
-        yield from lookup(numerators[lo:lo + step]).tolist()
+
+    __slots__ = ("_numerators", "_denominator", "_row_type", "_lookup")
+
+    def __init__(self, numerators: np.ndarray, denominator: int,
+                 row_type: type = tuple):
+        self._numerators = numerators
+        self._denominator = denominator
+        self._row_type = row_type
+        self._lookup: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def _values(self, block: np.ndarray) -> list:
+        """The ``Fraction`` values of ``block`` as nested lists."""
+        if self._lookup is None:
+            den = self._denominator
+            self._lookup = value_lookup(self._numerators,
+                                        lambda v: fraction(v, den))
+        return self._lookup(block).tolist()
+
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+    def __getitem__(self, i):
+        row = self._numerators[operator.index(i)]
+        return self._row_type(self._values(row))
+
+    def _blocks(self) -> Iterator[slice]:
+        """Slices of the rows, a block of rows each."""
+        n = len(self._numerators)
+        step = max(1, _GROUP_BYTES // (8 * max(1, n)))
+        return (slice(lo, lo + step) for lo in range(0, n, step))
+
+    def __iter__(self):
+        for rows in self._blocks():
+            yield from map(self._row_type,
+                           self._values(self._numerators[rows]))
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if (isinstance(other, _FractionRows)
+                and other._denominator == self._denominator):
+            mine, theirs = self._numerators, other._numerators
+            return mine.shape == theirs.shape and all(
+                np.array_equal(mine[rows], theirs[rows])
+                for rows in self._blocks())
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == len(self) and all(
+            isinstance(theirs, Sequence) and tuple(mine) == tuple(theirs)
+            for mine, theirs in zip(self, other))
+
 
 
 def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:

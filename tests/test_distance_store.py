@@ -6,9 +6,14 @@ Core claims checked here:
     thirds and on numerators just below 2^60,
   * ``from_scaled`` divides out the common factor of a table whose
     factor breaks only in its last row block, or holds throughout,
-  * the ``Fraction`` view is built once and kept, and takes its objects
+  * the ``Fraction`` view is made once and kept, and takes its objects
     from the shared table, as distances, closures and shifted functionals
     do,
+  * on the 779-point stage, reading ``dist_matrix`` allocates less than
+    one block of rows, and iterating every row of it or of the closure
+    peaks below a quarter of one n×n table of pointers,
+  * a view equals a tuple of tuples, a list of lists and another view
+    with the same values, and no longer does after one entry changes,
   * ``value_lookup`` maps every entry through its distinct value as
     ``np.unique`` does, on both of its paths, making each value once per
     table or once per block,
@@ -21,6 +26,7 @@ Core claims checked here:
     on a planted builder fault and names the violated triangle.
 """
 
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -35,6 +41,7 @@ from diamondlab import (
     MetricSpace,
     SuiteConfig,
     SummandPartition,
+    build,
     build_cached,
     build_cover,
     cover_partition,
@@ -148,6 +155,56 @@ def test_fraction_view_is_built_once(d23):
     sub, _ = space.restrict(range(5), 0)
     assert sub.dist_matrix is sub.dist_matrix
     assert sub.dist_matrix[1][2] is sub.dist_matrix[2][1]
+
+
+def test_fraction_views_cost_a_block_of_rows():
+    space, _ = build(DiamondSpec(4, 3))
+    n = len(space)
+    quarter = n * n * 8 / 4
+    closure = shortest_path_closure(space, finest_edges(space))
+    tracemalloc.start()
+    try:
+        view = space.dist_matrix
+        read = tracemalloc.get_traced_memory()[1]
+        peaks = []
+        for table in (view, closure):
+            tracemalloc.reset_peak()
+            assert sum(len(row) for row in table) == n * n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert read < metric._GROUP_BYTES
+    assert max(peaks) < quarter
+
+
+def test_fraction_view_compares_with_any_table_of_rows(d23):
+    space, _ = d23
+    n = len(space)
+    view = space.dist_matrix
+    rows = [[space.distance(i, j) for j in range(n)] for i in range(n)]
+    mat, scale = space.integer_scaled()
+    twin = MetricSpace.from_scaled(space.labels, mat, scale,
+                                   space.base_point).dist_matrix
+    doubled = metric._FractionRows(mat * 2, scale * 2)
+    closure = shortest_path_closure(space, finest_edges(space))
+    assert view == view and view == twin and view == doubled
+    assert view == tuple(map(tuple, rows)) and view == rows
+    assert closure == view and view == closure and closure == rows
+    assert type(view[0]) is tuple and type(closure[0]) is list
+    assert view[-1] == view[n - 1] == tuple(rows[-1])
+    assert view != rows[:-1] and view != 0
+
+    changed = mat.copy()
+    changed[1, 2] = changed[2, 1] = changed[1, 2] + 1
+    other = MetricSpace.from_scaled(space.labels, changed, scale,
+                                    space.base_point)
+    assert other._stored()[1] == scale
+    rows[1][2] = other.distance(1, 2)
+    for table in (other.dist_matrix, rows, tuple(map(tuple, rows)),
+                  metric._FractionRows(changed * 2, scale * 2)):
+        assert view != table and not view == table and table != view
+    with pytest.raises(IndexError):
+        view[n]
 
 
 def test_equal_values_share_one_fraction(d23):

@@ -10,7 +10,8 @@ Core claims checked here:
     hold exactly, and restriction onto the support is isometric,
   * sums, differences, negations, multiples and pairings match a
     dict-of-Fraction reference, cancellations and base-point entries
-    included.
+    included,
+  * a space keeps its ``_SOLVES`` most recently used solves.
 """
 
 from fractions import Fraction
@@ -34,6 +35,7 @@ from diamondlab import (
     point_mass,
     verify_certificate,
 )
+from diamondlab import freespace
 
 from oracles import free_norm_oracle
 
@@ -293,6 +295,28 @@ def test_one_solve_serves_value_and_certificate(d23, first):
     clear_norm_caches(space)
     assert free_norm(vec)[1] is not cert
     assert norm_statistics()["norms"] == before + 2
+
+
+def test_a_space_keeps_its_most_recently_used_solves(d23, monkeypatch):
+    space, _ = d23
+    clear_norm_caches(space)
+    monkeypatch.setattr(freespace, "_SOLVES", 3)
+    vecs = [molecule(space, 1, x) for x in range(2, 6)]
+    for vec in vecs[:3]:
+        norm_value(vec)
+    before = norm_statistics()["norms"]
+    # A hit makes the first solve the newest, so the next solve evicts
+    # the second.
+    norm_value(vecs[0])
+    norm_value(vecs[3])
+    assert norm_statistics()["norms"] == before + 1
+    held = space._solve_cache
+    assert len(held) == 3
+    assert vecs[0].integer_scaled() in held
+    assert vecs[1].integer_scaled() not in held
+    norm_value(vecs[1])
+    assert norm_statistics()["norms"] == before + 2
+    clear_norm_caches(space)
 
 
 def test_gap_counters_advance(d13):

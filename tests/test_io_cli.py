@@ -17,6 +17,7 @@ Core claims checked here:
     exit codes (0 ok, 1 failed check, 2 usage, 3 budget).
 """
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from diamondlab import (
     WeakNeighborhood,
     build_cached,
     cli,
+    estimate_points,
     free_norm,
     molecule,
     mutate_transcript,
@@ -980,13 +982,22 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     assert "budget exceeded" in captured.err
 
 
-@pytest.mark.parametrize("alpha", ["900", "2000"])
+@pytest.mark.parametrize("alpha", ["900", "2000", "20000"])
 def test_cli_refuses_a_tall_stage_by_its_budget(tmp_path, capsys, alpha):
+    # Past 18 digits the message gives the point count's first two digits
+    # and its order of magnitude: at alpha 2000 and 20000 the count has
+    # more digits than Python converts to decimal by default.
     out = tmp_path / "tall.txt"
     code = cli.main(["gen", "--alpha", alpha, "--branches", "2",
                      "--out", str(out)])
     assert code == 3
-    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    found = re.fullmatch(r"budget exceeded: spec needs at least (\d)\.(\d)"
+                         r"e(\d+) points, budget is 16384\n",
+                         capsys.readouterr().err)
+    assert found is not None
+    lead, unit = int(found[1] + found[2]), 10 ** (int(found[3]) - 1)
+    count = estimate_points(DiamondSpec(int(alpha), 2))
+    assert 10 <= lead and lead * unit <= count < (lead + 1) * unit
     assert not out.exists()
 
 
