@@ -21,7 +21,7 @@ import numpy as np
 from .diamond import DiamondLandmarks
 from .freespace import FreeVector, norm_value
 from .lipschitz import _dtype, _largest_ratio, _pair_blocks
-from .metric import MetricAxiomError, MetricSpace, wider
+from .metric import _GROUP_BYTES, MetricAxiomError, MetricSpace, narrowest
 
 __all__ = [
     "SummandPartition",
@@ -40,9 +40,6 @@ __all__ = [
     "projection_identity_check",
     "identity_failures",
 ]
-
-# Rows of a summing metric formed at a time.
-_BLOCK = 256
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
@@ -94,17 +91,24 @@ def summing_metric(space: MetricSpace,
     wedge sum at the base of the summand-plus-base subspaces, and holds
     each of them isometrically, so it is a metric exactly when each of
     them is.  Each is checked against the metric axioms before the
-    result is returned; when ``space`` passed
-    :meth:`MetricSpace.validate_metric`, each piece is a restriction of
-    it, already validated, and the check costs nothing.
+    result is returned, unless ``space`` passed
+    :meth:`MetricSpace.validate_metric`: each piece is then a
+    restriction of it, already a metric, and none is formed.
+
+    The result is written straight into its store, in the narrowest
+    dtype that holds both the stored distances and the largest
+    to-base plus the largest from-base distance, so no sum overflows
+    it.  A block of rows at a time, sized from ``_GROUP_BYTES``, its
+    rows are copied and the cross-summand entries overwritten with
+    their reroutes, so the only temporary is the block's cross mask.
     """
     check_partition(space, partition)
     base = partition.base
     # With no summands the space is the base alone, checked as one piece.
-    for m, members in enumerate(partition.summands or ((),)):
-        piece, _ = space.restrict((base, *members), base)
+    for m, members in enumerate(() if space._validated
+                                else partition.summands or ((),)):
         try:
-            piece.validate_metric()
+            space.restrict((base, *members), base)[0].validate_metric()
         except MetricAxiomError as exc:
             raise MetricAxiomError(
                 f"summand {m} with the base point is not a metric, in the "
@@ -115,16 +119,17 @@ def summing_metric(space: MetricSpace,
     # The base owns no summand, but its pairs keep their distance anyway:
     # d(x, base) + d(base, base) = d(x, base).
     mat, scale = space._stored()
-    # A rerouted entry is a sum of two distances, formed a block of rows
-    # at a time.
-    wide = wider(mat.dtype)
-    to_base, from_base = mat[:, base].astype(wide), mat[base].astype(wide)
-    rerouted = np.empty(mat.shape, dtype=wide)
-    for lo in range(0, len(space), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        cross = owner[rows, None] != owner[None, :]
-        rerouted[rows] = np.where(cross, to_base[rows, None] + from_base,
-                                  mat[rows])
+    to_base, from_base = mat[:, base], mat[base]
+    dtype = narrowest(0, max(space._peak,
+                             int(to_base.max()) + int(from_base.max())))
+    to_base, from_base = to_base.astype(dtype), from_base.astype(dtype)
+    rerouted = np.empty(mat.shape, dtype=dtype)
+    step = max(1, _GROUP_BYTES // len(space))
+    for lo in range(0, len(space), step):
+        rows = slice(lo, lo + step)
+        rerouted[rows] = mat[rows]
+        np.add(to_base[rows, None], from_base, out=rerouted[rows],
+               where=owner[rows, None] != owner)
     return MetricSpace._adopt(space.labels, rerouted, scale, base)
 
 

@@ -29,7 +29,8 @@ most 2.  Each matrix is therefore written in the narrowest dtype that
 holds twice its denominator (int8 through height 6).  Its pole detours,
 sums of two distances, are formed by one kernel for both kinds of stage
 (:func:`_detours`), in the dtype that holds twice that (int16), a block
-of rows at a time.
+of rows at a time, sized from ``metric._GROUP_BYTES`` like every other
+whole-table pass.
 
 Landmarks hold predecessor stores only: a successor stage keeps its
 predecessor, and a limit stage keeps each summand's landmarks and
@@ -48,13 +49,13 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .metric import (MetricSpace, _FractionRows, closure_numerators,
-                     finest_edges, narrowest)
+from .metric import (_GROUP_BYTES, MetricSpace, _FractionRows,
+                     closure_numerators, finest_edges, narrowest)
 from .ordinal import (OrdinalNotation, ONE, format_ordinal,
                       fundamental_sequence, parse_ordinal)
 
@@ -80,8 +81,10 @@ __all__ = [
 # caps the stores that ``build_cached`` keeps.
 _MATRIX_BYTES = 2 << 30
 DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
-# Temporaries of one block of pole detours.
-_DETOUR_BYTES = 1 << 20
+# The budget guard forms a point count exactly while it has at most
+# _COUNT_BITS bits (about 19,700 digits); a stage past that is refused
+# with 2**_COUNT_BITS as a lower bound on its count.
+_COUNT_BITS = 1 << 16
 
 # ---------------------------------------------------------------------------
 # specs and addresses
@@ -200,41 +203,91 @@ class DiamondLandmarks:
 # size estimation
 
 
-def _summands(spec: DiamondSpec) -> list[DiamondSpec]:
-    """The specs of a limit stage's summands, in order."""
-    return [replace(spec, alpha=fundamental_sequence(spec.alpha, m))
-            for m in range(1, spec.limit_width + 1)]
+def _summands(spec: DiamondSpec) -> Iterator[DiamondSpec]:
+    """The specs of a limit stage's summands, in order, each made when
+    it is read."""
+    return (replace(spec, alpha=fundamental_sequence(spec.alpha, m))
+            for m in range(1, spec.limit_width + 1))
 
 
-# Bounded, so a process that sizes many specs does not grow it for good.
+def _chain(alpha: OrdinalNotation) -> tuple[OrdinalNotation, int]:
+    """``alpha`` as a head and the number of successor steps above it;
+    the head is 1 or a limit."""
+    expo, steps = alpha.terms[-1]
+    if not expo.is_zero:
+        return alpha, 0
+    head = OrdinalNotation(alpha.terms[:-1])
+    return (ONE, steps - 1) if head.is_zero else (head, steps)
+
+
+# Both are bounded, so a process that sizes many specs does not grow
+# them for good.
 @functools.lru_cache(maxsize=1 << 16)
-def _shape(spec: DiamondSpec) -> tuple[int, int]:
-    """Point count and denominator of the stage of ``spec``.
+def _size(spec: DiamondSpec, cap: Optional[int] = None) -> tuple[int, bool]:
+    """The point count of the stage of ``spec``, and whether it is exact.
 
-    A successor doubles its predecessor's denominator.  A limit takes
-    its largest summand denominator, which is common to its summands,
-    since every denominator is a power of two.  The successor chain down
-    to the base stage or a limit is walked in a loop, so no height needs
-    a recursion depth of its own; nested limits share summands, so the
-    recursion into them is memoized per spec.
+    Without a cap the count is exact.  With one, a count past ``cap`` may
+    come back as a lower bound that is still past it: a limit stops
+    adding its summands once their points pass ``cap``, and a successor
+    chain whose count would pass 2**b, with b the larger of
+    ``_COUNT_BITS`` and the bit length of ``cap``, gives 2**b without
+    forming the count.
+
+    A stage of interior q (its points other than the poles) has a
+    successor of interior n + 2nq, so k steps above it have interior
+    ((2n)^k ((2n - 1) q + n) - n) / (2n - 1), in closed form: a finite
+    stage alpha has 2 + n((2n)^alpha - 1) / (2n - 1) points, and no
+    height walks its chain.
     """
-    n, alpha, steps = spec.branches, spec.alpha, 0
-    while alpha != ONE and alpha.is_successor:
-        alpha, steps = alpha.predecessor(), steps + 1
-    if alpha == ONE:
-        points, scale = n + 2, 1
+    n = spec.branches
+    head, steps = _chain(spec.alpha)
+    exact = True
+    if head == ONE:
+        interior = n
     else:
-        shapes = [_shape(sub) for sub in _summands(replace(spec, alpha=alpha))]
-        points = 2 + sum(p - 2 for p, _ in shapes)
-        scale = max(s for _, s in shapes)
-    for _ in range(steps):
-        points, scale = 2 + n + 2 * n * (points - 2), 2 * scale
-    return points, scale
+        interior = 0
+        subs = _summands(replace(spec, alpha=head))
+        for sub in subs:
+            points, exact_sub = _size(sub, cap)
+            interior, exact = interior + points - 2, exact and exact_sub
+            if cap is not None and interior + 2 > cap:
+                break
+        # A count that stopped before the last summand is a lower bound.
+        exact = exact and next(subs, None) is None
+    if steps:
+        if cap is not None:
+            bits = max(_COUNT_BITS, cap.bit_length())
+            # The interior grows by at least 2n >= 2 ** floor(log2(2n))
+            # a step.
+            if steps * ((2 * n).bit_length() - 1) > bits:
+                return 1 << bits, False
+        grow = (2 * n) ** steps
+        interior = (grow * ((2 * n - 1) * interior + n) - n) // (2 * n - 1)
+    return interior + 2, exact
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _scale(spec: DiamondSpec) -> int:
+    """The denominator of the stage of ``spec``.
+
+    A successor doubles its predecessor's.  A limit takes its largest
+    summand denominator, which is common to its summands, since every
+    denominator is a power of two.
+    """
+    head, steps = _chain(spec.alpha)
+    scale = (1 if head == ONE
+             else max(map(_scale, _summands(replace(spec, alpha=head)))))
+    return scale << steps
 
 
 def estimate_points(spec: DiamondSpec) -> int:
-    """Exact point count of ``build(spec)`` without building it."""
-    return _shape(spec)[0]
+    """Exact point count of ``build(spec)`` without building it.
+
+    The count is formed in full, however many digits it has; the budget
+    guard of :func:`build` compares a count with the budget without
+    forming one far past it.
+    """
+    return _size(spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +295,27 @@ def estimate_points(spec: DiamondSpec) -> int:
 
 
 def _check_budget(spec: DiamondSpec, budget: int) -> None:
-    estimate = estimate_points(spec)
+    """Refuse ``spec`` when its stage has more than ``budget`` points.
+
+    The count is taken with the budget as its cap (see :func:`_size`),
+    so a stage far past it is refused in milliseconds.  The error's
+    ``estimate`` is the exact count, or a lower bound on it past the
+    budget, which the message then gives as "at least".
+    """
+    estimate, exact = _size(spec, budget)
     if estimate > budget:
         raise BudgetExceededError(
-            f"spec needs {_count_text(estimate)} points, budget is {budget}",
-            estimate=estimate, budget=budget)
+            f"spec needs {_count_text(estimate, exact)} points, "
+            f"budget is {budget}", estimate=estimate, budget=budget)
 
 
-def _count_text(count: int) -> str:
-    """A positive ``count`` in digits, or past 18 digits as a lower bound
-    on its order of magnitude, such as "at least 8.7e1204", formed
-    without a decimal conversion of the whole integer."""
+def _count_text(count: int, exact: bool = True) -> str:
+    """A positive ``count`` in digits ("at least" them when it is not
+    ``exact``), or past 18 digits as a lower bound on its order of
+    magnitude, such as "at least 8.7e1204", formed without a decimal
+    conversion of the whole integer."""
     if count < 10 ** 18:
-        return str(count)
+        return str(count) if exact else f"at least {count}"
     # floor(log10(count)), with the float's rounding corrected.
     exponent = int(math.log10(count))
     while 10 ** exponent > count:
@@ -308,7 +369,7 @@ def build_cached(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
 
 def _build(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
     labels, landmarks, mat = _stage(spec)
-    return (MetricSpace._adopt(labels, mat, _shape(spec)[1],
+    return (MetricSpace._adopt(labels, mat, _scale(spec),
                                base_point=landmarks.ell), landmarks)
 
 
@@ -331,10 +392,12 @@ def _detours(out: np.ndarray, to_a: np.ndarray, from_a: np.ndarray,
     min(to_a[i] + from_a[j], to_b[i] + from_b[j]).
 
     The four vectors are already widened to a dtype that holds the sums.
-    The sums are formed a block of rows at a time, so the temporaries
-    stay under ``_DETOUR_BYTES`` (or one row, when that is larger).
+    The sums are formed a block of rows at a time, so each of the two
+    temporaries stays under ``_GROUP_BYTES`` (or one row, when that is
+    larger).  Blocks four times as large made the alpha=6 and omega*2
+    builds about three times slower.
     """
-    step = max(1, _DETOUR_BYTES // (to_a.itemsize * max(1, out.shape[1])))
+    step = max(1, _GROUP_BYTES // (to_a.itemsize * max(1, out.shape[1])))
     for lo in range(0, len(out), step):
         hi = lo + step
         np.minimum(to_a[lo:hi, None] + from_a, to_b[lo:hi, None] + from_b,
@@ -354,7 +417,7 @@ def _stage(spec: DiamondSpec, out: Optional[np.ndarray] = None
     rest of the stage only at its ends, so every distance outside the
     pieces' diagonal blocks is the shorter of two end detours.
     """
-    points, scale = _shape(spec)
+    points, scale = estimate_points(spec), _scale(spec)
     # The matrix holds the diameter 2 * scale; detour sums, twice that.
     wide = narrowest(0, 4 * scale)
     if out is None:
@@ -370,15 +433,15 @@ def _stage(spec: DiamondSpec, out: Optional[np.ndarray] = None
         # built last first.  Only its pole columns are kept, and the block
         # is rescaled in place to the common denominator.
         outer = np.array([[0, 2], [2, 0]]) * scale
-        subs = _summands(spec)
+        subs = list(_summands(spec))
         his = list(itertools.accumulate(
-            (_shape(sub)[0] - 2 for sub in subs), initial=2))
+            (estimate_points(sub) - 2 for sub in subs), initial=2))
         labels = ["top", "bottom"] + [""] * (points - 2)
         summands = [None] * len(subs)
         for k in reversed(range(len(subs))):
             sub, lo, hi = subs[k], his[k], his[k + 1]
             sub_labels, sub_lm, block = _stage(sub, out[lo - 2:hi, lo - 2:hi])
-            factor = scale // _shape(sub)[1]
+            factor = scale // _scale(sub)
             pieces.append(((lo, hi), (0, 1),
                            block[2:, 0].astype(wide) * factor,
                            block[2:, 1].astype(wide) * factor))

@@ -6,8 +6,10 @@ from __future__ import annotations
 class BudgetExceededError(RuntimeError):
     """A construction would exceed the configured point or node budget.
 
-    Carries the exact estimate so callers can decide whether to retry
-    with a larger budget.
+    Carries the estimate so callers can decide whether to retry with a
+    larger budget.  A diamond guard's estimate is the exact point count,
+    or, for a stage far past the budget, a lower bound on it that still
+    exceeds the budget; the message then says "at least".
     """
 
     def __init__(self, message: str, estimate: int | None = None,

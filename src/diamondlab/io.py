@@ -48,7 +48,8 @@ from .decomposition import SummandPartition
 from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
 from .lipschitz import LipschitzFunction
-from .metric import MetricSpace, fraction, narrowest, value_lookup
+from .metric import (_GROUP_BYTES, MetricSpace, fraction, narrowest,
+                     value_lookup)
 from .ordinal import format_ordinal, parse_ordinal
 
 __all__ = [
@@ -236,23 +237,35 @@ class _Reader:
         raise self.error(f"expected {keyword!r}, found {found!r}")
 
 
-def _blocks(lines: Iterable[str], per_block: int) -> Iterator[str]:
-    """The text of ``lines``, each ended by a newline, joined
-    ``per_block`` lines at a time; a "line" may be a block of several."""
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, per_block)):
-        chunk.append("")  # so the join ends with a newline
-        yield "\n".join(chunk)
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """The text of ``lines``, each ended by a newline, joined into blocks
+    of at least ``_GROUP_BYTES`` characters, the last one shorter; a
+    "line" may be a block of several.  The lines of a block are let go
+    before it is yielded."""
+    chunk, size = [], 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= _GROUP_BYTES:
+            yield _joined(chunk)
+            size = 0
+    if chunk:
+        yield _joined(chunk)
 
 
-def _write(path: str, lines: Iterable[str], per_write: int = 1 << 15
-           ) -> None:
-    """Stream ``lines`` into a file beside ``path`` and rename it over
-    ``path``, so a writer that fails leaves no partial file behind.
+def _joined(chunk: list[str]) -> str:
+    """The lines of ``chunk``, each ended by a newline, as one text;
+    ``chunk`` is emptied."""
+    chunk.append("")
+    text = "\n".join(chunk)
+    chunk.clear()
+    return text
 
-    Lines are joined ``per_write`` at a time (about a megabyte for the
-    default).
-    """
+
+def _write(path: str, lines: Iterable[str]) -> None:
+    """Stream ``lines`` into a file beside ``path``, a block of
+    :func:`_blocks` at a time, and rename it over ``path``, so a writer
+    that fails leaves no partial file behind."""
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         fh = open(temporary, "w", encoding="utf-8", newline="\n")
@@ -261,7 +274,7 @@ def _write(path: str, lines: Iterable[str], per_write: int = 1 << 15
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with fh:
-            for block in _blocks(lines, per_write):
+            for block in _blocks(lines):
                 fh.write(block)
         os.replace(temporary, path)
     except BaseException:
@@ -269,13 +282,12 @@ def _write(path: str, lines: Iterable[str], per_write: int = 1 << 15
         raise
 
 
-def _holds(path: str, lines: Iterable[str], per_block: int = 1 << 15
-           ) -> bool:
+def _holds(path: str, lines: Iterable[str]) -> bool:
     """Whether the file at ``path`` is exactly what :func:`_write` writes
-    for ``lines``, compared ``per_block`` lines at a time."""
+    for ``lines``, compared a block of :func:`_blocks` at a time; only a
+    block's bytes are held while the next block is formed."""
     with open(path, "rb") as fh:
-        for block in _blocks(lines, per_block):
-            data = block.encode()
+        for data in map(str.encode, _blocks(lines)):
             if fh.read(len(data)) != data:
                 return False
         return not fh.read(1)
@@ -416,17 +428,10 @@ def _space_lines(space: MetricSpace,
     yield "end"
 
 
-def _rows_per_block(n: int) -> int:
-    """Rows of an n-point table to join at a time: a row holds up to n
-    lines, so a block holds about 8192 (some 150 KB of text)."""
-    return max(1, (1 << 13) // max(n, 1))
-
-
 def write_space(path: str, space: MetricSpace,
                 landmarks: Optional[DiamondLandmarks] = None,
                 spec: Optional[DiamondSpec] = None) -> None:
-    _write(path, _space_lines(space, landmarks, spec),
-           _rows_per_block(len(space)))
+    _write(path, _space_lines(space, landmarks, spec))
 
 
 def read_space(path: str, budget: int = DEFAULT_BUDGET
@@ -450,8 +455,7 @@ def read_space(path: str, budget: int = DEFAULT_BUDGET
                 else _spec_from_fields(rd, _fields(rd, tokens)))
         if spec is not None:
             space, landmarks = build_cached(spec, budget)
-            if _holds(path, _space_lines(space, landmarks, spec),
-                      _rows_per_block(len(space))):
+            if _holds(path, _space_lines(space, landmarks, spec)):
                 return space, landmarks, spec
         count = int(rd.expect("points", 2)[1])
         if count > budget:

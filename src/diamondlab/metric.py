@@ -65,8 +65,10 @@ __all__ = ["MetricSpace", "MetricAxiomError", "finest_edges",
            "closure_numerators", "fraction", "exact"]
 
 _INT64_SAFE = 1 << 60
-# Temporaries of one row block: validation, the common factor of a new
-# store, grouped closure steps and the ``lipschitz`` kernels.
+# The one budget for the temporaries of a block of a whole-table pass:
+# validation, the common factor of a new store, grouped closure steps,
+# the ``lipschitz`` kernels, the pole detours of a diamond stage, summing
+# metrics and the text blocks of files.
 _GROUP_BYTES = 1 << 18
 # Integer tables with entries in [0, _TABLE_VALUES) convert them through
 # one table indexed by value (see ``value_lookup``).

@@ -7,7 +7,10 @@ classification and fundamental sequences are total functions on it.
 
 Arithmetic on notations is deliberately not exposed; the parser performs
 the one left-to-right sum normalization needed to accept inputs such as
-``"1+w"`` (which denotes ``w``).
+``"1+w"`` (which denotes ``w``).  Every function here recurses once per
+level of exponent nesting, so the parser refuses an expression nested
+more than ``_MAX_NESTING`` levels deep, well inside the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ __all__ = [
     "classify",
     "fundamental_sequence",
 ]
+
+# Exponents nested deeper than this are refused by the parser.
+_MAX_NESTING = 100
 
 
 class OrdinalParseError(ValueError):
@@ -213,6 +219,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # exponents open at the current token
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -246,7 +253,12 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             self.expect("(")
+            if self.depth == _MAX_NESTING:
+                raise OrdinalParseError(
+                    f"exponents nested more than {_MAX_NESTING} levels deep")
+            self.depth += 1
             expo = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
         coeff = 1
         if self.peek() == "*":

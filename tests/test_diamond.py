@@ -36,6 +36,7 @@ from diamondlab import (
     shortest_path_closure,
 )
 
+from deadline import within
 from oracles import (diamond_graph, dijkstra_closure, graph_closure,
                      scaled_from_fractions)
 
@@ -118,6 +119,33 @@ def test_a_tall_successor_chain_is_sized_without_recursion():
     assert estimate_points(spec) == 2 + (2 * 4 ** 5000 - 2) // 3
     with pytest.raises(BudgetExceededError):
         build(spec)
+
+
+def test_the_guard_refuses_from_a_lower_bound():
+    # A count the guard forms is exact: alpha=6 has 2 + 3(6^6 - 1)/5.
+    with pytest.raises(BudgetExceededError,
+                       match="needs 27995 points, budget is 16384") as info:
+        build(DiamondSpec(6, 3))
+    assert info.value.estimate == 27995
+    # Past 2**16 bits a count is not formed: the estimate is 2**65536.
+    spec = DiamondSpec(10 ** 6, 3)
+    with within(2), pytest.raises(
+            BudgetExceededError,
+            match="needs at least 2.0e19728 points") as info:
+        build(spec)
+    assert info.value.estimate == 1 << (1 << 16) < estimate_points(spec)
+    # A limit stops adding summands once past the budget: here after the
+    # sixth of 10**8, the 27,995-point alpha=6.
+    with within(2), pytest.raises(BudgetExceededError,
+                                  match="needs at least 33590 points") as info:
+        build_cached(DiamondSpec(OMEGA, 3, limit_width=10 ** 8))
+    assert info.value.estimate == estimate_points(
+        DiamondSpec(OMEGA, 3, limit_width=6)) == 33590
+    # Passing the budget at the last summand gives the count exactly.
+    spec = DiamondSpec(OMEGA, 3, limit_width=7)
+    with pytest.raises(BudgetExceededError,
+                       match=f"needs {estimate_points(spec)} points"):
+        build(spec, budget=estimate_points(spec) - 1)
 
 
 def test_build_cached_shares_objects():

@@ -53,6 +53,8 @@ from diamondlab import (
     verify_transcript,
     write_report,
 )
+from diamondlab import io as dio
+from diamondlab.metric import _GROUP_BYTES
 from diamondlab.io import (
     TranscriptDocument,
     format_fraction,
@@ -71,6 +73,7 @@ from diamondlab.io import (
     write_transcript,
     write_vector,
 )
+from deadline import within
 
 ETA = Fraction(1, 10)
 ROOT = Path(__file__).resolve().parent.parent
@@ -999,6 +1002,67 @@ def test_cli_refuses_a_tall_stage_by_its_budget(tmp_path, capsys, alpha):
     count = estimate_points(DiamondSpec(int(alpha), 2))
     assert 10 <= lead and lead * unit <= count < (lead + 1) * unit
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    ["--alpha", "1000000", "--branches", "3"],
+    ["--alpha", "99999999999999999999999", "--branches", "3"],
+    ["--alpha", "w", "--branches", "3", "--limit-width", "100000000"],
+    ["--alpha", "w^(w^(w))", "--branches", "2", "--limit-width", "40"],
+])
+def test_cli_refuses_a_stage_far_past_its_budget_at_once(tmp_path, capsys,
+                                                         spec):
+    # The guard refuses each without forming its count, so it names a
+    # lower bound on it, as "at least".
+    out = tmp_path / "huge.txt"
+    with within(2):
+        code = cli.main(["gen", *spec, "--out", str(out)])
+    assert code == 3
+    assert re.fullmatch(r"budget exceeded: spec needs at least \S+ points, "
+                        r"budget is 16384\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_refuses_an_echo_far_past_its_budget_at_once(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("diamondlab space 1\n"
+                    "spec alpha=w branches=3 limit-width=100000000\n"
+                    "points 2\nbase top\nend\n\n")
+    with within(2):
+        code = cli.main(["dist", "--space", str(path), "--x", "top",
+                         "--y", "bottom"])
+    assert code == 3
+    assert "budget exceeded: spec needs at least" in capsys.readouterr().err
+
+
+def test_deep_ordinal_nesting_is_a_usage_error(tmp_path, capsys):
+    alpha = "w^(" * 400 + "w" + ")" * 400
+    out = tmp_path / "deep.txt"
+    code = cli.main(["gen", "--alpha", alpha, "--branches", "3",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "nested more than" in err and "Traceback" not in err
+    assert not out.exists()
+    path = tmp_path / "echo.txt"
+    path.write_text(f"diamondlab space 1\nspec alpha={alpha} branches=3 "
+                    f"limit-width=3\npoints 2\nbase top\nend\n")
+    with pytest.raises(FormatError, match=r"echo\.txt:2: .*nested more than"):
+        read_space(str(path))
+    assert cli.main(["dist", "--space", str(path), "--x", "top",
+                     "--y", "bottom"]) == 2
+    assert "nested more than" in capsys.readouterr().err
+
+
+def test_text_blocks_hold_a_budget_each_and_join_to_the_lines():
+    lines = [f"dist 0 {j} {j}/7" for j in range(40_000)]
+    lines[5] = "x" * (3 * _GROUP_BYTES)  # longer than a block
+    lines[9] = "row\nof\nseveral"  # a "line" may be several
+    blocks = list(dio._blocks(iter(lines)))
+    assert len(blocks) > 3
+    assert all(len(block) >= _GROUP_BYTES for block in blocks[:-1])
+    assert 0 < len(blocks[-1]) and blocks[-1].endswith("\n")
+    assert "".join(blocks) == "".join(f"{line}\n" for line in lines)
+    assert list(dio._blocks([])) == []
 
 
 def test_cli_suite_that_skips_every_check_fails(tmp_path, capsys):

@@ -16,13 +16,14 @@ Core claims checked here:
     stage peak, beyond what they return, below a quarter of one n×n
     int64 table, and ``shortest_path_closure`` peaks in all below half
     of one (traced by ``tracemalloc``),
+  * ``summing_metric`` on a limit stage's 4,183-point bottom half peaks
+    below 1.5 times the store it returns, which it writes in place, with
+    no wider table and no narrowing copy,
   * ``build_cached`` keeps the most recently used stages whose stores
     fit its byte cap, and a hit stays the same object.
 """
 
-import signal
 import tracemalloc
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 from diamondlab import (OMEGA, AdversaryConfig, DiamondSpec, FreeVector,
                         LipschitzFunction, MetricSpace, SummandPartition,
-                        build, build_cached, build_cover,
+                        build, build_cached, build_cover, cover_partition,
                         distance_functional, equivalence_constants,
                         finest_edges, free_norm, is_lipschitz_at_most,
                         lip_constant, mcshane_extend, molecule, norm_value,
@@ -42,6 +43,7 @@ from diamondlab import diamond
 from diamondlab.diamond import closure_numerators
 from diamondlab.io import (TranscriptDocument, read_space, read_transcript,
                            write_space, write_transcript)
+from deadline import within
 
 LIMITS = {np.int8: 127, np.int16: (1 << 15) - 1, np.int32: (1 << 31) - 1}
 
@@ -53,22 +55,6 @@ def _int64_twin(space):
     twin._scaled = space.integer_scaled()
     assert twin._stored()[0].dtype == np.int64
     return twin
-
-
-@contextmanager
-def _within(seconds):
-    """Raise ``TimeoutError`` when the block outlasts ``seconds``: a
-    wrapped sum can keep an iterative kernel from ever ending."""
-    def expire(signum, frame):
-        raise TimeoutError(f"the kernels ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite
@@ -119,7 +105,7 @@ def _values(draw, space, size):
 @given(space=narrow_spaces(), data=st.data())
 def test_kernels_agree_on_the_narrow_store_and_an_int64_twin(
         tmp_path_factory, space, data):
-    with _within(5):
+    with within(5):
         _check_kernels(space, _int64_twin(space), data.draw,
                        tmp_path_factory.mktemp("files"))
 
@@ -286,6 +272,28 @@ def test_dense_passes_keep_no_table_sized_temporary(tmp_path):
     assert extra < quarter
     extra, (read, _, _) = _extra_peak(lambda: read_space(path))
     assert extra < quarter and read is space
+
+
+def test_summing_metric_forms_no_table_beside_its_store():
+    # The bottom half of omega (n=3, width 5) has 4,183 points in five
+    # slices.  The space is not validated, so each slice with the base is
+    # restricted and validated on the way.
+    space, lm = build(DiamondSpec(OMEGA, 3, limit_width=5))
+    cover = build_cover(space, lm)
+    sub, _, partition = cover_partition(space, lm, cover.bottom_half,
+                                        lm.bottom)
+    _, peak, summing = _traced(lambda: summing_metric(sub, partition))
+    stored, scale = summing._stored()
+    assert len(sub) == 4183 and stored.dtype == np.int8
+    assert peak < 1.5 * stored.nbytes
+    mat, sub_scale = sub.integer_scaled()
+    owner = np.full(len(sub), -1)
+    for m, members in enumerate(partition.summands):
+        owner[list(members)] = m
+    base = partition.base
+    expected = np.where(owner[:, None] != owner,
+                        mat[:, base, None] + mat[base], mat)
+    assert scale == sub_scale and np.array_equal(stored, expected)
 
 
 def test_build_cache_keeps_recent_stages_within_its_byte_cap(monkeypatch):

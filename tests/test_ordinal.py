@@ -4,13 +4,16 @@ Core claims checked here:
   * format/parse is a bijection on canonical notations,
   * the order agrees with a polynomial-valuation oracle below w^4,
   * classification and fundamental sequences match hand-computed values,
-  * non-canonical sums normalize and malformed inputs are rejected.
+  * non-canonical sums normalize and malformed inputs are rejected,
+    as is nesting past a fixed depth, with ``OrdinalParseError`` and not
+    a ``RecursionError``.
 """
 
 import itertools
 
 import pytest
 
+from diamondlab import ordinal
 from diamondlab import (
     OMEGA,
     ONE,
@@ -189,3 +192,15 @@ def test_notation_validation():
         OrdinalNotation(((ZERO, 1), (ONE, 1)))  # increasing exponents
     with pytest.raises(TypeError):
         OrdinalNotation(((1, 1),))
+
+
+def test_nesting_past_the_fixed_depth_is_refused():
+    def nested(depth):
+        return "w^(" * depth + "w" + ")" * depth
+
+    limit = ordinal._MAX_NESTING
+    deepest = parse_ordinal(nested(limit))
+    assert format_ordinal(deepest) == nested(limit)
+    for depth in (limit + 1, 400, 5000):
+        with pytest.raises(OrdinalParseError, match="nested more than"):
+            parse_ordinal(nested(depth))
