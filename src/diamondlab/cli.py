@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import io as dio
-from .decomposition import decompose_limit, identity_failures
+from .decomposition import decompose_limit
 from .derivation import (ADVERSARY_KINDS, AdversaryConfig, prover_certify,
                          verify_transcript)
 from .diamond import DEFAULT_BUDGET, DiamondSpec, build_cached
@@ -25,8 +25,8 @@ from .lipschitz import lip_constant, mcshane_extend
 from .metric import MetricAxiomError
 from .ordinal import parse_ordinal
 from .sampling import Sampler
-from .suite import (CheckResult, SuiteConfig, SuiteReport, TOOL_VERSION,
-                    run_suite, write_report)
+from .suite import (SuiteConfig, SuiteReport, TOOL_VERSION,
+                    _decomposition_rows, run_suite, write_report)
 
 __all__ = ["main"]
 
@@ -224,43 +224,17 @@ def _cmd_decomp(args) -> int:
         raise ValueError("count must be at least 1")
     spec = _parse_spec(args)
     space, landmarks = build_cached(spec, args.budget_points)
-    rows = []
-
     dec = decompose_limit(space, landmarks)
-    cover, minimum, eq = dec.cover, dec.cover.minimum, dec.constants
-    rows.append(CheckResult(
-        "decomp-cover", "pole cover is complete with separation >= 1/2",
-        "pass" if dec.complete and dec.separated else "fail",
-        f"{len(cover.bottom_half)}+{len(cover.top_half)} points, "
-        f"minimum separation "
-        f"{dio.format_fraction(minimum) if minimum is not None else 'inf'}"))
-    rows.append(CheckResult(
-        "decomp-constants", "metric equivalence constants lie in [1/3, 1]",
-        "pass" if dec.bounded else "fail",
-        f"c_low {dio.format_fraction(eq.c_low)}, "
-        f"c_high {dio.format_fraction(eq.c_high)}"))
-
-    summing, partition = dec.summing, dec.partition
     sampler = Sampler(args.seed)
     # One point of each nonempty slice per vector.
-    vectors = (FreeVector(summing, [
+    vectors = [FreeVector(dec.summing, [
         (members[sampler.below(len(members))], sampler.nonzero_fraction())
-        for members in partition.summands if members])
-        for _ in range(args.count))
-    bad_add, bad_proj = identity_failures(summing, partition, vectors)
-    rows.append(CheckResult(
-        "decomp-additivity", "summing norm splits exactly across summands",
-        "pass" if bad_add == 0 else "fail",
-        f"{args.count} vectors, {bad_add} failures"))
-    rows.append(CheckResult(
-        "decomp-projection", "norm splits exactly at every summand cut",
-        "pass" if bad_proj == 0 else "fail",
-        f"{args.count} vectors, {bad_proj} failures"))
-
+        for members in dec.partition.summands if members])
+        for _ in range(args.count)]
+    rows = _decomposition_rows(dec, vectors)
     if args.out:
-        dio.write_partition(args.out, dec.sub, partition)
-    report = SuiteReport(TOOL_VERSION, args.seed, args.budget_points,
-                         tuple(rows))
+        dio.write_partition(args.out, dec.sub, dec.partition)
+    report = SuiteReport(TOOL_VERSION, args.seed, args.budget_points, rows)
     if args.report:
         write_report(args.report, report)
     for row in rows:

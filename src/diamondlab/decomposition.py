@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "ell1_additivity_check",
     "ProjectionReport",
     "projection_identity_check",
-    "identity_failures",
 ]
 
 _HALF = Fraction(1, 2)
@@ -228,9 +227,16 @@ def build_cover(space: MetricSpace, landmarks: DiamondLandmarks) -> Cover:
     if any(inside.all() for inside in halves):
         separation = dict.fromkeys(range(len(space)))
     else:
-        # Distance from each point to each half's complement, summed.
-        margin = sum(mat[:, ~inside].min(axis=1).astype(np.int64)
-                     for inside in halves)
+        # Distance from each point to each half's complement, summed, a
+        # block of rows at a time, sized from ``_GROUP_BYTES``.
+        margin = np.zeros(len(space), dtype=np.int64)
+        for inside in halves:
+            outside = ~inside
+            step = max(1, _GROUP_BYTES // (mat.itemsize
+                                           * int(outside.sum())))
+            for lo in range(0, len(space), step):
+                margin[lo:lo + step] += (
+                    mat[lo:lo + step][:, outside].min(axis=1))
         separation = {z: Fraction(v, scale)
                       for z, v in enumerate(margin.tolist())}
     return Cover(*(tuple(np.flatnonzero(inside).tolist())
@@ -379,14 +385,3 @@ def projection_identity_check(partition: SummandPartition,
             ok = False
     return ProjectionReport(tuple(rows), ok)
 
-
-def identity_failures(summing: MetricSpace, partition: SummandPartition,
-                      vectors: Iterable[FreeVector]) -> tuple[int, int]:
-    """How many of ``vectors`` fail l1-additivity and how many fail the
-    projection identity, each over the summing metric; a zero vector is
-    skipped.  The ``decomp`` command and the suite share this loop."""
-    vectors = [vec for vec in vectors if not vec.is_zero]
-    return (sum(not ell1_additivity_check(summing, partition, vec).passed
-                for vec in vectors),
-            sum(not projection_identity_check(partition, vec).passed
-                for vec in vectors))

@@ -81,10 +81,13 @@ __all__ = [
 # caps the stores that ``build_cached`` keeps.
 _MATRIX_BYTES = 2 << 30
 DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
-# The budget guard forms a point count exactly while it has at most
-# _COUNT_BITS bits (about 19,700 digits); a stage past that is refused
-# with 2**_COUNT_BITS as a lower bound on its count.
+# The budget guard and ``estimate_points`` form a point count exactly
+# while it has at most _COUNT_BITS bits (about 19,700 digits); a stage
+# past that is refused with a lower bound on its count.
 _COUNT_BITS = 1 << 16
+# The cap of ``estimate_points``: one object, so the entries of
+# ``_size``'s cache share it rather than each keeping an 8 KiB copy.
+_COUNT_CAP = 1 << _COUNT_BITS
 
 # ---------------------------------------------------------------------------
 # specs and addresses
@@ -223,15 +226,14 @@ def _chain(alpha: OrdinalNotation) -> tuple[OrdinalNotation, int]:
 # Both are bounded, so a process that sizes many specs does not grow
 # them for good.
 @functools.lru_cache(maxsize=1 << 16)
-def _size(spec: DiamondSpec, cap: Optional[int] = None) -> tuple[int, bool]:
+def _size(spec: DiamondSpec, cap: int) -> tuple[int, bool]:
     """The point count of the stage of ``spec``, and whether it is exact.
 
-    Without a cap the count is exact.  With one, a count past ``cap`` may
-    come back as a lower bound that is still past it: a limit stops
-    adding its summands once their points pass ``cap``, and a successor
-    chain whose count would pass 2**b, with b the larger of
-    ``_COUNT_BITS`` and the bit length of ``cap``, gives 2**b without
-    forming the count.
+    A count past ``cap`` may come back as a lower bound that is still
+    past it: a limit stops adding its summands once their points pass
+    ``cap``, and a successor chain whose count would pass 2**b, with b
+    the larger of ``_COUNT_BITS`` and the bit length of ``cap``, gives
+    2**b without forming the count.
 
     A stage of interior q (its points other than the poles) has a
     successor of interior n + 2nq, so k steps above it have interior
@@ -250,17 +252,15 @@ def _size(spec: DiamondSpec, cap: Optional[int] = None) -> tuple[int, bool]:
         for sub in subs:
             points, exact_sub = _size(sub, cap)
             interior, exact = interior + points - 2, exact and exact_sub
-            if cap is not None and interior + 2 > cap:
+            if interior + 2 > cap:
                 break
         # A count that stopped before the last summand is a lower bound.
         exact = exact and next(subs, None) is None
     if steps:
-        if cap is not None:
-            bits = max(_COUNT_BITS, cap.bit_length())
-            # The interior grows by at least 2n >= 2 ** floor(log2(2n))
-            # a step.
-            if steps * ((2 * n).bit_length() - 1) > bits:
-                return 1 << bits, False
+        bits = max(_COUNT_BITS, cap.bit_length())
+        # The interior grows by at least 2n >= 2 ** floor(log2(2n)) a step.
+        if steps * ((2 * n).bit_length() - 1) > bits:
+            return 1 << bits, False
         grow = (2 * n) ** steps
         interior = (grow * ((2 * n - 1) * interior + n) - n) // (2 * n - 1)
     return interior + 2, exact
@@ -283,11 +283,16 @@ def _scale(spec: DiamondSpec) -> int:
 def estimate_points(spec: DiamondSpec) -> int:
     """Exact point count of ``build(spec)`` without building it.
 
-    The count is formed in full, however many digits it has; the budget
-    guard of :func:`build` compares a count with the budget without
-    forming one far past it.
+    The count is taken with ``_COUNT_CAP``, 2**_COUNT_BITS, as its cap
+    (see :func:`_size`), and ``OverflowError`` names a lower bound on one
+    that is not formed exactly; the budget guard of :func:`build`
+    compares a count with the budget under a far smaller cap.
     """
-    return _size(spec)[0]
+    count, exact = _size(spec, _COUNT_CAP)
+    if not exact:
+        raise OverflowError(f"spec needs {_count_text(count, False)} "
+                            f"points, too many to count exactly")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import io as dio
-from .decomposition import decompose_limit, identity_failures
+from .decomposition import (LimitDecomposition, decompose_limit,
+                            ell1_additivity_check, projection_identity_check)
 from .derivation import (ADVERSARY_KINDS, MUTATION_KINDS, AdversaryConfig,
                          WeakNeighborhood, adversary_family, collect_vectors,
                          midpoint_lift, mutate_transcript,
@@ -363,29 +364,48 @@ def check_pole_gluing(cfg: SuiteConfig) -> tuple[str, str]:
                     f"identity through a glued dual witness")
 
 
+def _decomposition_rows(dec: LimitDecomposition,
+                        vectors: Sequence[FreeVector]
+                        ) -> tuple[CheckResult, ...]:
+    """The cover, constants, additivity and projection rows of a limit
+    decomposition, the last two over ``vectors`` (a zero vector is
+    counted but not checked).  ``diamondlab decomp`` prints them, and
+    the summing-constants check fails with the first failing one."""
+    cover, minimum, eq = dec.cover, dec.cover.minimum, dec.constants
+    checked = [vec for vec in vectors if not vec.is_zero]
+    bad_add = sum(not ell1_additivity_check(dec.summing, dec.partition,
+                                            vec).passed for vec in checked)
+    bad_proj = sum(not projection_identity_check(dec.partition, vec).passed
+                   for vec in checked)
+    rows = (
+        ("decomp-cover", "pole cover is complete with separation >= 1/2",
+         dec.complete and dec.separated,
+         f"{len(cover.bottom_half)}+{len(cover.top_half)} points, minimum "
+         f"separation "
+         f"{dio.format_fraction(minimum) if minimum is not None else 'inf'}"),
+        ("decomp-constants", "metric equivalence constants lie in [1/3, 1]",
+         dec.bounded, f"c_low {dio.format_fraction(eq.c_low)}, "
+                      f"c_high {dio.format_fraction(eq.c_high)}"),
+        ("decomp-additivity", "summing norm splits exactly across summands",
+         bad_add == 0, f"{len(vectors)} vectors, {bad_add} failures"),
+        ("decomp-projection", "norm splits exactly at every summand cut",
+         bad_proj == 0, f"{len(vectors)} vectors, {bad_proj} failures"))
+    return tuple(CheckResult(check_id, claim, "pass" if ok else "fail",
+                             details)
+                 for check_id, claim, ok, details in rows)
+
+
 def check_summing_constants(cfg: SuiteConfig) -> tuple[str, str]:
     space, lm = build_cached(DiamondSpec(OMEGA, 3, 3), cfg.budget)
     dec = decompose_limit(space, lm)
-    minimum, eq = dec.cover.minimum, dec.constants
-    if not dec.complete:
-        return "fail", "the two half-covers miss a point"
-    if not dec.separated:
-        return "fail", f"separation minimum {minimum} is below 1/2"
-    if eq.c_high > 1:
-        return "fail", "summing metric fails to dominate"
-    if not dec.bounded:
-        return ("fail", f"equivalence constants ({eq.c_low}, {eq.c_high}) "
-                f"leave [1/3, 1]")
-    summing = dec.summing
     sampler = Sampler(cfg.seed)
-    bad_additivity, bad_projection = identity_failures(
-        summing, dec.partition,
-        [_random_vector(sampler, summing, 8) for _ in range(30)])
-    if bad_additivity:
-        return "fail", f"{bad_additivity} of 30 additivity identities broke"
-    if bad_projection:
-        return "fail", f"{bad_projection} of 30 projection identities broke"
-    return "pass", (f"cover complete, separation minimum {minimum}, "
+    for row in _decomposition_rows(
+            dec, [_random_vector(sampler, dec.summing, 8)
+                  for _ in range(30)]):
+        if row.status == "fail":
+            return "fail", f"{row.check_id}: {row.details}"
+    eq = dec.constants
+    return "pass", (f"cover complete, separation minimum {dec.cover.minimum}, "
                     f"constants ({eq.c_low}, {eq.c_high}) within [1/3, 1], "
                     f"30 additivity and 30 projection identities exact")
 

@@ -4,7 +4,9 @@ Core claims checked here:
   * the summing metric keeps within-slice and base distances, reroutes
     cross-slice pairs through the base, and never shrinks a distance,
   * the pole cover of the width-3 limit truncation has the frozen sizes,
-    separation minimum 1 and margin 3/2 at the bottom pole,
+    separation minimum 1 and margin 3/2 at the bottom pole, and the
+    cover of a 5,597-point stage keeps its temporaries within the block
+    budget,
   * equivalence constants on the bottom half are exactly 7/9 and 1,
   * l1-additivity and the projection identities hold exactly over the
     summing metric, and the projection identity genuinely fails for a
@@ -15,8 +17,10 @@ Core claims checked here:
 """
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from diamondlab import (
@@ -39,6 +43,7 @@ from diamondlab import (
     projection_identity_check,
     summing_metric,
 )
+from diamondlab.metric import _GROUP_BYTES
 from oracles import cover_slices_oracle, ell1_parts_oracle
 
 
@@ -168,6 +173,26 @@ def test_cover_frozen_shape(dw33):
     assert cover.minimum == 1
     assert cover.separation[lm.bottom] == Fraction(3, 2)
     assert all(v is not None for v in cover.separation.values())
+
+
+def test_cover_keeps_the_block_budget():
+    # The 5,597-point stage: each half's complement is a table of about
+    # 3 MiB, and the cover takes it one block of rows at a time.
+    space, lm = build_cached(DiamondSpec(OMEGA, 3, 5))
+    mat, scale = space._stored()
+    tracemalloc.start()
+    try:
+        cover = build_cover(space, lm)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - left < 2 * _GROUP_BYTES
+    # The margins the whole complement tables give.
+    margin = sum(mat[:, np.setdiff1d(np.arange(len(space)), half)].min(
+        axis=1).astype(np.int64)
+        for half in (cover.bottom_half, cover.top_half))
+    assert cover.separation == {z: Fraction(int(v), scale)
+                                for z, v in enumerate(margin)}
 
 
 def test_cover_needs_limit_stage(d23):

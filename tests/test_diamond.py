@@ -133,7 +133,7 @@ def test_the_guard_refuses_from_a_lower_bound():
             BudgetExceededError,
             match="needs at least 2.0e19728 points") as info:
         build(spec)
-    assert info.value.estimate == 1 << (1 << 16) < estimate_points(spec)
+    assert info.value.estimate == 1 << (1 << 16)
     # A limit stops adding summands once past the budget: here after the
     # sixth of 10**8, the 27,995-point alpha=6.
     with within(2), pytest.raises(BudgetExceededError,
@@ -146,6 +146,45 @@ def test_the_guard_refuses_from_a_lower_bound():
     with pytest.raises(BudgetExceededError,
                        match=f"needs {estimate_points(spec)} points"):
         build(spec, budget=estimate_points(spec) - 1)
+
+
+# A count formed in full never returns, and SIGALRM cannot interrupt a
+# single big-integer multiplication, so each count is taken in a child
+# process that a timeout ends and an address-space cap keeps small.
+_FAR_COUNTS = """
+from deadline import within
+from diamondlab import DiamondSpec, estimate_points
+
+for alpha in (10 ** 23, 10 ** 6):
+    try:
+        with within(1):
+            estimate_points(DiamondSpec(alpha, 3))
+    except OverflowError as exc:
+        print(exc)
+"""
+
+
+def test_estimate_points_refuses_a_count_it_cannot_form():
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import diamondlab
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    paths = (Path(diamondlab.__file__).parents[1], Path(__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    done = subprocess.run([sys.executable, "-c", _FAR_COUNTS], env=env,
+                          preexec_fn=cap, capture_output=True, text=True,
+                          timeout=30)
+    assert done.returncode == 0, done.stderr
+    # Neither count is formed: each names 2**65537 as its lower bound.
+    assert done.stdout == 2 * ("spec needs at least 4.0e19728 points, too "
+                               "many to count exactly\n")
 
 
 def test_build_cached_shares_objects():

@@ -17,6 +17,7 @@ Core claims checked here:
     exit codes (0 ok, 1 failed check, 2 usage, 3 budget).
 """
 
+import dataclasses
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -48,11 +49,14 @@ from diamondlab import (
     mutate_transcript,
     point_mass,
     prover_certify,
+    SuiteConfig,
     read_report,
+    run_check,
     verify_certificate,
     verify_transcript,
     write_report,
 )
+from diamondlab import decomposition
 from diamondlab import io as dio
 from diamondlab.metric import _GROUP_BYTES
 from diamondlab.io import (
@@ -1141,6 +1145,30 @@ def test_cli_decomp(tmp_path, capsys):
     assert loaded.base == partition.base
     assert tuple(tuple(sorted(m)) for m in loaded.summands) == tuple(
         tuple(sorted(m)) for m in partition.summands)
+
+
+def test_cli_decomp_report_is_frozen(tmp_path, capsys):
+    # A report holds no wall time, so its bytes pin the constants.
+    path = tmp_path / "decomp.txt"
+    code = cli.main(["decomp", "--alpha", "w", "--branches", "3",
+                     "--count", "5", "--seed", "0", "--report", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    assert _bytes(path) == (GOLDEN / "decomp_w_n3_seed0.txt").read_bytes()
+
+
+def test_decomp_and_the_suite_fail_with_one_row(monkeypatch, capsys):
+    real = decomposition.equivalence_constants
+    monkeypatch.setattr(
+        decomposition, "equivalence_constants",
+        lambda *args: dataclasses.replace(real(*args), c_low=Fraction(1, 4)))
+    code = cli.main(["decomp", "--alpha", "w", "--branches", "3"])
+    assert code == 1
+    assert ("fail decomp-constants: c_low 1/4, c_high 1/1\n"
+            in capsys.readouterr().out)
+    result = run_check("summing-constants", SuiteConfig())
+    assert (result.status, result.details) == (
+        "fail", "decomp-constants: c_low 1/4, c_high 1/1")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
