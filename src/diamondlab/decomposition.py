@@ -21,7 +21,7 @@ import numpy as np
 from .diamond import DiamondLandmarks
 from .freespace import FreeVector, norm_value
 from .lipschitz import _dtype, _largest_ratio, _pair_blocks
-from .metric import _GROUP_BYTES, MetricAxiomError, MetricSpace, narrowest
+from .metric import _GROUP_BYTES, MetricSpace, narrowest
 
 __all__ = [
     "SummandPartition",
@@ -39,10 +39,6 @@ __all__ = [
     "ProjectionReport",
     "projection_identity_check",
 ]
-
-_HALF = Fraction(1, 2)
-_THIRD = Fraction(1, 3)
-
 
 @dataclass(frozen=True)
 class SummandPartition:
@@ -87,12 +83,10 @@ def summing_metric(space: MetricSpace,
 
     Distances within a summand, and to the base point, are kept; a pair
     in distinct summands gets d(x, base) + d(base, y).  The result is the
-    wedge sum at the base of the summand-plus-base subspaces, and holds
-    each of them isometrically, so it is a metric exactly when each of
-    them is.  Each is checked against the metric axioms before the
-    result is returned, unless ``space`` passed
-    :meth:`MetricSpace.validate_metric`: each piece is then a
-    restriction of it, already a metric, and none is formed.
+    wedge sum at the base of the summand-plus-base subspaces, so it is a
+    metric when ``space`` is.  ``space`` is checked once, with
+    :meth:`MetricSpace.validate_metric`, which returns at once for a
+    half made by :func:`cover_partition`.
 
     The result is written straight into its store, in the narrowest
     dtype that holds both the stored distances and the largest
@@ -102,16 +96,8 @@ def summing_metric(space: MetricSpace,
     their reroutes, so the only temporary is the block's cross mask.
     """
     check_partition(space, partition)
+    space.validate_metric()
     base = partition.base
-    # With no summands the space is the base alone, checked as one piece.
-    for m, members in enumerate(() if space._validated
-                                else partition.summands or ((),)):
-        try:
-            space.restrict((base, *members), base)[0].validate_metric()
-        except MetricAxiomError as exc:
-            raise MetricAxiomError(
-                f"summand {m} with the base point is not a metric, in the "
-                f"piece's own indices, base first: {exc}") from exc
     owner = np.full(len(space), -1)
     for m, members in enumerate(partition.summands):
         owner[list(members)] = m
@@ -251,11 +237,14 @@ def cover_partition(space: MetricSpace, landmarks: DiamondLandmarks,
     Returns the restricted space based at the pole, the new-to-old index
     map, and the partition whose m-th summand collects the points coming
     from the m-th summand of the limit construction.  Empty slices are
-    kept so slice numbering matches the construction.
+    kept so slice numbering matches the construction.  ``space`` is
+    checked against the metric axioms first; the pass is kept on it, and
+    the restriction inherits it.
     """
     members = set(half)
     if pole not in members:
         raise ValueError("the pole must belong to the chosen half")
+    space.validate_metric()
     order = sorted(members)
     sub, kept = space.restrict(order, pole)
     # A point shared by several summand interiors goes to the first.
@@ -283,18 +272,14 @@ def cover_partition(space: MetricSpace, landmarks: DiamondLandmarks,
 @dataclass(frozen=True)
 class LimitDecomposition:
     """A limit stage's pole cover, its bottom half ``sub`` based at the
-    bottom pole with the slice partition and summing metric, the
-    constants, and the thresholds: every point lies in a half, the
-    separation minimum is at least 1/2, the constants lie in [1/3, 1]."""
+    bottom pole with the slice partition and summing metric, and the
+    equivalence constants between the two metrics on ``sub``."""
 
     cover: Cover
     sub: MetricSpace
     partition: SummandPartition
     summing: MetricSpace
     constants: EquivalenceReport
-    complete: bool
-    separated: bool
-    bounded: bool
 
 
 def decompose_limit(space: MetricSpace,
@@ -304,12 +289,8 @@ def decompose_limit(space: MetricSpace,
     sub, _, partition = cover_partition(space, landmarks, cover.bottom_half,
                                         landmarks.bottom)
     summing = summing_metric(sub, partition)
-    eq, minimum = equivalence_constants(sub, summing), cover.minimum
-    return LimitDecomposition(
-        cover, sub, partition, summing, eq,
-        set(cover.bottom_half) | set(cover.top_half) == set(range(len(space))),
-        minimum is not None and minimum >= _HALF,
-        eq.c_low >= _THIRD and eq.c_high <= 1)
+    return LimitDecomposition(cover, sub, partition, summing,
+                              equivalence_constants(sub, summing))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ smaller stores its landmarks keep, and one detour block.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -85,9 +84,6 @@ DEFAULT_BUDGET = math.isqrt(_MATRIX_BYTES // 8)
 # while it has at most _COUNT_BITS bits (about 19,700 digits); a stage
 # past that is refused with a lower bound on its count.
 _COUNT_BITS = 1 << 16
-# The cap of ``estimate_points``: one object, so the entries of
-# ``_size``'s cache share it rather than each keeping an 8 KiB copy.
-_COUNT_CAP = 1 << _COUNT_BITS
 
 # ---------------------------------------------------------------------------
 # specs and addresses
@@ -223,10 +219,8 @@ def _chain(alpha: OrdinalNotation) -> tuple[OrdinalNotation, int]:
     return (ONE, steps - 1) if head.is_zero else (head, steps)
 
 
-# Both are bounded, so a process that sizes many specs does not grow
-# them for good.
-@functools.lru_cache(maxsize=1 << 16)
-def _size(spec: DiamondSpec, cap: int) -> tuple[int, bool]:
+def _size(spec: DiamondSpec, cap: int,
+          memo: Optional[dict] = None) -> tuple[int, bool]:
     """The point count of the stage of ``spec``, and whether it is exact.
 
     A count past ``cap`` may come back as a lower bound that is still
@@ -240,7 +234,14 @@ def _size(spec: DiamondSpec, cap: int) -> tuple[int, bool]:
     ((2n)^k ((2n - 1) q + n) - n) / (2n - 1), in closed form: a finite
     stage alpha has 2 + n((2n)^alpha - 1) / (2n - 1) points, and no
     height walks its chain.
+
+    A top-level call starts an empty ``memo`` and passes it down, so a
+    nested limit counts each distinct summand once, and no count
+    outlives the call.
     """
+    memo = {} if memo is None else memo
+    if spec in memo:
+        return memo[spec]
     n = spec.branches
     head, steps = _chain(spec.alpha)
     exact = True
@@ -250,45 +251,49 @@ def _size(spec: DiamondSpec, cap: int) -> tuple[int, bool]:
         interior = 0
         subs = _summands(replace(spec, alpha=head))
         for sub in subs:
-            points, exact_sub = _size(sub, cap)
+            points, exact_sub = _size(sub, cap, memo)
             interior, exact = interior + points - 2, exact and exact_sub
             if interior + 2 > cap:
                 break
         # A count that stopped before the last summand is a lower bound.
         exact = exact and next(subs, None) is None
-    if steps:
-        bits = max(_COUNT_BITS, cap.bit_length())
-        # The interior grows by at least 2n >= 2 ** floor(log2(2n)) a step.
-        if steps * ((2 * n).bit_length() - 1) > bits:
-            return 1 << bits, False
+    bits = max(_COUNT_BITS, cap.bit_length())
+    # The interior grows by at least 2n >= 2 ** floor(log2(2n)) a step.
+    if steps * ((2 * n).bit_length() - 1) > bits:
+        memo[spec] = 1 << bits, False
+    else:
         grow = (2 * n) ** steps
         interior = (grow * ((2 * n - 1) * interior + n) - n) // (2 * n - 1)
-    return interior + 2, exact
+        memo[spec] = interior + 2, exact
+    return memo[spec]
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _scale(spec: DiamondSpec) -> int:
+def _scale(spec: DiamondSpec, memo: Optional[dict] = None) -> int:
     """The denominator of the stage of ``spec``.
 
     A successor doubles its predecessor's.  A limit takes its largest
     summand denominator, which is common to its summands, since every
-    denominator is a power of two.
+    denominator is a power of two.  ``memo`` is kept as in :func:`_size`.
     """
-    head, steps = _chain(spec.alpha)
-    scale = (1 if head == ONE
-             else max(map(_scale, _summands(replace(spec, alpha=head)))))
-    return scale << steps
+    memo = {} if memo is None else memo
+    if spec not in memo:
+        head, steps = _chain(spec.alpha)
+        scale = (1 if head == ONE
+                 else max(_scale(sub, memo)
+                          for sub in _summands(replace(spec, alpha=head))))
+        memo[spec] = scale << steps
+    return memo[spec]
 
 
 def estimate_points(spec: DiamondSpec) -> int:
     """Exact point count of ``build(spec)`` without building it.
 
-    The count is taken with ``_COUNT_CAP``, 2**_COUNT_BITS, as its cap
-    (see :func:`_size`), and ``OverflowError`` names a lower bound on one
-    that is not formed exactly; the budget guard of :func:`build`
-    compares a count with the budget under a far smaller cap.
+    The count is taken with 2**_COUNT_BITS as its cap (see
+    :func:`_size`), and ``OverflowError`` names a lower bound on one that
+    is not formed exactly; the budget guard of :func:`build` compares a
+    count with the budget under a far smaller cap.
     """
-    count, exact = _size(spec, _COUNT_CAP)
+    count, exact = _size(spec, 1 << _COUNT_BITS)
     if not exact:
         raise OverflowError(f"spec needs {_count_text(count, False)} "
                             f"points, too many to count exactly")

@@ -52,6 +52,7 @@ __all__ = [
 TOOL_VERSION = "0.1.0"
 
 _HALF = Fraction(1, 2)
+_THIRD = Fraction(1, 3)
 _ONE = Fraction(1)
 
 
@@ -372,6 +373,9 @@ def _decomposition_rows(dec: LimitDecomposition,
     counted but not checked).  ``diamondlab decomp`` prints them, and
     the summing-constants check fails with the first failing one."""
     cover, minimum, eq = dec.cover, dec.cover.minimum, dec.constants
+    # The separation has one entry per point of the stage.
+    complete = (len(set(cover.bottom_half) | set(cover.top_half))
+                == len(cover.separation))
     checked = [vec for vec in vectors if not vec.is_zero]
     bad_add = sum(not ell1_additivity_check(dec.summing, dec.partition,
                                             vec).passed for vec in checked)
@@ -379,13 +383,14 @@ def _decomposition_rows(dec: LimitDecomposition,
                    for vec in checked)
     rows = (
         ("decomp-cover", "pole cover is complete with separation >= 1/2",
-         dec.complete and dec.separated,
+         complete and minimum is not None and minimum >= _HALF,
          f"{len(cover.bottom_half)}+{len(cover.top_half)} points, minimum "
          f"separation "
          f"{dio.format_fraction(minimum) if minimum is not None else 'inf'}"),
         ("decomp-constants", "metric equivalence constants lie in [1/3, 1]",
-         dec.bounded, f"c_low {dio.format_fraction(eq.c_low)}, "
-                      f"c_high {dio.format_fraction(eq.c_high)}"),
+         eq.c_low >= _THIRD and eq.c_high <= _ONE,
+         f"c_low {dio.format_fraction(eq.c_low)}, "
+         f"c_high {dio.format_fraction(eq.c_high)}"),
         ("decomp-additivity", "summing norm splits exactly across summands",
          bad_add == 0, f"{len(vectors)} vectors, {bad_add} failures"),
         ("decomp-projection", "norm splits exactly at every summand cut",
@@ -413,85 +418,87 @@ def check_summing_constants(cfg: SuiteConfig) -> tuple[str, str]:
 def check_determinism_roundtrip(cfg: SuiteConfig) -> tuple[str, str]:
     spec = DiamondSpec(2, 3)
     space, lm = build_cached(spec, cfg.budget)
-    workdir = tempfile.mkdtemp(prefix="diamondlab-")
+    with tempfile.TemporaryDirectory(prefix="diamondlab-") as workdir:
 
-    def path(name: str) -> str:
-        return os.path.join(workdir, name)
+        def path(name: str) -> str:
+            return os.path.join(workdir, name)
 
-    adv = AdversaryConfig("adaptive_dual", 3, Fraction(1, 8), cfg.seed + 1)
-    first = prover_certify(space, lm, 2, adv)
-    # The second proof draws its family and its norms afresh.
-    clear_norm_caches(space)
-    second = prover_certify(space, lm, 2, adv)
-    doc1 = dio.TranscriptDocument(first).with_report(
-        verify_transcript(space, first))
-    doc2 = dio.TranscriptDocument(second).with_report(
-        verify_transcript(space, second))
-    dio.write_transcript(path("t1.txt"), doc1, spec)
-    dio.write_transcript(path("t2.txt"), doc2, spec)
-    if _read_bytes(path("t1.txt")) != _read_bytes(path("t2.txt")):
-        return "fail", "equal seeds produced different transcript bytes"
+        adv = AdversaryConfig("adaptive_dual", 3, Fraction(1, 8), cfg.seed + 1)
+        first = prover_certify(space, lm, 2, adv)
+        # The second proof draws its family and its norms afresh.
+        clear_norm_caches(space)
+        second = prover_certify(space, lm, 2, adv)
+        doc1 = dio.TranscriptDocument(first).with_report(
+            verify_transcript(space, first))
+        doc2 = dio.TranscriptDocument(second).with_report(
+            verify_transcript(space, second))
+        dio.write_transcript(path("t1.txt"), doc1, spec)
+        dio.write_transcript(path("t2.txt"), doc2, spec)
+        if _read_bytes(path("t1.txt")) != _read_bytes(path("t2.txt")):
+            return "fail", "equal seeds produced different transcript bytes"
 
-    rows = (CheckResult("alpha", "first claim", "pass", "details one"),
-            CheckResult("beta", "second claim", "skip", "details two"))
-    report = SuiteReport(TOOL_VERSION, cfg.seed, cfg.budget, rows)
-    write_report(path("r1.txt"), report)
-    write_report(path("r2.txt"), report)
-    if _read_bytes(path("r1.txt")) != _read_bytes(path("r2.txt")):
-        return "fail", "report serialization is not byte-stable"
-    if read_report(path("r1.txt")) != report:
-        return "fail", "report did not round-trip"
+        rows = (CheckResult("alpha", "first claim", "pass", "details one"),
+                CheckResult("beta", "second claim", "skip", "details two"))
+        report = SuiteReport(TOOL_VERSION, cfg.seed, cfg.budget, rows)
+        write_report(path("r1.txt"), report)
+        write_report(path("r2.txt"), report)
+        if _read_bytes(path("r1.txt")) != _read_bytes(path("r2.txt")):
+            return "fail", "report serialization is not byte-stable"
+        if read_report(path("r1.txt")) != report:
+            return "fail", "report did not round-trip"
 
-    dio.write_space(path("space.txt"), space, lm, spec)
-    loaded_space, loaded_lm, loaded_spec = dio.read_space(path("space.txt"))
-    if loaded_space is not space or loaded_lm is not lm or loaded_spec != spec:
-        return "fail", "space file did not round-trip to the shared object"
+        dio.write_space(path("space.txt"), space, lm, spec)
+        loaded = dio.read_space(path("space.txt"))
+        if (loaded[0] is not space or loaded[1] is not lm
+                or loaded[2] != spec):
+            return "fail", "space file did not round-trip to the shared object"
 
-    sampler = Sampler(cfg.seed)
-    vec = _random_vector(sampler, space, 5)
-    dio.write_vector(path("vec.txt"), vec, spec)
-    if dio.read_vector(path("vec.txt"), space) != vec:
-        return "fail", "vector file did not round-trip"
+        sampler = Sampler(cfg.seed)
+        vec = _random_vector(sampler, space, 5)
+        dio.write_vector(path("vec.txt"), vec, spec)
+        if dio.read_vector(path("vec.txt"), space) != vec:
+            return "fail", "vector file did not round-trip"
 
-    func = free_norm(vec)[1].potential
-    dio.write_function(path("fn.txt"), func, spec)
-    if dio.read_function(path("fn.txt"), space) != func:
-        return "fail", "function file did not round-trip"
+        func = free_norm(vec)[1].potential
+        dio.write_function(path("fn.txt"), func, spec)
+        if dio.read_function(path("fn.txt"), space) != func:
+            return "fail", "function file did not round-trip"
 
-    cert = free_norm(vec)[1]
-    dio.write_certificate(path("cert.txt"), cert, spec)
-    loaded_cert = dio.read_certificate(path("cert.txt"), space)
-    if (loaded_cert.vector != cert.vector or loaded_cert.value != cert.value
-            or loaded_cert.plan != cert.plan
-            or loaded_cert.potential != cert.potential):
-        return "fail", "certificate file did not round-trip"
+        cert = free_norm(vec)[1]
+        dio.write_certificate(path("cert.txt"), cert, spec)
+        loaded_cert = dio.read_certificate(path("cert.txt"), space)
+        if (loaded_cert.vector != cert.vector
+                or loaded_cert.value != cert.value
+                or loaded_cert.plan != cert.plan
+                or loaded_cert.potential != cert.potential):
+            return "fail", "certificate file did not round-trip"
 
-    limit_spec = DiamondSpec(OMEGA, 3, 3)
-    limit_space, limit_lm = build_cached(limit_spec, cfg.budget)
-    dec = decompose_limit(limit_space, limit_lm)
-    dio.write_partition(path("part.txt"), dec.sub, dec.partition)
-    if dio.read_partition(path("part.txt"), dec.sub) != dec.partition:
-        return "fail", "partition file did not round-trip"
+        limit_spec = DiamondSpec(OMEGA, 3, 3)
+        limit_space, limit_lm = build_cached(limit_spec, cfg.budget)
+        dec = decompose_limit(limit_space, limit_lm)
+        dio.write_partition(path("part.txt"), dec.sub, dec.partition)
+        if dio.read_partition(path("part.txt"), dec.sub) != dec.partition:
+            return "fail", "partition file did not round-trip"
 
-    loaded_doc, _, _ = dio.read_transcript(path("t1.txt"), space, lm)
-    if (loaded_doc.transcript.root != first.root
-            or loaded_doc.transcript.adversary != first.adversary):
-        return "fail", "transcript file did not round-trip"
+        loaded_doc, _, _ = dio.read_transcript(path("t1.txt"), space, lm)
+        if (loaded_doc.transcript.root != first.root
+                or loaded_doc.transcript.adversary != first.adversary):
+            return "fail", "transcript file did not round-trip"
 
-    deep_space, deep_lm = build_cached(DiamondSpec(3, 3), cfg.budget)
-    deep = prover_certify(deep_space, deep_lm, 3,
-                          AdversaryConfig("distance_functions", 3,
-                                          Fraction(1, 10), 5))
-    mutants = 0
-    for kind in MUTATION_KINDS:
-        for _ in range(4):
-            mutated = mutate_transcript(deep, kind, sampler)
-            if verify_transcript(deep_space, mutated).passed:
-                return "fail", f"a {kind} mutant passed verification"
-            mutants += 1
-    return "pass", (f"equal seeds give identical bytes, all six file kinds "
-                    f"round-trip, and {mutants}/{mutants} mutants fail "
-                    f"verification")
+        deep_space, deep_lm = build_cached(DiamondSpec(3, 3), cfg.budget)
+        deep = prover_certify(deep_space, deep_lm, 3,
+                              AdversaryConfig("distance_functions", 3,
+                                              Fraction(1, 10), 5))
+        mutants = 0
+        for kind in MUTATION_KINDS:
+            for _ in range(4):
+                mutated = mutate_transcript(deep, kind, sampler)
+                if verify_transcript(deep_space, mutated).passed:
+                    return "fail", f"a {kind} mutant passed verification"
+                mutants += 1
+        return "pass", (f"equal seeds give identical bytes, all six file "
+                        f"kinds round-trip, and {mutants}/{mutants} mutants "
+                        f"fail verification")
 
 
 def _read_bytes(path: str) -> bytes:

@@ -13,7 +13,10 @@ Core claims checked here:
     witnessed pair under the original metric,
   * each slice norm is measured on the summing space itself, with no
     restriction, and equals the one measured in its summand plus the
-    base.
+    base,
+  * a stage that is not a metric is refused by ``decompose_limit``, by
+    ``diamondlab decomp`` and by the summing-constants check, even when
+    the fault lies outside the bottom half.
 """
 
 import dataclasses
@@ -32,17 +35,23 @@ from diamondlab import (
     Sampler,
     SummandPartition,
     DiamondSpec,
+    SuiteConfig,
+    build,
     build_cached,
     build_cover,
     check_partition,
+    cli,
     cover_partition,
+    decompose_limit,
     ell1_additivity_check,
     equivalence_constants,
     molecule,
     point_mass,
     projection_identity_check,
+    run_check,
     summing_metric,
 )
+from diamondlab import suite
 from diamondlab.metric import _GROUP_BYTES
 from oracles import cover_slices_oracle, ell1_parts_oracle
 
@@ -55,6 +64,24 @@ def _bottom_half(dw33):
     sub, kept, partition = cover_partition(space, lm, cover.bottom_half,
                                            lm.bottom)
     return space, lm, cover, sub, kept, partition
+
+
+def _planted():
+    """The omega stage (n=3, width 3) with one distance between two
+    top-half points, outside the bottom half, lowered from 3/4 to 1/4, and
+    those two points.  The bottom half is still a metric; the stage is
+    not."""
+    space, lm = build(DiamondSpec(OMEGA, 3, 3))
+    pair = (space.index_of("sum(2)/+(1)/mid(3)"),
+            space.index_of("sum(3)/+(3)/+(3)/mid(1)"))
+    assert space.distance(*pair) == Fraction(3, 4)
+    mat, scale = space.integer_scaled()
+    mat = mat.copy()
+    mat[pair] = mat[pair[::-1]] = mat[pair] // 3
+    planted = MetricSpace.from_scaled(space.labels, mat, scale,
+                                      space.base_point)
+    assert planted.distance(*pair) == Fraction(1, 4)
+    return planted, lm, pair
 
 
 def _random_sub_vector(sampler, space, max_support=4):
@@ -130,9 +157,29 @@ def test_summing_metric_rejects_corrupt_input():
             [Fraction(1), Fraction(1), Fraction(0)]]
     corrupt = MetricSpace(["b", "x", "y"], rows, 0)
     partition = SummandPartition(0, ((1,), (2,)))
-    with pytest.raises(MetricAxiomError,
-                       match="summand 0 with the base point is not a metric"):
+    with pytest.raises(MetricAxiomError, match=r"d\(0,1\) is not positive"):
         summing_metric(corrupt, partition)
+
+
+def test_decompose_limit_refuses_a_planted_stage():
+    planted, lm, pair = _planted()
+    cover = build_cover(planted, lm)
+    assert set(pair) <= set(cover.top_half) - set(cover.bottom_half)
+    with pytest.raises(MetricAxiomError, match="triangle violation"):
+        decompose_limit(planted, lm)
+
+
+def test_decomp_and_the_suite_refuse_a_planted_stage(monkeypatch, capsys):
+    planted = _planted()[:2]
+    monkeypatch.setattr(cli, "build_cached", lambda *args: planted)
+    monkeypatch.setattr(suite, "build_cached", lambda *args: planted)
+    assert cli.main(["decomp", "--alpha", "w", "--branches", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("check failure: triangle violation")
+    assert "verdict" not in captured.out
+    result = run_check("summing-constants", SuiteConfig())
+    assert result.status == "fail"
+    assert result.details.startswith("MetricAxiomError: triangle violation")
 
 
 # -- Equivalence constants -----------------------------------------------------------

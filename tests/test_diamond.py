@@ -12,11 +12,14 @@ Core claims checked here:
     edge substitution, a generator sharing no code with the builder,
   * the integer matrix a stage is built with is the one its Fraction
     distances scale to,
-  * budgets reject oversized specs before building anything,
+  * budgets reject oversized specs before building anything, and
+    sizing a spec keeps nothing once it returns,
   * spec fields are integers: floats and strings are refused, and NumPy
     integers become ints.
 """
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -185,6 +188,20 @@ def test_estimate_points_refuses_a_count_it_cannot_form():
     # Neither count is formed: each names 2**65537 as its lower bound.
     assert done.stdout == 2 * ("spec needs at least 4.0e19728 points, too "
                                "many to count exactly\n")
+
+
+def test_estimate_points_keeps_nothing_after_it_returns():
+    tracemalloc.start()
+    try:
+        count = estimate_points(DiamondSpec(OMEGA, 3, 2000))
+        # A full collection empties the interpreter's free lists, which
+        # keep the blocks of freed tuples.
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count.bit_length() > 5000
+    assert held < 64 << 10
 
 
 def test_build_cached_shares_objects():

@@ -10,6 +10,7 @@ Core claims checked here:
     mismatches are refused with located errors; a space file without an
     echo must hold a metric,
   * a writer that fails leaves neither a partial nor a temporary file,
+    and the determinism check removes the files it writes,
   * truncated records, references to undeclared transcript nodes or
     moves, move indices other than 0..k-1 and unknown statuses are
     refused with FormatError, never a KeyError or IndexError,
@@ -19,6 +20,7 @@ Core claims checked here:
 
 import dataclasses
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -1169,6 +1171,13 @@ def test_decomp_and_the_suite_fail_with_one_row(monkeypatch, capsys):
     result = run_check("summing-constants", SuiteConfig())
     assert (result.status, result.details) == (
         "fail", "decomp-constants: c_low 1/4, c_high 1/1")
+
+
+def test_determinism_roundtrip_leaves_no_files(monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    result = run_check("determinism-roundtrip", SuiteConfig())
+    assert result.status == "pass", result.details
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

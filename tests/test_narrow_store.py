@@ -276,8 +276,9 @@ def test_dense_passes_keep_no_table_sized_temporary(tmp_path):
 
 def test_summing_metric_forms_no_table_beside_its_store():
     # The bottom half of omega (n=3, width 5) has 4,183 points in five
-    # slices.  The space is not validated, so each slice with the base is
-    # restricted and validated on the way.
+    # slices.  ``cover_partition`` validated the stage outside the trace,
+    # and the half inherits that, so the summing metric checks nothing
+    # more.
     space, lm = build(DiamondSpec(OMEGA, 3, limit_width=5))
     cover = build_cover(space, lm)
     sub, _, partition = cover_partition(space, lm, cover.bottom_half,

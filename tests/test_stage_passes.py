@@ -6,15 +6,16 @@ numerator matrix is read-only, so neither memo can go stale.  Checked
 here with a spy on the scan itself: a validate, edges, dot file,
 validate sequence scans once; a failing table raises every time and
 keeps nothing; restrictions inherit validation only from a validated
-parent; and ``summing_metric`` still checks the pieces of an input that
-was never validated.
+parent; ``summing_metric`` checks an input that was never validated as
+a whole; and ``decompose_limit`` checks its stage once.
 """
 
 import numpy as np
 import pytest
 
-from diamondlab import (DiamondSpec, MetricAxiomError, MetricSpace,
-                        SummandPartition, build, finest_edges, summing_metric)
+from diamondlab import (OMEGA, DiamondSpec, MetricAxiomError, MetricSpace,
+                        SummandPartition, build, decompose_limit,
+                        finest_edges, summing_metric)
 from diamondlab import metric
 from diamondlab.io import write_dot
 
@@ -89,18 +90,21 @@ def test_restriction_is_validated_only_when_its_parent_is(scans):
         sub.validate_metric()
 
 
-def test_summing_metric_checks_the_pieces_of_an_unvalidated_input(scans):
-    # Summand 0 is {1} with the base 3: a metric.  Summand 1 is {0, 2}
-    # with the base: d(0,2) = 5 > d(0,3) + d(3,2) = 3 + 1.
-    mat = [[0, 2, 5, 3],
-           [2, 0, 2, 2],
-           [5, 2, 0, 1],
+def test_summing_metric_checks_an_unvalidated_input_whole(scans):
+    # Summand 0 is {1} and summand 1 is {0, 2}, with the base 3.  Each
+    # summand with the base is a metric, but the space is not:
+    # d(0,1) = 6 > d(0,2) + d(2,1) = 4.
+    mat = [[0, 6, 2, 3],
+           [6, 0, 2, 2],
+           [2, 2, 0, 1],
            [3, 2, 1, 0]]
     space = MetricSpace.from_scaled(["a", "b", "c", "d"], mat, 1, 3)
     partition = SummandPartition(3, ((1,), (0, 2)))
-    with pytest.raises(MetricAxiomError, match="summand 1 with the base"):
+    with pytest.raises(MetricAxiomError, match="triangle violation"):
         summing_metric(space, partition)
-    assert len(scans) == 2
+    assert scans == [space]
+    for members in partition.summands:
+        space.restrict((3, *members), 3)[0].validate_metric()
 
 
 def test_summing_metric_on_a_validated_input_scans_no_piece(scans):
@@ -111,6 +115,14 @@ def test_summing_metric_on_a_validated_input_scans_no_piece(scans):
     summing = summing_metric(space, partition)
     assert scans == [space]
     assert not summing._validated
+
+
+def test_decompose_limit_checks_its_stage_once(scans):
+    space, lm = build(DiamondSpec(OMEGA, 3, 3))
+    decompose_limit(space, lm)
+    assert scans == [space]
+    decompose_limit(space, lm)
+    assert scans == [space]
 
 
 def test_numerators_are_read_only():
