@@ -237,7 +237,8 @@ def _size(spec: DiamondSpec, cap: int,
 
     A top-level call starts an empty ``memo`` and passes it down, so a
     nested limit counts each distinct summand once, and no count
-    outlives the call.
+    outlives the call; :func:`_build` passes one ``memo`` through a
+    whole build.
     """
     memo = {} if memo is None else memo
     if spec in memo:
@@ -377,9 +378,21 @@ def build_cached(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
     return hit
 
 
-def _build(spec: DiamondSpec) -> tuple[MetricSpace, DiamondLandmarks]:
-    labels, landmarks, mat = _stage(spec)
-    return (MetricSpace._adopt(labels, mat, _scale(spec),
+def _build(spec: DiamondSpec, sizes: Optional[dict] = None,
+           scales: Optional[dict] = None
+           ) -> tuple[MetricSpace, DiamondLandmarks]:
+    """The stage of ``spec``, past the budget guard.
+
+    ``sizes`` memoizes :func:`_size` at the cap of
+    :func:`estimate_points`, and ``scales`` memoizes :func:`_scale`.  A
+    top-level call starts both empty and passes them down, into
+    :func:`_stage` and the predecessor's build, so each distinct spec is
+    sized and scaled once per build, and no memo outlives the call.
+    """
+    sizes = {} if sizes is None else sizes
+    scales = {} if scales is None else scales
+    labels, landmarks, mat = _stage(spec, sizes, scales)
+    return (MetricSpace._adopt(labels, mat, _scale(spec, scales),
                                base_point=landmarks.ell), landmarks)
 
 
@@ -414,11 +427,13 @@ def _detours(out: np.ndarray, to_a: np.ndarray, from_a: np.ndarray,
                    out=out[lo:hi])
 
 
-def _stage(spec: DiamondSpec, out: Optional[np.ndarray] = None
+def _stage(spec: DiamondSpec, sizes: dict, scales: dict,
+           out: Optional[np.ndarray] = None
            ) -> tuple[list[str], DiamondLandmarks, np.ndarray]:
     """Write the numerators of the stage of ``spec``, over its
     denominator, into ``out`` (a new matrix when None); return its
-    labels, its landmarks and the matrix.
+    labels, its landmarks and the matrix.  ``sizes`` and ``scales`` are
+    the memos of :func:`_build`.
 
     A stage is outer vertices plus pieces, each hung between two outer
     ends.  A successor's outer vertices are the base stage's, and its
@@ -427,7 +442,10 @@ def _stage(spec: DiamondSpec, out: Optional[np.ndarray] = None
     rest of the stage only at its ends, so every distance outside the
     pieces' diagonal blocks is the shorter of two end detours.
     """
-    points, scale = estimate_points(spec), _scale(spec)
+    def points_of(sub: DiamondSpec) -> int:
+        return _size(sub, 1 << _COUNT_BITS, sizes)[0]
+
+    points, scale = points_of(spec), _scale(spec, scales)
     # The matrix holds the diameter 2 * scale; detour sums, twice that.
     wide = narrowest(0, 4 * scale)
     if out is None:
@@ -445,13 +463,14 @@ def _stage(spec: DiamondSpec, out: Optional[np.ndarray] = None
         outer = np.array([[0, 2], [2, 0]]) * scale
         subs = list(_summands(spec))
         his = list(itertools.accumulate(
-            (estimate_points(sub) - 2 for sub in subs), initial=2))
+            (points_of(sub) - 2 for sub in subs), initial=2))
         labels = ["top", "bottom"] + [""] * (points - 2)
         summands = [None] * len(subs)
         for k in reversed(range(len(subs))):
             sub, lo, hi = subs[k], his[k], his[k + 1]
-            sub_labels, sub_lm, block = _stage(sub, out[lo - 2:hi, lo - 2:hi])
-            factor = scale // _scale(sub)
+            sub_labels, sub_lm, block = _stage(sub, sizes, scales,
+                                               out[lo - 2:hi, lo - 2:hi])
+            factor = scale // _scale(sub, scales)
             pieces.append(((lo, hi), (0, 1),
                            block[2:, 0].astype(wide) * factor,
                            block[2:, 1].astype(wide) * factor))
@@ -473,7 +492,7 @@ def _stage(spec: DiamondSpec, out: Optional[np.ndarray] = None
         labels, subcopies, predecessor = _outer_labels(n), {}, None
         if alpha != ONE:
             pred_space, _ = predecessor = _build(
-                replace(spec, alpha=alpha.predecessor()))
+                replace(spec, alpha=alpha.predecessor()), sizes, scales)
             pred_mat = pred_space._stored()[0]
             m = len(pred_space) - 2
             to_top = pred_mat[2:, 0].astype(wide)

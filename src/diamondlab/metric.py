@@ -15,9 +15,10 @@ or a block read fresh int64 numerators through ``MetricSpace._rows`` and
 kernels and distance functionals, and the equivalence constants of
 summing metrics.  Only whole-table passes read the narrow store itself,
 through ``MetricSpace._stored()``, and widen each block before
-computing: validation, the edge scan, the closure, the builders, space
-files, summing metrics and the pole cover.  ``integer_scaled()`` is the
-public whole-table read, a fresh read-only int64 copy.
+computing: the edge scan, which is also the metric check, the closure,
+the builders, space files, summing metrics and the pole cover.
+``integer_scaled()`` is the public whole-table read, a fresh read-only
+int64 copy.
 ``distance(x, y)`` forms one ``Fraction`` on demand.  ``dist_matrix``,
 the ``Fraction`` table of the API boundary, is a read-only view of the
 store: it forms its rows when they are read, a block at a time, and
@@ -35,11 +36,13 @@ the table is simply made again.
 
 The numerator matrix is read-only, so a space never changes after it
 is made, and two results are kept on it once known: the finest edges
-(:func:`finest_edges` scans once per space) and a pass of
-:meth:`MetricSpace.validate_metric`, after which the check returns at
-once.  A restriction of a validated space is validated too, since every
-axiom on a sub-table with distinct indices is an axiom of the parent
-table.
+and a pass of :meth:`MetricSpace.validate_metric`.  One scan,
+:func:`finest_edges`, gives both: it checks the zero diagonal, then
+finds each row's finest edges nearest first, tests each edge it picks
+for positivity and symmetry, and tests the triangles through it.  A
+table passes exactly when it is a metric, as its docstring shows.  A
+restriction of a validated space is validated too, since every axiom on
+a sub-table with distinct indices is an axiom of the parent table.
 
 :meth:`MetricSpace.from_scaled` builds a space from a copy of the
 numerators it is given, and the plain constructor converts ``Fraction``
@@ -66,7 +69,7 @@ __all__ = ["MetricSpace", "MetricAxiomError", "finest_edges",
 
 _INT64_SAFE = 1 << 60
 # The one budget for the temporaries of a block of a whole-table pass:
-# validation, the common factor of a new store, grouped closure steps,
+# the common factor of a new store, grouped closure steps,
 # the ``lipschitz`` kernels, the pole detours of a diamond stage, summing
 # metrics and the text blocks of files.
 _GROUP_BYTES = 1 << 18
@@ -334,34 +337,14 @@ class MetricSpace:
     # -- validation --------------------------------------------------------
 
     def validate_metric(self) -> None:
-        """Check the metric axioms exactly: the diagonal, symmetry and
-        positivity a block of rows at a time, naming the first failing
-        pair in row-major order, then triangles in :func:`finest_edges`.
-        A pass is kept: later calls return at once.
+        """Check the metric axioms exactly: this is :func:`finest_edges`,
+        which raises ``MetricAxiomError`` on every table that is not a
+        metric.  A pass is kept: later calls return at once, and so do
+        those on restrictions of this space.
         """
-        if self._validated:
-            return
-        n = len(self)
-        mat, _ = self._stored()
-        d = self.distance
-        if np.diagonal(mat).any():
-            i = int(np.flatnonzero(np.diagonal(mat))[0])
-            raise MetricAxiomError(f"d({i},{i}) != 0")
-        step = max(1, _GROUP_BYTES // (8 * n))
-        for lo in range(0, n, step):
-            wrong = mat[lo:lo + step] != mat[:, lo:lo + step].T
-            if wrong.any():
-                i, j = divmod(lo * n + int(wrong.argmax()), n)
-                raise MetricAxiomError(
-                    f"asymmetry at ({i},{j}): {d(i, j)} vs {d(j, i)}")
-        for lo in range(0, n, step):
-            wrong = mat[lo:lo + step] <= 0
-            np.fill_diagonal(wrong[:, lo:], False)
-            if wrong.any():
-                raise MetricAxiomError("d({},{}) is not positive".format(
-                    *divmod(lo * n + int(wrong.argmax()), n)))
-        finest_edges(self)
-        self._validated = True
+        if not self._validated:
+            finest_edges(self)
+            self._validated = True
 
     def __repr__(self) -> str:
         return (f"MetricSpace({len(self)} points, "
@@ -467,15 +450,33 @@ def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
     """Pairs with no third point strictly between them: z is between x
     and y when d(x,z) + d(z,y) = d(x,y) with both summands positive.
 
-    Row x is a greedy scan: the nearest point z not yet blocked is a
-    finest neighbour, it blocks each y with d(x,z) + d(z,y) <= d(x,y),
-    and d(x,z) + d(z,y) < d(x,y) raises ``MetricAxiomError``.  It takes
-    O(|E|·n) time with O(n) temporaries and ends on any table.  On a
-    symmetric, positive table the test is exact.  By induction on the
-    distance, each pair has a path of picked arcs no longer than its
-    distance, and the tested inequalities along any such path show none
-    is shorter.  So the table is the shortest-path closure of the picked
-    arcs, a metric, and a metric passes every test.
+    This is also the whole metric check: it raises ``MetricAxiomError``
+    on every table that is not a metric, naming a point, pair or triple
+    that breaks the axiom the message names.  The diagonal is checked
+    first.  Row x is then a greedy scan: the nearest point z not yet
+    blocked is picked, the arc (x, z) must have d(x,z) > 0 and
+    d(z,x) = d(x,z), z blocks each y with d(x,z) + d(z,y) <= d(x,y), and
+    d(x,z) + d(z,y) < d(x,y) is a triangle violation.  The row ends when
+    every other point is blocked.  The scan takes O(|E|·n) time with
+    O(n) temporaries and ends on any table.
+
+    A table that passes is a metric.  Picks come nearest first, so the
+    first pick of a row is its minimum, and every entry off the diagonal
+    is positive.  Each y != x was blocked by an arc (x, z) with
+    d(x,z) + d(z,y) = d(x,y) and d(z,y) < d(x,y), so by induction on the
+    distance a path of picked arcs from x to y has length d(x,y).  The
+    triangle tests along any path of picked arcs show that none is
+    shorter.  So the table is the shortest-path distance of the picked
+    arcs, which is positive off the diagonal and obeys the triangle
+    inequality.  Each picked arc is symmetric, so a shortest path from
+    x to y, reversed, bounds d(y,x) by d(x,y) through the triangle
+    inequality, and the same holds the other way round.
+
+    A metric passes, and the picked arcs are its finest edges.  A point
+    strictly between x and z is nearer to x than z, so it, or the pick
+    that blocked it, blocks z before z could be picked.  A pick that
+    blocked a finest neighbour z would lie strictly between x and z, so
+    z is picked.  Finest edges are symmetric and positive.
 
     The result is kept on the space and returned by later calls; a scan
     that raises keeps nothing.
@@ -488,6 +489,10 @@ def finest_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
 def _scan_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
     """The scan of :func:`finest_edges`, run afresh."""
     mat, _ = space._stored()
+    d, label = space.distance, space.label
+    if np.diagonal(mat).any():
+        i = int(np.flatnonzero(np.diagonal(mat))[0])
+        raise MetricAxiomError(f"d({i},{i}) != 0")
     n = len(space)
     wide = wider(mat.dtype)
     blocked = np.iinfo(wide).max
@@ -500,13 +505,17 @@ def _scan_edges(space: MetricSpace) -> tuple[tuple[int, int], ...]:
             z = int(live.argmin())
             if live[z] == blocked:
                 break
+            if row[z] <= 0:
+                raise MetricAxiomError(f"d({i},{z}) is not positive")
+            if mat[z, i] != row[z]:
+                raise MetricAxiomError(
+                    f"asymmetry at ({i},{z}): {d(i, z)} vs {d(z, i)}")
             if z > i:
                 out.append((i, z))
             through = mat[z].astype(wide)
             through += row[z]
             j = int((through - row).argmin())
             if through[j] < row[j]:
-                d, label = space.distance, space.label
                 raise MetricAxiomError(
                     f"triangle violation: d({i},{j}) = {d(i, j)} between "
                     f"{label(i)} and {label(j)} exceeds d({i},{z}) + "

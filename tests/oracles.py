@@ -3,13 +3,15 @@
 Deliberately naive implementations: transport by enumerating spanning
 trees of the bipartite support graph, Lipschitz constants, bound checks
 and McShane extensions by pairwise Fraction loops, shortest paths by
-heap Dijkstra over Fractions, finest edges by the dense per-row search
-and the edge closure by Floyd-Warshall on integer numerators, diamond
-stages as graphs grown by edge substitution, and the summing metric, equivalence constants and pole
-cover by pair-by-pair Fraction loops, the l1 slice norms by restricting
-to each summand plus the base, the pole cover's slices by a
-per-summand scan, the box-derivation oracle by subtracting every
-pair of survivors, and the pole-molecule game certificate by the
+heap Dijkstra over Fractions, the metric axioms by testing every
+point, pair and triple (and the witness a refusal names by testing that
+one), finest edges by the dense per-row search and the edge closure
+by Floyd-Warshall on integer numerators, diamond stages as graphs
+grown by edge substitution, and the summing metric, equivalence
+constants and pole cover by pair-by-pair Fraction loops, the l1 slice
+norms by restricting to each summand plus the base, the pole cover's
+slices by a per-summand scan, the box-derivation oracle by subtracting
+every pair of survivors, and the pole-molecule game certificate by the
 recursion that pulls every functional back into the predecessor
 spaces, certifies there, pushes the trees forward again, averages the
 two copies' trees node by node and re-derives every target follow-up,
@@ -27,6 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +227,44 @@ def dijkstra_closure(space, edges):
         dist = _dijkstra(adjacency, source)
         out.append([dist.get(v) for v in range(n)])
     return out
+
+
+def metric_axioms_oracle(space):
+    """Whether ``space`` is a metric, by the four axioms tested a point,
+    pair or triple at a time on its ``Fraction`` distances: a zero
+    diagonal, positive distances off it, symmetry and every triangle."""
+    d, points = space.distance, range(len(space))
+    return (all(d(x, x) == 0 for x in points)
+            and all(d(x, y) > 0 for x in points for y in points if x != y)
+            and all(d(x, y) == d(y, x) for x in points for y in points)
+            and all(d(x, y) <= d(x, z) + d(z, y)
+                    for x, y, z in itertools.product(points, repeat=3)))
+
+
+def names_a_violation(space, message):
+    """Whether ``message``, a refusal of ``space``, is one of the four
+    axiom texts, quotes the distances of ``space``, and names a point,
+    pair or triple that breaks the axiom it names."""
+    d, label = space.distance, space.label
+    pairs = [tuple(map(int, p))
+             for p in re.findall(r"\((\d+),(\d+)\)", message)]
+    if not pairs or max(max(p) for p in pairs) >= len(space):
+        return False
+    (x, y), kind = pairs[0], message.split(" ")[0]
+    if kind == "triangle" and len(pairs) == 3:
+        z = pairs[1][1]
+        through = d(x, z) + d(z, y)
+        return d(x, y) > through and message == (
+            f"triangle violation: d({x},{y}) = {d(x, y)} between "
+            f"{label(x)} and {label(y)} exceeds d({x},{z}) + d({z},{y}) = "
+            f"{through} through {label(z)}")
+    if kind == "asymmetry":
+        return d(x, y) != d(y, x) and message == (
+            f"asymmetry at ({x},{y}): {d(x, y)} vs {d(y, x)}")
+    if message == f"d({x},{y}) != 0":
+        return x == y and d(x, x) != 0
+    return (x != y and d(x, y) <= 0
+            and message == f"d({x},{y}) is not positive")
 
 
 def finest_edges_oracle(space):

@@ -14,10 +14,13 @@ Core claims checked here:
     distances scale to,
   * budgets reject oversized specs before building anything, and
     sizing a spec keeps nothing once it returns,
+  * a build sizes and scales each distinct spec once, with memos that
+    end with the build,
   * spec fields are integers: floats and strings are refused, and NumPy
     integers become ints.
 """
 
+import collections
 import gc
 import tracemalloc
 from fractions import Fraction
@@ -38,6 +41,7 @@ from diamondlab import (
     parse_ordinal,
     shortest_path_closure,
 )
+from diamondlab import diamond
 
 from deadline import within
 from oracles import (diamond_graph, dijkstra_closure, graph_closure,
@@ -202,6 +206,29 @@ def test_estimate_points_keeps_nothing_after_it_returns():
         tracemalloc.stop()
     assert count.bit_length() > 5000
     assert held < 64 << 10
+
+
+def test_a_build_sizes_and_scales_each_spec_once(monkeypatch):
+    # ``_size`` and ``_scale`` read ``_chain`` once for each spec they
+    # size or scale afresh.
+    walks = collections.Counter()
+    chain = diamond._chain
+
+    def spy(alpha):
+        walks[alpha] += 1
+        return chain(alpha)
+
+    monkeypatch.setattr(diamond, "_chain", spy)
+    spec = DiamondSpec(parse_ordinal("w^(2)"), 2, 2)
+    for _ in range(2):
+        walks.clear()
+        space, _ = build(spec)
+        # Seven specs: w^(2), w*2, w+2, w+1, w, 2 and 1.  The budget
+        # guard sizes each once at its own cap, and the build sizes and
+        # scales each once; the second build walks them all again, so
+        # no memo outlived the first.
+        assert len(space) == 266
+        assert len(walks) == 7 and set(walks.values()) == {3}
 
 
 def test_build_cached_shares_objects():

@@ -2,9 +2,10 @@
 
 Core claims checked here:
   * axiom validation accepts true metrics and pinpoints each violation,
-    also a single changed entry of a 779-point stage, where it names the
-    first asymmetric or non-positive pair in row-major order across its
-    row blocks and keeps no temporary near the table's size,
+    also a single changed entry of a 779-point stage, and on planted
+    tables of that stage that break several axioms it names a pair or
+    triple that breaks the axiom it names; it keeps no temporary near
+    the table's size,
   * restriction preserves distances, labels and the chosen base,
   * integer scaling is exact and random closure matrices validate,
   * a space built from integer numerators equals the one built from
@@ -18,9 +19,9 @@ import numpy as np
 import pytest
 
 from diamondlab import (DiamondSpec, MetricAxiomError, MetricSpace, Sampler,
-                        build_cached)
+                        build_cached, finest_edges)
 
-from oracles import dijkstra_closure
+from oracles import dijkstra_closure, names_a_violation
 
 
 # -- Helpers ----------------------------------------------------------------
@@ -121,9 +122,10 @@ def test_validate_refuses_one_changed_entry_on_779_points():
             planted.validate_metric()
 
 
-def test_validate_names_the_first_pair_across_row_blocks():
+def test_validate_names_a_true_witness_on_779_points():
     space, _ = build_cached(DiamondSpec(4, 3))
     mat, scale = space.integer_scaled()
+    edges = finest_edges(space)
 
     def planted(changes):
         bad = mat.copy()
@@ -132,15 +134,21 @@ def test_validate_names_the_first_pair_across_row_blocks():
         return MetricSpace.from_scaled(space.labels, bad, scale,
                                        space.base_point)
 
-    # Asymmetry is reported before positivity, whichever row comes first.
+    # The first three tables break more than one axiom; the check names
+    # the first failing arc of its scan.  The last raises one side of a
+    # finest edge.
+    i, z = edges[len(edges) // 2]
     for changes, message in (
-            ([((700, 100), 5), ((300, 5), 1)], r"asymmetry at \(5,300\)"),
+            ([((700, 100), 5), ((300, 5), 1)], "triangle violation"),
             ([((7, 200), 0), ((200, 7), 0), ((50, 600), -1),
-              ((600, 50), -1)], r"d\(7,200\) is not positive"),
+              ((600, 50), -1)], "triangle violation"),
             ([((3, 9), 0), ((9, 3), 0), ((700, 100), 5)],
-             r"asymmetry at \(100,700\)")):
-        with pytest.raises(MetricAxiomError, match=message):
-            planted(changes).validate_metric()
+             r"d\(3,9\) is not positive"),
+            ([((z, i), mat[z, i] + 1)], rf"asymmetry at \({i},{z}\)")):
+        bad = planted(changes)
+        with pytest.raises(MetricAxiomError, match=message) as refusal:
+            bad.validate_metric()
+        assert names_a_violation(bad, str(refusal.value))
 
 
 def test_validation_keeps_no_table_sized_temporary():

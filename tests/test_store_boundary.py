@@ -49,8 +49,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "diamondlab"
 # Functions that read the whole narrow table, as module.function or
 # module.Class.method, and why.
 WHOLE_TABLE_PASSES = {
-    "metric.MetricSpace.validate_metric",  # diagonal, symmetry, positivity
-    "metric._scan_edges",                  # the finest-edge scan
+    "metric._scan_edges",                  # the scan, the metric check
     "metric.closure_numerators",           # the closure's edge lengths
     "diamond.build_cached",                # the cache counts store bytes
     "diamond._stage",                      # the assembler copies tables
