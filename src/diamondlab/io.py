@@ -22,8 +22,13 @@ writer's: a family's ``fvalue`` lines, checked against the writer's
 heads in one pass and each distinct value text parsed once, and a
 node's ``tentry`` or a move's ``rentry`` lines, each distinct run built
 into its vector once per read, since targets and responses repeat down
-a tree.  The writer formats a family table as one join from the
-functionals' integers.
+a tree.
+
+Writers stream their lines into a temporary file renamed over the
+target, so a writer that fails leaves no file.  Every ``label value``
+line is spelled from a vector's or function's integers by one formatter.
+A space is refused, whatever the file names of it, when one of its
+labels is empty or holds whitespace, since no reader could take it back.
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ from .decomposition import SummandPartition
 from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
 from .lipschitz import LipschitzFunction
-from .metric import (_GROUP_BYTES, MetricSpace, fraction, narrowest,
-                     value_lookup)
+from .metric import MetricSpace, fraction, narrowest, value_lookup
 from .ordinal import format_ordinal, parse_ordinal
 
 __all__ = [
@@ -101,12 +105,6 @@ def _ratio_text(numerator: int, denominator: int) -> str:
     """``numerator / denominator`` in lowest terms, as "p/q"."""
     common = math.gcd(numerator, denominator)
     return f"{numerator // common}/{denominator // common}"
-
-
-def _safe_label(label: str) -> str:
-    if not label or any(ch.isspace() for ch in label):
-        raise FormatError(f"label {label!r} is empty or contains whitespace")
-    return label
 
 
 class _NotAsWritten(Exception):
@@ -237,35 +235,10 @@ class _Reader:
         raise self.error(f"expected {keyword!r}, found {found!r}")
 
 
-def _blocks(lines: Iterable[str]) -> Iterator[str]:
-    """The text of ``lines``, each ended by a newline, joined into blocks
-    of at least ``_GROUP_BYTES`` characters, the last one shorter; a
-    "line" may be a block of several.  The lines of a block are let go
-    before it is yielded."""
-    chunk, size = [], 0
-    for line in lines:
-        chunk.append(line)
-        size += len(line) + 1
-        if size >= _GROUP_BYTES:
-            yield _joined(chunk)
-            size = 0
-    if chunk:
-        yield _joined(chunk)
-
-
-def _joined(chunk: list[str]) -> str:
-    """The lines of ``chunk``, each ended by a newline, as one text;
-    ``chunk`` is emptied."""
-    chunk.append("")
-    text = "\n".join(chunk)
-    chunk.clear()
-    return text
-
-
 def _write(path: str, lines: Iterable[str]) -> None:
-    """Stream ``lines`` into a file beside ``path``, a block of
-    :func:`_blocks` at a time, and rename it over ``path``, so a writer
-    that fails leaves no partial file behind."""
+    """Stream ``lines``, each ended by a newline, into a file beside
+    ``path`` and rename it over ``path``, so a writer that fails leaves no
+    partial file behind.  A "line" may be a text of several."""
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         fh = open(temporary, "w", encoding="utf-8", newline="\n")
@@ -274,8 +247,8 @@ def _write(path: str, lines: Iterable[str]) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with fh:
-            for block in _blocks(lines):
-                fh.write(block)
+            for line in lines:
+                fh.write(f"{line}\n")
         os.replace(temporary, path)
     except BaseException:
         os.remove(temporary)
@@ -284,10 +257,10 @@ def _write(path: str, lines: Iterable[str]) -> None:
 
 def _holds(path: str, lines: Iterable[str]) -> bool:
     """Whether the file at ``path`` is exactly what :func:`_write` writes
-    for ``lines``, compared a block of :func:`_blocks` at a time; only a
-    block's bytes are held while the next block is formed."""
+    for ``lines``, compared one line's bytes at a time."""
     with open(path, "rb") as fh:
-        for data in map(str.encode, _blocks(lines)):
+        for line in lines:
+            data = f"{line}\n".encode()
             if fh.read(len(data)) != data:
                 return False
         return not fh.read(1)
@@ -339,10 +312,23 @@ def _spec_from_fields(rd: _Reader, fields: dict[str, str]) -> DiamondSpec:
                        int(fields["branches"]), int(fields["limit-width"]))
 
 
+def _check_labels(space: MetricSpace) -> None:
+    """Refuse a space with a label that is empty or holds whitespace,
+    which no reader could take back, naming the first in point order.
+    Splitting the joined labels gives them back exactly when all are
+    fit, so the check is one pass in C."""
+    labels = space.labels
+    if " ".join(labels).split() != list(labels):
+        bad = next(label for label in labels if label.split() != [label])
+        raise FormatError(f"label {bad!r} is empty or contains whitespace")
+
+
 def _space_line(space: MetricSpace, spec: Optional[DiamondSpec]) -> str:
+    """The ``space`` line that binds a file to ``space``, whose labels
+    are checked here."""
+    _check_labels(space)
     head = "space" if spec is None else f"space {_spec_fields(spec)}"
-    return (f"{head} points={len(space)}"
-            f" base={_safe_label(space.label(space.base_point))}")
+    return f"{head} points={len(space)} base={space.label(space.base_point)}"
 
 
 def _read_space_line(rd: _Reader, space: Optional[MetricSpace] = None,
@@ -375,9 +361,16 @@ def _index_of(rd: _Reader, space: MetricSpace, label: str) -> int:
         raise rd.error(f"unknown point label {label!r}")
 
 
-def _labelled_lines(keyword: str, space: MetricSpace, entries) -> list[str]:
-    return [f"{keyword} {_safe_label(space.label(i))} {format_fraction(v)}"
-            for i, v in entries]
+def _labelled_lines(head: str, space: MetricSpace,
+                    value: FreeVector | LipschitzFunction) -> list[str]:
+    """The ``head label value`` lines of a vector's or a function's
+    entries, in point order, spelled from its integers: each distinct
+    numerator is formatted once."""
+    idx, nums, den = value.integer_scaled()
+    texts = {n: _ratio_text(n, den) for n in set(nums)}
+    labels = space.labels
+    return [f"{head} {labels[i]} {texts[n]}"
+            for i, n in zip(np.asarray(idx).tolist(), nums)]
 
 
 def _read_labelled(rd: _Reader, space: MetricSpace,
@@ -413,11 +406,12 @@ def _space_lines(space: MetricSpace,
                  landmarks: Optional[DiamondLandmarks],
                  spec: Optional[DiamondSpec]) -> Iterator[str]:
     """The lines of a space file, each row of ``dist`` lines as one."""
+    _check_labels(space)
     n = len(space)
     yield from (_header("space"), _spec_line(spec), f"points {n}",
-                f"base {_safe_label(space.label(space.base_point))}")
+                f"base {space.label(space.base_point)}")
     for i in range(n):
-        yield f"point {i} {_safe_label(space.label(i))}"
+        yield f"point {i} {space.label(i)}"
     if landmarks is not None:
         for name, i in (("top", landmarks.top), ("bottom", landmarks.bottom),
                         ("ell", landmarks.ell)):
@@ -548,7 +542,7 @@ def write_vector(path: str, vec: FreeVector,
                  spec: Optional[DiamondSpec] = None) -> None:
     space = vec.space
     lines = [_header("vector"), _space_line(space, spec),
-             *_labelled_lines("entry", space, vec.entries), "end"]
+             *_labelled_lines("entry", space, vec), "end"]
     _write(path, lines)
 
 
@@ -566,7 +560,7 @@ def write_function(path: str, func: LipschitzFunction,
     space = func.space
     lines = [_header("function"), _space_line(space, spec),
              "domain " + ("total" if func.is_total else "partial"),
-             *_labelled_lines("value", space, func.entries), "end"]
+             *_labelled_lines("value", space, func), "end"]
     _write(path, lines)
 
 
@@ -589,12 +583,12 @@ def write_certificate(path: str, cert: TransportCertificate,
                       spec: Optional[DiamondSpec] = None) -> None:
     space = cert.vector.space
     lines = [_header("certificate"), _space_line(space, spec),
-             *_labelled_lines("entry", space, cert.vector.entries),
+             *_labelled_lines("entry", space, cert.vector),
              f"value {format_fraction(cert.value)}"]
     for i, j, mass in cert.plan:
         lines.append(f"plan {space.label(i)} {space.label(j)} "
                      f"{format_fraction(mass)}")
-    lines += _labelled_lines("potential", space, cert.potential.entries)
+    lines += _labelled_lines("potential", space, cert.potential)
     lines.append("end")
     _write(path, lines)
 
@@ -623,10 +617,9 @@ def write_partition(path: str, space: MetricSpace,
                     partition: SummandPartition,
                     spec: Optional[DiamondSpec] = None) -> None:
     lines = [_header("partition"), _space_line(space, spec),
-             f"base {_safe_label(space.label(partition.base))}"]
+             f"base {space.label(partition.base)}"]
     for m, members in enumerate(partition.summands):
-        labels = " ".join(_safe_label(space.label(i))
-                          for i in sorted(members))
+        labels = " ".join(space.label(i) for i in sorted(members))
         lines.append(f"summand {m} {labels}".rstrip())
     lines.append("end")
     _write(path, lines)
@@ -684,20 +677,13 @@ def write_transcript(path: str, doc: TranscriptDocument,
         lines.append(f"adversary kind={adv.kind} count={adv.count} "
                      f"eta={format_fraction(adv.eta)} seed={adv.seed}")
 
-    # Values are formatted from their integers: hashing a Fraction costs
-    # more than formatting it.
-    def text(value: Fraction) -> str:
-        return f"{value.numerator}/{value.denominator}"
-
     # Targets and responses repeat down a tree: each distinct vector's
-    # ``label value`` texts are formatted once.
+    # lines are spelled once, without their head.
     tails: dict[FreeVector, list[str]] = {}
 
     def vector_lines(head: str, vec: FreeVector) -> list[str]:
         if vec not in tails:
-            support, nums, den = vec.integer_scaled()
-            tails[vec] = [f" {space.label(i)} {_ratio_text(n, den)}"
-                          for i, n in zip(support, nums)]
+            tails[vec] = _labelled_lines("", space, vec)
         return [head + tail for tail in tails[vec]]
 
     # Moves share functional tuples, so a family is found by the tuple's
@@ -711,31 +697,23 @@ def write_transcript(path: str, doc: TranscriptDocument,
             if id(fns) not in family_of:
                 family_of[id(fns)] = by_value.setdefault(fns, len(by_value))
     lines.append(f"families {len(by_value)}")
-    # A family's table is one join: per value, its head, label and text.
-    labels = [f"{label} " for label in space.labels]
     for fid, fns in enumerate(by_value):
         lines.append(f"family {fid} size {len(fns)}")
-        parts: list[str] = []
-        for k, fn in enumerate(fns):
-            idx, nums, den = fn.integer_scaled()
-            texts = {n: f"{_ratio_text(n, den)}\n" for n in set(nums)}
-            piece = [f"fvalue {fid} {k} "] * (3 * len(nums))
-            piece[1::3] = [labels[i] for i in idx.tolist()]
-            piece[2::3] = [texts[n] for n in nums]
-            parts += piece
-        if parts:
-            lines.append("".join(parts)[:-1])
+        table = [line for k, fn in enumerate(fns)
+                 for line in _labelled_lines(f"fvalue {fid} {k}", space, fn)]
+        if table:
+            lines.append("\n".join(table))
 
     for node_path, node in walk_nodes(transcript.root):
         lines.append(f"node {node_path} depth={node.depth} "
-                     f"epsilon={text(node.epsilon)}")
+                     f"epsilon={format_fraction(node.epsilon)}")
         lines += vector_lines(f"tentry {node_path}", node.target)
         status, condition = doc.statuses.get(node_path, ("none", ""))
         lines.append(f"status {node_path} {status} {condition}".rstrip())
         for k, move in enumerate(node.moves):
             fid = family_of[id(move.neighborhood.functionals)]
             lines.append(f"move {node_path} {k} family={fid} "
-                         f"eta={text(move.neighborhood.eta)}")
+                         f"eta={format_fraction(move.neighborhood.eta)}")
             lines += vector_lines(f"rentry {node_path} {k}", move.response)
     lines.append("end")
     _write(path, lines)
@@ -787,12 +765,16 @@ def _read_transcript(path: str, space: Optional[MetricSpace],
         labelled = [f"{label} " for label in space.labels]
         every = np.arange(len(space), dtype=np.intp)
 
-        def ratios(texts: Iterable[str]) -> Optional[dict[str, tuple]]:
-            """Each distinct value text, as (p, q); None if one is bad."""
-            try:
-                return {text: ratio(text.rstrip("\n")) for text in texts}
-            except FormatError:
-                return None
+        def functional(domain: np.ndarray, texts: list[str]
+                       ) -> LipschitzFunction:
+            """The functional with value ``texts[m]`` at ``domain[m]``;
+            each distinct text, which may end in a newline, is parsed
+            once."""
+            terms = {text: ratio(text.rstrip("\n")) for text in set(texts)}
+            den = math.lcm(*(q for _, q in terms.values()))
+            scaled = {text: p * (den // q) for text, (p, q) in terms.items()}
+            return LipschitzFunction._from_numerators(
+                space, domain, list(map(scaled.__getitem__, texts)), den)
 
         def family_table(lines: list[str], fid: int, size: int
                          ) -> Optional[tuple[LipschitzFunction, ...]]:
@@ -807,19 +789,11 @@ def _read_transcript(path: str, space: Optional[MetricSpace],
             if not all(map(str.startswith, lines, heads)):
                 return None
             texts = list(map(str.removeprefix, lines, heads))
-            parsed = ratios(set(texts))
-            if parsed is None:
+            try:
+                return tuple(functional(every, texts[start:start + count])
+                             for start in range(0, len(texts), count))
+            except FormatError:
                 return None
-            functionals = []
-            for start in range(0, len(texts), count):
-                chunk = texts[start:start + count]
-                terms = {text: parsed[text] for text in set(chunk)}
-                den = math.lcm(*(q for _, q in terms.values()))
-                scaled = {text: p * (den // q)
-                          for text, (p, q) in terms.items()}
-                functionals.append(LipschitzFunction._from_numerators(
-                    space, every, list(map(scaled.__getitem__, chunk)), den))
-            return tuple(functionals)
 
         # Targets and responses repeat down a tree: each distinct run of
         # ``label value`` texts is built once.
@@ -833,10 +807,8 @@ def _read_transcript(path: str, space: Optional[MetricSpace],
                 try:
                     pairs = [tail.split() for tail in tails]
                     points = [space.index_of(label) for label, _ in pairs]
+                    parsed = {text: ratio(text) for _, text in pairs}
                 except (KeyError, ValueError):
-                    return None
-                parsed = ratios({text for _, text in pairs})
-                if parsed is None:
                     return None
                 vec = vectors[key] = FreeVector._from_ratios(
                     space, [(i, *parsed[text])
@@ -864,27 +836,25 @@ def _read_transcript(path: str, space: Optional[MetricSpace],
                 families.append(table)
                 continue
             # Keyed by functional, so a claimed size allocates nothing.
-            values: dict[int, list[tuple[int, int, int]]] = {}
+            values: dict[int, list[tuple[int, str]]] = {}
             for tokens in rd.run("fvalue", 2):
                 if (len(tokens) != 5 or int(tokens[1]) != fid
                         or not 0 <= (k := int(tokens[2])) < size):
                     raise rd.error("malformed fvalue record")
                 i = _index_of(rd, space, tokens[3])
-                values.setdefault(k, []).append((i, *ratio(tokens[4])))
+                ratio(tokens[4])  # parsed here, so an error names its line
+                values.setdefault(k, []).append((i, tokens[4]))
             if len(values) != size:
                 raise rd.error(f"family {fid} lists {len(values)} of its "
                                f"{size} functionals")
             functionals = []
             for k in range(size):
-                triples = sorted(values[k])
-                domain = [i for i, _, _ in triples]
+                domain, texts = zip(*sorted(values[k]))
                 if len(set(domain)) < len(domain):
                     raise rd.error(f"a functional of family {fid} repeats "
                                    f"a point")
-                den = math.lcm(*{q for _, _, q in triples})
-                functionals.append(LipschitzFunction._from_numerators(
-                    space, np.array(domain, dtype=np.intp),
-                    [p * (den // q) for _, p, q in triples], den))
+                functionals.append(functional(
+                    np.array(domain, dtype=np.intp), list(texts)))
             families.append(tuple(functionals))
 
         # Every node read so far, with its status on record.

@@ -60,7 +60,6 @@ from diamondlab import (
 )
 from diamondlab import decomposition
 from diamondlab import io as dio
-from diamondlab.metric import _GROUP_BYTES
 from diamondlab.io import (
     TranscriptDocument,
     format_fraction,
@@ -183,18 +182,36 @@ def test_space_reader_validates_a_file_without_echo(tmp_path, capsys, d13):
 
 
 def test_space_writer_leaves_no_partial_or_temporary_file(tmp_path, d13):
+    # Every writer refuses a space with a label no reader could take back,
+    # even one its file would not name, and leaves no partial or
+    # temporary file.
     space, lm = d13
     path = tmp_path / "space.txt"
     write_space(str(path), space, lm)
     first = _bytes(path)
-    # The base label is fine, so the writer fails while streaming.
-    bad = MetricSpace.from_scaled(["top", "bottom", "mid(1)", "mid 2",
-                                   "mid(3)"], *space.integer_scaled(), 2)
-    with pytest.raises(FormatError, match="whitespace"):
-        write_space(str(path), bad)
-    with pytest.raises(FormatError, match="whitespace"):
-        write_space(str(tmp_path / "new.txt"), bad)
-    assert [p.name for p in tmp_path.iterdir()] == ["space.txt"]
+    for label in ("mid 2", ""):
+        bad = MetricSpace.from_scaled(["top", "bottom", "mid(1)", label,
+                                       "mid(3)"], *space.integer_scaled(), 2)
+        top = point_mass(bad, 0)
+        rest = tuple(p for p in range(len(bad)) if p != bad.base_point)
+        writers = (
+            # The base label is fine, so a space file's header is not
+            # the first line that could name the label.
+            lambda p: write_space(p, bad),
+            lambda p: write_vector(p, top),
+            lambda p: write_function(p, LipschitzFunction(bad, {0: ONE})),
+            lambda p: write_certificate(p, free_norm(molecule(bad, 0, 1))[1]),
+            lambda p: write_partition(p, bad, SummandPartition(
+                bad.base_point, (rest,))),
+            lambda p: write_transcript(p, TranscriptDocument(
+                GameTranscript(bad, GameNode(top, 0, ONE)))),
+        )
+        for write in writers:
+            for target in (path, tmp_path / "new.txt"):
+                with pytest.raises(FormatError, match=rf"label "
+                                   rf"{re.escape(repr(label))} is empty"):
+                    write(str(target))
+            assert [p.name for p in tmp_path.iterdir()] == ["space.txt"]
     assert _bytes(path) == first
 
 
@@ -1057,18 +1074,6 @@ def test_deep_ordinal_nesting_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["dist", "--space", str(path), "--x", "top",
                      "--y", "bottom"]) == 2
     assert "nested more than" in capsys.readouterr().err
-
-
-def test_text_blocks_hold_a_budget_each_and_join_to_the_lines():
-    lines = [f"dist 0 {j} {j}/7" for j in range(40_000)]
-    lines[5] = "x" * (3 * _GROUP_BYTES)  # longer than a block
-    lines[9] = "row\nof\nseveral"  # a "line" may be several
-    blocks = list(dio._blocks(iter(lines)))
-    assert len(blocks) > 3
-    assert all(len(block) >= _GROUP_BYTES for block in blocks[:-1])
-    assert 0 < len(blocks[-1]) and blocks[-1].endswith("\n")
-    assert "".join(blocks) == "".join(f"{line}\n" for line in lines)
-    assert list(dio._blocks([])) == []
 
 
 def test_cli_suite_that_skips_every_check_fails(tmp_path, capsys):
