@@ -21,7 +21,7 @@ import numpy as np
 from .diamond import DiamondLandmarks
 from .freespace import FreeVector, norm_value
 from .lipschitz import _dtype, _largest_ratio, _pair_blocks
-from .metric import _GROUP_BYTES, MetricSpace, narrowest
+from .metric import MetricSpace, _row_blocks, narrowest
 
 __all__ = [
     "SummandPartition",
@@ -91,9 +91,10 @@ def summing_metric(space: MetricSpace,
     The result is written straight into its store, in the narrowest
     dtype that holds both the stored distances and the largest
     to-base plus the largest from-base distance, so no sum overflows
-    it.  A block of rows at a time, sized from ``_GROUP_BYTES``, its
-    rows are copied and the cross-summand entries overwritten with
-    their reroutes, so the only temporary is the block's cross mask.
+    it.  A block of rows at a time from ``metric._row_blocks``, at one
+    mask byte an entry, its rows are copied and the cross-summand
+    entries overwritten with their reroutes, so the only temporary is
+    the block's cross mask.
     """
     check_partition(space, partition)
     space.validate_metric()
@@ -109,9 +110,7 @@ def summing_metric(space: MetricSpace,
                              int(to_base.max()) + int(from_base.max())))
     to_base, from_base = to_base.astype(dtype), from_base.astype(dtype)
     rerouted = np.empty(mat.shape, dtype=dtype)
-    step = max(1, _GROUP_BYTES // len(space))
-    for lo in range(0, len(space), step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(len(space), len(space)):
         rerouted[rows] = mat[rows]
         np.add(to_base[rows, None], from_base, out=rerouted[rows],
                where=owner[rows, None] != owner)
@@ -214,15 +213,14 @@ def build_cover(space: MetricSpace, landmarks: DiamondLandmarks) -> Cover:
         separation = dict.fromkeys(range(len(space)))
     else:
         # Distance from each point to each half's complement, summed, a
-        # block of rows at a time, sized from ``_GROUP_BYTES``.
+        # block of rows from ``metric._row_blocks`` at a time, each row
+        # its stored entries in the complement's columns.
         margin = np.zeros(len(space), dtype=np.int64)
         for inside in halves:
             outside = ~inside
-            step = max(1, _GROUP_BYTES // (mat.itemsize
-                                           * int(outside.sum())))
-            for lo in range(0, len(space), step):
-                margin[lo:lo + step] += (
-                    mat[lo:lo + step][:, outside].min(axis=1))
+            for rows in _row_blocks(len(space),
+                                    mat.itemsize * int(outside.sum())):
+                margin[rows] += mat[rows][:, outside].min(axis=1)
         separation = {z: Fraction(v, scale)
                       for z, v in enumerate(margin.tolist())}
     return Cover(*(tuple(np.flatnonzero(inside).tolist())

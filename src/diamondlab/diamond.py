@@ -29,7 +29,7 @@ most 2.  Each matrix is therefore written in the narrowest dtype that
 holds twice its denominator (int8 through height 6).  Its pole detours,
 sums of two distances, are formed by one kernel for both kinds of stage
 (:func:`_detours`), in the dtype that holds twice that (int16), a block
-of rows at a time, sized from ``metric._GROUP_BYTES`` like every other
+of rows at a time from ``metric._row_blocks``, like every other
 whole-table pass.
 
 Landmarks hold predecessor stores only: a successor stage keeps its
@@ -53,7 +53,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .metric import (_GROUP_BYTES, MetricSpace, _FractionRows,
+from .metric import (MetricSpace, _FractionRows, _row_blocks,
                      closure_numerators, finest_edges, narrowest)
 from .ordinal import (OrdinalNotation, ONE, format_ordinal,
                       fundamental_sequence, parse_ordinal)
@@ -219,9 +219,10 @@ def _chain(alpha: OrdinalNotation) -> tuple[OrdinalNotation, int]:
     return (ONE, steps - 1) if head.is_zero else (head, steps)
 
 
-def _size(spec: DiamondSpec, cap: int,
-          memo: Optional[dict] = None) -> tuple[int, bool]:
-    """The point count of the stage of ``spec``, and whether it is exact.
+def _shape(spec: DiamondSpec, cap: int,
+           memo: Optional[dict] = None) -> tuple[int, bool, int]:
+    """The point count of the stage of ``spec``, whether it is exact, and
+    the stage's denominator, which is formed only with an exact count.
 
     A count past ``cap`` may come back as a lower bound that is still
     past it: a limit stops adding its summands once their points pass
@@ -233,10 +234,13 @@ def _size(spec: DiamondSpec, cap: int,
     successor of interior n + 2nq, so k steps above it have interior
     ((2n)^k ((2n - 1) q + n) - n) / (2n - 1), in closed form: a finite
     stage alpha has 2 + n((2n)^alpha - 1) / (2n - 1) points, and no
-    height walks its chain.
+    height walks its chain.  A successor doubles its predecessor's
+    denominator, and a limit takes its largest summand denominator,
+    which is common to its summands, since every denominator is a power
+    of two.
 
     A top-level call starts an empty ``memo`` and passes it down, so a
-    nested limit counts each distinct summand once, and no count
+    nested limit walks each distinct summand once, and no shape
     outlives the call; :func:`_build` passes one ``memo`` through a
     whole build.
     """
@@ -245,15 +249,16 @@ def _size(spec: DiamondSpec, cap: int,
         return memo[spec]
     n = spec.branches
     head, steps = _chain(spec.alpha)
-    exact = True
+    exact, scale = True, 1
     if head == ONE:
         interior = n
     else:
         interior = 0
         subs = _summands(replace(spec, alpha=head))
         for sub in subs:
-            points, exact_sub = _size(sub, cap, memo)
+            points, exact_sub, scale_sub = _shape(sub, cap, memo)
             interior, exact = interior + points - 2, exact and exact_sub
+            scale = max(scale, scale_sub)
             if interior + 2 > cap:
                 break
         # A count that stopped before the last summand is a lower bound.
@@ -261,28 +266,11 @@ def _size(spec: DiamondSpec, cap: int,
     bits = max(_COUNT_BITS, cap.bit_length())
     # The interior grows by at least 2n >= 2 ** floor(log2(2n)) a step.
     if steps * ((2 * n).bit_length() - 1) > bits:
-        memo[spec] = 1 << bits, False
+        memo[spec] = 1 << bits, False, 0
     else:
         grow = (2 * n) ** steps
         interior = (grow * ((2 * n - 1) * interior + n) - n) // (2 * n - 1)
-        memo[spec] = interior + 2, exact
-    return memo[spec]
-
-
-def _scale(spec: DiamondSpec, memo: Optional[dict] = None) -> int:
-    """The denominator of the stage of ``spec``.
-
-    A successor doubles its predecessor's.  A limit takes its largest
-    summand denominator, which is common to its summands, since every
-    denominator is a power of two.  ``memo`` is kept as in :func:`_size`.
-    """
-    memo = {} if memo is None else memo
-    if spec not in memo:
-        head, steps = _chain(spec.alpha)
-        scale = (1 if head == ONE
-                 else max(_scale(sub, memo)
-                          for sub in _summands(replace(spec, alpha=head))))
-        memo[spec] = scale << steps
+        memo[spec] = interior + 2, exact, scale << steps
     return memo[spec]
 
 
@@ -290,11 +278,11 @@ def estimate_points(spec: DiamondSpec) -> int:
     """Exact point count of ``build(spec)`` without building it.
 
     The count is taken with 2**_COUNT_BITS as its cap (see
-    :func:`_size`), and ``OverflowError`` names a lower bound on one that
+    :func:`_shape`), and ``OverflowError`` names a lower bound on one that
     is not formed exactly; the budget guard of :func:`build` compares a
     count with the budget under a far smaller cap.
     """
-    count, exact = _size(spec, 1 << _COUNT_BITS)
+    count, exact, _ = _shape(spec, 1 << _COUNT_BITS)
     if not exact:
         raise OverflowError(f"spec needs {_count_text(count, False)} "
                             f"points, too many to count exactly")
@@ -308,12 +296,12 @@ def estimate_points(spec: DiamondSpec) -> int:
 def _check_budget(spec: DiamondSpec, budget: int) -> None:
     """Refuse ``spec`` when its stage has more than ``budget`` points.
 
-    The count is taken with the budget as its cap (see :func:`_size`),
+    The count is taken with the budget as its cap (see :func:`_shape`),
     so a stage far past it is refused in milliseconds.  The error's
     ``estimate`` is the exact count, or a lower bound on it past the
     budget, which the message then gives as "at least".
     """
-    estimate, exact = _size(spec, budget)
+    estimate, exact, _ = _shape(spec, budget)
     if estimate > budget:
         raise BudgetExceededError(
             f"spec needs {_count_text(estimate, exact)} points, "
@@ -378,21 +366,20 @@ def build_cached(spec: DiamondSpec, budget: int = DEFAULT_BUDGET
     return hit
 
 
-def _build(spec: DiamondSpec, sizes: Optional[dict] = None,
-           scales: Optional[dict] = None
+def _build(spec: DiamondSpec, memo: Optional[dict] = None
            ) -> tuple[MetricSpace, DiamondLandmarks]:
     """The stage of ``spec``, past the budget guard.
 
-    ``sizes`` memoizes :func:`_size` at the cap of
-    :func:`estimate_points`, and ``scales`` memoizes :func:`_scale`.  A
-    top-level call starts both empty and passes them down, into
-    :func:`_stage` and the predecessor's build, so each distinct spec is
-    sized and scaled once per build, and no memo outlives the call.
+    ``memo`` memoizes :func:`_shape` at the cap of
+    :func:`estimate_points`.  A top-level call starts it empty and passes
+    it down, into :func:`_stage` and the predecessor's build, so each
+    distinct spec is walked once per build, and no memo outlives the
+    call.
     """
-    sizes = {} if sizes is None else sizes
-    scales = {} if scales is None else scales
-    labels, landmarks, mat = _stage(spec, sizes, scales)
-    return (MetricSpace._adopt(labels, mat, _scale(spec, scales),
+    memo = {} if memo is None else memo
+    labels, landmarks, mat = _stage(spec, memo)
+    # _stage walked ``spec`` first, so its shape is in ``memo``.
+    return (MetricSpace._adopt(labels, mat, memo[spec][2],
                                base_point=landmarks.ell), landmarks)
 
 
@@ -415,25 +402,22 @@ def _detours(out: np.ndarray, to_a: np.ndarray, from_a: np.ndarray,
     min(to_a[i] + from_a[j], to_b[i] + from_b[j]).
 
     The four vectors are already widened to a dtype that holds the sums.
-    The sums are formed a block of rows at a time, so each of the two
-    temporaries stays under ``_GROUP_BYTES`` (or one row, when that is
-    larger).  Blocks four times as large made the alpha=6 and omega*2
-    builds about three times slower.
+    The sums are formed a block of rows from ``metric._row_blocks`` at a
+    time, so each of the two temporaries stays within the budget (or one
+    row, when that is larger).  Blocks four times as large made the
+    alpha=6 and omega*2 builds about three times slower.
     """
-    step = max(1, _GROUP_BYTES // (to_a.itemsize * max(1, out.shape[1])))
-    for lo in range(0, len(out), step):
-        hi = lo + step
-        np.minimum(to_a[lo:hi, None] + from_a, to_b[lo:hi, None] + from_b,
-                   out=out[lo:hi])
+    for rows in _row_blocks(len(out), to_a.itemsize * out.shape[1]):
+        np.minimum(to_a[rows, None] + from_a, to_b[rows, None] + from_b,
+                   out=out[rows])
 
 
-def _stage(spec: DiamondSpec, sizes: dict, scales: dict,
-           out: Optional[np.ndarray] = None
+def _stage(spec: DiamondSpec, memo: dict, out: Optional[np.ndarray] = None
            ) -> tuple[list[str], DiamondLandmarks, np.ndarray]:
     """Write the numerators of the stage of ``spec``, over its
     denominator, into ``out`` (a new matrix when None); return its
-    labels, its landmarks and the matrix.  ``sizes`` and ``scales`` are
-    the memos of :func:`_build`.
+    labels, its landmarks and the matrix.  ``memo`` is the one memo of
+    :func:`_build`.
 
     A stage is outer vertices plus pieces, each hung between two outer
     ends.  A successor's outer vertices are the base stage's, and its
@@ -442,10 +426,10 @@ def _stage(spec: DiamondSpec, sizes: dict, scales: dict,
     rest of the stage only at its ends, so every distance outside the
     pieces' diagonal blocks is the shorter of two end detours.
     """
-    def points_of(sub: DiamondSpec) -> int:
-        return _size(sub, 1 << _COUNT_BITS, sizes)[0]
+    def shape(sub: DiamondSpec) -> tuple[int, bool, int]:
+        return _shape(sub, 1 << _COUNT_BITS, memo)
 
-    points, scale = points_of(spec), _scale(spec, scales)
+    points, _, scale = shape(spec)
     # The matrix holds the diameter 2 * scale; detour sums, twice that.
     wide = narrowest(0, 4 * scale)
     if out is None:
@@ -463,14 +447,14 @@ def _stage(spec: DiamondSpec, sizes: dict, scales: dict,
         outer = np.array([[0, 2], [2, 0]]) * scale
         subs = list(_summands(spec))
         his = list(itertools.accumulate(
-            (points_of(sub) - 2 for sub in subs), initial=2))
+            (shape(sub)[0] - 2 for sub in subs), initial=2))
         labels = ["top", "bottom"] + [""] * (points - 2)
         summands = [None] * len(subs)
         for k in reversed(range(len(subs))):
             sub, lo, hi = subs[k], his[k], his[k + 1]
-            sub_labels, sub_lm, block = _stage(sub, sizes, scales,
+            sub_labels, sub_lm, block = _stage(sub, memo,
                                                out[lo - 2:hi, lo - 2:hi])
-            factor = scale // _scale(sub, scales)
+            factor = scale // shape(sub)[2]
             pieces.append(((lo, hi), (0, 1),
                            block[2:, 0].astype(wide) * factor,
                            block[2:, 1].astype(wide) * factor))
@@ -492,7 +476,7 @@ def _stage(spec: DiamondSpec, sizes: dict, scales: dict,
         labels, subcopies, predecessor = _outer_labels(n), {}, None
         if alpha != ONE:
             pred_space, _ = predecessor = _build(
-                replace(spec, alpha=alpha.predecessor()), sizes, scales)
+                replace(spec, alpha=alpha.predecessor()), memo)
             pred_mat = pred_space._stored()[0]
             m = len(pred_space) - 2
             to_top = pred_mat[2:, 0].astype(wide)

@@ -49,7 +49,7 @@ from .derivation import (AdversaryConfig, GameNode, GameTranscript, Move,
                          VerificationReport, WeakNeighborhood, walk_nodes)
 from .diamond import (DEFAULT_BUDGET, DiamondLandmarks, DiamondSpec,
                       build_cached, finest_edges)
-from .decomposition import SummandPartition
+from .decomposition import SummandPartition, check_partition
 from .errors import BudgetExceededError, FormatError
 from .freespace import FreeVector, TransportCertificate
 from .lipschitz import LipschitzFunction
@@ -637,7 +637,9 @@ def read_partition(path: str, space: MetricSpace) -> SummandPartition:
             summands.append(tuple(_index_of(rd, space, lab)
                                   for lab in tokens[2:]))
         rd.end()
-        return SummandPartition(base, tuple(summands))
+        partition = SummandPartition(base, tuple(summands))
+        check_partition(space, partition)
+        return partition
 
 
 # ---------------------------------------------------------------------------
@@ -959,10 +961,12 @@ def _read_transcript(path: str, space: Optional[MetricSpace],
 
 
 def write_dot(path: str, space: MetricSpace) -> None:
-    """Graph of non-redundant edges with exact length labels."""
+    """Graph of non-redundant edges with exact length labels; each point
+    label is a DOT string, with ``\\`` and ``"`` escaped."""
     lines = ["graph diamond {", "  node [shape=point];"]
-    for i in range(len(space)):
-        lines.append(f'  n{i} [xlabel="{space.label(i)}"];')
+    for i, label in enumerate(space.labels):
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [xlabel="{label}"];')
     for i, j in finest_edges(space):
         lines.append(f'  n{i} -- n{j} '
                      f'[label="{format_fraction(space.distance(i, j))}"];')

@@ -18,10 +18,11 @@ of :func:`~diamondlab.metric.fraction`.  The kernels
 :func:`mcshane_extend`) and free-vector pairing read the integers,
 together with the space's distance numerators over its denominator
 ``S``.  Pairs, and the points an extension fills, are visited in blocks
-of rows sized from ``metric._GROUP_BYTES`` and the bytes of a stored
-row, each read as a fresh block (``MetricSpace._block``): int64 when a
-bound computed up front proves that no product can overflow, and
-Python-int object arrays otherwise; no floating point is used.
+of rows from ``metric._row_blocks``, sized from the bytes of a block row
+and of a stored row, each read as a fresh block
+(``MetricSpace._block``): int64 when a bound computed up front proves
+that no product can overflow, and Python-int object arrays otherwise; no
+floating point is used.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .metric import _GROUP_BYTES, MetricSpace, exact, fraction
+from .metric import MetricSpace, _row_blocks, exact, fraction
 
 __all__ = [
     "LipschitzFunction",
@@ -216,16 +217,15 @@ def _dtype(*bounds: int):
     return np.int64 if max(bounds) < _INT64_BOUND else object
 
 
-def _rows_per_block(width: int, *spaces: MetricSpace) -> int:
-    """Rows per block on ``width`` columns, at least one, so that each
-    temporary of a block, at eight bytes an entry (an int64, or an
-    object array's pointer), and the whole rows of each of ``spaces``
-    that ``MetricSpace._block`` copies take at most half of
-    ``_GROUP_BYTES``.  Blocks twice as large slowed the Dinkelbach
-    kernel on 294 points, and blocks half as large the equivalence
-    constants on 1,985."""
-    row = max(8 * width, *(space._row_bytes() for space in spaces))
-    return max(1, _GROUP_BYTES // (2 * row))
+def _kernel_row_bytes(width: int, *spaces: MetricSpace) -> int:
+    """The row bytes the kernels pass to ``metric._row_blocks`` for
+    blocks on ``width`` columns: twice the larger of a temporary's row,
+    at eight bytes an entry (an int64, or an object array's pointer),
+    and the whole row of each of ``spaces`` that ``MetricSpace._block``
+    copies, so that each takes at most half of the budget.  Blocks
+    twice as large slowed the Dinkelbach kernel on 294 points, and
+    blocks half as large the equivalence constants on 1,985."""
+    return 2 * max(8 * width, *(space._row_bytes() for space in spaces))
 
 
 def _pair_blocks(idx: np.ndarray, dtype, *spaces: MetricSpace):
@@ -233,15 +233,14 @@ def _pair_blocks(idx: np.ndarray, dtype, *spaces: MetricSpace):
 
     Yields ``(start, dist, ...)``: one ``dist`` per space, holding its
     distance numerators from domain rows ``start:start + len(dist)`` to
-    domain columns ``start:``, in ``dtype``; blocks take
-    :func:`_rows_per_block` rows, the last fewer.
+    domain columns ``start:``, in ``dtype``; blocks are sized from
+    :func:`_kernel_row_bytes`.
     Each unordered pair appears at least once, first at or above the
     block's diagonal; the diagonal has distance 0.
     """
-    step = _rows_per_block(len(idx), *spaces)
-    for start in range(0, len(idx), step):
-        yield (start, *(space._block(idx[start:start + step], idx[start:],
-                                     dtype) for space in spaces))
+    for rows in _row_blocks(len(idx), _kernel_row_bytes(len(idx), *spaces)):
+        yield (rows.start, *(space._block(idx[rows], idx[rows.start:], dtype)
+                             for space in spaces))
 
 
 def _largest_ratio(blocks, p: int = 0, q: int = 1) -> tuple:
@@ -289,9 +288,9 @@ def _inf_convolution(func: LipschitzFunction,
 
     With lip = p/q the minimum is taken over the integers
     n_s * q * S + p * Q * mat[x, s], all over the denominator Q * q * S,
-    for blocks of :func:`_rows_per_block` points outside the domain at a
-    time.  The domain keeps its values, and one array holding every value
-    is converted to Python ints once.
+    for blocks of points outside the domain sized from
+    :func:`_kernel_row_bytes`.  The domain keeps its values, and one
+    array holding every value is converted to Python ints once.
     """
     space = func.space
     every = np.arange(len(space), dtype=np.intp)
@@ -307,9 +306,8 @@ def _inf_convolution(func: LipschitzFunction,
     values = np.empty(len(space), dtype=dtype)
     values[idx] = vals
     outside = np.setdiff1d(every, idx, assume_unique=True)
-    step = _rows_per_block(len(idx), space)
-    for start in range(0, len(outside), step):
-        rows = outside[start:start + step]
+    for block in _row_blocks(len(outside), _kernel_row_bytes(len(idx), space)):
+        rows = outside[block]
         values[rows] = (vals + dist_factor
                         * space._block(rows, idx, dtype)).min(axis=1)
     return LipschitzFunction._from_numerators(space, every, values.tolist(),

@@ -68,10 +68,11 @@ __all__ = ["MetricSpace", "MetricAxiomError", "finest_edges",
            "closure_numerators", "fraction", "exact"]
 
 _INT64_SAFE = 1 << 60
-# The one budget for the temporaries of a block of a whole-table pass:
-# the common factor of a new store, grouped closure steps,
-# the ``lipschitz`` kernels, the pole detours of a diamond stage, summing
-# metrics and the text blocks of files.
+# The one budget for the temporaries of a block of a whole-table pass.
+# ``_row_blocks`` turns it into rows for every block loop: the common
+# factor of a new store, ``value_lookup``, ``dist_matrix`` rows, the pole
+# detours of a diamond stage, summing metrics, the pole cover and the
+# ``lipschitz`` kernels.  The closure caps its groups of steps by it too.
 _GROUP_BYTES = 1 << 18
 # Integer tables with entries in [0, _TABLE_VALUES) convert them through
 # one table indexed by value (see ``value_lookup``).
@@ -97,6 +98,13 @@ def wider(dtype):
     int64): its entries are at most half its range, so a sum or
     difference of three of them fits."""
     return _NARROW[min(_NARROW.index(np.dtype(dtype).type) + 1, 3)]
+
+
+def _row_blocks(count: int, row_bytes: int) -> Iterator[slice]:
+    """Slices covering rows 0..count-1 in order, each of as many rows of
+    ``row_bytes`` as fit in ``_GROUP_BYTES``, and at least one row."""
+    step = max(1, _GROUP_BYTES // max(1, row_bytes))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 @functools.lru_cache(maxsize=_SHARED_FRACTIONS)
@@ -191,12 +199,11 @@ class MetricSpace:
             raise ValueError("denominator must be positive")
         # The common factor, a block of rows at a time, stopping once it
         # is 1, as it is in the first block of every diamond stage.
-        common, step = denominator, max(1, _GROUP_BYTES // (8 * n))
-        for lo in range(0, n, step):
+        common = denominator
+        for rows in _row_blocks(n, 8 * n):
             if common == 1:
                 break
-            common = math.gcd(common, int(np.gcd.reduce(mat[lo:lo + step],
-                                                        axis=None)))
+            common = math.gcd(common, int(np.gcd.reduce(mat[rows], axis=None)))
         if common > 1:
             mat //= common
             denominator //= common
@@ -365,9 +372,8 @@ def value_lookup(array: np.ndarray, make: Callable[[int], object]
     if (array.dtype.kind == "i" and array.size and array.min() >= 0
             and array.max() < _TABLE_VALUES):
         present = np.zeros(int(array.max()) + 1, dtype=bool)
-        step = max(1, _GROUP_BYTES // (8 * array[0].size))
-        for lo in range(0, len(array), step):
-            present[array[lo:lo + step]] = True
+        for rows in _row_blocks(len(array), 8 * array[0].size):
+            present[array[rows]] = True
         table = np.empty(len(present), dtype=object)
         for v in np.flatnonzero(present).tolist():
             table[v] = make(v)
@@ -418,14 +424,8 @@ class _FractionRows(Sequence):
         row = self._numerators[operator.index(i)]
         return self._row_type(self._values(row))
 
-    def _blocks(self) -> Iterator[slice]:
-        """Slices of the rows, a block of rows each."""
-        n = len(self._numerators)
-        step = max(1, _GROUP_BYTES // (8 * max(1, n)))
-        return (slice(lo, lo + step) for lo in range(0, n, step))
-
     def __iter__(self):
-        for rows in self._blocks():
+        for rows in _row_blocks(len(self), 8 * len(self)):
             yield from map(self._row_type,
                            self._values(self._numerators[rows]))
 
@@ -437,7 +437,7 @@ class _FractionRows(Sequence):
             mine, theirs = self._numerators, other._numerators
             return mine.shape == theirs.shape and all(
                 np.array_equal(mine[rows], theirs[rows])
-                for rows in self._blocks())
+                for rows in _row_blocks(len(self), 8 * len(self)))
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(other) == len(self) and all(

@@ -209,8 +209,7 @@ def test_estimate_points_keeps_nothing_after_it_returns():
 
 
 def test_a_build_sizes_and_scales_each_spec_once(monkeypatch):
-    # ``_size`` and ``_scale`` read ``_chain`` once for each spec they
-    # size or scale afresh.
+    # ``_shape`` reads ``_chain`` once for each spec it walks afresh.
     walks = collections.Counter()
     chain = diamond._chain
 
@@ -224,11 +223,11 @@ def test_a_build_sizes_and_scales_each_spec_once(monkeypatch):
         walks.clear()
         space, _ = build(spec)
         # Seven specs: w^(2), w*2, w+2, w+1, w, 2 and 1.  The budget
-        # guard sizes each once at its own cap, and the build sizes and
-        # scales each once; the second build walks them all again, so
-        # no memo outlived the first.
+        # guard walks each once at its own cap, and the build walks each
+        # once for its count and denominator together; the second build
+        # walks them all again, so no memo outlived the first.
         assert len(space) == 266
-        assert len(walks) == 7 and set(walks.values()) == {3}
+        assert len(walks) == 7 and set(walks.values()) == {2}
 
 
 def test_build_cached_shares_objects():

@@ -131,6 +131,19 @@ def test_both_constructors_refuse_60_bit_numerators():
                                 3, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 1 << 20))
+def test_row_blocks_cover_the_rows_within_the_budget(count, row_bytes):
+    blocks = list(metric._row_blocks(count, row_bytes))
+    rows = [range(count)[block] for block in blocks]
+    assert [i for block in rows for i in block] == list(range(count))
+    assert all(len(block) >= 1 for block in rows)
+    assert all(len(block) * row_bytes <= metric._GROUP_BYTES
+               for block in rows if len(block) > 1)
+    if count == 0:
+        assert blocks == []
+
+
 @pytest.mark.parametrize("factor, bump, common", [(4, 2, 2), (4, 1, 1),
                                                    (2, 0, 2)])
 def test_from_scaled_reduces_across_row_blocks(factor, bump, common):
@@ -301,7 +314,8 @@ def test_equivalence_witness_in_a_later_row_block():
     original = MetricSpace(labels, flat, 0)
     flat[150][151] = flat[151][150] = 1
     summing = MetricSpace(labels, flat, 0)
-    rows = lipschitz._rows_per_block(n, original, summing)
+    rows = next(metric._row_blocks(
+        n, lipschitz._kernel_row_bytes(n, original, summing))).stop
     assert rows <= 150 < 2 * rows < n
     report = equivalence_constants(original, summing)
     assert (report.c_high, report.high_pair) == (2, (150, 151))

@@ -307,6 +307,27 @@ def test_partition_roundtrip(tmp_path, d13):
     assert loaded.summands == partition.summands
 
 
+@pytest.mark.parametrize("summands, message", [
+    (lambda base, rest: ((base, *rest[:2]), tuple(rest[2:])),
+     "the base point belongs to no summand"),
+    (lambda base, rest: (tuple(rest[:2]), tuple(rest[1:])),
+     "appears in two summands"),
+    (lambda base, rest: (tuple(rest[:2]), tuple(rest[3:])),
+     "not covered by any summand"),
+], ids=["base-in-summand", "listed-twice", "left-out"])
+def test_partition_reader_refuses_what_check_partition_refuses(
+        tmp_path, d13, summands, message):
+    space, _ = d13
+    base = space.base_point
+    rest = [p for p in range(len(space)) if p != base]
+    path = tmp_path / "part.txt"
+    write_partition(str(path), space,
+                    SummandPartition(base, summands(base, rest)))
+    end = path.read_text().splitlines().index("end") + 1
+    with pytest.raises(FormatError, match=f"part.txt:{end}: .*{message}"):
+        read_partition(str(path), space)
+
+
 # -- Transcript files ------------------------------------------------------------
 
 def test_transcript_roundtrip_with_statuses(tmp_path, d23):
@@ -832,6 +853,17 @@ def test_dot_output(tmp_path, d13):
     edges = [line for line in text.splitlines() if " -- " in line]
     assert len(edges) == 6
     assert all('label="1/1"' in line for line in edges)
+
+
+def test_dot_output_escapes_labels(tmp_path):
+    labels = ["top", 'bot"tom', "mid", "a\\b", "e"]
+    flat = [[0 if i == j else 2 for j in range(5)] for i in range(5)]
+    space = MetricSpace.from_scaled(labels, flat, 1, 0)
+    path = tmp_path / "space.dot"
+    write_dot(str(path), space)
+    text = path.read_text()
+    assert 'n1 [xlabel="bot\\"tom"];' in text
+    assert 'n3 [xlabel="a\\\\b"];' in text
 
 
 # -- Report files -------------------------------------------------------------------

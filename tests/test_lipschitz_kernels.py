@@ -17,7 +17,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamondlab import lipschitz
+from diamondlab import lipschitz, metric
 from diamondlab import (
     OMEGA,
     DiamondSpec,
@@ -164,8 +164,10 @@ def test_mcshane_matches_oracle_on_one_point_and_many_blocks(values):
     space, _ = build_cached(DiamondSpec(4, 3))
     many = list(range(0, len(space), 3))
     outside = len(space) - len(many)
-    assert outside > 2 * lipschitz._rows_per_block(len(many), space)
-    assert len(many) > 2 * lipschitz._rows_per_block(len(many), space)
+    rows = next(metric._row_blocks(
+        len(many), lipschitz._kernel_row_bytes(len(many), space))).stop
+    assert outside > 2 * rows
+    assert len(many) > 2 * rows
     den = 8 if values == "dyadic" else BIG
     for domain, lip in (([len(space) // 2], Fraction(1, 3)), (many, None)):
         entries = [(x, Fraction((x * 37) % 23 - 11, den)) for x in domain]

@@ -4,6 +4,8 @@ Core claims checked here:
   * only whole-table passes read the store itself: an ``ast`` scan of
     ``src/`` finds ``_stored()`` called by exactly the named passes, and
     ``_scaled`` read nowhere outside ``MetricSpace``,
+  * only ``metric`` names the block budget ``_GROUP_BYTES``: every other
+    module sizes its blocks through ``metric._row_blocks``,
   * the paths that read rows and blocks run on a built, validated stage
     with ``MetricSpace._stored`` replaced by one that raises: norms and
     certificates, the Lipschitz kernels and distance functionals, copy
@@ -95,6 +97,18 @@ def test_only_whole_table_passes_read_the_store():
     assert stored - WHOLE_TABLE_PASSES == set(), "not a whole-table pass"
     assert WHOLE_TABLE_PASSES - stored == set(), "stale allow-list entry"
     assert scaled == set()
+
+
+def test_only_metric_names_the_block_budget():
+    # Every other module sizes its blocks through ``metric._row_blocks``.
+    naming = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "_GROUP_BYTES" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None),
+                                  getattr(node, "name", None)):
+                naming.add(path.name)
+    assert naming == {"metric.py"}
 
 
 def test_row_and_block_paths_run_without_the_store(monkeypatch):
